@@ -7,8 +7,13 @@ exactly once; nothing is counted with multiplicity and divided afterwards.
 
 Targeted censuses of the named 6-vertex types iterate over structure pairs
 (triangle pairs, quadrilaterals through an edge, pentagon sides, ...) because
-full 6-subset scans are hopeless beyond small graphs; the exhaustive scan is
-kept, guarded to 16 vertices, as the ground-truth oracle.
+full 6-subset scans are hopeless beyond small graphs.  Each structure fixes
+most of the 15 vertex pairs of its 6-subset, so its type is decided by the
+adjacency of the few pairs left free (a cross-edge count, one or two bits, a
+mask test); any setting outside the expected types raises.  No canonical
+labelling runs in these loops.  The exhaustive scan, guarded to 16 vertices,
+classifies every 6-subset by canonical certificate and is the ground-truth
+oracle.
 """
 
 from __future__ import annotations
@@ -97,11 +102,15 @@ def named_type_certificates() -> dict[str, int]:
     """Canonical certificate of each named 6-vertex type."""
     global _named_certs
     if _named_certs is None:
-        _named_certs = {
+        certs = {
             name: classify_code(_code_from_edges(edges), 6)
             for name, edges in NAMED_TYPE_EDGES.items()
         }
-        assert len(set(_named_certs.values())) == len(_named_certs)
+        if len(set(certs.values())) != len(certs):
+            raise CountingInconsistencyError(
+                "two named 6-vertex types share a certificate"
+            )
+        _named_certs = certs
     return _named_certs
 
 
@@ -229,14 +238,13 @@ def count_quadrilaterals(g: Graph, assume_family: bool = False) -> int:
     return count
 
 
-def _pentagon_scan(rows, n: int, v0_list, collect: bool):
-    """Count (or list) induced pentagons whose minimum vertex is in v0_list.
+def _pentagon_scan(rows, n: int, v0_list) -> int:
+    """Count induced pentagons whose minimum vertex is in v0_list.
 
     Cycle order v0-v1-v2-v3-v4-v0 with v1 < v4; the innermost vertex v3 is
-    resolved by one popcount when only counting.
+    resolved by one popcount.
     """
     count = 0
-    found = [] if collect else None
     for v0 in v0_list:
         abv = _above(n, v0)
         nv0 = rows[v0]
@@ -252,24 +260,30 @@ def _pentagon_scan(rows, n: int, v0_list, collect: bool):
                 if not base3:
                     continue
                 for v2 in iter_bits(base2):
-                    m3 = rows[v2] & base3
-                    if collect:
-                        for v3 in iter_bits(m3):
-                            found.append((v0, v1, v2, v3, v4))
-                    else:
-                        count += m3.bit_count()
-    return found if collect else count
+                    count += (rows[v2] & base3).bit_count()
+    return count
 
 
 def _pentagon_count_worker(args):
     rows, n, v0_list = args
-    return _pentagon_scan(rows, n, v0_list, collect=False)
+    return _pentagon_scan(rows, n, v0_list)
 
 
 def _iter_pentagons_of(rows, n: int, v0_list):
-    """Stream pentagons one start vertex at a time (flat memory)."""
+    """Yield the induced pentagons whose minimum vertex is in v0_list, in
+    the cycle order of ``_pentagon_scan``."""
     for v0 in v0_list:
-        yield from _pentagon_scan(rows, n, (v0,), collect=True)
+        abv = _above(n, v0)
+        nv0 = rows[v0]
+        outer = nv0 & abv
+        for v1 in iter_bits(outer):
+            r1 = rows[v1]
+            for v4 in iter_bits(outer & _above(n, v1) & ~r1):
+                r4 = rows[v4]
+                base3 = r4 & abv & ~nv0 & ~r1
+                for v2 in iter_bits(r1 & abv & ~nv0 & ~r4):
+                    for v3 in iter_bits(rows[v2] & base3):
+                        yield (v0, v1, v2, v3, v4)
 
 
 def count_pentagons(g: Graph, workers: int = 1, progress=None) -> int:
@@ -284,7 +298,7 @@ def count_pentagons(g: Graph, workers: int = 1, progress=None) -> int:
             return sum(parts)
     total = 0
     for v0 in range(n):
-        total += _pentagon_scan(g.rows, n, (v0,), collect=False)
+        total += _pentagon_scan(g.rows, n, (v0,))
         if progress:
             progress(v0 + 1, n)
     return total
@@ -387,6 +401,13 @@ class WalkCensus(NamedTuple):
 
 
 def _walk_scan(rows, n: int, starts) -> tuple[int, int, int]:
+    """(pentagon, house, paw) walk counts from each start s.
+
+    A walk s-w1-w2-w3-w4-s with w4 = w1 is a paw (T2).  Otherwise its chords
+    among w1w3, w1w4 and w2w4 decide it: none for a pentagon, one for a
+    house (T1); two or more raise, naming the walk.  The last step is
+    resolved by popcounts over the candidates for w4.
+    """
     pent = house = paw = 0
     for s in starts:
         ns = rows[s]
@@ -398,24 +419,30 @@ def _walk_scan(rows, n: int, starts) -> tuple[int, int, int]:
             continue
         for w1 in iter_bits(ns):
             r1 = rows[w1]
+            ends = ns & ~(1 << w1)  # candidates for w4 other than w1
+            c14 = ends & r1  # w4 with a w1w4 chord
             for w2 in iter_bits(r1 & d2):
                 r2 = rows[w2]
+                c24 = ends & r2  # w4 with a w2w4 chord
+                either = c14 | c24
+                chordless = ends & ~either
+                both = c14 & c24
                 for w3 in iter_bits(r2 & d2):
-                    r3 = rows[w3]
-                    chord13 = r1 >> w3 & 1
-                    for w4 in iter_bits(r3 & ns):
-                        if w4 == w1:
-                            paw += 1
-                            continue
-                        chords = chord13 + (r1 >> w4 & 1) + (r2 >> w4 & 1)
-                        if chords == 0:
-                            pent += 1
-                        elif chords == 1:
-                            house += 1
-                        else:
-                            raise CountingInconsistencyError(
-                                f"walk ({s},{w1},{w2},{w3},{w4}) has {chords} chords"
-                            )
+                    w4s = rows[w3] & ends
+                    if r1 >> w3 & 1:  # w1w3 chord; w4 = w1 closes a paw
+                        paw += 1
+                        house += w4s.bit_count()
+                        bad = w4s & either
+                    else:
+                        pent += (w4s & chordless).bit_count()
+                        house += (w4s & either).bit_count()
+                        bad = w4s & both
+                    if bad:
+                        w4 = (bad & -bad).bit_length() - 1
+                        chords = (r1 >> w3 & 1) + (r1 >> w4 & 1) + (r2 >> w4 & 1)
+                        raise CountingInconsistencyError(
+                            f"walk ({s},{w1},{w2},{w3},{w4}) has {chords} chords"
+                        )
     return pent, house, paw
 
 
@@ -581,66 +608,54 @@ class TrianglePairCensus(NamedTuple):
     n3_witness: Optional[tuple[tuple[int, ...], tuple[int, ...], tuple]]
 
 
+# named type of two disjoint triangles joined by a matching, by its size
+TRIANGLE_PAIR_TYPES = ("n14", "n5", "n3", "n1")
+
+
 def disjoint_triangle_pair_census(g: Graph) -> TrianglePairCensus:
     """Classify every unordered pair of vertex-disjoint triangles.
 
-    The four buckets are decided by the canonical form of the induced
-    6-vertex subgraph; pairs whose induced subgraph contains additional
-    triangles belong to other types and are excluded.  Works on any graph.
+    If the cross edges do not form a matching, some cross edge closes a
+    further triangle and the pair is excluded.  Otherwise the cross-edge
+    count decides the type: 0, 1, 2 or 3 edges give n14, n5, n3 or the
+    prism (``TRIANGLE_PAIR_TYPES``).  Works on any graph.
     """
     rows = g.rows
     tris = list(iter_triangles(g))
     masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in tris]
-    certs = named_type_certificates()
-    buckets = {certs["n1"]: 0, certs["n3"]: 0, certs["n5"]: 0, certs["n14"]: 0}
+    # vertices outside each triangle that are adjacent to it
+    around = [
+        (rows[a] | rows[b] | rows[c]) & ~m for (a, b, c), m in zip(tris, masks)
+    ]
+    by_cross = [0, 0, 0, 0]
     excluded = 0
     witness = None
-    for i in range(len(tris)):
+    for i, ti in enumerate(tris):
         mi = masks[i]
-        ti = tris[i]
+        ai = around[i]
+        ra, rb, rc = (rows[x] for x in ti)
         for j in range(i + 1, len(tris)):
-            if mi & masks[j]:
+            mj = masks[j]
+            if mi & mj:
                 continue
-            tj = tris[j]
-            # cross edges must form a matching or the pair has extra triangles
-            cross = 0
-            matching = True
-            for x in tj:
-                c = (rows[x] & mi).bit_count()
-                if c > 1:
-                    matching = False
-                    break
-                cross += c
-            if matching:
-                for x in ti:
-                    if (rows[x] & masks[j]).bit_count() > 1:
-                        matching = False
-                        break
-            if not matching:
+            ends_j = ai & mj
+            if not ends_j:
+                by_cross[0] += 1
+                continue
+            # a matching has as many edges as endpoints on either side
+            cross = (ra & mj).bit_count() + (rb & mj).bit_count() + (rc & mj).bit_count()
+            if cross != ends_j.bit_count() or cross != (around[j] & mi).bit_count():
                 excluded += 1
                 continue
-            verts = tuple(sorted(ti + tj))
-            cert = classify_code(g.subgraph_code(verts), 6)
-            if cert in buckets:
-                buckets[cert] += 1
-                if cert == certs["n3"] and witness is None:
-                    edges = tuple(
-                        (u, x)
-                        for u in ti
-                        for x in tj
-                        if rows[u] >> x & 1
-                    )
-                    witness = (ti, tj, edges)
-            else:
-                excluded += 1
-    return TrianglePairCensus(
-        buckets[certs["n1"]],
-        buckets[certs["n3"]],
-        buckets[certs["n5"]],
-        buckets[certs["n14"]],
-        excluded,
-        witness,
-    )
+            by_cross[cross] += 1
+            if cross == 2 and witness is None:
+                tj = tris[j]
+                edges = tuple(
+                    (u, x) for u in ti for x in tj if rows[u] >> x & 1
+                )
+                witness = (ti, tj, edges)
+    n14, n5, n3, n1 = by_cross
+    return TrianglePairCensus(n1, n3, n5, n14, excluded, witness)
 
 
 # -- quadrilateral pairs through an edge --------------------------------------
@@ -662,17 +677,47 @@ def c4s_through_edge(g: Graph, u: int, v: int) -> list[tuple[int, int]]:
     return out
 
 
+# named type of two quadrilaterals u-v-w1-x1-u and u-v-w2-x2-u through an
+# edge, by how many of the pairs w1w2 and x1x2 are edges
+QUAD_PAIR_TYPES = ("n9", "n4", "n1")
+
+
+def _quad_pairs_at_edge(rows, u: int, v: int, quads) -> list[int]:
+    """Counts, indexed like ``QUAD_PAIR_TYPES``, of the pairs among
+    ``quads`` (the (w, x) of ``c4s_through_edge``) through edge (u, v).
+
+    The two quadrilaterals fix 11 of the 15 vertex pairs; of the other four,
+    w1w2 and x1x2 decide the type, and a w1x2 or x1w2 edge raises.
+    """
+    counts = [0, 0, 0]
+    for i, (w1, x1) in enumerate(quads):
+        rw, rx = rows[w1], rows[x1]
+        for w2, x2 in quads[i + 1:]:
+            if w1 == w2 or x1 == x2:
+                raise FamilyViolationError(
+                    f"quadrilaterals {(u, v, w1, x1, w2, x2)} through ({u},{v}) "
+                    "share a vertex"
+                )
+            if rw >> x2 & 1 or rx >> w2 & 1:
+                raise CountingInconsistencyError(
+                    f"C4 pair through ({u},{v}) induced an unexpected class"
+                )
+            counts[(rw >> w2 & 1) + (rx >> x2 & 1)] += 1
+    return counts
+
+
 def quad_pair_census(g: Graph) -> QuadPairCensus:
     """Classify, for every edge, all pairs of quadrilaterals through it.
 
-    In a family graph each edge lies on exactly k-2 quadrilaterals and the
-    union of two of them spans 6 vertices inducing a prism, type n4 or type
-    n9; prisms collect 3 incidences each and are divided out.
+    In a family graph each edge lies on exactly k-2 quadrilaterals.  Two of
+    them, u-v-w1-x1-u and u-v-w2-x2-u, span 6 vertices whose type is the
+    number of the edges w1w2 and x1x2: none for n9, one for n4, both for the
+    prism; a w1x2 or x1w2 edge raises.  Prisms collect 3 incidences each and
+    are divided out.
     """
     n, k = require_family(g)
-    certs = named_type_certificates()
-    prism_cert, n4_cert, n9_cert = certs["n1"], certs["n4"], certs["n9"]
-    prism_inc = n4 = n9 = 0
+    rows = g.rows
+    n9 = n4 = prism_inc = 0
     pair_total = 0
     for u, v in g.edges():
         quads = c4s_through_edge(g, u, v)
@@ -681,23 +726,10 @@ def quad_pair_census(g: Graph) -> QuadPairCensus:
                 f"edge ({u},{v}) lies on {len(quads)} quadrilaterals, expected {k - 2}"
             )
         pair_total += comb(len(quads), 2)
-        for (w1, x1), (w2, x2) in combinations(quads, 2):
-            verts = (u, v, w1, x1, w2, x2)
-            if len(set(verts)) != 6:
-                raise FamilyViolationError(
-                    f"quadrilaterals {verts} through ({u},{v}) share a vertex"
-                )
-            cert = classify_code(g.subgraph_code(tuple(sorted(verts))), 6)
-            if cert == prism_cert:
-                prism_inc += 1
-            elif cert == n4_cert:
-                n4 += 1
-            elif cert == n9_cert:
-                n9 += 1
-            else:
-                raise CountingInconsistencyError(
-                    f"C4 pair through ({u},{v}) induced an unexpected class"
-                )
+        c9, c4, c1 = _quad_pairs_at_edge(rows, u, v, quads)
+        n9 += c9
+        n4 += c4
+        prism_inc += c1
     if prism_inc % 3:
         raise CountingInconsistencyError(
             f"prism incidences {prism_inc} not divisible by 3"
@@ -719,41 +751,54 @@ class PentagonTriangleCensus(NamedTuple):
     p5: int  # pentagons enumerated along the way
 
 
+def _pentagon_n4_sides(rows, pent) -> int:
+    """Number of sides of induced pentagon ``pent`` whose apex makes type
+    n4; every other side makes type n8.
+
+    Side (a, b) has one apex, its unique common neighbour, and the apex
+    lies outside the pentagon.  Its further neighbours on the pentagon,
+    ``rows[apex] & pmask & ~side``, are none (n8) or the opposite vertex
+    alone (n4); any other pattern raises.
+    """
+    v0, v1, v2, v3, v4 = pent
+    pmask = (1 << v0) | (1 << v1) | (1 << v2) | (1 << v3) | (1 << v4)
+    n4 = 0
+    for i in range(5):
+        a, b = pent[i], pent[i - 4]
+        apex_mask = rows[a] & rows[b]
+        if apex_mask.bit_count() != 1:
+            raise FamilyViolationError(
+                f"side ({a},{b}) has {apex_mask.bit_count()} triangle apexes"
+            )
+        if apex_mask & pmask:
+            raise CountingInconsistencyError(
+                f"apex of side ({a},{b}) lies inside pentagon {pent}"
+            )
+        apex_row = rows[apex_mask.bit_length() - 1]
+        rest = apex_row & pmask & ~((1 << a) | (1 << b))
+        if rest == 1 << pent[i - 2]:  # the opposite vertex
+            n4 += 1
+        elif rest:
+            hits = (
+                (apex_row >> pent[i - 3] & 1)
+                + (apex_row >> pent[i - 2] & 1) * 2
+                + (apex_row >> pent[i - 1] & 1) * 4
+            )
+            raise CountingInconsistencyError(
+                f"apex of side ({a},{b}) has adjacency pattern {hits:03b} "
+                f"on pentagon {pent}"
+            )
+    return n4
+
+
 def _pentagon_triangle_scan(rows, n: int, v0_list) -> tuple[int, int, int]:
-    n4 = n8 = p5 = 0
+    """(n4, n8, p5) over the induced pentagons whose minimum vertex is in
+    v0_list."""
+    n4 = p5 = 0
     for pent in _iter_pentagons_of(rows, n, v0_list):
         p5 += 1
-        pmask = 0
-        for x in pent:
-            pmask |= 1 << x
-        for i in range(5):
-            a = pent[i]
-            b = pent[(i + 1) % 5]
-            apex_mask = rows[a] & rows[b]
-            if apex_mask.bit_count() != 1:
-                raise FamilyViolationError(
-                    f"side ({a},{b}) has {apex_mask.bit_count()} triangle apexes"
-                )
-            if apex_mask & pmask:
-                raise CountingInconsistencyError(
-                    f"apex of side ({a},{b}) lies inside pentagon {pent}"
-                )
-            apex_row = rows[apex_mask.bit_length() - 1]
-            hits = (
-                (apex_row >> pent[(i + 2) % 5] & 1)
-                + (apex_row >> pent[(i + 3) % 5] & 1) * 2
-                + (apex_row >> pent[(i + 4) % 5] & 1) * 4
-            )
-            if hits == 2:  # adjacent to the opposite vertex only
-                n4 += 1
-            elif hits == 0:
-                n8 += 1
-            else:
-                raise CountingInconsistencyError(
-                    f"apex of side ({a},{b}) has adjacency pattern {hits:03b} "
-                    f"on pentagon {pent}"
-                )
-    return n4, n8, p5
+        n4 += _pentagon_n4_sides(rows, pent)
+    return n4, 5 * p5 - n4, p5
 
 
 def _pentagon_triangle_worker(args):
@@ -910,24 +955,32 @@ def quad_plus_edge_census(g: Graph, workers: int = 1) -> QuadPlusEdgeCensus:
 # -- direct n2 count ----------------------------------------------------------
 
 
+def _is_n2(rows, a: int, b: int, c: int, d: int, e: int, f: int) -> bool:
+    """Whether quadrilateral a-b-c-d-a with apex e on side ab and apex f on
+    side bc induces type n2: exactly when none of the five pairs left free,
+    ec, ed, ef, fa and fd, is an edge."""
+    return not (
+        rows[e] & ((1 << c) | (1 << d) | (1 << f)) or rows[f] & ((1 << a) | (1 << d))
+    )
+
+
 def count_n2(g: Graph) -> int:
     """Type n2 count: quadrilateral plus triangle apexes on two adjacent sides.
 
     Every (quadrilateral, adjacent side pair) completion produces a distinct
-    n2 subgraph in a family graph; the result must equal 4*p4 and the class
-    of each completion is verified by certificate.
+    n2 subgraph in a family graph; the result must equal 4*p4.  A completion
+    is n2 exactly when its five free vertex pairs are non-edges (``_is_n2``);
+    any other completion raises.
     """
     n, _ = require_family(g)
     rows = g.rows
-    n2_cert = named_type_certificates()["n2"]
     count = 0
     quads = 0
-    for a, b, c, d in iter_quadrilaterals(g):
+    for cycle in iter_quadrilaterals(g):
         quads += 1
-        cycle = (a, b, c, d)
         apexes = []
         for i in range(4):
-            x, y = cycle[i], cycle[(i + 1) % 4]
+            x, y = cycle[i], cycle[i - 3]
             am = rows[x] & rows[y]
             if am.bit_count() != 1:
                 raise FamilyViolationError(
@@ -935,13 +988,13 @@ def count_n2(g: Graph) -> int:
                 )
             apexes.append(am.bit_length() - 1)
         for i in range(4):
-            e, f = apexes[i], apexes[(i + 1) % 4]
-            verts = tuple(sorted((a, b, c, d, e, f)))
-            if len(set(verts)) != 6:
+            e, f = apexes[i], apexes[i - 3]
+            if len({*cycle, e, f}) != 6:
                 raise CountingInconsistencyError(
                     f"adjacent-side apexes of {cycle} collide"
                 )
-            if classify_code(g.subgraph_code(verts), 6) != n2_cert:
+            a, b, c, d = cycle[i:] + cycle[:i]
+            if not _is_n2(rows, a, b, c, d, e, f):
                 raise CountingInconsistencyError(
                     f"completion of {cycle} on adjacent sides is not type n2"
                 )
@@ -959,18 +1012,31 @@ class TriangleCompletionCensus(NamedTuple):
     n4: int
 
 
+def _completion_type(rows, x: int, y: int, z: int, q: int, r: int) -> Optional[str]:
+    """Type of the completion of triangle x-y-z by pendant p at x, with q and
+    r the second common neighbours of (p, y) and (p, z).
+
+    Of its 15 vertex pairs only qr, qx, qz, rx and ry are left free.  With
+    none of qx, qz, rx, ry an edge, the qr bit decides: a prism ("n1") or
+    type "n4".  Any other setting gives None.
+    """
+    if rows[q] & ((1 << x) | (1 << z)) or rows[r] & ((1 << x) | (1 << y)):
+        return None
+    return "n1" if rows[q] >> r & 1 else "n4"
+
+
 def triangle_edge_completion_census(g: Graph) -> TriangleCompletionCensus:
     """Complete every (triangle, pendant vertex) pair to 6 vertices.
 
     A pendant p hanging off corner x of triangle {x,y,z} determines two more
-    vertices: the second common neighbour of (p,y) and of (p,z).  The induced
-    6-vertex graph is a prism (reached from 6 pendant choices) or type n4
-    (reached once); the identity 6*n1 + n4 = 3(k-2)*p3 follows.
+    vertices: the second common neighbour q of (p,y) and r of (p,z).  The
+    induced 6-vertex graph is a prism when q~r (reached from 6 pendant
+    choices) or type n4 otherwise (reached once), provided q and r have no
+    further edges into the triangle; any such edge raises.  The identity
+    6*n1 + n4 = 3(k-2)*p3 follows.
     """
     require_family(g)
     rows = g.rows
-    certs = named_type_certificates()
-    prism_cert, n4_cert = certs["n1"], certs["n4"]
     prism_inc = n4_inc = 0
     for tri in iter_triangles(g):
         tmask = (1 << tri[0]) | (1 << tri[1]) | (1 << tri[2])
@@ -983,7 +1049,7 @@ def triangle_edge_completion_census(g: Graph) -> TriangleCompletionCensus:
                     raise FamilyViolationError(
                         f"vertex {p} joins triangle {tri} at several corners"
                     )
-                completion = [x, y, z, p]
+                seconds = []
                 for other in (y, z):
                     cm = rp & rows[other]
                     if cm.bit_count() != 2:
@@ -992,16 +1058,16 @@ def triangle_edge_completion_census(g: Graph) -> TriangleCompletionCensus:
                             "common neighbours"
                         )
                     cm &= ~(1 << x)
-                    completion.append(cm.bit_length() - 1)
-                verts = tuple(sorted(completion))
-                if len(set(verts)) != 6:
+                    seconds.append(cm.bit_length() - 1)
+                q, r = seconds
+                if len({x, y, z, p, q, r}) != 6:
                     raise CountingInconsistencyError(
                         f"completion of triangle {tri} with pendant {p} collapsed"
                     )
-                cert = classify_code(g.subgraph_code(verts), 6)
-                if cert == prism_cert:
+                kind = _completion_type(rows, x, y, z, q, r)
+                if kind == "n1":
                     prism_inc += 1
-                elif cert == n4_cert:
+                elif kind == "n4":
                     n4_inc += 1
                 else:
                     raise CountingInconsistencyError(

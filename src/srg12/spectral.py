@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .constructions import _solve_spectrum
-from .errors import SizeLimitError
+from .errors import CountingInconsistencyError, SizeLimitError
 from .graph import Graph, SrgParams, adjacency_determinant
 
 
@@ -124,7 +124,8 @@ def charpoly_prefix(g: Graph, m: int = 6) -> CharPolyPrefix:
     """c0..cm of the characteristic polynomial via Newton's identities.
 
     Power sums are the traces of A^i; the elementary-symmetric recurrence
-    is kept in integers (each division by i is exact and asserted).
+    is kept in integers; each division by i must be exact, and a remainder
+    raises CountingInconsistencyError.
     """
     if m > g.order:
         m = g.order
@@ -136,7 +137,10 @@ def charpoly_prefix(g: Graph, m: int = 6) -> CharPolyPrefix:
         for j in range(1, i + 1):
             acc += sign * e[i - j] * traces[j - 1]
             sign = -sign
-        assert acc % i == 0, "Newton recurrence must stay integral"
+        if acc % i:
+            raise CountingInconsistencyError(
+                f"Newton recurrence not integral at step {i}: {acc} / {i}"
+            )
         e.append(acc // i)
     coeffs = tuple((-1) ** i * e[i] for i in range(m + 1))
     return CharPolyPrefix(coeffs)

@@ -6,7 +6,37 @@ independent of the counting paths under test.
 
 from itertools import combinations
 
-from srg12.graph import Graph
+from srg12.census import named_type_certificates
+from srg12.graph import Graph, classify_code
+
+
+def certificate_type(g: Graph, verts):
+    """Named type of the subgraph induced on 6 vertices, or None, decided by
+    canonical certificate (minimum edge code over all 720 relabellings)."""
+    names = {cert: name for name, cert in named_type_certificates().items()}
+    return names.get(classify_code(g.subgraph_code(tuple(sorted(verts))), 6))
+
+
+def coded_walks_from(g: Graph, s: int):
+    """(pentagon, house, paw) counts of the closed walks s-w1-w2-w3-w4-s
+    coded 0 1 2 2 1 0, walk by walk; a walk with two or more chords gives
+    its error message instead."""
+    ns = g.rows[s]
+    d2 = {w for w in range(g.order)
+          if w != s and not ns >> w & 1 and g.rows[w] & ns}
+    counts = [0, 0, 0]
+    for w1 in g.neighbors(s):
+        for w2 in (w for w in g.neighbors(w1) if w in d2):
+            for w3 in (w for w in g.neighbors(w2) if w in d2):
+                for w4 in (w for w in g.neighbors(w3) if ns >> w & 1):
+                    if w4 == w1:
+                        counts[2] += 1
+                        continue
+                    chords = g.has_edge(w1, w3) + g.has_edge(w1, w4) + g.has_edge(w2, w4)
+                    if chords >= 2:
+                        return f"walk ({s},{w1},{w2},{w3},{w4}) has {chords} chords"
+                    counts[chords] += 1
+    return tuple(counts)
 
 
 def random_graph(rng, n, p) -> Graph:
