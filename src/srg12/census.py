@@ -748,90 +748,108 @@ def quad_pair_census(g: Graph) -> QuadPairCensus:
 class PentagonTriangleCensus(NamedTuple):
     n4: int
     n8: int
-    p5: int  # pentagons enumerated along the way
+    p5: int  # pentagons, counted by the canonical DFS
+    per_edge: tuple[int, ...]  # pentagons through each edge, in g.edges() order
 
 
-def _pentagon_n4_sides(rows, pent) -> int:
-    """Number of sides of induced pentagon ``pent`` whose apex makes type
-    n4; every other side makes type n8.
+def _pentagon_edge_scan(rows, edges) -> tuple[int, list[int]]:
+    """(n4 sides, pentagons through each edge) over ``edges``.
 
-    Side (a, b) has one apex, its unique common neighbour, and the apex
-    lies outside the pentagon.  Its further neighbours on the pentagon,
-    ``rows[apex] & pmask & ~side``, are none (n8) or the opposite vertex
-    alone (n4); any other pattern raises.
+    The pentagons through side (u, v) are u-v-w-x-y-u as in
+    ``pentagons_through_edge``.  The side's apex t, the unique bit of
+    ``rows[u] & rows[v]``, is never w or y (those are not common neighbours
+    of u and v) nor x (x avoids N(u) and N(v)), so it lies outside every
+    such pentagon.  Beyond the side it may be joined to the opposite vertex
+    x alone (type n4) or to nothing (n8).  In a family graph t has no
+    neighbour among the candidates for w and y, so one popcount per (w, y)
+    counts the n4 sides; otherwise the edge takes a slow path that raises on
+    the first pentagon where t meets w or y.
     """
-    v0, v1, v2, v3, v4 = pent
-    pmask = (1 << v0) | (1 << v1) | (1 << v2) | (1 << v3) | (1 << v4)
     n4 = 0
-    for i in range(5):
-        a, b = pent[i], pent[i - 4]
-        apex_mask = rows[a] & rows[b]
+    counts = []
+    for u, v in edges:
+        ru, rv = rows[u], rows[v]
+        apex_mask = ru & rv
         if apex_mask.bit_count() != 1:
             raise FamilyViolationError(
-                f"side ({a},{b}) has {apex_mask.bit_count()} triangle apexes"
+                f"side ({u},{v}) has {apex_mask.bit_count()} triangle apexes"
             )
-        if apex_mask & pmask:
-            raise CountingInconsistencyError(
-                f"apex of side ({a},{b}) lies inside pentagon {pent}"
-            )
-        apex_row = rows[apex_mask.bit_length() - 1]
-        rest = apex_row & pmask & ~((1 << a) | (1 << b))
-        if rest == 1 << pent[i - 2]:  # the opposite vertex
-            n4 += 1
-        elif rest:
-            hits = (
-                (apex_row >> pent[i - 3] & 1)
-                + (apex_row >> pent[i - 2] & 1) * 2
-                + (apex_row >> pent[i - 1] & 1) * 4
-            )
-            raise CountingInconsistencyError(
-                f"apex of side ({a},{b}) has adjacency pattern {hits:03b} "
-                f"on pentagon {pent}"
-            )
-    return n4
+        rt = rows[apex_mask.bit_length() - 1]
+        not_uv = ~(ru | rv)
+        ws = rv & ~ru & ~(1 << u)
+        ys = ru & ~rv & ~(1 << v)
+        if (ws | ys) & rt:
+            _apex_pattern_check(rows, u, v, rt, ws, ys, not_uv)
+        count = 0
+        for w in iter_bits(ws):
+            rw = rows[w]
+            xbase = rw & not_uv
+            xt = xbase & rt
+            for y in iter_bits(ys & ~rw):
+                ry = rows[y]
+                count += (xbase & ry).bit_count()
+                if xt & ry:
+                    n4 += (xt & ry).bit_count()
+        counts.append(count)
+    return n4, counts
 
 
-def _pentagon_triangle_scan(rows, n: int, v0_list) -> tuple[int, int, int]:
-    """(n4, n8, p5) over the induced pentagons whose minimum vertex is in
-    v0_list."""
-    n4 = p5 = 0
-    for pent in _iter_pentagons_of(rows, n, v0_list):
-        p5 += 1
-        n4 += _pentagon_n4_sides(rows, pent)
-    return n4, 5 * p5 - n4, p5
+def _apex_pattern_check(rows, u, v, rt, ws, ys, not_uv) -> None:
+    """Raise on the first pentagon u-v-w-x-y-u whose side apex (row ``rt``)
+    is joined to w or y; the pattern bits are w, x, y from low to high."""
+    for w in iter_bits(ws):
+        rw = rows[w]
+        for y in iter_bits(ys & ~rw):
+            for x in iter_bits(rw & not_uv & rows[y]):
+                hits = (rt >> w & 1) + (rt >> x & 1) * 2 + (rt >> y & 1) * 4
+                if hits & 5:
+                    raise CountingInconsistencyError(
+                        f"apex of side ({u},{v}) has adjacency pattern {hits:03b} "
+                        f"on pentagon {(u, v, w, x, y)}"
+                    )
 
 
-def _pentagon_triangle_worker(args):
-    rows, n, v0_list = args
-    return _pentagon_triangle_scan(rows, n, v0_list)
+def _pentagon_edge_worker(args):
+    rows, edges = args
+    return _pentagon_edge_scan(rows, edges)
 
 
 def pentagon_triangle_census(g: Graph, workers: int = 1) -> PentagonTriangleCensus:
     """For every pentagon side, classify pentagon + apex into n4 or n8.
 
-    The apex of a side (its unique common neighbour) always lies outside the
-    pentagon in a family graph and can only be joined, beyond the side, to
-    the side's opposite vertex; any other pattern raises.
+    One pass over the edges counts the pentagons through each edge and the
+    n4 sides among them (``_pentagon_edge_scan``); the apex of a side lies
+    outside each of its pentagons and can only be joined, beyond the side,
+    to the side's opposite vertex, any other pattern raises.  p5 comes from
+    the canonical DFS, an independent route: the per-edge counts must sum
+    to 5*p5, and the remaining 5*p5 - n4 sides are type n8.
     """
     n, _ = require_family(g)
+    rows = g.rows
+    edges = list(g.edges())
     if workers > 1 and n >= 32:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _pentagon_triangle_worker,
-                    [(g.rows, n, ch) for ch in _chunks(list(range(n)), workers)],
-                )
+            p5_parts = pool.map(
+                _pentagon_count_worker,
+                [(rows, n, ch) for ch in _chunks(list(range(n)), workers)],
             )
-        n4 = sum(p[0] for p in parts)
-        n8 = sum(p[1] for p in parts)
-        p5 = sum(p[2] for p in parts)
+            edge_parts = list(
+                pool.map(_pentagon_edge_worker,
+                         [(rows, ch) for ch in _chunks(edges, workers)])
+            )
+            p5 = sum(p5_parts)
+        n4 = sum(part[0] for part in edge_parts)
+        per_edge = [0] * len(edges)
+        for i, part in enumerate(edge_parts):
+            per_edge[i::workers] = part[1]
     else:
-        n4, n8, p5 = _pentagon_triangle_scan(g.rows, n, range(n))
-    if n4 + n8 != 5 * p5:
+        p5 = _pentagon_scan(rows, n, range(n))
+        n4, per_edge = _pentagon_edge_scan(rows, edges)
+    if sum(per_edge) != 5 * p5:
         raise CountingInconsistencyError(
-            f"pentagon sides: {n4} + {n8} != 5 * {p5}"
+            f"pentagons through edges: {sum(per_edge)} != 5 * {p5}"
         )
-    return PentagonTriangleCensus(n4, n8, p5)
+    return PentagonTriangleCensus(n4, 5 * p5 - n4, p5, tuple(per_edge))
 
 
 # -- quadrilateral plus disjoint edge -----------------------------------------
@@ -854,9 +872,18 @@ class QuadPlusEdgeCensus(NamedTuple):
     p4: int  # quadrilaterals enumerated
 
 
+def _edges_outside(rows, m: int, degs, closed: int) -> int:
+    """Edges with neither end in ``closed``: e(V-S) = m - sum of deg v over
+    v in S + e(S), for S = ``closed``."""
+    deg_sum = twice_inside = 0
+    for v in iter_bits(closed):
+        deg_sum += degs[v]
+        twice_inside += (rows[v] & closed).bit_count()
+    return m - deg_sum + twice_inside // 2
+
+
 def _qpe_scan(rows, n: int, m: int, degs, v0_list):
     prism_inc = n4_inc = n9_inc = n13 = total = quads = 0
-    full = (1 << n) - 1
     for quad in _quad_list(rows, n, v0_list):
         a, b, c, d = quad
         quads += 1
@@ -878,29 +905,24 @@ def _qpe_scan(rows, n: int, m: int, degs, v0_list):
         prism_inc += rows[t_bc] >> t_da & 1
 
         # vertices adjacent to exactly one corner
-        only = {
-            a: ra & ~rb & ~rc & ~rd & ~qmask,
-            b: rb & ~ra & ~rc & ~rd & ~qmask,
-            c: rc & ~ra & ~rb & ~rd & ~qmask,
-            d: rd & ~ra & ~rb & ~rc & ~qmask,
-        }
+        only_a = ra & ~rb & ~rc & ~rd & ~qmask
+        only_b = rb & ~ra & ~rc & ~rd & ~qmask
+        only_c = rc & ~ra & ~rb & ~rd & ~qmask
+        only_d = rd & ~ra & ~rb & ~rc & ~qmask
         # type n4: apex of one side joined to a single-corner vertex of a
         # corner off that side
-        n4_inc += (rows[t_ab] & (only[c] | only[d])).bit_count()
-        n4_inc += (rows[t_bc] & (only[d] | only[a])).bit_count()
-        n4_inc += (rows[t_cd] & (only[a] | only[b])).bit_count()
-        n4_inc += (rows[t_da] & (only[b] | only[c])).bit_count()
+        n4_inc += (rows[t_ab] & (only_c | only_d)).bit_count()
+        n4_inc += (rows[t_bc] & (only_d | only_a)).bit_count()
+        n4_inc += (rows[t_cd] & (only_a | only_b)).bit_count()
+        n4_inc += (rows[t_da] & (only_b | only_c)).bit_count()
         # type n9: edge between single-corner vertices of adjacent corners
-        for x, y in ((a, b), (b, c), (c, d), (d, a)):
-            oy = only[y]
-            for u in iter_bits(only[x]):
+        for ox, oy in ((only_a, only_b), (only_b, only_c), (only_c, only_d),
+                       (only_d, only_a)):
+            for u in iter_bits(ox):
                 n9_inc += (rows[u] & oy).bit_count()
-        # n13: edges entirely clear of the quadrilateral's neighbourhoods
-        u0 = full & ~ra & ~rb & ~rc & ~rd & ~qmask
-        mask_left = u0
-        for u in iter_bits(u0):
-            mask_left ^= 1 << u
-            n13 += (rows[u] & mask_left).bit_count()
+        # n13: edges entirely clear of the quadrilateral's closed
+        # neighbourhood
+        n13 += _edges_outside(rows, m, degs, ra | rb | rc | rd | qmask)
     return total, prism_inc, n4_inc, n9_inc, n13, quads
 
 

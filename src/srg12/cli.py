@@ -71,14 +71,20 @@ class _Progress:
 
 
 def _resolve_workers(args) -> int:
-    if getattr(args, "workers", None):
-        return max(1, args.workers)
+    """--workers, else SRG12_WORKERS, else the CPU count; below 1 is an error."""
+    if getattr(args, "workers", None) is not None:
+        if args.workers < 1:
+            raise UsageError(f"--workers must be at least 1, got {args.workers}")
+        return args.workers
     env = os.environ.get("SRG12_WORKERS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise UsageError(f"invalid SRG12_WORKERS value: {env!r}")
+        if workers < 1:
+            raise UsageError(f"SRG12_WORKERS must be at least 1, got {workers}")
+        return workers
     return max(1, os.cpu_count() or 1)
 
 
@@ -167,6 +173,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    if not 0 <= args.exhaustive_limit <= cn.EXHAUSTIVE_MAX_VERTICES:
+        raise UsageError(
+            f"--exhaustive-limit must be in 0..{cn.EXHAUSTIVE_MAX_VERTICES}, "
+            f"got {args.exhaustive_limit}"
+        )
     g = _load_graph(args.graph)
     workers = _resolve_workers(args)
     progress = _Progress("census")
@@ -382,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true",
                    help="include the 6-subset census (guarded by --exhaustive-limit)")
     p.add_argument("--exhaustive-limit", type=int, default=cn.EXHAUSTIVE_MAX_VERTICES,
-                   help="largest order the exhaustive census accepts")
+                   help="largest order the exhaustive census accepts "
+                   f"(0..{cn.EXHAUSTIVE_MAX_VERTICES})")
     p.add_argument("--json", help="write JSON here instead of stdout")
     p.add_argument("--workers", type=int)
     p.set_defaults(func=_cmd_census)

@@ -61,7 +61,8 @@ def _gf3_poly_divmod(num: list[int], den: list[int]):
     """Quotient and remainder of polynomials over GF(3), low-degree first."""
     num = list(num)
     dlead = den[-1]
-    assert dlead % 3 == 1, "divisor must be monic"
+    if dlead % 3 != 1:
+        raise ValueError(f"divisor must be monic, leading coefficient {dlead}")
     quot = [0] * max(1, len(num) - len(den) + 1)
     for shift in range(len(num) - len(den), -1, -1):
         coef = num[shift + len(den) - 1] % 3
@@ -215,11 +216,21 @@ class FeasibleParams:
     known_graph: Optional[str]
 
     def check_relations(self) -> None:
-        assert self.n == (self.k**2 + 2) // 2 and (self.k**2 + 2) % 2 == 0
-        assert self.lambda1 + self.lambda2 == -1
-        assert self.lambda1 * self.lambda2 == -(self.k - 2)
-        assert self.r1 + self.r2 == self.n - 1
-        assert self.k + self.r1 * self.lambda1 + self.r2 * self.lambda2 == 0
+        """Raise InfeasibleParametersError naming the first relation that
+        fails."""
+        relations = (
+            ("n = (k^2+2)/2", 2 * self.n == self.k**2 + 2),
+            ("lambda1+lambda2 = -1", self.lambda1 + self.lambda2 == -1),
+            ("lambda1*lambda2 = -(k-2)", self.lambda1 * self.lambda2 == -(self.k - 2)),
+            ("r1 + r2 = n - 1", self.r1 + self.r2 == self.n - 1),
+            ("k + r1*lambda1 + r2*lambda2 = 0",
+             self.k + self.r1 * self.lambda1 + self.r2 * self.lambda2 == 0),
+        )
+        for relation, holds in relations:
+            if not holds:
+                raise InfeasibleParametersError(
+                    f"parameters {self} violate {relation}", relation
+                )
 
 
 def _solve_spectrum(n: int, k: int):

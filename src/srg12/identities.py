@@ -14,11 +14,7 @@ from typing import NamedTuple, Optional
 
 from . import census as cn
 from . import spectral as sp
-from .errors import (
-    CountingInconsistencyError,
-    FamilyViolationError,
-    InfeasibleParametersError,
-)
+from .errors import CountingInconsistencyError
 from .graph import Graph, SrgParams, check_condition_one, check_condition_two, verify_srg
 
 _INT64_MAX = 2**63 - 1
@@ -186,6 +182,10 @@ def makhnev_condition(g: Graph) -> MakhnevResult:
 # -- the ledger --------------------------------------------------------------
 
 
+# what a census stage may raise; run_all_checks turns each into a report entry
+_STAGE_ERRORS = (ValueError, CountingInconsistencyError)
+
+
 def run_all_checks(
     g: Graph, workers: int = 1, source: str = "<memory>", progress=None
 ) -> IdentityReport:
@@ -193,12 +193,15 @@ def run_all_checks(
 
     Non-family graphs get the condition/regularity checks and skipped family
     entries; family members get every counting identity, the master identity
-    and the spectral cross-checks.  Never raises: census-level inconsistency
-    errors are recorded as failures.
+    and the spectral cross-checks.  Never raises: every census and spectral
+    stage runs through ``stage``, which records a raise as a fail entry
+    named after the stage, and every entry built from a stage's result
+    skips, naming that stage, when it failed.
     """
     n = g.order
     report = IdentityReport(graph_meta={"n": n, "k": None, "source": source})
     entries = report.entries
+    errors: dict[str, str] = {}  # failed stage -> error text
 
     def add(name, section, expected, actual, detail=""):
         status = "pass" if expected == actual else "fail"
@@ -215,6 +218,22 @@ def run_all_checks(
 
     def skip(name, section, reason):
         entries.append(IdentityEntry(name, section, None, None, "skip", reason))
+
+    def stage(name, section, fn, *args, **kwargs):
+        """fn(*args, **kwargs), or None after a fail entry ``name``."""
+        try:
+            return fn(*args, **kwargs)
+        except _STAGE_ERRORS as exc:
+            errors[name] = str(exc)
+            add_bool(name, section, False, str(exc))
+            return None
+
+    def ready(name, section, *stages):
+        """Whether entry ``name`` can be built; a skip if a stage failed."""
+        missing = [s for s in stages if s in errors]
+        if missing:
+            skip(name, section, f"needs {', '.join(missing)}, which failed")
+        return not missing
 
     cond1 = check_condition_one(g)
     add_bool("condition_one_edge_triangles", "conditions", cond1.ok,
@@ -248,164 +267,171 @@ def run_all_checks(
         for section in family_sections:
             skip(f"{section.replace(' ', '_')}_suite", section, reason)
         if n <= 64:
-            mk = makhnev_condition(g)
-            add_info("makhnev_condition", "conjecture", 0, mk.n3,
-                     "holds" if mk.holds else f"witness: {mk.witness}")
+            mk = stage("triangle_pair_census", "conjecture", makhnev_condition, g)
+            if ready("makhnev_condition", "conjecture", "triangle_pair_census"):
+                add_info("makhnev_condition", "conjecture", 0, mk.n3,
+                         "holds" if mk.holds else f"witness: {mk.witness}")
         else:
             skip("makhnev_condition", "conjecture",
                  "triangle-pair scan skipped on large non-family graph")
         return report
 
     m = n * k // 2
+    six = "six-vertex types"
 
     # cycle counts against their closed forms
-    p3c = cn.count_triangles(g)
-    add("triangle_count", "cycle formulas", expected_p3(n, k), p3c)
-    p4c = cn.count_quadrilaterals_by_edges(g)
-    add("quadrilateral_count", "cycle formulas", expected_p4(n, k), p4c)
+    p3c = stage("triangle_census", "cycle formulas", cn.count_triangles, g)
+    if ready("triangle_count", "cycle formulas", "triangle_census"):
+        add("triangle_count", "cycle formulas", expected_p3(n, k), p3c)
+    p4c = stage("quadrilateral_census", "cycle formulas",
+                cn.count_quadrilaterals_by_edges, g)
+    if ready("quadrilateral_count", "cycle formulas", "quadrilateral_census"):
+        add("quadrilateral_count", "cycle formulas", expected_p4(n, k), p4c)
 
-    try:
-        pt = cn.pentagon_triangle_census(g, workers=workers)
-    except (FamilyViolationError, CountingInconsistencyError) as exc:
-        pt = None
-        add_bool("pentagon_side_census", "six-vertex types", False, str(exc))
-    if pt is not None:
+    pt = stage("pentagon_side_census", six, cn.pentagon_triangle_census,
+               g, workers=workers)
+    if ready("pentagon_count", "cycle formulas", "pentagon_side_census"):
         add("pentagon_count", "cycle formulas", expected_p5(n, k), pt.p5)
     if progress:
         progress("pentagons")
 
+    # the pentagon census counts the pentagons through each edge
     per_edge = expected_pentagons_per_edge(k)
-    bad_edge = None
-    for u, v in g.edges():
-        got = cn.pentagons_through_edge(g, (u, v))
-        if got != per_edge:
-            bad_edge = (u, v, got)
-            break
-    add("pentagons_per_edge", "per-edge pentagons", per_edge,
-        per_edge if bad_edge is None else bad_edge[2],
-        "" if bad_edge is None else f"edge {bad_edge[:2]}")
+    if pt is None:
+        entries.append(IdentityEntry(
+            "pentagons_per_edge", "per-edge pentagons", per_edge, None, "fail",
+            errors["pentagon_side_census"]))
+    else:
+        bad = next(
+            ((e, c) for e, c in zip(g.edges(), pt.per_edge) if c != per_edge), None
+        )
+        add("pentagons_per_edge", "per-edge pentagons", per_edge,
+            per_edge if bad is None else bad[1],
+            "" if bad is None else f"edge {bad[0]}")
     if progress:
         progress("per-edge pentagons")
 
     # coded closed 5-walks
-    try:
-        walks = cn.coded_walk_census(g, workers=workers)
-    except (FamilyViolationError, CountingInconsistencyError) as exc:
-        walks = None
-        add_bool("coded_walk_census", "coded walks", False, str(exc))
-    if walks is not None:
+    walks = stage("coded_walk_census", "coded walks", cn.coded_walk_census,
+                  g, workers=workers)
+    if ready("walk_total", "coded walks", "coded_walk_census"):
         add("walk_total", "coded walks", expected_walk_total(n, k), walks.total)
+    if ready("walk_t1_from_quadrilaterals", "coded walks", "coded_walk_census"):
         add("walk_t1_from_quadrilaterals", "coded walks",
             4 * expected_p4(n, k), walks.t1)
+    if ready("walk_t2_from_triangles", "coded walks", "coded_walk_census"):
         add("walk_t2_from_triangles", "coded walks",
             3 * (k - 2) * expected_p3(n, k), walks.t2)
-        if pt is not None:
-            add("walk_decomposition", "coded walks", walks.total,
-                10 * pt.p5 + 6 * walks.t1 + 2 * walks.t2)
+    if ready("walk_decomposition", "coded walks",
+             "coded_walk_census", "pentagon_side_census"):
+        add("walk_decomposition", "coded walks", walks.total,
+            10 * pt.p5 + 6 * walks.t1 + 2 * walks.t2)
     if progress:
         progress("coded walks")
 
     # edge triples
-    triples = cn.edge_triple_census(g)
-    add("edge_triples_span4", "edge triples", expected_e4(n, k), triples.e4)
-    add("edge_triples_span5", "edge triples", expected_e5(n, k), triples.e5)
-    add_bool("edge_triples_partition", "edge triples",
-             triples.e4 + triples.e5 + triples.e6 == comb(m, 3))
+    triples = stage("edge_triple_census", "edge triples", cn.edge_triple_census, g)
+    if ready("edge_triples_span4", "edge triples", "edge_triple_census"):
+        add("edge_triples_span4", "edge triples", expected_e4(n, k), triples.e4)
+    if ready("edge_triples_span5", "edge triples", "edge_triple_census"):
+        add("edge_triples_span5", "edge triples", expected_e5(n, k), triples.e5)
+    if ready("edge_triples_partition", "edge triples", "edge_triple_census"):
+        add_bool("edge_triples_partition", "edge triples",
+                 triples.e4 + triples.e5 + triples.e6 == comb(m, 3))
     if progress:
         progress("edge triples")
 
     # six-vertex types, one targeted census per relation
-    tp = qp = qpe = None
-    n2 = n12 = None
-    comp = None
-    try:
-        tp = cn.disjoint_triangle_pair_census(g)
-        add("triangle_pairs_eq8", "six-vertex types",
+    tp = stage("triangle_pair_census", six, cn.disjoint_triangle_pair_census, g)
+    if ready("triangle_pairs_eq8", six, "triangle_pair_census"):
+        add("triangle_pairs_eq8", six,
             expected_triangle_pairs(n, k), tp.n1 + tp.n3 + tp.n5 + tp.n14)
-    except CountingInconsistencyError as exc:
-        add_bool("triangle_pair_census", "six-vertex types", False, str(exc))
     if progress:
         progress("triangle pairs")
-    try:
-        qp = cn.quad_pair_census(g)
-        add("quad_pairs_eq7", "six-vertex types",
+    qp = stage("quad_pair_census", six, cn.quad_pair_census, g)
+    if ready("quad_pairs_eq7", six, "quad_pair_census"):
+        add("quad_pairs_eq7", six,
             expected_quad_pairs(n, k), 3 * qp.n1 + qp.n4 + qp.n9)
-    except (FamilyViolationError, CountingInconsistencyError) as exc:
-        add_bool("quad_pair_census", "six-vertex types", False, str(exc))
     if progress:
         progress("quad pairs")
-    try:
-        n2 = cn.count_n2(g)
-        add("n2_eq3", "six-vertex types", expected_n2(n, k), n2)
-    except (FamilyViolationError, CountingInconsistencyError) as exc:
-        add_bool("n2_census", "six-vertex types", False, str(exc))
-    if pt is not None:
-        add("pentagon_sides_eq4", "six-vertex types",
+    n2 = stage("n2_census", six, cn.count_n2, g)
+    if ready("n2_eq3", six, "n2_census"):
+        add("n2_eq3", six, expected_n2(n, k), n2)
+    if ready("pentagon_sides_eq4", six, "pentagon_side_census"):
+        add("pentagon_sides_eq4", six,
             expected_pentagon_sides(n, k), pt.n4 + pt.n8)
-    if tp is not None and qp is not None:
-        add("triangle_pendant_eq5", "six-vertex types",
+    pairs = ("triangle_pair_census", "quad_pair_census")
+    if ready("triangle_pendant_eq5", six, *pairs):
+        add("triangle_pendant_eq5", six,
             expected_triangle_pendant(n, k), 6 * tp.n1 + qp.n4)
-        add("opposite_sides_eq6", "six-vertex types",
+    if ready("opposite_sides_eq6", six, *pairs):
+        add("opposite_sides_eq6", six,
             expected_opposite_sides(n, k), 3 * tp.n1 + tp.n3)
-        add("prism_route_agreement", "six-vertex types", tp.n1, qp.n1)
-        add("n4_twice_n3", "six-vertex types", 2 * tp.n3, qp.n4)
-    if pt is not None and qp is not None:
-        add("n4_route_agreement", "six-vertex types", qp.n4, pt.n4)
-    try:
-        comp = cn.triangle_edge_completion_census(g)
-        add("triangle_completion_eq5", "six-vertex types",
+    if ready("prism_route_agreement", six, *pairs):
+        add("prism_route_agreement", six, tp.n1, qp.n1)
+    if ready("n4_twice_n3", six, *pairs):
+        add("n4_twice_n3", six, 2 * tp.n3, qp.n4)
+    if ready("n4_route_agreement", six, "pentagon_side_census", "quad_pair_census"):
+        add("n4_route_agreement", six, qp.n4, pt.n4)
+    comp = stage("triangle_completion_census", six,
+                 cn.triangle_edge_completion_census, g)
+    if ready("triangle_completion_eq5", six, "triangle_completion_census"):
+        add("triangle_completion_eq5", six,
             expected_triangle_pendant(n, k), 6 * comp.n1 + comp.n4)
-        if tp is not None:
-            add("completion_prism_agreement", "six-vertex types", tp.n1, comp.n1)
-        if qp is not None:
-            add("completion_n4_agreement", "six-vertex types", qp.n4, comp.n4)
-    except (FamilyViolationError, CountingInconsistencyError) as exc:
-        add_bool("triangle_completion_census", "six-vertex types", False, str(exc))
+    if ready("completion_prism_agreement", six,
+             "triangle_completion_census", "triangle_pair_census"):
+        add("completion_prism_agreement", six, tp.n1, comp.n1)
+    if ready("completion_n4_agreement", six,
+             "triangle_completion_census", "quad_pair_census"):
+        add("completion_n4_agreement", six, qp.n4, comp.n4)
     if progress:
         progress("triangle completions")
-    try:
-        qpe = cn.quad_plus_edge_census(g, workers=workers)
-        add("quad_plus_edge_eq9", "six-vertex types",
-            expected_quad_plus_edge(n, k), qpe.total)
-        if tp is not None:
-            add("qpe_prism_incidences", "six-vertex types",
-                3 * tp.n1, qpe.prism_incidences)
-        if qp is not None:
-            add("qpe_n4_incidences", "six-vertex types", 2 * qp.n4, qpe.n4_incidences)
-            add("qpe_n9_incidences", "six-vertex types", 2 * qp.n9, qpe.n9_incidences)
-    except (FamilyViolationError, CountingInconsistencyError) as exc:
-        add_bool("quad_plus_edge_census", "six-vertex types", False, str(exc))
+    qpe = stage("quad_plus_edge_census", six, cn.quad_plus_edge_census,
+                g, workers=workers)
+    if ready("quad_plus_edge_eq9", six, "quad_plus_edge_census"):
+        add("quad_plus_edge_eq9", six, expected_quad_plus_edge(n, k), qpe.total)
+    if ready("qpe_prism_incidences", six,
+             "quad_plus_edge_census", "triangle_pair_census"):
+        add("qpe_prism_incidences", six, 3 * tp.n1, qpe.prism_incidences)
+    if ready("qpe_n4_incidences", six, "quad_plus_edge_census", "quad_pair_census"):
+        add("qpe_n4_incidences", six, 2 * qp.n4, qpe.n4_incidences)
+    if ready("qpe_n9_incidences", six, "quad_plus_edge_census", "quad_pair_census"):
+        add("qpe_n9_incidences", six, 2 * qp.n9, qpe.n9_incidences)
     if progress:
         progress("quad plus edge")
-    n12 = cn.count_hexagons(g, workers=workers)
+    n12 = stage("hexagon_census", "hexagon bound", cn.count_hexagons,
+                g, workers=workers)
     if progress:
         progress("hexagons")
 
     # spectral: c6 three ways (c6 only exists from 6 vertices up)
-    prefix = sp.charpoly_prefix(g, min(6, n))
-    add("charpoly_c2_is_minus_edges", "spectral", -m, prefix.c(2))
-    add("charpoly_c3_is_minus_two_triangles", "spectral", -2 * p3c, prefix.c(3))
-    c6_trace = prefix.c6 if n >= 6 else None
-    if c6_trace is None:
+    prefix = stage("charpoly_prefix", "spectral", sp.charpoly_prefix, g, min(6, n))
+    if ready("charpoly_c2_is_minus_edges", "spectral", "charpoly_prefix"):
+        add("charpoly_c2_is_minus_edges", "spectral", -m, prefix.c(2))
+    if ready("charpoly_c3_is_minus_two_triangles", "spectral",
+             "charpoly_prefix", "triangle_census"):
+        add("charpoly_c3_is_minus_two_triangles", "spectral", -2 * p3c, prefix.c(3))
+    if n < 6:
         skip("c6_closed_vs_trace", "spectral", "graph has fewer than 6 vertices")
         skip("c6_binomial_vs_trace", "spectral", "graph has fewer than 6 vertices")
     else:
-        try:
-            add("c6_closed_vs_trace", "spectral", sp.c6_closed_form(n, k), c6_trace)
-        except ValueError as exc:
-            add_bool("c6_closed_form", "spectral", False, str(exc))
-        try:
-            spec = sp.srg_spectrum(SrgParams(n, k, 1, 2))
-            add("c6_binomial_vs_trace", "spectral", sp.c6_binomial_sum(spec), c6_trace)
-        except InfeasibleParametersError as exc:
-            add_bool("c6_binomial_sum", "spectral", False, str(exc))
+        c6_closed = stage("c6_closed_form", "spectral", sp.c6_closed_form, n, k)
+        if ready("c6_closed_vs_trace", "spectral", "c6_closed_form", "charpoly_prefix"):
+            add("c6_closed_vs_trace", "spectral", c6_closed, prefix.c6)
+        c6_sum = stage("c6_binomial_sum", "spectral", lambda: sp.c6_binomial_sum(
+            sp.srg_spectrum(SrgParams(n, k, 1, 2))))
+        if ready("c6_binomial_vs_trace", "spectral", "c6_binomial_sum", "charpoly_prefix"):
+            add("c6_binomial_vs_trace", "spectral", c6_sum, prefix.c6)
     if progress:
         progress("spectral")
 
     # master identity: spectral side against the assembled census side
-    if c6_trace is None:
+    if n < 6:
         skip("master_identity", "master identity", "graph has fewer than 6 vertices")
-    elif None not in (tp, qp, pt, qpe, n2):
+    elif ready("master_identity", "master identity", "charpoly_prefix",
+               "triangle_pair_census", "quad_pair_census", "pentagon_side_census",
+               "quad_plus_edge_census", "n2_census", "edge_triple_census",
+               "hexagon_census"):
         tc = cn.TypeCensus(
             n1=tp.n1, n2=n2, n3=tp.n3, n4=qp.n4, n5=tp.n5, n8=pt.n8,
             n9=qp.n9, n12=n12, n13=qpe.n13, n14=tp.n14,
@@ -413,25 +439,26 @@ def run_all_checks(
             e4=triples.e4, e5=triples.e5, e6=triples.e6,
         )
         add("master_identity", "master identity",
-            c6_trace + comb(m, 3), tc.master_identity_rhs())
-    else:
-        skip("master_identity", "master identity", "a targeted census failed")
+            prefix.c6 + comb(m, 3), tc.master_identity_rhs())
 
     # hexagon bound
-    bound = hexagon_bound(n, k)
-    if tp is not None:
+    bound = stage("hexagon_bound", "hexagon bound", hexagon_bound, n, k)
+    if ready("hexagon_identity", "hexagon bound",
+             "hexagon_bound", "hexagon_census", "triangle_pair_census"):
         add("hexagon_identity", "hexagon bound", bound, n12 - tp.n3)
-    add_bool("hexagon_at_least_bound", "hexagon bound", n12 >= bound,
-             f"p6 = {n12}, bound = {bound}")
+    if ready("hexagon_at_least_bound", "hexagon bound", "hexagon_bound", "hexagon_census"):
+        add_bool("hexagon_at_least_bound", "hexagon bound", n12 >= bound,
+                 f"p6 = {n12}, bound = {bound}")
 
     # conjecture-side observations, informational only
-    if tp is not None:
+    if ready("makhnev_condition", "conjecture", "triangle_pair_census"):
         mk = MakhnevResult(tp.n3 == 0, tp.n3, tp.n3_witness)
         add_info("makhnev_condition", "conjecture", 0, mk.n3,
                  "holds: two triangles joined by two edges share the third"
                  if mk.holds else f"fails, witness {mk.witness}")
-    add_info("hexagons_equal_bound", "conjecture", bound, n12,
-             "observed equality" if n12 == bound else "strict excess")
+    if ready("hexagons_equal_bound", "conjecture", "hexagon_bound", "hexagon_census"):
+        add_info("hexagons_equal_bound", "conjecture", bound, n12,
+                 "observed equality" if n12 == bound else "strict excess")
     return report
 
 

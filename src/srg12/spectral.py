@@ -14,7 +14,11 @@ from dataclasses import dataclass
 from math import comb
 
 from .constructions import _solve_spectrum
-from .errors import CountingInconsistencyError, SizeLimitError
+from .errors import (
+    CountingInconsistencyError,
+    InfeasibleParametersError,
+    SizeLimitError,
+)
 from .graph import Graph, SrgParams, adjacency_determinant
 
 
@@ -34,9 +38,19 @@ class Spectrum:
         return self.r1 + self.r2 + 1
 
     def check_relations(self) -> None:
-        assert self.lambda1 + self.lambda2 == -1
-        assert self.lambda1 * self.lambda2 == -(self.k - 2)
-        assert self.k + self.r1 * self.lambda1 + self.r2 * self.lambda2 == 0
+        """Raise InfeasibleParametersError naming the first relation that
+        fails."""
+        relations = (
+            ("lambda1+lambda2 = -1", self.lambda1 + self.lambda2 == -1),
+            ("lambda1*lambda2 = -(k-2)", self.lambda1 * self.lambda2 == -(self.k - 2)),
+            ("k + r1*lambda1 + r2*lambda2 = 0",
+             self.k + self.r1 * self.lambda1 + self.r2 * self.lambda2 == 0),
+        )
+        for relation, holds in relations:
+            if not holds:
+                raise InfeasibleParametersError(
+                    f"spectrum {self} violates {relation}", relation
+                )
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,7 +6,8 @@ independent of the counting paths under test.
 
 from itertools import combinations
 
-from srg12.census import named_type_certificates
+from srg12.census import iter_pentagons, named_type_certificates
+from srg12.errors import CountingInconsistencyError, FamilyViolationError
 from srg12.graph import Graph, classify_code
 
 
@@ -37,6 +38,86 @@ def coded_walks_from(g: Graph, s: int):
                         return f"walk ({s},{w1},{w2},{w3},{w4}) has {chords} chords"
                     counts[chords] += 1
     return tuple(counts)
+
+
+def pentagon_side_is_n4(rows, pent, i) -> bool:
+    """Whether side (pent[i], pent[i+1]) of induced pentagon ``pent`` and
+    its apex make type n4 rather than n8.
+
+    The side has one apex, its unique common neighbour, and the apex lies
+    outside the pentagon.  Its further neighbours on the pentagon,
+    ``rows[apex] & pmask & ~side``, are none (n8) or the opposite vertex
+    alone (n4); any other pattern raises.
+    """
+    pmask = 0
+    for v in pent:
+        pmask |= 1 << v
+    a, b = pent[i], pent[i - 4]
+    apex_mask = rows[a] & rows[b]
+    if apex_mask.bit_count() != 1:
+        raise FamilyViolationError(
+            f"side ({a},{b}) has {apex_mask.bit_count()} triangle apexes"
+        )
+    if apex_mask & pmask:
+        raise CountingInconsistencyError(
+            f"apex of side ({a},{b}) lies inside pentagon {pent}"
+        )
+    apex_row = rows[apex_mask.bit_length() - 1]
+    rest = apex_row & pmask & ~((1 << a) | (1 << b))
+    if rest and rest != 1 << pent[i - 2]:  # not the opposite vertex alone
+        hits = (
+            (apex_row >> pent[i - 3] & 1)
+            + (apex_row >> pent[i - 2] & 1) * 2
+            + (apex_row >> pent[i - 1] & 1) * 4
+        )
+        raise CountingInconsistencyError(
+            f"apex of side ({a},{b}) has adjacency pattern {hits:03b} "
+            f"on pentagon {pent}"
+        )
+    return bool(rest)
+
+
+def pentagon_n4_sides(rows, pent) -> int:
+    """Number of sides of induced pentagon ``pent`` that make type n4."""
+    return sum(pentagon_side_is_n4(rows, pent, i) for i in range(5))
+
+
+def pentagons_through(g: Graph, u: int, v: int):
+    """Induced pentagons u-v-w-x-y-u through edge (u, v), as tuples, by
+    walking three steps from v and testing every pair of the five."""
+    out = []
+    for w in g.neighbors(v):
+        for x in g.neighbors(w):
+            for y in g.neighbors(x):
+                pent = (u, v, w, x, y)
+                if len(set(pent)) < 5 or not g.has_edge(y, u):
+                    continue
+                edges = sum(g.has_edge(a, b) for a, b in combinations(pent, 2))
+                if edges == 5:
+                    out.append(pent)
+    return out
+
+
+def pentagon_side_census(g: Graph):
+    """(n4, n8, p5) by classifying the five sides of each induced pentagon."""
+    n4 = p5 = 0
+    for pent in iter_pentagons(g):
+        p5 += 1
+        n4 += pentagon_n4_sides(g.rows, pent)
+    return n4, 5 * p5 - n4, p5
+
+
+def edges_clear_of(g: Graph, closed: int) -> int:
+    """Edges with neither end in the vertex mask ``closed``, one vertex of
+    the complement at a time."""
+    outside = ((1 << g.order) - 1) & ~closed
+    left = outside
+    count = 0
+    for u in range(g.order):
+        if outside >> u & 1:
+            left ^= 1 << u
+            count += (g.rows[u] & left).bit_count()
+    return count
 
 
 def random_graph(rng, n, p) -> Graph:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -216,3 +217,55 @@ class TestErrors:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--graph", "/nonexistent/file.g6")
         assert code == 2
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("command", ["check", "census"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2(self, capsys, command, workers):
+        code, _, err = run(capsys, command, "--graph", "k3", "--workers", workers)
+        assert code == 2
+        assert err.startswith("error: --workers must be at least 1")
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_env_workers_below_one_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SRG12_WORKERS", value)
+        code, _, err = run(capsys, "check", "--graph", "k3")
+        assert code == 2
+        assert err.startswith("error: SRG12_WORKERS must be at least 1")
+
+    def test_env_workers_not_a_number_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("SRG12_WORKERS", "two")
+        code, _, err = run(capsys, "check", "--graph", "k3")
+        assert code == 2
+        assert err.startswith("error: invalid SRG12_WORKERS value")
+
+    def test_worker_count_resolution(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from srg12 import cli
+
+        monkeypatch.delenv("SRG12_WORKERS", raising=False)
+        assert cli._resolve_workers(SimpleNamespace(workers=None)) == max(1, os.cpu_count() or 1)
+        assert cli._resolve_workers(SimpleNamespace(workers=3)) == 3
+        monkeypatch.setenv("SRG12_WORKERS", "2")
+        assert cli._resolve_workers(SimpleNamespace(workers=None)) == 2
+        assert cli._resolve_workers(SimpleNamespace(workers=1)) == 1
+
+    @pytest.mark.parametrize("limit", ["-1", "17", "243"])
+    def test_exhaustive_limit_out_of_range_exit_2(self, capsys, limit):
+        code, out, err = run(capsys, "census", "--graph", "paley9", "--exhaustive",
+                             "--exhaustive-limit", limit, "--workers", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --exhaustive-limit must be in 0..16")
+
+    def test_exhaustive_limit_in_range(self, capsys):
+        code, _, err = run(capsys, "census", "--graph", "paley9", "--what", "cycles",
+                           "--exhaustive", "--exhaustive-limit", "8", "--workers", "1")
+        assert code == 2  # Paley 9 is above the chosen limit
+        assert "guarded to 8 vertices" in err
+        code, out, _ = run(capsys, "census", "--graph", "paley9", "--what", "cycles",
+                           "--exhaustive", "--exhaustive-limit", "9", "--workers", "1")
+        assert code == 0
+        assert sum(c["count"] for c in json.loads(out)["exhaustive_six_census"]) == 84

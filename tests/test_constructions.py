@@ -2,12 +2,14 @@ import pytest
 
 from srg12.census import count_triangles, exhaustive_six_census
 from srg12.constructions import (
+    FeasibleParams,
     _gf3_poly_divmod,
     build_bvls243,
     build_paley9,
     feasible_parameters,
     ternary_golay_generator,
 )
+from srg12.errors import InfeasibleParametersError
 from srg12.graph import SrgParams, check_condition_one, check_condition_two, verify_srg
 
 
@@ -56,6 +58,10 @@ class TestGolayCode:
         target = [2] + [0] * 10 + [1]
         _, rem = _gf3_poly_divmod(target, list(gen))
         assert rem == [0]
+
+    def test_non_monic_divisor_raises(self):
+        with pytest.raises(ValueError, match="divisor must be monic"):
+            _gf3_poly_divmod([2] + [0] * 10 + [1], [1, 0, 2])
 
     def test_code_has_minimum_distance_5(self):
         # all 3^6 codewords of the cyclic code generated by shifts of g
@@ -119,6 +125,19 @@ class TestFeasibleParameters:
     def test_relations_hold_for_every_entry(self):
         for fp in feasible_parameters(5000):
             fp.check_relations()  # raises on any violated relation
+
+    @pytest.mark.parametrize("field, value, relation", [
+        ("n", 10, "n = (k^2+2)/2"),
+        ("lambda1", 2, "lambda1+lambda2 = -1"),
+        ("r2", 5, "r1 + r2 = n - 1"),
+    ])
+    def test_broken_entry_raises(self, field, value, relation):
+        fields = dict(k=4, n=9, lambda1=1, lambda2=-2, r1=4, r2=4, known_graph=None)
+        FeasibleParams(**fields).check_relations()
+        fields[field] = value
+        with pytest.raises(InfeasibleParametersError) as exc:
+            FeasibleParams(**fields).check_relations()
+        assert exc.value.failed_relation == relation
 
     def test_known_graph_tags(self):
         tags = {fp.k: fp.known_graph for fp in feasible_parameters(1000)}

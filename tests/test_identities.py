@@ -1,8 +1,12 @@
+import inspect
 import json
+import re
 
 import pytest
 
+from srg12 import census, identities, spectral
 from srg12.census import NAMED_TYPE_EDGES
+from srg12.errors import CountingInconsistencyError
 from srg12.graph import Graph
 from srg12.identities import (
     ChainFailure,
@@ -153,6 +157,93 @@ class TestLedgerNonFamily:
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
         report = run_all_checks(g)
         assert not report.passed
+
+
+# every census and spectral stage run_all_checks calls, and the fail entry a
+# raise in it leaves in the report
+STAGE_FAIL_ENTRY = {
+    "cn.count_triangles": "triangle_census",
+    "cn.count_quadrilaterals_by_edges": "quadrilateral_census",
+    "cn.pentagon_triangle_census": "pentagon_side_census",
+    "cn.coded_walk_census": "coded_walk_census",
+    "cn.edge_triple_census": "edge_triple_census",
+    "cn.disjoint_triangle_pair_census": "triangle_pair_census",
+    "cn.quad_pair_census": "quad_pair_census",
+    "cn.count_n2": "n2_census",
+    "cn.triangle_edge_completion_census": "triangle_completion_census",
+    "cn.quad_plus_edge_census": "quad_plus_edge_census",
+    "cn.count_hexagons": "hexagon_census",
+    "sp.charpoly_prefix": "charpoly_prefix",
+    "sp.c6_closed_form": "c6_closed_form",
+    "sp.srg_spectrum": "c6_binomial_sum",
+    "sp.c6_binomial_sum": "c6_binomial_sum",
+}
+
+
+def inject_fault(monkeypatch, stage):
+    prefix, name = stage.split(".")
+    message = f"injected fault in {name}"
+
+    def fail(*args, **kwargs):
+        raise CountingInconsistencyError(message)
+
+    monkeypatch.setattr({"cn": census, "sp": spectral}[prefix], name, fail)
+    return message
+
+
+class TestLedgerFaultInjection:
+    def test_table_lists_every_stage_called(self):
+        source = inspect.getsource(run_all_checks)
+        modules = {"cn": census, "sp": spectral}
+        called = {
+            f"{prefix}.{name}"
+            for prefix, name in re.findall(r"\b(cn|sp)\.(\w+)", source)
+            if inspect.isfunction(getattr(modules[prefix], name))
+        }
+        assert called == set(STAGE_FAIL_ENTRY)
+
+    @pytest.mark.parametrize("stage", sorted(STAGE_FAIL_ENTRY))
+    def test_single_stage_fault_becomes_fail_entry(self, monkeypatch, paley9, stage):
+        message = inject_fault(monkeypatch, stage)
+        report = run_all_checks(paley9, workers=1)
+        assert not report.passed
+        failed = STAGE_FAIL_ENTRY[stage]
+        entry = report.entry(failed)
+        assert (entry.status, entry.detail) == ("fail", message)
+        # nothing else fails, and what needed the stage skips naming it
+        for e in report.entries:
+            if e.status == "fail":
+                assert e.detail == message
+            if e.status == "skip":
+                assert e.detail == f"needs {failed}, which failed"
+        json.dumps(report.to_json_dict())
+
+    def test_pentagon_fault_fails_per_edge_entry(self, monkeypatch, paley9):
+        message = inject_fault(monkeypatch, "cn.pentagon_triangle_census")
+        entry = run_all_checks(paley9, workers=1).entry("pentagons_per_edge")
+        assert (entry.status, entry.expected, entry.actual) == ("fail", 0, None)
+        assert entry.detail == message
+
+    def test_per_edge_mismatch_names_first_edge(self, monkeypatch, paley9):
+        real = census.pentagon_triangle_census
+
+        def miscounted(g, workers=1):
+            pt = real(g, workers)
+            per_edge = list(pt.per_edge)
+            per_edge[3] = per_edge[5] = 1
+            return pt._replace(per_edge=tuple(per_edge))
+
+        monkeypatch.setattr(census, "pentagon_triangle_census", miscounted)
+        entry = run_all_checks(paley9, workers=1).entry("pentagons_per_edge")
+        edge = list(paley9.edges())[3]
+        assert (entry.status, entry.expected, entry.actual) == ("fail", 0, 1)
+        assert entry.detail == f"edge {edge}"
+
+    def test_makhnev_fault_on_non_family_graph(self, monkeypatch):
+        message = inject_fault(monkeypatch, "cn.disjoint_triangle_pair_census")
+        report = run_all_checks(cycle(4))
+        assert report.entry("triangle_pair_census").detail == message
+        assert report.entry("makhnev_condition").status == "skip"
 
 
 class TestPolynomialChain:

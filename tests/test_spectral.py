@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import srg12
 from oracles import random_graph
 from srg12.census import count_triangles
 from srg12.errors import InfeasibleParametersError, SizeLimitError
@@ -123,5 +128,26 @@ class TestDetSumOracle:
 def test_spectrum_relations_checked():
     s = Spectrum(4, 1, -2, 4, 4)
     s.check_relations()
-    with pytest.raises(AssertionError):
+    with pytest.raises(InfeasibleParametersError) as exc:
         Spectrum(4, 1, -2, 5, 4).check_relations()
+    assert exc.value.failed_relation == "k + r1*lambda1 + r2*lambda2 = 0"
+    with pytest.raises(InfeasibleParametersError) as exc:
+        Spectrum(4, 1, -3, 4, 4).check_relations()
+    assert exc.value.failed_relation == "lambda1+lambda2 = -1"
+
+
+def test_spectrum_relations_checked_under_optimize():
+    # python -O strips assert statements; the relation check must survive
+    src = Path(srg12.__file__).resolve().parents[1]
+    code = (
+        "from srg12.errors import InfeasibleParametersError\n"
+        "from srg12.spectral import Spectrum\n"
+        "try:\n"
+        "    Spectrum(4, 1, -2, 5, 4).check_relations()\n"
+        "except InfeasibleParametersError as exc:\n"
+        "    print(exc.failed_relation)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "k + r1*lambda1 + r2*lambda2 = 0"

@@ -12,15 +12,24 @@ from itertools import combinations
 
 import pytest
 
-from oracles import certificate_type, coded_walks_from, random_graph
+from oracles import (
+    certificate_type,
+    coded_walks_from,
+    edges_clear_of,
+    pentagon_n4_sides,
+    pentagon_side_census,
+    pentagon_side_is_n4,
+    pentagons_through,
+    random_graph,
+)
 from srg12 import census, graph, spectral
 from srg12.census import (
     QUAD_PAIR_TYPES,
     TRIANGLE_PAIR_TYPES,
     _completion_type,
+    _edges_outside,
     _is_n2,
-    _pentagon_n4_sides,
-    _pentagon_triangle_scan,
+    _pentagon_edge_scan,
     _quad_pairs_at_edge,
     _walk_scan,
     c4s_through_edge,
@@ -29,11 +38,13 @@ from srg12.census import (
     iter_quadrilaterals,
     iter_triangles,
     named_type_certificates,
+    pentagon_triangle_census,
+    pentagons_through_edge,
     quad_pair_census,
     triangle_edge_completion_census,
 )
 from srg12.constructions import build_paley9
-from srg12.errors import CountingInconsistencyError
+from srg12.errors import CountingInconsistencyError, FamilyViolationError
 from srg12.graph import Graph
 from srg12.identities import run_all_checks
 from srg12.spectral import charpoly_prefix
@@ -114,23 +125,150 @@ class TestRulesAgainstCertificates:
 
     def test_pentagon_side_all_8_apex_patterns(self):
         # pentagon 0..4, apex 5 on side 01 with each pattern on 2, 3, 4; the
-        # other sides get plain apexes 6..9
-        fixed = [(i, (i + 1) % 5) for i in range(5)] + [(5, 0), (5, 1)]
-        fixed += [(6, 1), (6, 2), (7, 2), (7, 3), (8, 3), (8, 4), (9, 4), (9, 0)]
+        # per-pentagon oracle and the per-edge kernel must agree on side 01
         seen = set()
-        for g in settings(10, fixed, [(5, 2), (5, 3), (5, 4)]):
+        for g in settings(10, PENTAGON_FIXED, PENTAGON_FREE):
             want = certificate_type(g, range(6))
-            try:
-                got = ("n8", "n4")[_pentagon_n4_sides(g.rows, (0, 1, 2, 3, 4))]
-            except CountingInconsistencyError as exc:
-                assert "apex of side (0,1) has adjacency pattern" in str(exc)
-                got = None
+            verdicts = []
+            for route in (lambda: pentagon_n4_sides(g.rows, (0, 1, 2, 3, 4)),
+                          lambda: _pentagon_edge_scan(g.rows, [(0, 1)])[0]):
+                try:
+                    verdicts.append(("n8", "n4")[route()])
+                except CountingInconsistencyError as exc:
+                    assert str(exc).startswith("apex of side (0,1) has adjacency pattern")
+                    verdicts.append(str(exc))
+            assert verdicts[0] == verdicts[1]
+            got = verdicts[0] if verdicts[0] in ("n4", "n8") else None
             assert got == (want if want in ("n4", "n8") else None)
             if got is not None:  # the only pentagon of the graph
                 n4 = int(got == "n4")
-                assert _pentagon_triangle_scan(g.rows, 10, range(10)) == (n4, 5 - n4, 1)
+                assert pentagon_side_census(g) == (n4, 5 - n4, 1)
             seen.add(got)
         assert seen == {"n4", "n8", None}
+
+
+# pentagon 0..4 with apexes 5..9 on its sides 01, 12, 23, 34, 40; the pairs
+# joining apex 5 to 2, 3 and 4 are left free
+PENTAGON_FIXED = [(i, (i + 1) % 5) for i in range(5)] + [(5, 0), (5, 1)]
+PENTAGON_FIXED += [(6, 1), (6, 2), (7, 2), (7, 3), (8, 3), (8, 4), (9, 4), (9, 0)]
+PENTAGON_FREE = [(5, 2), (5, 3), (5, 4)]
+
+
+def line_graph(h: Graph) -> Graph:
+    edges = list(h.edges())
+    return Graph.from_edges(len(edges), [
+        (i, j) for i, j in combinations(range(len(edges)), 2)
+        if set(edges[i]) & set(edges[j])
+    ])
+
+
+def generalized_petersen(n: int, k: int) -> Graph:
+    edges = []
+    for i in range(n):
+        edges += [(i, (i + 1) % n), (i, n + i), (n + i, n + (i + k) % n)]
+    return Graph.from_edges(2 * n, [tuple(sorted(e)) for e in edges])
+
+
+class TestPentagonEdgeKernel:
+    """The per-edge pentagon kernel against ``pentagons_through_edge`` and
+    the per-pentagon side route of the oracles."""
+
+    def oracle_n4(self, g, u, v):
+        return sum(
+            pentagon_side_is_n4(g.rows, pent, 0) for pent in pentagons_through(g, u, v)
+        )
+
+    def test_paley9(self, paley9):
+        edges = list(paley9.edges())
+        assert _pentagon_edge_scan(paley9.rows, edges) == (
+            0, [pentagons_through_edge(paley9, e) for e in edges]
+        )
+
+    def test_crafted_graphs(self):
+        compared = raised = edges = 0
+        for g in settings(10, PENTAGON_FIXED, PENTAGON_FREE):
+            edges += g.num_edges
+            for u, v in g.edges():
+                try:
+                    n4, (count,) = _pentagon_edge_scan(g.rows, [(u, v)])
+                except FamilyViolationError:
+                    assert g.common_neighbors(u, v) != 1
+                    raised += 1
+                    continue
+                except CountingInconsistencyError as exc:
+                    with pytest.raises(CountingInconsistencyError, match="adjacency pattern"):
+                        self.oracle_n4(g, u, v)
+                    assert "adjacency pattern" in str(exc)
+                    raised += 1
+                    continue
+                assert count == pentagons_through_edge(g, (u, v))
+                assert count == len(pentagons_through(g, u, v))
+                assert n4 == self.oracle_n4(g, u, v)
+                compared += 1
+        assert compared + raised == edges
+        assert compared == 96 and raised == 36
+
+    def test_two_pentagons_through_one_w_and_y(self):
+        # 0-1-2-3-4 and 0-1-2-10-4 share w = 2 and y = 4; apex 5 of side 01
+        # is joined to 3 alone, so exactly one of the two sides is type n4
+        g = Graph.from_edges(11, PENTAGON_FIXED + [(5, 3), (10, 2), (10, 4)])
+        assert _pentagon_edge_scan(g.rows, [(0, 1)]) == (1, [2])
+        assert self.oracle_n4(g, 0, 1) == 1
+        assert len(pentagons_through(g, 0, 1)) == 2
+
+    def test_bvls_sample(self, bvls):
+        edges = random.Random(2673).sample(list(bvls.edges()), 25)
+        n4, counts = _pentagon_edge_scan(bvls.rows, edges)
+        assert counts == [pentagons_through_edge(bvls, e) for e in edges]
+        assert counts == [len(pentagons_through(bvls, u, v)) for u, v in edges]
+        assert n4 == sum(self.oracle_n4(bvls, u, v) for u, v in edges) == 0
+
+    def test_census_per_edge_order_serial_and_pooled(self, monkeypatch):
+        # one triangle apex per edge, 33 vertices (enough for the pool), and
+        # edges on 0 or 1 pentagons, so a misplaced count shows
+        g = line_graph(generalized_petersen(11, 2))
+        family_gate_off(monkeypatch)
+        serial = pentagon_triangle_census(g)
+        assert serial.per_edge == tuple(pentagons_through_edge(g, e) for e in g.edges())
+        assert set(serial.per_edge) == {0, 1}
+        assert (serial.n4, serial.n8) == pentagon_side_census(g)[:2]
+        assert pentagon_triangle_census(g, workers=2) == serial
+
+    def test_census_rejects_per_edge_total_off_5_p5(self, monkeypatch, paley9):
+        monkeypatch.setattr(census, "_pentagon_scan", lambda rows, n, starts: 1)
+        with pytest.raises(CountingInconsistencyError, match=r"0 != 5 \* 1"):
+            pentagon_triangle_census(paley9)
+
+
+class TestEdgesOutside:
+    """n13 of the quad-plus-edge census: the closed-neighbourhood identity
+    against the vertex-by-vertex count over the complement."""
+
+    def check_quads(self, g, quads):
+        rows = g.rows
+        degs = [g.degree(v) for v in range(g.order)]
+        for quad in quads:
+            closed = 0
+            for x in quad:
+                closed |= rows[x] | 1 << x
+            assert _edges_outside(rows, g.num_edges, degs, closed) == edges_clear_of(g, closed)
+
+    def test_paley9(self, paley9):
+        quads = list(iter_quadrilaterals(paley9))
+        assert len(quads) == 9
+        self.check_quads(paley9, quads)
+
+    def test_bvls_sample(self, bvls):
+        quads = list(iter_quadrilaterals(bvls))
+        self.check_quads(bvls, random.Random(13365).sample(quads, 40))
+
+    def test_any_vertex_set_of_random_graphs(self):
+        rng = random.Random(9)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(1, 30), rng.random())
+            degs = [g.degree(v) for v in range(g.order)]
+            closed = rng.getrandbits(g.order)
+            assert _edges_outside(g.rows, g.num_edges, degs, closed) == edges_clear_of(g, closed)
 
 
 class TestBvlsSample:
@@ -245,7 +383,10 @@ class TestKeptErrors:
         # 5-cycle with chord 0-2: the common neighbour of 0 and 1 is vertex 2
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
         with pytest.raises(CountingInconsistencyError, match="lies inside pentagon"):
-            _pentagon_n4_sides(g.rows, (0, 1, 2, 3, 4))
+            pentagon_n4_sides(g.rows, (0, 1, 2, 3, 4))
+        # the per-edge kernel only enumerates induced pentagons, so this
+        # case cannot reach it: the chord leaves no pentagon through (0,1)
+        assert _pentagon_edge_scan(g.rows, [(0, 1)]) == (0, [0])
 
 
 class TestNoCertificateLabelling:
