@@ -400,49 +400,95 @@ class WalkCensus(NamedTuple):
     p5_walks: int  # pentagons seen by the walk census (10 walks each)
 
 
+def _walk_tail(rows, s, w1, w2, r1, r2, ends, c14, c24, w3s):
+    """(pentagon, house, paw) walk counts of the walks s-w1-w2-w3-w4-s with
+    w3 in the mask ``w3s``, one w3 at a time; exact on any graph.
+
+    A walk with w4 = w1 is a paw (T2).  Otherwise its chords among w1w3,
+    w1w4 and w2w4 decide it: none for a pentagon, one for a house (T1); two
+    or more raise, naming the first such walk.
+    """
+    pent = house = paw = 0
+    either = c14 | c24
+    chordless = ends & ~either
+    both = c14 & c24
+    for w3 in iter_bits(w3s):
+        w4s = rows[w3] & ends
+        if r1 >> w3 & 1:  # w1w3 chord; w4 = w1 closes a paw
+            paw += 1
+            house += w4s.bit_count()
+            bad = w4s & either
+        else:
+            pent += (w4s & chordless).bit_count()
+            house += (w4s & either).bit_count()
+            bad = w4s & both
+        if bad:
+            w4 = (bad & -bad).bit_length() - 1
+            chords = (r1 >> w3 & 1) + (r1 >> w4 & 1) + (r2 >> w4 & 1)
+            raise CountingInconsistencyError(
+                f"walk ({s},{w1},{w2},{w3},{w4}) has {chords} chords"
+            )
+    return pent, house, paw
+
+
 def _walk_scan(rows, n: int, starts) -> tuple[int, int, int]:
     """(pentagon, house, paw) walk counts from each start s.
 
-    A walk s-w1-w2-w3-w4-s with w4 = w1 is a paw (T2).  Otherwise its chords
-    among w1w3, w1w4 and w2w4 decide it: none for a pentagon, one for a
-    house (T1); two or more raise, naming the walk.  The last step is
-    resolved by popcounts over the candidates for w4.
+    The walks are s-w1-w2-w3-w4-s with w1, w4 in N(s) and w2, w3 in D2, the
+    vertices at distance 2 from s; ``_walk_tail`` gives each one's shape.
+    For a triple (s, w1, w2), the w3 candidates ``near = rows[w2] & D2``
+    split into the chord set ``near & rows[w1]``, run through
+    ``_walk_tail``, and ``far``, the rest, counted without a w3 loop when
+    three guards hold:
+
+    - every vertex of D2 has exactly two neighbours in N(s) (mu = 2 at s,
+      checked once per s), so each far w3 has two w4 candidates, neither
+      w1, and closes exactly two walks;
+    - w1 has one neighbour p in N(s) (c14 is one bit); w2's other
+      neighbour a in N(s) (c24) is then one bit by the first guard;
+    - p != a, so no walk has both a w1w4 and a w2w4 chord and none raises.
+
+    A far walk is then a house when w4 is p or a and a pentagon otherwise:
+    house += h and pent += 2 |far| - h, for
+    h = |rows[p] & far| + |rows[a] & far|.  A triple that fails a guard runs
+    every w3 through ``_walk_tail``, which is exact on any graph.
     """
     pent = house = paw = 0
     for s in starts:
         ns = rows[s]
-        d2 = 0
+        # vertices with at least one, two, three neighbours in N(s)
+        reach1 = reach2 = reach3 = 0
         for w in iter_bits(ns):
-            d2 |= rows[w]
-        d2 &= ~ns & ~(1 << s)
+            rw = rows[w]
+            reach3 |= reach2 & rw
+            reach2 |= reach1 & rw
+            reach1 |= rw
+        d2 = reach1 & ~ns & ~(1 << s)
         if not d2:
             continue
+        mu2 = not (d2 & ~reach2 or d2 & reach3)
         for w1 in iter_bits(ns):
             r1 = rows[w1]
             ends = ns & ~(1 << w1)  # candidates for w4 other than w1
             c14 = ends & r1  # w4 with a w1w4 chord
+            fast = mu2 and c14 and not c14 & (c14 - 1)
+            if fast:
+                rp = rows[c14.bit_length() - 1]
             for w2 in iter_bits(r1 & d2):
                 r2 = rows[w2]
                 c24 = ends & r2  # w4 with a w2w4 chord
-                either = c14 | c24
-                chordless = ends & ~either
-                both = c14 & c24
-                for w3 in iter_bits(r2 & d2):
-                    w4s = rows[w3] & ends
-                    if r1 >> w3 & 1:  # w1w3 chord; w4 = w1 closes a paw
-                        paw += 1
-                        house += w4s.bit_count()
-                        bad = w4s & either
-                    else:
-                        pent += (w4s & chordless).bit_count()
-                        house += (w4s & either).bit_count()
-                        bad = w4s & both
-                    if bad:
-                        w4 = (bad & -bad).bit_length() - 1
-                        chords = (r1 >> w3 & 1) + (r1 >> w4 & 1) + (r2 >> w4 & 1)
-                        raise CountingInconsistencyError(
-                            f"walk ({s},{w1},{w2},{w3},{w4}) has {chords} chords"
-                        )
+                near = r2 & d2
+                if fast and not c14 & c24:
+                    far = near & ~r1
+                    h = ((rp & far).bit_count()
+                         + (rows[c24.bit_length() - 1] & far).bit_count())
+                    house += h
+                    pent += 2 * far.bit_count() - h
+                    near &= r1
+                dp, dh, dw = _walk_tail(rows, s, w1, w2, r1, r2, ends, c14, c24, near)
+                pent += dp
+                house += dh
+                paw += dw
     return pent, house, paw
 
 
@@ -872,16 +918,6 @@ class QuadPlusEdgeCensus(NamedTuple):
     p4: int  # quadrilaterals enumerated
 
 
-def _edges_outside(rows, m: int, degs, closed: int) -> int:
-    """Edges with neither end in ``closed``: e(V-S) = m - sum of deg v over
-    v in S + e(S), for S = ``closed``."""
-    deg_sum = twice_inside = 0
-    for v in iter_bits(closed):
-        deg_sum += degs[v]
-        twice_inside += (rows[v] & closed).bit_count()
-    return m - deg_sum + twice_inside // 2
-
-
 def _qpe_scan(rows, n: int, m: int, degs, v0_list):
     prism_inc = n4_inc = n9_inc = n13 = total = quads = 0
     for quad in _quad_list(rows, n, v0_list):
@@ -915,14 +951,24 @@ def _qpe_scan(rows, n: int, m: int, degs, v0_list):
         n4_inc += (rows[t_bc] & (only_d | only_a)).bit_count()
         n4_inc += (rows[t_cd] & (only_a | only_b)).bit_count()
         n4_inc += (rows[t_da] & (only_b | only_c)).bit_count()
-        # type n9: edge between single-corner vertices of adjacent corners
+        # One pass over the closed neighbourhood S = N[Q].  n13 counts the
+        # edges clear of S, e(V-S) = m - sum of deg v over v in S + e(S);
+        # n9 counts the edges between single-corner vertices of adjacent
+        # corners.  S is the single-corner vertices plus the rest (corners
+        # and apexes in a family graph).
+        closed = ra | rb | rc | rd | qmask
+        deg_sum = twice_inside = 0
         for ox, oy in ((only_a, only_b), (only_b, only_c), (only_c, only_d),
                        (only_d, only_a)):
             for u in iter_bits(ox):
-                n9_inc += (rows[u] & oy).bit_count()
-        # n13: edges entirely clear of the quadrilateral's closed
-        # neighbourhood
-        n13 += _edges_outside(rows, m, degs, ra | rb | rc | rd | qmask)
+                ru = rows[u]
+                deg_sum += degs[u]
+                twice_inside += (ru & closed).bit_count()
+                n9_inc += (ru & oy).bit_count()
+        for v in iter_bits(closed & ~(only_a | only_b | only_c | only_d)):
+            deg_sum += degs[v]
+            twice_inside += (rows[v] & closed).bit_count()
+        n13 += m - deg_sum + twice_inside // 2
     return total, prism_inc, n4_inc, n9_inc, n13, quads
 
 

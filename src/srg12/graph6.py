@@ -46,10 +46,18 @@ def _encode_order(n: int) -> bytes:
     raise ValueError(f"order {n} beyond supported graph6 range")
 
 
+def _ascii(text: str) -> bytes:
+    try:
+        return text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error("non-ASCII character in graph6 text",
+                          byte_index=exc.start) from None
+
+
 def decode(data) -> Graph:
     """Decode one graph6 line (bytes or str) into a Graph."""
     if isinstance(data, str):
-        data = data.encode("ascii")
+        data = _ascii(data)
     if data.startswith(_HEADER):
         data = data[len(_HEADER):]
     data = data.rstrip(b"\r\n")
@@ -114,7 +122,7 @@ def loads(text) -> list[Graph]:
     if isinstance(text, bytes):
         lines = text.splitlines()
     else:
-        lines = text.encode("ascii").splitlines()
+        lines = _ascii(text).splitlines()
     graphs = []
     for idx, line in enumerate(lines):
         line = line.strip()

@@ -120,6 +120,36 @@ def edges_clear_of(g: Graph, closed: int) -> int:
     return count
 
 
+def double_edge_switched(g: Graph, rng, count: int) -> Graph:
+    """``g`` after ``count`` seeded degree-preserving double-edge switches.
+
+    Edges a-b and c-d become a-d and c-b, provided the four vertices are
+    distinct and neither new edge exists or was removed by an earlier
+    switch, so no switch undoes another and the edge set always changes.
+    """
+    rows = list(g.rows)
+    edges = list(g.edges())
+    removed = set()
+    done = 0
+    while done < count:
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        new = {frozenset((a, d)), frozenset((c, b))}
+        if len({a, b, c, d}) < 4 or rows[a] >> d & 1 or rows[c] >> b & 1 or new & removed:
+            continue
+        rows[a] ^= 1 << b | 1 << d
+        rows[b] ^= 1 << a | 1 << c
+        rows[c] ^= 1 << d | 1 << b
+        rows[d] ^= 1 << c | 1 << a
+        edges.remove((a, b) if a < b else (b, a))
+        edges.remove((c, d) if c < d else (d, c))
+        edges += [(min(a, d), max(a, d)), (min(c, b), max(c, b))]
+        removed |= {frozenset((a, b)), frozenset((c, d))}
+        done += 1
+    return Graph(g.order, tuple(rows))
+
+
 def random_graph(rng, n, p) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import random_graph
 from srg12 import graph6
@@ -45,6 +47,39 @@ def test_malformed_inputs():
         graph6.decode(b"D")  # truncated body for n=5
     with pytest.raises(Graph6Error):
         graph6.decode(b"B~")  # nonzero padding bits for n=3
+
+
+def test_non_ascii_text_rejected():
+    with pytest.raises(Graph6Error, match="non-ASCII"):
+        graph6.decode("\u00e9")
+    with pytest.raises(Graph6Error, match="non-ASCII"):
+        graph6.loads("Dhc\nD\u00e9")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=40), st.text(max_size=40)))
+def test_decode_raises_only_graph6_error(data):
+    try:
+        g = graph6.decode(data)
+    except Graph6Error:
+        return
+    assert isinstance(g, Graph)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 70))
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph.from_edges(n, [p for t, p in enumerate(pairs) if bits >> t & 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_encode_decode_roundtrip(g):
+    data = graph6.encode(g)
+    assert len(data) == (1 if g.order <= 62 else 4) + (g.order * (g.order - 1) // 2 + 5) // 6
+    assert graph6.decode(data) == g
 
 
 def test_file_roundtrip(tmp_path, paley9):

@@ -1,9 +1,11 @@
 import inspect
 import json
+import random
 import re
 
 import pytest
 
+from oracles import double_edge_switched
 from srg12 import census, identities, spectral
 from srg12.census import NAMED_TYPE_EDGES
 from srg12.errors import CountingInconsistencyError
@@ -157,6 +159,36 @@ class TestLedgerNonFamily:
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
         report = run_all_checks(g)
         assert not report.passed
+
+
+WITNESS = re.compile(r"^(non-edge|edge) \((\d+), (\d+)\) has (\d+) common neighbours$")
+
+
+class TestLedgerMutations:
+    """Seeded degree-preserving double-edge switches of family members fail
+    the ledger, and a condition entry names a pair that really breaks
+    condition I or II."""
+
+    @pytest.mark.parametrize("name, seeds", [("paley9", range(12)), ("bvls", range(3))])
+    def test_switched_family_graph_fails_with_true_witness(self, request, name, seeds):
+        base = request.getfixturevalue(name)
+        for seed in seeds:
+            rng = random.Random(seed)
+            g = double_edge_switched(base, rng, 1 + seed % 3)
+            report = run_all_checks(g, source=f"{name}-switched-{seed}")
+            assert not report.passed
+            named = 0
+            for entry in report.entries:
+                if entry.status != "fail" or not entry.name.startswith("condition_"):
+                    continue
+                kind, u, v, common = WITNESS.match(entry.detail).groups()
+                u, v, common = int(u), int(v), int(common)
+                adjacent = g.has_edge(u, v)
+                assert adjacent == (kind == "edge")
+                assert adjacent == (entry.name == "condition_one_edge_triangles")
+                assert g.common_neighbors(u, v) == common != (1 if adjacent else 2)
+                named += 1
+            assert named
 
 
 # every census and spectral stage run_all_checks calls, and the fail entry a

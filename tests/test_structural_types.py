@@ -7,14 +7,17 @@ with the canonical certificate (``oracles.certificate_type``).  The kept
 error paths are driven with crafted rows.
 """
 
+import ast
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from oracles import (
     certificate_type,
     coded_walks_from,
+    double_edge_switched,
     edges_clear_of,
     pentagon_n4_sides,
     pentagon_side_census,
@@ -27,9 +30,9 @@ from srg12.census import (
     QUAD_PAIR_TYPES,
     TRIANGLE_PAIR_TYPES,
     _completion_type,
-    _edges_outside,
     _is_n2,
     _pentagon_edge_scan,
+    _qpe_scan,
     _quad_pairs_at_edge,
     _walk_scan,
     c4s_through_edge,
@@ -241,34 +244,54 @@ class TestPentagonEdgeKernel:
 
 
 class TestEdgesOutside:
-    """n13 of the quad-plus-edge census: the closed-neighbourhood identity
-    against the vertex-by-vertex count over the complement."""
+    """n13 of the quad-plus-edge kernel, per start vertex, against the
+    vertex-by-vertex count of the edges clear of each quadrilateral's closed
+    neighbourhood."""
 
-    def check_quads(self, g, quads):
+    def check_starts(self, g, starts):
         rows = g.rows
         degs = [g.degree(v) for v in range(g.order)]
-        for quad in quads:
-            closed = 0
-            for x in quad:
-                closed |= rows[x] | 1 << x
-            assert _edges_outside(rows, g.num_edges, degs, closed) == edges_clear_of(g, closed)
+        quads = list(iter_quadrilaterals(g))
+        for v0 in starts:
+            want = 0
+            for quad in quads:
+                if quad[0] == v0:
+                    closed = 0
+                    for x in quad:
+                        closed |= rows[x] | 1 << x
+                    want += edges_clear_of(g, closed)
+            assert _qpe_scan(rows, g.order, g.num_edges, degs, [v0])[4] == want
 
     def test_paley9(self, paley9):
-        quads = list(iter_quadrilaterals(paley9))
-        assert len(quads) == 9
-        self.check_quads(paley9, quads)
+        self.check_starts(paley9, range(9))
 
     def test_bvls_sample(self, bvls):
-        quads = list(iter_quadrilaterals(bvls))
-        self.check_quads(bvls, random.Random(13365).sample(quads, 40))
+        self.check_starts(bvls, random.Random(13365).sample(range(243), 4))
 
-    def test_any_vertex_set_of_random_graphs(self):
+    def test_random_graphs_with_one_apex_per_edge(self):
+        # every edge in exactly one triangle, so each quadrilateral side has
+        # one apex, but opposite corners may share further neighbours: the
+        # closed neighbourhood then holds vertices beyond the corners, the
+        # apexes and the single-corner vertices
         rng = random.Random(9)
-        for _ in range(30):
-            g = random_graph(rng, rng.randint(1, 30), rng.random())
-            degs = [g.degree(v) for v in range(g.order)]
-            closed = rng.getrandbits(g.order)
-            assert _edges_outside(g.rows, g.num_edges, degs, closed) == edges_clear_of(g, closed)
+        beyond = 0
+        for _ in range(20):
+            n = rng.randint(9, 18)
+            edges = set()
+            for _ in range(40):
+                a, b, c = rng.sample(range(n), 3)
+                tri = {(min(x, y), max(x, y)) for x, y in ((a, b), (a, c), (b, c))}
+                trial = Graph.from_edges(n, edges | tri)
+                if not tri & edges and all(trial.common_neighbors(x, y) == 1
+                                           for x, y in trial.edges()):
+                    edges |= tri
+            g = Graph.from_edges(n, edges)
+            self.check_starts(g, range(n))
+            rows = g.rows
+            for a, b, c, d in iter_quadrilaterals(g):
+                quad = 1 << a | 1 << b | 1 << c | 1 << d
+                beyond += bool((rows[a] & rows[c] | rows[b] & rows[d]) & ~quad)
+        assert beyond
 
 
 class TestBvlsSample:
@@ -338,6 +361,25 @@ class TestCodedWalks:
                 outcomes.add(type(want))
         assert outcomes == {tuple, str}
 
+    def test_switched_bvls_starts_match_walk_by_walk(self, bvls):
+        # one double-edge switch breaks mu = 2 near the switched edges only,
+        # so the sample holds starts on both sides of the per-start guard
+        rng = random.Random(4276800)
+        g = double_edge_switched(bvls, rng, 1)
+        rows = g.rows
+        guards = set()
+        for s in rng.sample(range(g.order), 30):
+            want = coded_walks_from(g, s)
+            try:
+                got = _walk_scan(rows, g.order, [s])
+            except CountingInconsistencyError as exc:
+                got = str(exc)
+            assert got == want
+            d2 = [x for x in range(g.order)
+                  if x != s and not rows[s] >> x & 1 and rows[x] & rows[s]]
+            guards.add(all((rows[x] & rows[s]).bit_count() == 2 for x in d2))
+        assert guards == {True, False}
+
 
 class TestKeptErrors:
     @pytest.mark.parametrize("chords, extra", [
@@ -351,6 +393,19 @@ class TestKeptErrors:
         with pytest.raises(CountingInconsistencyError,
                            match=rf"walk \(0,1,2,3,4\) has {chords} chords"):
             _walk_scan(g.rows, 5, [0])
+
+    def test_walk_with_chords_named_where_mu_is_2(self):
+        # walk 0-1-2-3-4-0 with chords 1-4 and 2-4, plus vertex 5 joined to
+        # 0 and 3: both vertices at distance 2 from 0 have two neighbours in
+        # N(0), and w1 = 1's one neighbour in N(0), 4, is also w2 = 2's
+        # other one
+        g = Graph.from_edges(6, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4),
+                                 (1, 4), (2, 4), (0, 5), (3, 5)])
+        rows = g.rows
+        assert [(rows[x] & rows[0]).bit_count() for x in (2, 3)] == [2, 2]
+        with pytest.raises(CountingInconsistencyError,
+                           match=r"walk \(0,1,2,3,4\) has 2 chords"):
+            _walk_scan(rows, 6, [0])
 
     def test_quad_pair_unexpected_class(self):
         g = Graph.from_edges(
@@ -410,6 +465,18 @@ class TestNoCertificateLabelling:
 
 
 class TestInvariantsWithoutAssert:
+    def test_no_assert_statements_in_src(self):
+        # python -O strips assert, so no invariant of the package may use it
+        paths = sorted(Path(census.__file__).parent.glob("*.py"))
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in paths
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert len(paths) >= 10
+        assert found == []
+
     def test_duplicate_named_certificates_raise(self, monkeypatch):
         edges = dict(census.NAMED_TYPE_EDGES)
         edges["twin"] = edges["n12"]
