@@ -24,7 +24,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional
 
-from ._bits import iter_bits
+from ._bits import digit_total, iter_bits, neighbour_count_digits
 from .errors import (
     CountingInconsistencyError,
     FamilyViolationError,
@@ -327,6 +327,25 @@ def pentagons_through_edge(g: Graph, edge) -> int:
 
 
 def _hexagon_scan(rows, n: int, v0_list) -> int:
+    """Count induced hexagons whose minimum vertex is in v0_list.
+
+    Cycle order v0-v1-v2-v3-v4-v5-v0 with v1 < v5 non-adjacent.  Every
+    other vertex lies above v0 and off N(v0); v2 is in base2 = N(v1) - N(v5),
+    v4 in base4 = N(v5) - N(v1) and v3 in base3, off N(v1) and N(v5).  The
+    three sets are disjoint (base2 lies in N(v1), which base3 and base4
+    avoid; base4 lies in N(v5), which base3 avoids), so the hexagons of the
+    triple are the pairs v2, v4 with v2 not joined to v4, each adding
+    |N(v2) & N(v4) & base3|.  Summed from the middle vertex instead:
+
+        sum over v2 of [ sum over v3 in N(v2) & base3 of |N(v3) & base4|
+                         - sum over v4 in base4 & N(v2) of
+                           |N(v2) & N(v4) & base3| ]
+
+    The first term reads a bit-sliced counter of |N(v3) & base4| over
+    base3, built once per triple; the second runs only over the adjacent
+    pairs v2 ~ v4 (the pentagons v0-v1-v2-v4-v5).  The identity is exact on
+    any graph.
+    """
     count = 0
     for v0 in v0_list:
         abv = _above(n, v0)
@@ -343,16 +362,15 @@ def _hexagon_scan(rows, n: int, v0_list) -> int:
                 if not base4:
                     continue
                 base3 = abv & ~nv0 & ~r1 & ~r5
+                digits = neighbour_count_digits(rows, base4, base3)
                 for v2 in iter_bits(base2):
                     r2 = rows[v2]
-                    m4 = base4 & ~r2
-                    if not m4:
-                        continue
                     part3 = r2 & base3
                     if not part3:
                         continue
-                    for v4 in iter_bits(m4):
-                        count += (part3 & rows[v4]).bit_count()
+                    count += digit_total(digits, part3)
+                    for v4 in iter_bits(base4 & r2):
+                        count -= (part3 & rows[v4]).bit_count()
     return count
 
 
@@ -807,9 +825,21 @@ def _pentagon_edge_scan(rows, edges) -> tuple[int, list[int]]:
     of u and v) nor x (x avoids N(u) and N(v)), so it lies outside every
     such pentagon.  Beyond the side it may be joined to the opposite vertex
     x alone (type n4) or to nothing (n8).  In a family graph t has no
-    neighbour among the candidates for w and y, so one popcount per (w, y)
-    counts the n4 sides; otherwise the edge takes a slow path that raises on
-    the first pentagon where t meets w or y.
+    neighbour among the candidates for w and y, so the n4 sides are the
+    pentagons whose x is joined to t; otherwise the edge takes a slow path
+    that raises on the first pentagon where t meets w or y.
+
+    The candidates ws = N(v) - N[u], ys = N(u) - N[v] and the x candidates
+    off N(u) and N(v) are disjoint, so the pentagons are the pairs w, y with
+    w not joined to y, each adding |N(w) & N(y) - N(u) - N(v)|.  Summed from
+    the middle vertex x, with xbase = N(w) - N(u) - N(v):
+
+        sum over w of [ sum over x in xbase of |N(x) & ys|
+                        - sum over y in ys & N(w) of |xbase & N(y)| ]
+
+    The first term reads a bit-sliced counter of |N(x) & ys|, built once
+    per edge; n4 reads the same counter over xbase & N(t).  The identity is
+    exact on any graph.
     """
     n4 = 0
     counts = []
@@ -827,15 +857,18 @@ def _pentagon_edge_scan(rows, edges) -> tuple[int, list[int]]:
         if (ws | ys) & rt:
             _apex_pattern_check(rows, u, v, rt, ws, ys, not_uv)
         count = 0
+        digits = neighbour_count_digits(rows, ys, not_uv)
         for w in iter_bits(ws):
             rw = rows[w]
             xbase = rw & not_uv
             xt = xbase & rt
-            for y in iter_bits(ys & ~rw):
+            count += digit_total(digits, xbase)
+            if xt:
+                n4 += digit_total(digits, xt)
+            for y in iter_bits(ys & rw):
                 ry = rows[y]
-                count += (xbase & ry).bit_count()
-                if xt & ry:
-                    n4 += (xt & ry).bit_count()
+                count -= (xbase & ry).bit_count()
+                n4 -= (xt & ry).bit_count()
         counts.append(count)
     return n4, counts
 

@@ -131,8 +131,8 @@ class Graph:
         return code
 
 
-def graph_from_code(code: int, n: int) -> Graph:
-    """Inverse of ``Graph.subgraph_code`` for a graph on n labelled vertices."""
+def _rows_of_code(code: int, n: int) -> tuple[int, ...]:
+    """Adjacency rows of the packed edge code of a graph on n vertices."""
     rows = [0] * n
     pos = 0
     for i in range(n):
@@ -141,7 +141,12 @@ def graph_from_code(code: int, n: int) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             pos += 1
-    return Graph(n, tuple(rows))
+    return tuple(rows)
+
+
+def graph_from_code(code: int, n: int) -> Graph:
+    """Inverse of ``Graph.subgraph_code`` for a graph on n labelled vertices."""
+    return Graph(n, _rows_of_code(code, n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -408,15 +413,7 @@ def _det_from_rows(rows, n: int) -> int:
 
 
 def determinant_of_code(code: int, n: int) -> int:
-    rows = [0] * n
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if code >> pos & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
-    return _det_from_rows(tuple(rows), n)
+    return _det_from_rows(_rows_of_code(code, n), n)
 
 
 def three_edge_cover_count(g: Graph) -> int:
@@ -446,12 +443,4 @@ def perfect_matching_count(rows, n: int) -> int:
 
 
 def matching_count_of_code(code: int, n: int) -> int:
-    g_rows = [0] * n
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if code >> pos & 1:
-                g_rows[i] |= 1 << j
-                g_rows[j] |= 1 << i
-            pos += 1
-    return perfect_matching_count(g_rows, n)
+    return perfect_matching_count(_rows_of_code(code, n), n)

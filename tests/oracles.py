@@ -6,7 +6,8 @@ independent of the counting paths under test.
 
 from itertools import combinations
 
-from srg12.census import iter_pentagons, named_type_certificates
+from srg12._bits import iter_bits
+from srg12.census import _apex_pattern_check, iter_pentagons, named_type_certificates
 from srg12.errors import CountingInconsistencyError, FamilyViolationError
 from srg12.graph import Graph, classify_code
 
@@ -96,6 +97,60 @@ def pentagons_through(g: Graph, u: int, v: int):
                 if edges == 5:
                     out.append(pent)
     return out
+
+
+def hexagon_scan_pairwise(rows, n: int, v0_list) -> int:
+    """Induced hexagons v0-v1-v2-v3-v4-v5 whose minimum vertex is in
+    v0_list, one popcount over v3 per pair (v2, v4) of non-adjacent ends."""
+    count = 0
+    for v0 in v0_list:
+        abv = ((1 << n) - 1) & ~((1 << (v0 + 1)) - 1)
+        nv0 = rows[v0]
+        outer = nv0 & abv
+        for v1 in iter_bits(outer):
+            r1 = rows[v1]
+            for v5 in iter_bits(outer & ~((1 << (v1 + 1)) - 1) & ~r1):
+                r5 = rows[v5]
+                base2 = r1 & abv & ~nv0 & ~r5
+                base4 = r5 & abv & ~nv0 & ~r1
+                base3 = abv & ~nv0 & ~r1 & ~r5
+                for v2 in iter_bits(base2):
+                    r2 = rows[v2]
+                    part3 = r2 & base3
+                    for v4 in iter_bits(base4 & ~r2):
+                        count += (part3 & rows[v4]).bit_count()
+    return count
+
+
+def pentagon_edge_scan_pairwise(rows, edges):
+    """(n4 sides, pentagons through each edge) over ``edges``, one popcount
+    over x per pair (w, y) of each pentagon u-v-w-x-y-u; raises as the
+    census kernel does, before counting, on an edge without exactly one
+    triangle apex or whose apex meets w or y."""
+    n4 = 0
+    counts = []
+    for u, v in edges:
+        ru, rv = rows[u], rows[v]
+        apex_mask = ru & rv
+        if apex_mask.bit_count() != 1:
+            raise FamilyViolationError(
+                f"side ({u},{v}) has {apex_mask.bit_count()} triangle apexes"
+            )
+        rt = rows[apex_mask.bit_length() - 1]
+        not_uv = ~(ru | rv)
+        ws = rv & ~ru & ~(1 << u)
+        ys = ru & ~rv & ~(1 << v)
+        if (ws | ys) & rt:
+            _apex_pattern_check(rows, u, v, rt, ws, ys, not_uv)
+        count = 0
+        for w in iter_bits(ws):
+            rw = rows[w]
+            xbase = rw & not_uv
+            for y in iter_bits(ys & ~rw):
+                count += (xbase & rows[y]).bit_count()
+                n4 += (xbase & rt & rows[y]).bit_count()
+        counts.append(count)
+    return n4, counts
 
 
 def pentagon_side_census(g: Graph):
@@ -236,21 +291,52 @@ def brute_edge_triples(g: Graph):
     return e4, e5, e6
 
 
-def quad_edge_incidences(g: Graph) -> int:
-    """Pairs (induced C4, vertex-disjoint edge) counted directly."""
-    total = 0
-    c4s = []
+def _induced_quads(g: Graph):
+    """Vertex 4-subsets inducing a C4, by scanning every 4-subset."""
     for subset in combinations(range(g.order), 4):
         code = g.subgraph_code(subset)
         if code.bit_count() == 4 and _degrees_of_code(code, 4) == [2, 2, 2, 2]:
-            c4s.append((1 << subset[0]) | (1 << subset[1])
-                       | (1 << subset[2]) | (1 << subset[3]))
+            yield subset
+
+
+def quad_edge_incidences(g: Graph) -> int:
+    """Pairs (induced C4, vertex-disjoint edge) counted directly."""
+    total = 0
+    c4s = [(1 << a) | (1 << b) | (1 << c) | (1 << d) for a, b, c, d in _induced_quads(g)]
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges()]
     for qmask in c4s:
         for em in edge_masks:
             if not qmask & em:
                 total += 1
     return total
+
+
+def quad_edge_n9_incidences(g: Graph) -> int:
+    """Pairs (induced C4, vertex-disjoint edge) whose six vertices induce
+    type n9, each classified by canonical certificate."""
+    edges = list(g.edges())
+    return sum(
+        certificate_type(g, quad + edge) == "n9"
+        for quad in _induced_quads(g)
+        for edge in edges
+        if not set(quad) & set(edge)
+    )
+
+
+def one_apex_per_edge_graph(rng, n: int, tries: int = 40) -> Graph:
+    """Seeded graph on n vertices made of edge-disjoint triangles: each of
+    ``tries`` random triangles is added when every edge then lies in exactly
+    one triangle.  Opposite corners of a quadrilateral may still share
+    further neighbours, so mu = 2 need not hold."""
+    edges = set()
+    for _ in range(tries):
+        a, b, c = rng.sample(range(n), 3)
+        tri = {(min(x, y), max(x, y)) for x, y in ((a, b), (a, c), (b, c))}
+        trial = Graph.from_edges(n, edges | tri)
+        if not tri & edges and all(trial.common_neighbors(x, y) == 1
+                                   for x, y in trial.edges()):
+            edges |= tri
+    return Graph.from_edges(n, edges)
 
 
 def laplace_determinant(g: Graph) -> int:

@@ -88,7 +88,9 @@ class TestCycleCounts:
         assert count_hexagons(petersen()) == 10
 
     def test_against_subset_scan(self):
-        for g in random_cases(101, 15, nmin=6, nmax=12):
+        cases = [*random_cases(101, 15, nmin=6, nmax=12),
+                 *random_cases(102, 10, nmin=13, nmax=16)]
+        for g in cases:
             assert count_triangles(g) == induced_cycle_count(g, 3)
             assert count_quadrilaterals(g) == induced_cycle_count(g, 4)
             assert count_pentagons(g) == induced_cycle_count(g, 5)

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +77,20 @@ class TestCheck:
         graph6.save_file(path, Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
         code, _, _ = run(capsys, "check", "--graph", str(path), "--workers", "1")
         assert code == 1
+
+
+class TestGoldenReports:
+    """``check --workers 1 --json`` reproduces the committed reports byte
+    for byte; they hold no timestamps and the source is a fingerprint."""
+
+    @pytest.mark.parametrize("name", ["paley9", "bvls243"])
+    def test_check_json_matches_golden(self, capsys, tmp_path, name):
+        out_json = tmp_path / "report.json"
+        code, _, _ = run(capsys, "check", "--graph", name,
+                         "--workers", "1", "--json", str(out_json))
+        assert code == 0
+        golden = Path(__file__).parent / "data" / f"check_{name}.json"
+        assert out_json.read_bytes() == golden.read_bytes()
 
 
 class TestCensusCommand:

@@ -19,17 +19,23 @@ from oracles import (
     coded_walks_from,
     double_edge_switched,
     edges_clear_of,
+    hexagon_scan_pairwise,
+    one_apex_per_edge_graph,
+    pentagon_edge_scan_pairwise,
     pentagon_n4_sides,
     pentagon_side_census,
     pentagon_side_is_n4,
     pentagons_through,
+    quad_edge_n9_incidences,
     random_graph,
 )
 from srg12 import census, graph, spectral
+from srg12._bits import digit_total, iter_bits, neighbour_count_digits
 from srg12.census import (
     QUAD_PAIR_TYPES,
     TRIANGLE_PAIR_TYPES,
     _completion_type,
+    _hexagon_scan,
     _is_n2,
     _pentagon_edge_scan,
     _qpe_scan,
@@ -226,6 +232,40 @@ class TestPentagonEdgeKernel:
         assert counts == [len(pentagons_through(bvls, u, v)) for u, v in edges]
         assert n4 == sum(self.oracle_n4(bvls, u, v) for u, v in edges) == 0
 
+    @staticmethod
+    def edge_outcome(scan, rows, edge):
+        try:
+            return scan(rows, [edge])
+        except (FamilyViolationError, CountingInconsistencyError) as exc:
+            return type(exc), str(exc)
+
+    def test_one_apex_per_edge_graphs_match_pairwise(self):
+        rng = random.Random(45)
+        edges = with_n4 = 0
+        for _ in range(20):
+            g = one_apex_per_edge_graph(rng, rng.randint(16, 30), tries=120)
+            for e in g.edges():
+                got = _pentagon_edge_scan(g.rows, [e])
+                assert got == pentagon_edge_scan_pairwise(g.rows, [e])
+                edges += 1
+                with_n4 += got[0] > 0
+        assert edges > 500 and with_n4 > 100
+
+    def test_random_graphs_match_pairwise_with_raising_edges(self):
+        rng = random.Random(46)
+        counted = 0
+        raised = set()
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(6, 24), rng.random() * 0.5 + 0.05)
+            for e in g.edges():
+                got = self.edge_outcome(_pentagon_edge_scan, g.rows, e)
+                assert got == self.edge_outcome(pentagon_edge_scan_pairwise, g.rows, e)
+                if isinstance(got[0], int):
+                    counted += 1
+                else:
+                    raised.add(got[0])
+        assert counted and raised == {FamilyViolationError, CountingInconsistencyError}
+
     def test_census_per_edge_order_serial_and_pooled(self, monkeypatch):
         # one triangle apex per edge, 33 vertices (enough for the pool), and
         # edges on 0 or 1 pentagons, so a misplaced count shows
@@ -276,22 +316,94 @@ class TestEdgesOutside:
         rng = random.Random(9)
         beyond = 0
         for _ in range(20):
-            n = rng.randint(9, 18)
-            edges = set()
-            for _ in range(40):
-                a, b, c = rng.sample(range(n), 3)
-                tri = {(min(x, y), max(x, y)) for x, y in ((a, b), (a, c), (b, c))}
-                trial = Graph.from_edges(n, edges | tri)
-                if not tri & edges and all(trial.common_neighbors(x, y) == 1
-                                           for x, y in trial.edges()):
-                    edges |= tri
-            g = Graph.from_edges(n, edges)
-            self.check_starts(g, range(n))
+            g = one_apex_per_edge_graph(rng, rng.randint(9, 18))
+            self.check_starts(g, range(g.order))
             rows = g.rows
             for a, b, c, d in iter_quadrilaterals(g):
                 quad = 1 << a | 1 << b | 1 << c | 1 << d
                 beyond += bool((rows[a] & rows[c] | rows[b] & rows[d]) & ~quad)
         assert beyond
+
+
+    def test_n9_against_certificates(self):
+        # on every family graph the single-corner vertices of each corner
+        # send the same number of edges to those of both neighbouring
+        # corners, so only graphs with mu != 2 tell the two apart
+        rng = random.Random(9)
+        graphs = [one_apex_per_edge_graph(rng, rng.randint(9, 18)) for _ in range(20)]
+        graphs += [one_apex_per_edge_graph(rng, rng.randint(16, 30), tries=120)
+                   for _ in range(10)]
+        with_n9 = 0
+        for g in graphs:
+            degs = [g.degree(v) for v in range(g.order)]
+            n9 = _qpe_scan(g.rows, g.order, g.num_edges, degs, range(g.order))[3]
+            assert n9 == quad_edge_n9_incidences(g)
+            with_n9 += n9 > 0
+        assert with_n9 >= 10
+
+
+class TestHexagonKernel:
+    """The middle-vertex hexagon kernel against the pairwise scan."""
+
+    def test_switched_bvls_every_start(self, bvls):
+        g = double_edge_switched(bvls, random.Random(4980690), 3)
+        for v0 in range(g.order):
+            assert _hexagon_scan(g.rows, g.order, [v0]) == hexagon_scan_pairwise(
+                g.rows, g.order, [v0]
+            )
+
+    def test_random_graphs_up_to_40_vertices(self, monkeypatch):
+        widest = []
+
+        def recording(rows, sources, within):
+            digits = neighbour_count_digits(rows, sources, within)
+            widest.append(len(digits))
+            return digits
+
+        monkeypatch.setattr(census, "neighbour_count_digits", recording)
+        rng = random.Random(6)
+        for _ in range(60):
+            n = rng.randint(6, 40)
+            g = random_graph(rng, n, rng.random() * 0.8 + 0.05)
+            assert _hexagon_scan(g.rows, n, range(n)) == hexagon_scan_pairwise(
+                g.rows, n, range(n)
+            )
+        assert max(widest) >= 3
+
+
+class TestNeighbourCounter:
+    """The bit-sliced counter against a vertex-by-vertex count."""
+
+    def test_digits_match_direct_counts(self):
+        rng = random.Random(8)
+        widest = 0
+        for _ in range(200):
+            n = rng.randint(1, 70)
+            density = rng.random()
+            rows = [sum(1 << x for x in range(n) if rng.random() < density)
+                    for _ in range(n)]
+            sources = rng.getrandbits(n)
+            within = rng.getrandbits(n)
+            digits = neighbour_count_digits(rows, sources, within)
+            counts = [
+                sum(rows[v] >> x & 1 for v in iter_bits(sources)) if within >> x & 1 else 0
+                for x in range(n)
+            ]
+            assert [
+                sum((d >> x & 1) << i for i, d in enumerate(digits)) for x in range(n)
+            ] == counts
+            assert len(digits) == max(counts, default=0).bit_length()
+            mask = rng.getrandbits(n)
+            assert digit_total(digits, mask) == sum(
+                c for x, c in enumerate(counts) if mask >> x & 1
+            )
+            widest = max(widest, len(digits))
+        assert widest >= 4
+
+    def test_empty(self):
+        assert neighbour_count_digits([0b110, 0b101, 0b011], 0, 0b111) == []
+        assert neighbour_count_digits([0b110, 0b101, 0b011], 0b111, 0) == []
+        assert digit_total([], 0b111) == 0
 
 
 class TestBvlsSample:
