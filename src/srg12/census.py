@@ -14,6 +14,13 @@ mask test); any setting outside the expected types raises.  No canonical
 labelling runs in these loops.  The exhaustive scan, guarded to 16 vertices,
 classifies every 6-subset by canonical certificate and is the ground-truth
 oracle.
+
+The type censuses need a verified srg(n, k, 1, 2).  ``require_family``
+returns that as a ``VerifiedFamily`` (the graph with n, k, m and the
+degrees) after one ``verify_srg`` scan.  A census given a VerifiedFamily
+trusts it; one given a plain Graph verifies it first and raises
+FamilyViolationError outside the family.  The pooled censuses shard their
+start lists over one process-pool helper, ``_sharded``.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 from ._bits import digit_total, iter_bits, neighbour_count_digits
 from .errors import (
@@ -34,6 +41,7 @@ from .graph import (
     CanonicalClass,
     Graph,
     SrgParams,
+    SrgReport,
     classify_code,
     determinant_of_code,
     matching_count_of_code,
@@ -41,7 +49,7 @@ from .graph import (
 )
 
 EXHAUSTIVE_MAX_VERTICES = 16
-_BRUTE_TRIPLE_LIMIT = 2_000_000
+_POOL_MIN_ORDER = 32  # smaller graphs never start a process pool
 
 
 # -- named 6-vertex types -------------------------------------------------
@@ -80,21 +88,6 @@ MASTER_COEFF = {
 }
 MASTER_COEFF_AGGREGATE = 2
 
-_PAIR_POS_6 = {}
-_pos = 0
-for _i in range(6):
-    for _j in range(_i + 1, 6):
-        _PAIR_POS_6[(_i, _j)] = _pos
-        _pos += 1
-
-
-def _code_from_edges(edges) -> int:
-    code = 0
-    for u, v in edges:
-        code |= 1 << _PAIR_POS_6[(u, v) if u < v else (v, u)]
-    return code
-
-
 _named_certs: Optional[dict[str, int]] = None
 
 
@@ -103,7 +96,7 @@ def named_type_certificates() -> dict[str, int]:
     global _named_certs
     if _named_certs is None:
         certs = {
-            name: classify_code(_code_from_edges(edges), 6)
+            name: classify_code(Graph.from_edges(6, edges).subgraph_code(range(6)), 6)
             for name, edges in NAMED_TYPE_EDGES.items()
         }
         if len(set(certs.values())) != len(certs):
@@ -117,28 +110,71 @@ def named_type_certificates() -> dict[str, int]:
 # -- family gate -----------------------------------------------------------
 
 
-def require_family(g: Graph) -> tuple[int, int]:
-    """Check g is a verified srg(n,k,1,2); return (n, k) or raise."""
+@dataclass(frozen=True, slots=True)
+class VerifiedFamily:
+    """A graph that passed ``verify_srg`` as srg(n, k, 1, 2), with n, k,
+    the edge count m and the vertex degrees.
+
+    ``family_check`` builds it from its one verification scan.  The family
+    censuses take it in place of a Graph and then do not verify again.
+    """
+
+    graph: Graph
+    n: int
+    k: int
+    m: int
+    degs: tuple[int, ...]
+
+
+def family_check(g: Graph) -> tuple[SrgReport, Optional[VerifiedFamily]]:
+    """One ``verify_srg`` scan of g against srg(n, k, 1, 2), k the degree
+    of vertex 0; the report, and the verified family if it passed."""
+    n = g.order
+    k = g.degree(0) if n else 0
+    report = verify_srg(g, SrgParams(max(n, 1), k, 1, 2))
+    if not report.passed:
+        return report, None
+    degs = tuple(row.bit_count() for row in g.rows)
+    return report, VerifiedFamily(g, n, k, sum(degs) // 2, degs)
+
+
+def require_family(g: Union[Graph, VerifiedFamily]) -> VerifiedFamily:
+    """The verified-family value of g, or FamilyViolationError.
+
+    A VerifiedFamily is returned as it is, without a new scan; a Graph gets
+    one ``family_check`` scan.  Build the value once and pass it to every
+    family census.
+    """
+    if isinstance(g, VerifiedFamily):
+        return g
     n = g.order
     if n == 0:
         raise FamilyViolationError("empty graph is not a family member")
-    k = g.degree(0)
-    report = verify_srg(g, SrgParams(n, k, 1, 2))
-    if not report.passed:
+    report, fam = family_check(g)
+    if fam is None:
         raise FamilyViolationError(
-            f"graph is not a verified srg({n},{k},1,2): "
+            f"graph is not a verified srg({n},{g.degree(0)},1,2): "
             f"regular={report.regular} lambda_ok={report.lambda_ok} "
             f"mu_ok={report.mu_ok} order_relation={report.order_relation_ok}"
         )
-    return n, k
+    return fam
 
 
 def _above(n: int, v: int) -> int:
     return ((1 << n) - 1) & ~((1 << (v + 1)) - 1)
 
 
-def _chunks(items, workers: int):
-    return [items[i::workers] for i in range(workers) if items[i::workers]]
+def _sharded(workers: int, n: int, kernel, args, items) -> list:
+    """``kernel(*args, shard)`` over the start list ``items``: one call on
+    all of it in process or, with several workers on a graph of n >=
+    ``_POOL_MIN_ORDER`` vertices, one call per interleaved shard
+    ``items[i::workers]`` in a process pool; the results in shard order."""
+    if workers < 2 or n < _POOL_MIN_ORDER:
+        return [kernel(*args, items)]
+    shards = [items[i::workers] for i in range(workers) if items[i::workers]]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(kernel, *args, shard) for shard in shards]
+        return [future.result() for future in futures]
 
 
 # -- cycle counts ----------------------------------------------------------
@@ -164,12 +200,7 @@ def iter_triangles(g: Graph):
 
 
 def count_triangles(g: Graph) -> int:
-    rows = g.rows
-    n = g.order
-    total = 0
-    for a, b in g.edges():
-        total += (rows[a] & rows[b] & _above(n, b)).bit_count()
-    return total
+    return sum(1 for _ in iter_triangles(g))
 
 
 def _quad_list(rows, n: int, v0_list):
@@ -190,52 +221,11 @@ def iter_quadrilaterals(g: Graph):
 
 def count_quadrilaterals_by_edges(g: Graph) -> int:
     """Induced C4 count via the canonical quadrilateral iterator."""
-    rows = g.rows
-    n = g.order
-    total = 0
-    for a in range(n):
-        abv = _above(n, a)
-        na = rows[a] & abv
-        for b in iter_bits(na):
-            for d in iter_bits(na & _above(n, b) & ~rows[b]):
-                total += (rows[b] & rows[d] & abv & ~rows[a]).bit_count()
-    return total
+    return sum(1 for _ in iter_quadrilaterals(g))
 
 
-def count_quadrilaterals(g: Graph, assume_family: bool = False) -> int:
-    """Induced C4 count.
-
-    With ``assume_family`` the graph must verify as srg(n,k,1,2); every
-    non-adjacent ordered pair then lies on one quadrilateral, counted four
-    times in total.  The generic path scans 4-subsets and is guarded to 64
-    vertices.
-    """
-    if assume_family:
-        n, _ = require_family(g)
-        ordered_nonadjacent = sum(n - 1 - g.degree(v) for v in range(n))
-        if ordered_nonadjacent % 4:
-            raise CountingInconsistencyError(
-                f"non-adjacent pair count {ordered_nonadjacent} not divisible by 4"
-            )
-        return ordered_nonadjacent // 4
-    if g.order > 64:
-        raise SizeLimitError("generic quadrilateral scan guarded to 64 vertices")
-    count = 0
-    for quad in combinations(range(g.order), 4):
-        code = g.subgraph_code(quad)
-        if code.bit_count() != 4:
-            continue
-        degs = [0, 0, 0, 0]
-        pos = 0
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if code >> pos & 1:
-                    degs[i] += 1
-                    degs[j] += 1
-                pos += 1
-        if degs == [2, 2, 2, 2]:
-            count += 1
-    return count
+# the induced C4 count of any graph, by the same canonical iterator
+count_quadrilaterals = count_quadrilaterals_by_edges
 
 
 def _pentagon_scan(rows, n: int, v0_list) -> int:
@@ -264,15 +254,11 @@ def _pentagon_scan(rows, n: int, v0_list) -> int:
     return count
 
 
-def _pentagon_count_worker(args):
-    rows, n, v0_list = args
-    return _pentagon_scan(rows, n, v0_list)
-
-
-def _iter_pentagons_of(rows, n: int, v0_list):
-    """Yield the induced pentagons whose minimum vertex is in v0_list, in
-    the cycle order of ``_pentagon_scan``."""
-    for v0 in v0_list:
+def iter_pentagons(g: Graph):
+    """Yield each induced C5 once, in the cycle order of ``_pentagon_scan``
+    starting at its minimum."""
+    rows, n = g.rows, g.order
+    for v0 in range(n):
         abv = _above(n, v0)
         nv0 = rows[v0]
         outer = nv0 & abv
@@ -286,27 +272,23 @@ def _iter_pentagons_of(rows, n: int, v0_list):
                         yield (v0, v1, v2, v3, v4)
 
 
-def count_pentagons(g: Graph, workers: int = 1, progress=None) -> int:
-    """Number of induced C5, each counted once via the canonical DFS."""
+def _count_from_starts(scan, g: Graph, workers: int, progress) -> int:
+    """Sum of ``scan(rows, n, starts)`` over all start vertices: sharded
+    over a pool, or one start at a time with a progress call after each."""
     n = g.order
-    if workers > 1 and n >= 32:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _pentagon_count_worker,
-                [(g.rows, n, ch) for ch in _chunks(list(range(n)), workers)],
-            )
-            return sum(parts)
+    if workers > 1 and n >= _POOL_MIN_ORDER:
+        return sum(_sharded(workers, n, scan, (g.rows, n), range(n)))
     total = 0
     for v0 in range(n):
-        total += _pentagon_scan(g.rows, n, (v0,))
+        total += scan(g.rows, n, (v0,))
         if progress:
             progress(v0 + 1, n)
     return total
 
 
-def iter_pentagons(g: Graph):
-    """Yield each induced C5 once, in cycle order starting at its minimum."""
-    return _iter_pentagons_of(g.rows, g.order, range(g.order))
+def count_pentagons(g: Graph, workers: int = 1, progress=None) -> int:
+    """Number of induced C5, each counted once via the canonical DFS."""
+    return _count_from_starts(_pentagon_scan, g, workers, progress)
 
 
 def pentagons_through_edge(g: Graph, edge) -> int:
@@ -374,27 +356,9 @@ def _hexagon_scan(rows, n: int, v0_list) -> int:
     return count
 
 
-def _hexagon_count_worker(args):
-    rows, n, v0_list = args
-    return _hexagon_scan(rows, n, v0_list)
-
-
 def count_hexagons(g: Graph, workers: int = 1, progress=None) -> int:
     """Number of induced C6, each counted once via the canonical DFS."""
-    n = g.order
-    if workers > 1 and n >= 32:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _hexagon_count_worker,
-                [(g.rows, n, ch) for ch in _chunks(list(range(n)), workers)],
-            )
-            return sum(parts)
-    total = 0
-    for v0 in range(n):
-        total += _hexagon_scan(g.rows, n, (v0,))
-        if progress:
-            progress(v0 + 1, n)
-    return total
+    return _count_from_starts(_hexagon_scan, g, workers, progress)
 
 
 def cycle_census(g: Graph, workers: int = 1, progress=None) -> CycleCensus:
@@ -510,33 +474,17 @@ def _walk_scan(rows, n: int, starts) -> tuple[int, int, int]:
     return pent, house, paw
 
 
-def _walk_worker(args):
-    rows, n, starts = args
-    return _walk_scan(rows, n, starts)
-
-
-def coded_walk_census(g: Graph, workers: int = 1) -> WalkCensus:
+def coded_walk_census(g: Union[Graph, VerifiedFamily], workers: int = 1) -> WalkCensus:
     """Enumerate and classify every closed 5-walk coded 0 1 2 2 1 0.
 
     Walks split into pentagons (10 walks each), quadrilateral-plus-triangle
     configurations T1 (6 walks each) and triangle-plus-pendant configurations
     T2 (2 walks each); any other shape raises CountingInconsistencyError.
     """
-    require_family(g)
-    n = g.order
-    if workers > 1 and n >= 32:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _walk_worker,
-                    [(g.rows, n, ch) for ch in _chunks(list(range(n)), workers)],
-                )
-            )
-        pent = sum(p[0] for p in parts)
-        house = sum(p[1] for p in parts)
-        paw = sum(p[2] for p in parts)
-    else:
-        pent, house, paw = _walk_scan(g.rows, n, range(n))
+    fam = require_family(g)
+    rows, n = fam.graph.rows, fam.n
+    parts = _sharded(workers, n, _walk_scan, (rows, n), range(n))
+    pent, house, paw = (sum(p[i] for p in parts) for i in range(3))
     for value, mult, label in ((pent, 10, "pentagon"), (house, 6, "T1"), (paw, 2, "T2")):
         if value % mult:
             raise CountingInconsistencyError(
@@ -559,50 +507,34 @@ class EdgeTripleCensus(NamedTuple):
 def edge_triple_census(g: Graph) -> EdgeTripleCensus:
     """Partition all C(|E|,3) edge triples by the size of their vertex span.
 
-    Small graphs get the literal scan over triples; above the scan limit the
-    same partition is built by enumerating the incidence structures (triangle
-    triples, stars, paths for span <= 4; cherries plus a disjoint edge for
-    span 5), which is exact on any graph.
+    The spans <= 4 and 5 are counted by enumerating the incidence structures
+    (triangle triples, stars, paths for span <= 4; cherries plus a disjoint
+    edge for span 5), which is exact on any graph; span 6 is the rest.
     """
     m = g.num_edges
     total = comb(m, 3)
-    if total <= _BRUTE_TRIPLE_LIMIT:
-        e4, e5, e6 = _edge_triples_brute(g)
-    else:
-        e4 = _count_span4_triples(g)
-        e5 = _count_span5_triples(g)
-        e6 = total - e4 - e5
-    if e4 + e5 + e6 != total:
+    e4 = _count_span4_triples(g)
+    e5 = _count_span5_triples(g)
+    e6 = total - e4 - e5
+    if e6 < 0:
         raise CountingInconsistencyError(
-            f"edge triple partition {e4}+{e5}+{e6} != C({m},3) = {total}"
+            f"edge triples of span <= 5, {e4}+{e5}, exceed C({m},3) = {total}"
         )
     return EdgeTripleCensus(e4, e5, e6)
 
 
-def _edge_triples_brute(g: Graph) -> tuple[int, int, int]:
-    masks = [(1 << u) | (1 << v) for u, v in g.edges()]
-    e4 = e5 = e6 = 0
-    for a, b, c in combinations(masks, 3):
-        span = (a | b | c).bit_count()
-        if span <= 4:
-            e4 += 1
-        elif span == 5:
-            e5 += 1
-        else:
-            e6 += 1
-    return e4, e5, e6
-
-
 def _count_span4_triples(g: Graph) -> int:
+    """Triangles, stars and 3-edge paths; each triangle holds 3 of the
+    common neighbours summed over the edges."""
     rows = g.rows
-    n = g.order
     degs = [r.bit_count() for r in rows]
-    triangles = count_triangles(g)
     stars = sum(comb(d, 3) for d in degs)
-    paths = 0
+    common = paths = 0
     for u, v in g.edges():
-        paths += (degs[u] - 1) * (degs[v] - 1) - (rows[u] & rows[v]).bit_count()
-    return triangles + stars + paths
+        c = (rows[u] & rows[v]).bit_count()
+        common += c
+        paths += (degs[u] - 1) * (degs[v] - 1) - c
+    return common // 3 + stars + paths
 
 
 def _count_span5_triples(g: Graph) -> int:
@@ -770,7 +702,7 @@ def _quad_pairs_at_edge(rows, u: int, v: int, quads) -> list[int]:
     return counts
 
 
-def quad_pair_census(g: Graph) -> QuadPairCensus:
+def quad_pair_census(g: Union[Graph, VerifiedFamily]) -> QuadPairCensus:
     """Classify, for every edge, all pairs of quadrilaterals through it.
 
     In a family graph each edge lies on exactly k-2 quadrilaterals.  Two of
@@ -779,7 +711,8 @@ def quad_pair_census(g: Graph) -> QuadPairCensus:
     prism; a w1x2 or x1w2 edge raises.  Prisms collect 3 incidences each and
     are divided out.
     """
-    n, k = require_family(g)
+    fam = require_family(g)
+    g, k = fam.graph, fam.k
     rows = g.rows
     n9 = n4 = prism_inc = 0
     pair_total = 0
@@ -888,12 +821,9 @@ def _apex_pattern_check(rows, u, v, rt, ws, ys, not_uv) -> None:
                     )
 
 
-def _pentagon_edge_worker(args):
-    rows, edges = args
-    return _pentagon_edge_scan(rows, edges)
-
-
-def pentagon_triangle_census(g: Graph, workers: int = 1) -> PentagonTriangleCensus:
+def pentagon_triangle_census(
+    g: Union[Graph, VerifiedFamily], workers: int = 1
+) -> PentagonTriangleCensus:
     """For every pentagon side, classify pentagon + apex into n4 or n8.
 
     One pass over the edges counts the pentagons through each edge and the
@@ -903,27 +833,15 @@ def pentagon_triangle_census(g: Graph, workers: int = 1) -> PentagonTriangleCens
     the canonical DFS, an independent route: the per-edge counts must sum
     to 5*p5, and the remaining 5*p5 - n4 sides are type n8.
     """
-    n, _ = require_family(g)
-    rows = g.rows
-    edges = list(g.edges())
-    if workers > 1 and n >= 32:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            p5_parts = pool.map(
-                _pentagon_count_worker,
-                [(rows, n, ch) for ch in _chunks(list(range(n)), workers)],
-            )
-            edge_parts = list(
-                pool.map(_pentagon_edge_worker,
-                         [(rows, ch) for ch in _chunks(edges, workers)])
-            )
-            p5 = sum(p5_parts)
-        n4 = sum(part[0] for part in edge_parts)
-        per_edge = [0] * len(edges)
-        for i, part in enumerate(edge_parts):
-            per_edge[i::workers] = part[1]
-    else:
-        p5 = _pentagon_scan(rows, n, range(n))
-        n4, per_edge = _pentagon_edge_scan(rows, edges)
+    fam = require_family(g)
+    rows, n = fam.graph.rows, fam.n
+    edges = list(fam.graph.edges())
+    p5 = sum(_sharded(workers, n, _pentagon_scan, (rows, n), range(n)))
+    edge_parts = _sharded(workers, n, _pentagon_edge_scan, (rows,), edges)
+    n4 = sum(part[0] for part in edge_parts)
+    per_edge = [0] * len(edges)
+    for i, part in enumerate(edge_parts):  # shard i: edges i, i + s, i + 2s, ...
+        per_edge[i::len(edge_parts)] = part[1]
     if sum(per_edge) != 5 * p5:
         raise CountingInconsistencyError(
             f"pentagons through edges: {sum(per_edge)} != 5 * {p5}"
@@ -949,9 +867,26 @@ class QuadPlusEdgeCensus(NamedTuple):
     n13: int
     n6_7_10_11: int
     p4: int  # quadrilaterals enumerated
+    n2: int  # type n2 completions, each one checked: 4 per quadrilateral
+
+
+def _is_n2(rows, a: int, b: int, c: int, d: int, e: int, f: int) -> bool:
+    """Whether quadrilateral a-b-c-d-a with apex e on side ab and apex f on
+    side bc induces type n2: exactly when none of the five pairs left free,
+    ec, ed, ef, fa and fd, is an edge."""
+    return not (
+        rows[e] & ((1 << c) | (1 << d) | (1 << f)) or rows[f] & ((1 << a) | (1 << d))
+    )
 
 
 def _qpe_scan(rows, n: int, m: int, degs, v0_list):
+    """(total, prism, n4, n9 incidences, n13, quadrilaterals) over the
+    quadrilaterals whose minimum vertex is in v0_list.
+
+    Each quadrilateral's four side apexes are found once.  They also give
+    its four n2 completions, one per pair of adjacent sides, each of which
+    must be type n2 (``_is_n2``); any other completion raises.
+    """
     prism_inc = n4_inc = n9_inc = n13 = total = quads = 0
     for quad in _quad_list(rows, n, v0_list):
         a, b, c, d = quad
@@ -969,6 +904,19 @@ def _qpe_scan(rows, n: int, m: int, degs, v0_list):
                     f"side ({x},{y}) has {am.bit_count()} triangle apexes"
                 )
             apexes.append(am.bit_length() - 1)
+        # n2: the quadrilateral with the apexes of two adjacent sides.  An
+        # apex is joined to both ends of its side, so it is no corner of the
+        # induced C4; six distinct vertices need only e != f.
+        for i in range(4):
+            e, f = apexes[i], apexes[i - 3]
+            if e == f:
+                raise CountingInconsistencyError(
+                    f"adjacent-side apexes of {quad} collide"
+                )
+            if not _is_n2(rows, quad[i], quad[i - 3], quad[i - 2], quad[i - 1], e, f):
+                raise CountingInconsistencyError(
+                    f"completion of {quad} on adjacent sides is not type n2"
+                )
         t_ab, t_bc, t_cd, t_da = apexes
         prism_inc += rows[t_ab] >> t_cd & 1
         prism_inc += rows[t_bc] >> t_da & 1
@@ -1005,40 +953,23 @@ def _qpe_scan(rows, n: int, m: int, degs, v0_list):
     return total, prism_inc, n4_inc, n9_inc, n13, quads
 
 
-def _qpe_worker(args):
-    rows, n, m, degs, v0_list = args
-    return _qpe_scan(rows, n, m, degs, v0_list)
-
-
-def quad_plus_edge_census(g: Graph, workers: int = 1) -> QuadPlusEdgeCensus:
+def quad_plus_edge_census(
+    g: Union[Graph, VerifiedFamily], workers: int = 1
+) -> QuadPlusEdgeCensus:
     """Classify every (quadrilateral, vertex-disjoint edge) incidence.
 
     A family graph only realises the prism, n4, n9, n13 and the four
     aggregate classes; the named ones are recognised from the edge's
     adjacency pattern against the quadrilateral (corner apexes and
-    single-corner vertices), the aggregate is the remainder.
+    single-corner vertices), the aggregate is the remainder.  The same pass
+    checks the four n2 completions of every quadrilateral.
     """
-    n, k = require_family(g)
-    m = g.num_edges
-    degs = [g.degree(v) for v in range(n)]
-    if workers > 1 and n >= 32:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _qpe_worker,
-                    [
-                        (g.rows, n, m, degs, ch)
-                        for ch in _chunks(list(range(n)), workers)
-                    ],
-                )
-            )
-        total, prism_inc, n4_inc, n9_inc, n13, quads = (
-            tuple(sum(p[i] for p in parts) for i in range(6))
-        )
-    else:
-        total, prism_inc, n4_inc, n9_inc, n13, quads = _qpe_scan(
-            g.rows, n, m, degs, range(n)
-        )
+    fam = require_family(g)
+    rows, n, m, k = fam.graph.rows, fam.n, fam.m, fam.k
+    parts = _sharded(workers, n, _qpe_scan, (rows, n, m, fam.degs), range(n))
+    total, prism_inc, n4_inc, n9_inc, n13, quads = (
+        sum(p[i] for p in parts) for i in range(6)
+    )
     expected_total = quads * (m - 4 * (k - 2) - 4)
     if total != expected_total:
         raise CountingInconsistencyError(
@@ -1049,60 +980,18 @@ def quad_plus_edge_census(g: Graph, workers: int = 1) -> QuadPlusEdgeCensus:
     if aggregate < 0:
         raise CountingInconsistencyError("negative aggregate incidence count")
     return QuadPlusEdgeCensus(
-        total, prism_inc, n4_inc, n9_inc, n13, aggregate, quads
+        total, prism_inc, n4_inc, n9_inc, n13, aggregate, quads, 4 * quads
     )
 
 
-# -- direct n2 count ----------------------------------------------------------
-
-
-def _is_n2(rows, a: int, b: int, c: int, d: int, e: int, f: int) -> bool:
-    """Whether quadrilateral a-b-c-d-a with apex e on side ab and apex f on
-    side bc induces type n2: exactly when none of the five pairs left free,
-    ec, ed, ef, fa and fd, is an edge."""
-    return not (
-        rows[e] & ((1 << c) | (1 << d) | (1 << f)) or rows[f] & ((1 << a) | (1 << d))
-    )
-
-
-def count_n2(g: Graph) -> int:
+def count_n2(g: Union[Graph, VerifiedFamily]) -> int:
     """Type n2 count: quadrilateral plus triangle apexes on two adjacent sides.
 
     Every (quadrilateral, adjacent side pair) completion produces a distinct
-    n2 subgraph in a family graph; the result must equal 4*p4.  A completion
-    is n2 exactly when its five free vertex pairs are non-edges (``_is_n2``);
-    any other completion raises.
+    n2 subgraph in a family graph, so the count is 4*p4.  The quad-plus-edge
+    pass checks each completion (``_qpe_scan``); any other raises.
     """
-    n, _ = require_family(g)
-    rows = g.rows
-    count = 0
-    quads = 0
-    for cycle in iter_quadrilaterals(g):
-        quads += 1
-        apexes = []
-        for i in range(4):
-            x, y = cycle[i], cycle[i - 3]
-            am = rows[x] & rows[y]
-            if am.bit_count() != 1:
-                raise FamilyViolationError(
-                    f"side ({x},{y}) has {am.bit_count()} triangle apexes"
-                )
-            apexes.append(am.bit_length() - 1)
-        for i in range(4):
-            e, f = apexes[i], apexes[i - 3]
-            if len({*cycle, e, f}) != 6:
-                raise CountingInconsistencyError(
-                    f"adjacent-side apexes of {cycle} collide"
-                )
-            a, b, c, d = cycle[i:] + cycle[:i]
-            if not _is_n2(rows, a, b, c, d, e, f):
-                raise CountingInconsistencyError(
-                    f"completion of {cycle} on adjacent sides is not type n2"
-                )
-            count += 1
-    if count != 4 * quads:
-        raise CountingInconsistencyError(f"n2 count {count} != 4 * p4 = {4 * quads}")
-    return count
+    return quad_plus_edge_census(g).n2
 
 
 # -- triangle plus pendant completion ------------------------------------------
@@ -1126,7 +1015,9 @@ def _completion_type(rows, x: int, y: int, z: int, q: int, r: int) -> Optional[s
     return "n1" if rows[q] >> r & 1 else "n4"
 
 
-def triangle_edge_completion_census(g: Graph) -> TriangleCompletionCensus:
+def triangle_edge_completion_census(
+    g: Union[Graph, VerifiedFamily]
+) -> TriangleCompletionCensus:
     """Complete every (triangle, pendant vertex) pair to 6 vertices.
 
     A pendant p hanging off corner x of triangle {x,y,z} determines two more
@@ -1136,7 +1027,7 @@ def triangle_edge_completion_census(g: Graph) -> TriangleCompletionCensus:
     further edges into the triangle; any such edge raises.  The identity
     6*n1 + n4 = 3(k-2)*p3 follows.
     """
-    require_family(g)
+    g = require_family(g).graph
     rows = g.rows
     prism_inc = n4_inc = 0
     for tri in iter_triangles(g):
@@ -1184,6 +1075,28 @@ def triangle_edge_completion_census(g: Graph) -> TriangleCompletionCensus:
 
 # -- assembled type census ------------------------------------------------------
 
+# the censuses a TypeCensus is assembled from, by the ledger's stage names
+TYPE_CENSUS_PARTS = (
+    "triangle_pair_census", "quad_pair_census", "pentagon_side_census",
+    "quad_plus_edge_census", "edge_triple_census", "hexagon_census",
+)
+
+# Named counts reached by two routes: entry name -> (the two parts it reads,
+# its (expected, actual) sides from them).  type_census raises when the sides
+# differ; the ledger reports each as an entry.
+ROUTE_AGREEMENTS = {
+    "prism_route_agreement": (("triangle_pair_census", "quad_pair_census"),
+                              lambda tp, qp: (tp.n1, qp.n1)),
+    "n4_route_agreement": (("pentagon_side_census", "quad_pair_census"),
+                           lambda pt, qp: (qp.n4, pt.n4)),
+    "qpe_prism_incidences": (("quad_plus_edge_census", "triangle_pair_census"),
+                             lambda qpe, tp: (3 * tp.n1, qpe.prism_incidences)),
+    "qpe_n4_incidences": (("quad_plus_edge_census", "quad_pair_census"),
+                          lambda qpe, qp: (2 * qp.n4, qpe.n4_incidences)),
+    "qpe_n9_incidences": (("quad_plus_edge_census", "quad_pair_census"),
+                          lambda qpe, qp: (2 * qp.n9, qpe.n9_incidences)),
+}
+
 
 @dataclass(frozen=True, slots=True)
 class TypeCensus:
@@ -1204,6 +1117,17 @@ class TypeCensus:
     e5: int
     e6: int
 
+    @classmethod
+    def assemble(cls, parts) -> "TypeCensus":
+        """The census from its parts, keyed as ``TYPE_CENSUS_PARTS``."""
+        tp, qp, pt, qpe, triples, n12 = (parts[name] for name in TYPE_CENSUS_PARTS)
+        return cls(
+            n1=tp.n1, n2=qpe.n2, n3=tp.n3, n4=qp.n4, n5=tp.n5, n8=pt.n8,
+            n9=qp.n9, n12=n12, n13=qpe.n13, n14=tp.n14,
+            n6_7_10_11=qpe.n6_7_10_11,
+            e4=triples.e4, e5=triples.e5, e6=triples.e6,
+        )
+
     def master_identity_rhs(self) -> int:
         """Right-hand side of the master identity for c6 + C(|E|,3)."""
         named = sum(
@@ -1212,54 +1136,34 @@ class TypeCensus:
         return named + MASTER_COEFF_AGGREGATE * self.n6_7_10_11 + self.e4 + self.e5
 
 
-def type_census(g: Graph, workers: int = 1) -> TypeCensus:
+def type_census_parts(g: Union[Graph, VerifiedFamily], workers: int = 1) -> dict:
+    """The censuses of a family graph that ``TypeCensus.assemble`` reads,
+    keyed as ``TYPE_CENSUS_PARTS``; raises if a route agreement fails."""
+    fam = require_family(g)
+    g = fam.graph
+    parts = dict(zip(TYPE_CENSUS_PARTS, (
+        disjoint_triangle_pair_census(g),
+        quad_pair_census(fam),
+        pentagon_triangle_census(fam, workers=workers),
+        quad_plus_edge_census(fam, workers=workers),
+        edge_triple_census(g),
+        count_hexagons(g, workers=workers),
+    )))
+    for name, (needs, sides) in ROUTE_AGREEMENTS.items():
+        expected, actual = sides(*(parts[need] for need in needs))
+        if expected != actual:
+            raise CountingInconsistencyError(
+                f"{name}: expected {expected}, counted {actual}"
+            )
+    return parts
+
+
+def type_census(g: Union[Graph, VerifiedFamily], workers: int = 1) -> TypeCensus:
     """Assemble the full named-type census of a family graph.
 
     Every count comes from its targeted enumeration; overlapping routes
-    (prism via triangle pairs, quadrilateral pairs and the incidence scan)
-    are cross-checked and any disagreement raises.
+    (``ROUTE_AGREEMENTS``: the prism via triangle pairs, quadrilateral pairs
+    and the incidence scan, and so on) are cross-checked and any
+    disagreement raises.
     """
-    require_family(g)
-    tp = disjoint_triangle_pair_census(g)
-    qp = quad_pair_census(g)
-    pt = pentagon_triangle_census(g, workers=workers)
-    qpe = quad_plus_edge_census(g, workers=workers)
-    triples = edge_triple_census(g)
-    n2 = count_n2(g)
-    n12 = count_hexagons(g, workers=workers)
-    if qp.n1 != tp.n1:
-        raise CountingInconsistencyError(
-            f"prism count disagreement: quad pairs {qp.n1}, triangle pairs {tp.n1}"
-        )
-    if pt.n4 != qp.n4:
-        raise CountingInconsistencyError(
-            f"n4 disagreement: pentagon sides {pt.n4}, quad pairs {qp.n4}"
-        )
-    if qpe.prism_incidences != 3 * tp.n1:
-        raise CountingInconsistencyError(
-            f"prism incidences {qpe.prism_incidences} != 3 * {tp.n1}"
-        )
-    if qpe.n4_incidences != 2 * qp.n4:
-        raise CountingInconsistencyError(
-            f"n4 incidences {qpe.n4_incidences} != 2 * {qp.n4}"
-        )
-    if qpe.n9_incidences != 2 * qp.n9:
-        raise CountingInconsistencyError(
-            f"n9 incidences {qpe.n9_incidences} != 2 * {qp.n9}"
-        )
-    return TypeCensus(
-        n1=tp.n1,
-        n2=n2,
-        n3=tp.n3,
-        n4=qp.n4,
-        n5=tp.n5,
-        n8=pt.n8,
-        n9=qp.n9,
-        n12=n12,
-        n13=qpe.n13,
-        n14=tp.n14,
-        n6_7_10_11=qpe.n6_7_10_11,
-        e4=triples.e4,
-        e5=triples.e5,
-        e6=triples.e6,
-    )
+    return TypeCensus.assemble(type_census_parts(g, workers=workers))

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import census as cn
 from . import graph6
@@ -25,7 +26,7 @@ from .errors import (
     InfeasibleParametersError,
     SizeLimitError,
 )
-from .graph import Graph, SrgParams, check_condition_one, check_condition_two, verify_srg
+from .graph import Graph, SrgParams, verify_srg
 from .identities import IdentityReport, jsonable, run_all_checks
 from .spectral import (
     adjacency_traces,
@@ -54,19 +55,17 @@ class _Progress:
         self.last = time.monotonic()
 
     def stage(self, name: str) -> None:
-        if not self.enabled:
-            return
-        now = time.monotonic()
-        if now - self.last >= 1.0:
-            print(f"{self.label}: finished {name}", file=sys.stderr)
-            self.last = now
+        self._say(f"finished {name}")
 
     def tick(self, done: int, total: int) -> None:
+        self._say(f"{done}/{total}")
+
+    def _say(self, text: str) -> None:
         if not self.enabled:
             return
         now = time.monotonic()
         if now - self.last >= 1.0:
-            print(f"{self.label}: {done}/{total}", file=sys.stderr)
+            print(f"{self.label}: {text}", file=sys.stderr)
             self.last = now
 
 
@@ -135,15 +134,12 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
+    # one scan against (n, deg, 1, 2) gives conditions I and II as well
+    conditions, _ = cn.family_check(g)
+    report = conditions
     if args.params:
-        n, k, lam, mu = args.params
-        expected = SrgParams(n, k, lam, mu)
-    else:
-        k = g.degree(0) if g.order else 0
-        expected = SrgParams(max(g.order, 1), k, 1, 2)
-    report = verify_srg(g, expected)
-    cond1 = check_condition_one(g)
-    cond2 = check_condition_two(g)
+        report = verify_srg(g, SrgParams(*args.params))
+    expected = report.expected
     rows = [
         ("regular", report.regular,
          f"degree {report.degree}" if report.regular else str(report.degree_witness)),
@@ -155,10 +151,10 @@ def _cmd_verify(args) -> int:
         ("params match", report.params_match,
          f"expected ({expected.n},{expected.k},{expected.lam},{expected.mu})"),
         ("order relation k(k-2)=2(n-k-1)", report.order_relation_ok, ""),
-        ("condition I (edge triangles)", cond1.ok,
-         "" if cond1.ok else str(cond1.violation)),
-        ("condition II (non-edge quadrilaterals)", cond2.ok,
-         "" if cond2.ok else str(cond2.violation)),
+        ("condition I (edge triangles)", conditions.lambda_ok,
+         "" if conditions.lambda_ok else str(conditions.lambda_witness)),
+        ("condition II (non-edge quadrilaterals)", conditions.mu_ok,
+         "" if conditions.mu_ok else str(conditions.mu_witness)),
     ]
     width = max(len(r[0]) for r in rows)
     for name, ok, detail in rows:
@@ -167,7 +163,7 @@ def _cmd_verify(args) -> int:
         if detail:
             line += f"  {detail}"
         print(line)
-    ok = report.passed and cond1.ok and cond2.ok
+    ok = report.passed and conditions.lambda_ok and conditions.mu_ok
     print("verified" if ok else "verification failed")
     return 0 if ok else CHECK_FAILURE
 
@@ -184,43 +180,42 @@ def _cmd_census(args) -> int:
     payload = {"graph_meta": {"n": g.order, "edges": g.num_edges,
                               "source": _fingerprint(g)}}
     what = args.what
+    try:
+        fam, not_family = cn.require_family(g), None
+    except FamilyViolationError as exc:
+        fam, not_family = None, exc
+    parts = None
+    if what in ("types", "all"):
+        if fam is None:
+            if what == "types":
+                raise not_family
+            payload["types"] = None
+            payload["types_error"] = str(not_family)
+        else:
+            parts = cn.type_census_parts(fam, workers=workers)
+            payload["types"] = asdict(cn.TypeCensus.assemble(parts))
     if what in ("cycles", "all"):
-        cc = cn.cycle_census(g, workers=workers, progress=progress.tick)
-        payload["cycles"] = {"p3": cc.p3, "p4": cc.p4, "p5": cc.p5, "p6": cc.p6}
+        if parts is None:
+            cc = cn.cycle_census(g, workers=workers, progress=progress.tick)
+        else:  # the type census has counted the pentagons and hexagons
+            cc = cn.CycleCensus(
+                cn.count_triangles(g), parts["quad_plus_edge_census"].p4,
+                parts["pentagon_side_census"].p5, parts["hexagon_census"],
+            )
+        payload["cycles"] = asdict(cc)
     if what in ("triples", "all"):
         et = cn.edge_triple_census(g)
         payload["edge_triples"] = {"e4": et.e4, "e5": et.e5, "e6": et.e6}
-    if what in ("types", "all"):
-        try:
-            tc = cn.type_census(g, workers=workers)
-        except FamilyViolationError as exc:
-            if what == "types":
-                raise
-            payload["types"] = None
-            payload["types_error"] = str(exc)
-        else:
-            payload["types"] = {
-                name: getattr(tc, name)
-                for name in (
-                    "n1", "n2", "n3", "n4", "n5", "n8", "n9", "n12", "n13",
-                    "n14", "n6_7_10_11", "e4", "e5", "e6",
-                )
-            }
     if args.exhaustive:
         classes = cn.exhaustive_six_census(g, limit=args.exhaustive_limit)
         payload["exhaustive_six_census"] = [
-            {
-                "certificate": cls.certificate,
-                "edges": cls.edge_count,
-                "count": stats.count,
-                "det": stats.det,
-                "cover_count": stats.cover_count,
-            }
+            {"certificate": cls.certificate, "edges": cls.edge_count,
+             **stats._asdict()}
             for cls, stats in sorted(
                 classes.items(), key=lambda kv: (-kv[1].count, kv[0].certificate)
             )
         ]
-    payload["residuals"] = _census_residuals(g, payload)
+    payload["residuals"] = _census_residuals(fam, payload)
     _emit_json(payload, args.json)
     bad = [k for k, v in payload["residuals"].items() if v != 0]
     if bad:
@@ -229,15 +224,15 @@ def _cmd_census(args) -> int:
     return 0
 
 
-def _census_residuals(g: Graph, payload) -> dict:
-    """Census counts minus their family closed forms (family graphs only)."""
+def _census_residuals(fam, payload) -> dict:
+    """Census counts minus their family closed forms (family graphs only:
+    ``fam`` is the verified family, or None)."""
     from . import identities as idn
 
     residuals = {}
-    try:
-        n, k = cn.require_family(g)
-    except FamilyViolationError:
+    if fam is None:
         return residuals
+    n, k = fam.n, fam.k
     cycles = payload.get("cycles")
     if cycles:
         residuals["p3"] = cycles["p3"] - idn.expected_p3(n, k)
@@ -276,10 +271,6 @@ def _cmd_spectral(args) -> int:
     spec = None
     if method == "closed":
         payload["c6"] = c6_closed_form(params.n, params.k)
-        try:
-            spec = srg_spectrum(params)
-        except InfeasibleParametersError:
-            spec = None
     elif method == "sum":
         spec = srg_spectrum(params)
         payload["c6"] = c6_binomial_sum(spec)
@@ -293,11 +284,11 @@ def _cmd_spectral(args) -> int:
             )
         payload["c6"] = charpoly_prefix(g, 6).c6
         payload["intermediate"]["traces"] = list(adjacency_traces(g, 6))
-        if params is not None:
-            try:
-                spec = srg_spectrum(params)
-            except InfeasibleParametersError:
-                spec = None
+    if spec is None and params is not None:  # the spectrum, when it exists
+        try:
+            spec = srg_spectrum(params)
+        except InfeasibleParametersError:
+            pass
     if spec is not None:
         payload["intermediate"].update(
             lambda1=spec.lambda1, lambda2=spec.lambda2, r1=spec.r1, r2=spec.r2
@@ -346,18 +337,7 @@ def _cmd_params(args) -> int:
             f"{fp.r1:>8} {fp.r2:>8}  {fp.known_graph or '-'}"
         )
     if args.json:
-        _emit_json(
-            [
-                {
-                    "k": fp.k, "n": fp.n,
-                    "lambda1": fp.lambda1, "lambda2": fp.lambda2,
-                    "r1": fp.r1, "r2": fp.r2,
-                    "known_graph": fp.known_graph,
-                }
-                for fp in rows
-            ],
-            args.json,
-        )
+        _emit_json([asdict(fp) for fp in rows], args.json)
     return 0
 
 

@@ -14,8 +14,9 @@ from typing import NamedTuple, Optional
 
 from . import census as cn
 from . import spectral as sp
+from .census import family_check
 from .errors import CountingInconsistencyError
-from .graph import Graph, SrgParams, check_condition_one, check_condition_two, verify_srg
+from .graph import Graph, SrgParams
 
 _INT64_MAX = 2**63 - 1
 
@@ -191,17 +192,25 @@ def run_all_checks(
 ) -> IdentityReport:
     """Evaluate the full identity ledger on a graph.
 
-    Non-family graphs get the condition/regularity checks and skipped family
-    entries; family members get every counting identity, the master identity
-    and the spectral cross-checks.  Never raises: every census and spectral
-    stage runs through ``stage``, which records a raise as a fail entry
-    named after the stage, and every entry built from a stage's result
-    skips, naming that stage, when it failed.
+    One ``verify_srg`` scan gives the condition I and II entries, the
+    regularity entries and the family gate.  Its witnesses, the first edge
+    with lambda != 1 and the first non-edge with mu != 2, are the pairs
+    ``check_condition_one`` and ``check_condition_two`` name.  Non-family
+    graphs get the condition/regularity checks and skipped family entries;
+    family members get every counting identity, the master identity and the
+    spectral cross-checks, and their censuses take the verified family and
+    do not verify again.  Never raises: every census and spectral stage runs
+    through ``stage``, which records a raise as a fail entry named after the
+    stage, and every entry built from a stage's result skips, naming that
+    stage, when it failed.
     """
     n = g.order
+    progress = progress or (lambda name: None)
     report = IdentityReport(graph_meta={"n": n, "k": None, "source": source})
     entries = report.entries
     errors: dict[str, str] = {}  # failed stage -> error text
+    done: dict[str, object] = {}  # finished stage -> its result
+    six = "six-vertex types"
 
     def add(name, section, expected, actual, detail=""):
         status = "pass" if expected == actual else "fail"
@@ -222,7 +231,8 @@ def run_all_checks(
     def stage(name, section, fn, *args, **kwargs):
         """fn(*args, **kwargs), or None after a fail entry ``name``."""
         try:
-            return fn(*args, **kwargs)
+            done[name] = fn(*args, **kwargs)
+            return done[name]
         except _STAGE_ERRORS as exc:
             errors[name] = str(exc)
             add_bool(name, section, False, str(exc))
@@ -235,21 +245,25 @@ def run_all_checks(
             skip(name, section, f"needs {', '.join(missing)}, which failed")
         return not missing
 
-    cond1 = check_condition_one(g)
-    add_bool("condition_one_edge_triangles", "conditions", cond1.ok,
-             "" if cond1.ok else f"edge {cond1.violation[:2]} has "
-             f"{cond1.violation[2]} common neighbours")
-    cond2 = check_condition_two(g)
-    add_bool("condition_two_nonedge_quadrilaterals", "conditions", cond2.ok,
-             "" if cond2.ok else f"non-edge {cond2.violation[:2]} has "
-             f"{cond2.violation[2]} common neighbours")
+    def agree(name):
+        """Entry ``name`` of ``cn.ROUTE_AGREEMENTS``, or its skip."""
+        needs, sides = cn.ROUTE_AGREEMENTS[name]
+        if ready(name, six, *needs):
+            add(name, six, *sides(*(done[need] for need in needs)))
+
+    srg, fam = family_check(g)
+    add_bool("condition_one_edge_triangles", "conditions", srg.lambda_ok,
+             "" if srg.lambda_ok else f"edge {srg.lambda_witness[:2]} has "
+             f"{srg.lambda_witness[2]} common neighbours")
+    add_bool("condition_two_nonedge_quadrilaterals", "conditions", srg.mu_ok,
+             "" if srg.mu_ok else f"non-edge {srg.mu_witness[:2]} has "
+             f"{srg.mu_witness[2]} common neighbours")
 
     if n == 0:
         skip("srg_verification", "srg verification", "empty graph")
         return report
 
     k = g.degree(0)
-    srg = verify_srg(g, SrgParams(n, k, 1, 2))
     add_bool("regularity", "srg verification", srg.regular,
              f"degree {k}" if srg.regular else f"vertex degrees differ: {srg.degree_witness}")
     if srg.regular:
@@ -257,7 +271,7 @@ def run_all_checks(
         add("order_relation", "srg verification",
             k * (k - 2), 2 * (n - k - 1))
 
-    family = srg.passed and n >= 3
+    family = fam is not None and n >= 3
     family_sections = [
         "cycle formulas", "per-edge pentagons", "coded walks", "edge triples",
         "six-vertex types", "master identity", "spectral", "hexagon bound",
@@ -276,8 +290,7 @@ def run_all_checks(
                  "triangle-pair scan skipped on large non-family graph")
         return report
 
-    m = n * k // 2
-    six = "six-vertex types"
+    m = fam.m
 
     # cycle counts against their closed forms
     p3c = stage("triangle_census", "cycle formulas", cn.count_triangles, g)
@@ -289,11 +302,10 @@ def run_all_checks(
         add("quadrilateral_count", "cycle formulas", expected_p4(n, k), p4c)
 
     pt = stage("pentagon_side_census", six, cn.pentagon_triangle_census,
-               g, workers=workers)
+               fam, workers=workers)
     if ready("pentagon_count", "cycle formulas", "pentagon_side_census"):
         add("pentagon_count", "cycle formulas", expected_p5(n, k), pt.p5)
-    if progress:
-        progress("pentagons")
+    progress("pentagons")
 
     # the pentagon census counts the pentagons through each edge
     per_edge = expected_pentagons_per_edge(k)
@@ -308,12 +320,11 @@ def run_all_checks(
         add("pentagons_per_edge", "per-edge pentagons", per_edge,
             per_edge if bad is None else bad[1],
             "" if bad is None else f"edge {bad[0]}")
-    if progress:
-        progress("per-edge pentagons")
+    progress("per-edge pentagons")
 
     # coded closed 5-walks
     walks = stage("coded_walk_census", "coded walks", cn.coded_walk_census,
-                  g, workers=workers)
+                  fam, workers=workers)
     if ready("walk_total", "coded walks", "coded_walk_census"):
         add("walk_total", "coded walks", expected_walk_total(n, k), walks.total)
     if ready("walk_t1_from_quadrilaterals", "coded walks", "coded_walk_census"):
@@ -326,8 +337,7 @@ def run_all_checks(
              "coded_walk_census", "pentagon_side_census"):
         add("walk_decomposition", "coded walks", walks.total,
             10 * pt.p5 + 6 * walks.t1 + 2 * walks.t2)
-    if progress:
-        progress("coded walks")
+    progress("coded walks")
 
     # edge triples
     triples = stage("edge_triple_census", "edge triples", cn.edge_triple_census, g)
@@ -338,25 +348,25 @@ def run_all_checks(
     if ready("edge_triples_partition", "edge triples", "edge_triple_census"):
         add_bool("edge_triples_partition", "edge triples",
                  triples.e4 + triples.e5 + triples.e6 == comb(m, 3))
-    if progress:
-        progress("edge triples")
+    progress("edge triples")
 
     # six-vertex types, one targeted census per relation
     tp = stage("triangle_pair_census", six, cn.disjoint_triangle_pair_census, g)
     if ready("triangle_pairs_eq8", six, "triangle_pair_census"):
         add("triangle_pairs_eq8", six,
             expected_triangle_pairs(n, k), tp.n1 + tp.n3 + tp.n5 + tp.n14)
-    if progress:
-        progress("triangle pairs")
-    qp = stage("quad_pair_census", six, cn.quad_pair_census, g)
+    progress("triangle pairs")
+    qp = stage("quad_pair_census", six, cn.quad_pair_census, fam)
     if ready("quad_pairs_eq7", six, "quad_pair_census"):
         add("quad_pairs_eq7", six,
             expected_quad_pairs(n, k), 3 * qp.n1 + qp.n4 + qp.n9)
-    if progress:
-        progress("quad pairs")
-    n2 = stage("n2_census", six, cn.count_n2, g)
-    if ready("n2_eq3", six, "n2_census"):
-        add("n2_eq3", six, expected_n2(n, k), n2)
+    progress("quad pairs")
+    # one pass over the quadrilaterals gives n2 and the quad-plus-edge counts
+    qpe = stage("quad_plus_edge_census", six, cn.quad_plus_edge_census,
+                fam, workers=workers)
+    progress("quad plus edge")
+    if ready("n2_eq3", six, "quad_plus_edge_census"):
+        add("n2_eq3", six, expected_n2(n, k), qpe.n2)
     if ready("pentagon_sides_eq4", six, "pentagon_side_census"):
         add("pentagon_sides_eq4", six,
             expected_pentagon_sides(n, k), pt.n4 + pt.n8)
@@ -367,14 +377,12 @@ def run_all_checks(
     if ready("opposite_sides_eq6", six, *pairs):
         add("opposite_sides_eq6", six,
             expected_opposite_sides(n, k), 3 * tp.n1 + tp.n3)
-    if ready("prism_route_agreement", six, *pairs):
-        add("prism_route_agreement", six, tp.n1, qp.n1)
+    agree("prism_route_agreement")
     if ready("n4_twice_n3", six, *pairs):
         add("n4_twice_n3", six, 2 * tp.n3, qp.n4)
-    if ready("n4_route_agreement", six, "pentagon_side_census", "quad_pair_census"):
-        add("n4_route_agreement", six, qp.n4, pt.n4)
+    agree("n4_route_agreement")
     comp = stage("triangle_completion_census", six,
-                 cn.triangle_edge_completion_census, g)
+                 cn.triangle_edge_completion_census, fam)
     if ready("triangle_completion_eq5", six, "triangle_completion_census"):
         add("triangle_completion_eq5", six,
             expected_triangle_pendant(n, k), 6 * comp.n1 + comp.n4)
@@ -384,25 +392,15 @@ def run_all_checks(
     if ready("completion_n4_agreement", six,
              "triangle_completion_census", "quad_pair_census"):
         add("completion_n4_agreement", six, qp.n4, comp.n4)
-    if progress:
-        progress("triangle completions")
-    qpe = stage("quad_plus_edge_census", six, cn.quad_plus_edge_census,
-                g, workers=workers)
+    progress("triangle completions")
     if ready("quad_plus_edge_eq9", six, "quad_plus_edge_census"):
         add("quad_plus_edge_eq9", six, expected_quad_plus_edge(n, k), qpe.total)
-    if ready("qpe_prism_incidences", six,
-             "quad_plus_edge_census", "triangle_pair_census"):
-        add("qpe_prism_incidences", six, 3 * tp.n1, qpe.prism_incidences)
-    if ready("qpe_n4_incidences", six, "quad_plus_edge_census", "quad_pair_census"):
-        add("qpe_n4_incidences", six, 2 * qp.n4, qpe.n4_incidences)
-    if ready("qpe_n9_incidences", six, "quad_plus_edge_census", "quad_pair_census"):
-        add("qpe_n9_incidences", six, 2 * qp.n9, qpe.n9_incidences)
-    if progress:
-        progress("quad plus edge")
+    agree("qpe_prism_incidences")
+    agree("qpe_n4_incidences")
+    agree("qpe_n9_incidences")
     n12 = stage("hexagon_census", "hexagon bound", cn.count_hexagons,
                 g, workers=workers)
-    if progress:
-        progress("hexagons")
+    progress("hexagons")
 
     # spectral: c6 three ways (c6 only exists from 6 vertices up)
     prefix = stage("charpoly_prefix", "spectral", sp.charpoly_prefix, g, min(6, n))
@@ -422,24 +420,15 @@ def run_all_checks(
             sp.srg_spectrum(SrgParams(n, k, 1, 2))))
         if ready("c6_binomial_vs_trace", "spectral", "c6_binomial_sum", "charpoly_prefix"):
             add("c6_binomial_vs_trace", "spectral", c6_sum, prefix.c6)
-    if progress:
-        progress("spectral")
+    progress("spectral")
 
     # master identity: spectral side against the assembled census side
     if n < 6:
         skip("master_identity", "master identity", "graph has fewer than 6 vertices")
     elif ready("master_identity", "master identity", "charpoly_prefix",
-               "triangle_pair_census", "quad_pair_census", "pentagon_side_census",
-               "quad_plus_edge_census", "n2_census", "edge_triple_census",
-               "hexagon_census"):
-        tc = cn.TypeCensus(
-            n1=tp.n1, n2=n2, n3=tp.n3, n4=qp.n4, n5=tp.n5, n8=pt.n8,
-            n9=qp.n9, n12=n12, n13=qpe.n13, n14=tp.n14,
-            n6_7_10_11=qpe.n6_7_10_11,
-            e4=triples.e4, e5=triples.e5, e6=triples.e6,
-        )
-        add("master_identity", "master identity",
-            prefix.c6 + comb(m, 3), tc.master_identity_rhs())
+               *cn.TYPE_CENSUS_PARTS):
+        add("master_identity", "master identity", prefix.c6 + comb(m, 3),
+            cn.TypeCensus.assemble(done).master_identity_rhs())
 
     # hexagon bound
     bound = stage("hexagon_bound", "hexagon bound", hexagon_bound, n, k)

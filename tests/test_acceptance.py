@@ -107,7 +107,7 @@ def test_criterion_04_cycle_census(paley9, bvls):
     assert (cc9.p3, cc9.p4, cc9.p5, cc9.p6) == (6, 9, 0, 6)
     with _Timer() as t_pent:
         assert count_triangles(bvls) == 891
-        assert count_quadrilaterals(bvls, assume_family=True) == 13_365
+        assert count_quadrilaterals(bvls) == 13_365
         assert count_pentagons(bvls) == 384_912
         rng = random.Random(2024)
         edges = list(bvls.edges())

@@ -16,7 +16,6 @@ from srg12.census import (
     MASTER_COEFF,
     MASTER_COEFF_AGGREGATE,
     NAMED_TYPE_EDGES,
-    _code_from_edges,
     coded_walk_census,
     count_hexagons,
     count_n2,
@@ -65,15 +64,16 @@ class TestCycleCounts:
     def test_quadrilateral_goldens(self, paley9, bvls):
         assert count_quadrilaterals(cycle(4)) == 1
         assert count_quadrilaterals(paley9) == 9
-        assert count_quadrilaterals(paley9, assume_family=True) == 9
-        assert count_quadrilaterals(bvls, assume_family=True) == 13365
+        assert count_quadrilaterals(bvls) == 13365
         assert count_quadrilaterals_by_edges(bvls) == 13365
 
     def test_quadrilateral_guard_and_family_gate(self, bvls):
-        with pytest.raises(SizeLimitError):
-            count_quadrilaterals(bvls)  # generic path guarded to 64 vertices
-        with pytest.raises(FamilyViolationError):
-            count_quadrilaterals(petersen(), assume_family=True)
+        # no size guard and no family gate: the canonical iterator is exact
+        # on any graph, so the 4-subset oracle agrees beyond 64 vertices and
+        # off the family
+        g = random_graph(random.Random(64), 66, 0.1)
+        assert count_quadrilaterals(g) == induced_cycle_count(g, 4) > 0
+        assert count_quadrilaterals(petersen()) == induced_cycle_count(petersen(), 4)
 
     def test_pentagon_goldens(self, paley9, bvls):
         assert count_pentagons(cycle(5)) == 1

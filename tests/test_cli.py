@@ -92,6 +92,16 @@ class TestGoldenReports:
         golden = Path(__file__).parent / "data" / f"check_{name}.json"
         assert out_json.read_bytes() == golden.read_bytes()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("name", ["paley9", "bvls243"])
+    def test_census_json_matches_golden(self, capsys, tmp_path, name, workers):
+        out_json = tmp_path / "census.json"
+        code, _, _ = run(capsys, "census", "--graph", name, "--what", "all",
+                         "--workers", workers, "--json", str(out_json))
+        assert code == 0
+        golden = Path(__file__).parent / "data" / f"census_{name}.json"
+        assert out_json.read_bytes() == golden.read_bytes()
+
 
 class TestCensusCommand:
     def test_cycles_json(self, capsys):
@@ -122,6 +132,32 @@ class TestCensusCommand:
         assert payload["cycles"]["p4"] == 1
         assert payload["types"] is None
         assert "types_error" in payload
+
+    def test_all_verifies_once_and_counts_each_cycle_length_once(
+            self, capsys, monkeypatch):
+        from srg12 import census, cli, graph
+
+        calls = {"verify_srg": 0, "count_hexagons": 0, "_pentagon_scan": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        wrapper = counted(graph, "verify_srg")
+        for module in (graph, census, cli):
+            monkeypatch.setattr(module, "verify_srg", wrapper)
+        for name in ("count_hexagons", "_pentagon_scan"):
+            monkeypatch.setattr(census, name, counted(census, name))
+        code, out, _ = run(capsys, "census", "--graph", "paley9", "--what", "all",
+                           "--workers", "1")
+        assert code == 0
+        assert json.loads(out)["cycles"] == {"p3": 6, "p4": 9, "p5": 0, "p6": 6}
+        assert calls == {"verify_srg": 1, "count_hexagons": 1, "_pentagon_scan": 1}
 
     def test_types_on_non_family_graph_fails(self, tmp_path, capsys):
         from srg12.graph import Graph

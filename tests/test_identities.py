@@ -5,11 +5,11 @@ import re
 
 import pytest
 
-from oracles import double_edge_switched
-from srg12 import census, identities, spectral
+from oracles import double_edge_switched, one_apex_per_edge_graph, random_graph
+from srg12 import census, cli, graph, identities, spectral
 from srg12.census import NAMED_TYPE_EDGES
 from srg12.errors import CountingInconsistencyError
-from srg12.graph import Graph
+from srg12.graph import Graph, SrgParams, check_condition_one, check_condition_two
 from srg12.identities import (
     ChainFailure,
     expected_e4,
@@ -201,7 +201,6 @@ STAGE_FAIL_ENTRY = {
     "cn.edge_triple_census": "edge_triple_census",
     "cn.disjoint_triangle_pair_census": "triangle_pair_census",
     "cn.quad_pair_census": "quad_pair_census",
-    "cn.count_n2": "n2_census",
     "cn.triangle_edge_completion_census": "triangle_completion_census",
     "cn.quad_plus_edge_census": "quad_plus_edge_census",
     "cn.count_hexagons": "hexagon_census",
@@ -276,6 +275,117 @@ class TestLedgerFaultInjection:
         report = run_all_checks(cycle(4))
         assert report.entry("triangle_pair_census").detail == message
         assert report.entry("makhnev_condition").status == "skip"
+
+
+class TestMergedQuadrilateralPass:
+    def test_kernel_fault_fails_the_stage_and_skips_n2(self, monkeypatch, paley9):
+        message = "injected fault in the quadrilateral pass"
+
+        def fail(*args):
+            raise CountingInconsistencyError(message)
+
+        monkeypatch.setattr(census, "_qpe_scan", fail)
+        report = run_all_checks(paley9, workers=1)
+        entry = report.entry("quad_plus_edge_census")
+        assert (entry.status, entry.detail) == ("fail", message)
+        for name in ("n2_eq3", "quad_plus_edge_eq9", "qpe_n9_incidences",
+                     "master_identity"):
+            entry = report.entry(name)
+            assert (entry.status, entry.detail) == (
+                "skip", "needs quad_plus_edge_census, which failed")
+
+
+class TestRouteAgreements:
+    def test_type_census_and_ledger_read_one_table(self, monkeypatch, paley9):
+        real = census.quad_pair_census
+
+        def more_n9(g):
+            qp = real(g)
+            return qp._replace(n9=qp.n9 + 1)
+
+        monkeypatch.setattr(census, "quad_pair_census", more_n9)
+        with pytest.raises(CountingInconsistencyError,
+                           match="qpe_n9_incidences: expected 2, counted 0"):
+            census.type_census(paley9)
+        entry = run_all_checks(paley9, workers=1).entry("qpe_n9_incidences")
+        assert (entry.status, entry.expected, entry.actual) == ("fail", 2, 0)
+
+    def test_every_agreement_is_a_ledger_entry(self, report):
+        for name in census.ROUTE_AGREEMENTS:
+            assert report.entry(name).status == "pass"
+
+
+def counting(monkeypatch, names):
+    """Replace each of ``names`` in the modules that hold it by a wrapper
+    that counts its calls, as perfbench's tracer does; the counts by name."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        real = getattr(graph, name)
+
+        def wrapper(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (graph, census, identities, cli):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+    return calls
+
+
+class TestVerifyOnce:
+    def test_ledger_makes_one_verification_scan(self, monkeypatch, bvls):
+        calls = counting(monkeypatch, ["verify_srg", "check_condition_one",
+                                       "check_condition_two"])
+        assert run_all_checks(bvls, workers=1).passed
+        assert calls == {"verify_srg": 1, "check_condition_one": 0,
+                         "check_condition_two": 0}
+
+    def test_family_value_is_not_verified_again(self, monkeypatch, paley9):
+        fam = census.require_family(paley9)
+        calls = counting(monkeypatch, ["verify_srg"])
+        assert census.require_family(fam) is fam
+        assert census.type_census(fam) == census.type_census(paley9)
+        assert calls == {"verify_srg": 1}  # the plain graph alone
+
+
+class TestConditionWitnesses:
+    """The ledger's condition entries take the first lambda and mu
+    witnesses of ``verify_srg``; they must be the pairs that
+    ``check_condition_one`` and ``check_condition_two`` name."""
+
+    @staticmethod
+    def assert_same_witnesses(g):
+        n = g.order
+        srg = graph.verify_srg(g, SrgParams(max(n, 1), g.degree(0) if n else 0, 1, 2))
+        one, two = check_condition_one(g), check_condition_two(g)
+        assert (srg.lambda_ok, srg.lambda_witness) == (one.ok, one.violation)
+        assert (srg.mu_ok, srg.mu_witness) == (two.ok, two.violation)
+        return one.ok, two.ok
+
+    def test_seeded_graphs_up_to_30_vertices(self):
+        rng = random.Random(30)
+        graphs = [random_graph(rng, rng.randint(1, 30), rng.random()) for _ in range(150)]
+        graphs += [one_apex_per_edge_graph(rng, rng.randint(6, 30)) for _ in range(30)]
+        graphs += [cycle(4), cycle(5), Graph.from_edges(5, [(i, j) for i in range(5)
+                                                            for j in range(i + 1, 5)])]
+        outcomes = {self.assert_same_witnesses(g) for g in graphs}
+        assert outcomes == {(False, False), (True, False), (False, True), (True, True)}
+
+    @pytest.mark.parametrize("name, seeds", [("paley9", range(12)), ("bvls", range(3))])
+    def test_switched_family_graphs(self, request, name, seeds):
+        base = request.getfixturevalue(name)
+        assert self.assert_same_witnesses(base) == (True, True)
+        for seed in seeds:
+            g = double_edge_switched(base, random.Random(seed), 1 + seed % 3)
+            assert self.assert_same_witnesses(g) == (False, False)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_orders_zero_and_one_keep_both_condition_entries(self, order):
+        g = Graph(order, (0,) * order)
+        self.assert_same_witnesses(g)
+        report = run_all_checks(g)
+        for name in ("condition_one_edge_triangles",
+                     "condition_two_nonedge_quadrilaterals"):
+            assert report.entry(name).status == "pass"
 
 
 class TestPolynomialChain:

@@ -67,8 +67,11 @@ def settings(order, fixed, free):
         yield Graph.from_edges(order, fixed + extra)
 
 
-def family_gate_off(monkeypatch):
-    monkeypatch.setattr(census, "require_family", lambda g: (g.order, g.degree(0)))
+def unverified_family(g):
+    """The verified-family value of g, built without verifying, so that a
+    family census runs its kernels on a graph outside the family."""
+    degs = tuple(g.degree(v) for v in range(g.order))
+    return census.VerifiedFamily(g, g.order, g.degree(0), g.num_edges, degs)
 
 
 class TestRulesAgainstCertificates:
@@ -266,16 +269,16 @@ class TestPentagonEdgeKernel:
                     raised.add(got[0])
         assert counted and raised == {FamilyViolationError, CountingInconsistencyError}
 
-    def test_census_per_edge_order_serial_and_pooled(self, monkeypatch):
+    def test_census_per_edge_order_serial_and_pooled(self):
         # one triangle apex per edge, 33 vertices (enough for the pool), and
         # edges on 0 or 1 pentagons, so a misplaced count shows
         g = line_graph(generalized_petersen(11, 2))
-        family_gate_off(monkeypatch)
-        serial = pentagon_triangle_census(g)
+        fam = unverified_family(g)
+        serial = pentagon_triangle_census(fam)
         assert serial.per_edge == tuple(pentagons_through_edge(g, e) for e in g.edges())
         assert set(serial.per_edge) == {0, 1}
         assert (serial.n4, serial.n8) == pentagon_side_census(g)[:2]
-        assert pentagon_triangle_census(g, workers=2) == serial
+        assert pentagon_triangle_census(fam, workers=2) == serial
 
     def test_census_rejects_per_edge_total_off_5_p5(self, monkeypatch, paley9):
         monkeypatch.setattr(census, "_pentagon_scan", lambda rows, n, starts: 1)
@@ -526,25 +529,33 @@ class TestKeptErrors:
         with pytest.raises(CountingInconsistencyError, match="unexpected class"):
             _quad_pairs_at_edge(g.rows, 0, 1, [(2, 3), (4, 5)])
 
-    def test_completion_not_n2(self, monkeypatch):
+    def test_completion_not_n2(self):
         # quadrilateral 0-1-2-3 with side apexes 4..7; apexes 4 and 5 adjacent
         g = Graph.from_edges(8, [
             (0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (5, 1), (5, 2),
             (6, 2), (6, 3), (7, 3), (7, 0), (4, 5),
         ])
-        family_gate_off(monkeypatch)
         with pytest.raises(CountingInconsistencyError,
                            match=r"completion of \(0, 1, 2, 3\) on adjacent sides is not type n2"):
-            count_n2(g)
+            count_n2(unverified_family(g))
 
-    def test_completion_neither_prism_nor_n4(self, monkeypatch):
+    def test_completion_apexes_collide(self):
+        # quadrilateral 0-1-2-3; vertex 4 is the apex of sides 01 and 12
+        g = Graph.from_edges(7, [
+            (0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2),
+            (5, 2), (5, 3), (6, 3), (6, 0),
+        ])
+        with pytest.raises(CountingInconsistencyError,
+                           match=r"adjacent-side apexes of \(0, 1, 2, 3\) collide"):
+            count_n2(unverified_family(g))
+
+    def test_completion_neither_prism_nor_n4(self):
         # triangle 0,1,2; pendant 3 at 0; q = 4, r = 5; extra edge q-x
         g = Graph.from_edges(6, [
             (0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (4, 1), (3, 5), (5, 2), (4, 0),
         ])
-        family_gate_off(monkeypatch)
         with pytest.raises(CountingInconsistencyError, match="neither a prism nor type n4"):
-            triangle_edge_completion_census(g)
+            triangle_edge_completion_census(unverified_family(g))
 
     def test_pentagon_side_apex_inside(self):
         # 5-cycle with chord 0-2: the common neighbour of 0 and 1 is vertex 2
@@ -588,6 +599,13 @@ class TestInvariantsWithoutAssert:
         ]
         assert len(paths) >= 10
         assert found == []
+
+    def test_at_most_one_process_pool_site_in_src(self):
+        # every pooled census goes through one dispatch helper
+        paths = sorted(Path(census.__file__).parent.glob("*.py"))
+        sites = sum(path.read_text().count("ProcessPoolExecutor(") for path in paths)
+        assert len(paths) >= 10
+        assert sites <= 1
 
     def test_duplicate_named_certificates_raise(self, monkeypatch):
         edges = dict(census.NAMED_TYPE_EDGES)
