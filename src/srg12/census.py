@@ -19,13 +19,11 @@ The type censuses need a verified srg(n, k, 1, 2).  ``require_family``
 returns that as a ``VerifiedFamily`` (the graph with n, k, m and the
 degrees) after one ``verify_srg`` scan.  A census given a VerifiedFamily
 trusts it; one given a plain Graph verifies it first and raises
-FamilyViolationError outside the family.  The pooled censuses shard their
-start lists over one process-pool helper, ``_sharded``.
+FamilyViolationError outside the family.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -49,7 +47,6 @@ from .graph import (
 )
 
 EXHAUSTIVE_MAX_VERTICES = 16
-_POOL_MIN_ORDER = 32  # smaller graphs never start a process pool
 
 
 # -- named 6-vertex types -------------------------------------------------
@@ -164,19 +161,6 @@ def _above(n: int, v: int) -> int:
     return ((1 << n) - 1) & ~((1 << (v + 1)) - 1)
 
 
-def _sharded(workers: int, n: int, kernel, args, items) -> list:
-    """``kernel(*args, shard)`` over the start list ``items``: one call on
-    all of it in process or, with several workers on a graph of n >=
-    ``_POOL_MIN_ORDER`` vertices, one call per interleaved shard
-    ``items[i::workers]`` in a process pool; the results in shard order."""
-    if workers < 2 or n < _POOL_MIN_ORDER:
-        return [kernel(*args, items)]
-    shards = [items[i::workers] for i in range(workers) if items[i::workers]]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(kernel, *args, shard) for shard in shards]
-        return [future.result() for future in futures]
-
-
 # -- cycle counts ----------------------------------------------------------
 
 
@@ -272,12 +256,10 @@ def iter_pentagons(g: Graph):
                         yield (v0, v1, v2, v3, v4)
 
 
-def _count_from_starts(scan, g: Graph, workers: int, progress) -> int:
-    """Sum of ``scan(rows, n, starts)`` over all start vertices: sharded
-    over a pool, or one start at a time with a progress call after each."""
+def _count_from_starts(scan, g: Graph, progress) -> int:
+    """Sum of ``scan(rows, n, starts)`` over all start vertices, one start
+    at a time with a progress call after each."""
     n = g.order
-    if workers > 1 and n >= _POOL_MIN_ORDER:
-        return sum(_sharded(workers, n, scan, (g.rows, n), range(n)))
     total = 0
     for v0 in range(n):
         total += scan(g.rows, n, (v0,))
@@ -286,9 +268,9 @@ def _count_from_starts(scan, g: Graph, workers: int, progress) -> int:
     return total
 
 
-def count_pentagons(g: Graph, workers: int = 1, progress=None) -> int:
+def count_pentagons(g: Graph, progress=None) -> int:
     """Number of induced C5, each counted once via the canonical DFS."""
-    return _count_from_starts(_pentagon_scan, g, workers, progress)
+    return _count_from_starts(_pentagon_scan, g, progress)
 
 
 def pentagons_through_edge(g: Graph, edge) -> int:
@@ -356,17 +338,17 @@ def _hexagon_scan(rows, n: int, v0_list) -> int:
     return count
 
 
-def count_hexagons(g: Graph, workers: int = 1, progress=None) -> int:
+def count_hexagons(g: Graph, progress=None) -> int:
     """Number of induced C6, each counted once via the canonical DFS."""
-    return _count_from_starts(_hexagon_scan, g, workers, progress)
+    return _count_from_starts(_hexagon_scan, g, progress)
 
 
-def cycle_census(g: Graph, workers: int = 1, progress=None) -> CycleCensus:
+def cycle_census(g: Graph, progress=None) -> CycleCensus:
     return CycleCensus(
         p3=count_triangles(g),
         p4=count_quadrilaterals_by_edges(g),
-        p5=count_pentagons(g, workers=workers),
-        p6=count_hexagons(g, workers=workers, progress=progress),
+        p5=count_pentagons(g),
+        p6=count_hexagons(g, progress=progress),
     )
 
 
@@ -474,7 +456,7 @@ def _walk_scan(rows, n: int, starts) -> tuple[int, int, int]:
     return pent, house, paw
 
 
-def coded_walk_census(g: Union[Graph, VerifiedFamily], workers: int = 1) -> WalkCensus:
+def coded_walk_census(g: Union[Graph, VerifiedFamily]) -> WalkCensus:
     """Enumerate and classify every closed 5-walk coded 0 1 2 2 1 0.
 
     Walks split into pentagons (10 walks each), quadrilateral-plus-triangle
@@ -482,9 +464,7 @@ def coded_walk_census(g: Union[Graph, VerifiedFamily], workers: int = 1) -> Walk
     T2 (2 walks each); any other shape raises CountingInconsistencyError.
     """
     fam = require_family(g)
-    rows, n = fam.graph.rows, fam.n
-    parts = _sharded(workers, n, _walk_scan, (rows, n), range(n))
-    pent, house, paw = (sum(p[i] for p in parts) for i in range(3))
+    pent, house, paw = _walk_scan(fam.graph.rows, fam.n, range(fam.n))
     for value, mult, label in ((pent, 10, "pentagon"), (house, 6, "T1"), (paw, 2, "T2")):
         if value % mult:
             raise CountingInconsistencyError(
@@ -715,14 +695,12 @@ def quad_pair_census(g: Union[Graph, VerifiedFamily]) -> QuadPairCensus:
     g, k = fam.graph, fam.k
     rows = g.rows
     n9 = n4 = prism_inc = 0
-    pair_total = 0
     for u, v in g.edges():
         quads = c4s_through_edge(g, u, v)
         if len(quads) != k - 2:
             raise FamilyViolationError(
                 f"edge ({u},{v}) lies on {len(quads)} quadrilaterals, expected {k - 2}"
             )
-        pair_total += comb(len(quads), 2)
         c9, c4, c1 = _quad_pairs_at_edge(rows, u, v, quads)
         n9 += c9
         n4 += c4
@@ -731,12 +709,7 @@ def quad_pair_census(g: Union[Graph, VerifiedFamily]) -> QuadPairCensus:
         raise CountingInconsistencyError(
             f"prism incidences {prism_inc} not divisible by 3"
         )
-    n1 = prism_inc // 3
-    if 3 * n1 + n4 + n9 != pair_total:
-        raise CountingInconsistencyError(
-            f"3*{n1} + {n4} + {n9} != {pair_total} quadrilateral pairs"
-        )
-    return QuadPairCensus(n1, n4, n9)
+    return QuadPairCensus(prism_inc // 3, n4, n9)
 
 
 # -- pentagon sides completed with their triangle apex ------------------------
@@ -822,7 +795,7 @@ def _apex_pattern_check(rows, u, v, rt, ws, ys, not_uv) -> None:
 
 
 def pentagon_triangle_census(
-    g: Union[Graph, VerifiedFamily], workers: int = 1
+    g: Union[Graph, VerifiedFamily]
 ) -> PentagonTriangleCensus:
     """For every pentagon side, classify pentagon + apex into n4 or n8.
 
@@ -834,14 +807,9 @@ def pentagon_triangle_census(
     to 5*p5, and the remaining 5*p5 - n4 sides are type n8.
     """
     fam = require_family(g)
-    rows, n = fam.graph.rows, fam.n
-    edges = list(fam.graph.edges())
-    p5 = sum(_sharded(workers, n, _pentagon_scan, (rows, n), range(n)))
-    edge_parts = _sharded(workers, n, _pentagon_edge_scan, (rows,), edges)
-    n4 = sum(part[0] for part in edge_parts)
-    per_edge = [0] * len(edges)
-    for i, part in enumerate(edge_parts):  # shard i: edges i, i + s, i + 2s, ...
-        per_edge[i::len(edge_parts)] = part[1]
+    rows = fam.graph.rows
+    p5 = _pentagon_scan(rows, fam.n, range(fam.n))
+    n4, per_edge = _pentagon_edge_scan(rows, fam.graph.edges())
     if sum(per_edge) != 5 * p5:
         raise CountingInconsistencyError(
             f"pentagons through edges: {sum(per_edge)} != 5 * {p5}"
@@ -954,7 +922,7 @@ def _qpe_scan(rows, n: int, m: int, degs, v0_list):
 
 
 def quad_plus_edge_census(
-    g: Union[Graph, VerifiedFamily], workers: int = 1
+    g: Union[Graph, VerifiedFamily]
 ) -> QuadPlusEdgeCensus:
     """Classify every (quadrilateral, vertex-disjoint edge) incidence.
 
@@ -966,9 +934,8 @@ def quad_plus_edge_census(
     """
     fam = require_family(g)
     rows, n, m, k = fam.graph.rows, fam.n, fam.m, fam.k
-    parts = _sharded(workers, n, _qpe_scan, (rows, n, m, fam.degs), range(n))
-    total, prism_inc, n4_inc, n9_inc, n13, quads = (
-        sum(p[i] for p in parts) for i in range(6)
+    total, prism_inc, n4_inc, n9_inc, n13, quads = _qpe_scan(
+        rows, n, m, fam.degs, range(n)
     )
     expected_total = quads * (m - 4 * (k - 2) - 4)
     if total != expected_total:
@@ -1136,7 +1103,7 @@ class TypeCensus:
         return named + MASTER_COEFF_AGGREGATE * self.n6_7_10_11 + self.e4 + self.e5
 
 
-def type_census_parts(g: Union[Graph, VerifiedFamily], workers: int = 1) -> dict:
+def type_census_parts(g: Union[Graph, VerifiedFamily]) -> dict:
     """The censuses of a family graph that ``TypeCensus.assemble`` reads,
     keyed as ``TYPE_CENSUS_PARTS``; raises if a route agreement fails."""
     fam = require_family(g)
@@ -1144,10 +1111,10 @@ def type_census_parts(g: Union[Graph, VerifiedFamily], workers: int = 1) -> dict
     parts = dict(zip(TYPE_CENSUS_PARTS, (
         disjoint_triangle_pair_census(g),
         quad_pair_census(fam),
-        pentagon_triangle_census(fam, workers=workers),
-        quad_plus_edge_census(fam, workers=workers),
+        pentagon_triangle_census(fam),
+        quad_plus_edge_census(fam),
         edge_triple_census(g),
-        count_hexagons(g, workers=workers),
+        count_hexagons(g),
     )))
     for name, (needs, sides) in ROUTE_AGREEMENTS.items():
         expected, actual = sides(*(parts[need] for need in needs))
@@ -1158,7 +1125,7 @@ def type_census_parts(g: Union[Graph, VerifiedFamily], workers: int = 1) -> dict
     return parts
 
 
-def type_census(g: Union[Graph, VerifiedFamily], workers: int = 1) -> TypeCensus:
+def type_census(g: Union[Graph, VerifiedFamily]) -> TypeCensus:
     """Assemble the full named-type census of a family graph.
 
     Every count comes from its targeted enumeration; overlapping routes
@@ -1166,4 +1133,4 @@ def type_census(g: Union[Graph, VerifiedFamily], workers: int = 1) -> TypeCensus
     and the incidence scan, and so on) are cross-checked and any
     disagreement raises.
     """
-    return TypeCensus.assemble(type_census_parts(g, workers=workers))
+    return TypeCensus.assemble(type_census_parts(g))

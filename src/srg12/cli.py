@@ -11,6 +11,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+# argparse looks its messages up through gettext, which imports locale on
+# first use; loading it with the CLI keeps that import out of each command
+# of a process that imported the CLI in advance
+import locale  # noqa: F401
 import os
 import sys
 import time
@@ -69,12 +73,14 @@ class _Progress:
             self.last = now
 
 
-def _resolve_workers(args) -> int:
-    """--workers, else SRG12_WORKERS, else the CPU count; below 1 is an error."""
+def _resolve_workers(args) -> None:
+    """Validate --workers, else SRG12_WORKERS: a count below 1 or a value
+    that is not a number is a usage error.  The count is accepted for
+    compatibility and has no effect; every census runs in process."""
     if getattr(args, "workers", None) is not None:
         if args.workers < 1:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
-        return args.workers
+        return
     env = os.environ.get("SRG12_WORKERS")
     if env:
         try:
@@ -83,8 +89,6 @@ def _resolve_workers(args) -> int:
             raise UsageError(f"invalid SRG12_WORKERS value: {env!r}")
         if workers < 1:
             raise UsageError(f"SRG12_WORKERS must be at least 1, got {workers}")
-        return workers
-    return max(1, os.cpu_count() or 1)
 
 
 def _load_graph(source: str) -> Graph:
@@ -175,7 +179,7 @@ def _cmd_census(args) -> int:
             f"got {args.exhaustive_limit}"
         )
     g = _load_graph(args.graph)
-    workers = _resolve_workers(args)
+    _resolve_workers(args)
     progress = _Progress("census")
     payload = {"graph_meta": {"n": g.order, "edges": g.num_edges,
                               "source": _fingerprint(g)}}
@@ -192,11 +196,11 @@ def _cmd_census(args) -> int:
             payload["types"] = None
             payload["types_error"] = str(not_family)
         else:
-            parts = cn.type_census_parts(fam, workers=workers)
+            parts = cn.type_census_parts(fam)
             payload["types"] = asdict(cn.TypeCensus.assemble(parts))
     if what in ("cycles", "all"):
         if parts is None:
-            cc = cn.cycle_census(g, workers=workers, progress=progress.tick)
+            cc = cn.cycle_census(g, progress=progress.tick)
         else:  # the type census has counted the pentagons and hexagons
             cc = cn.CycleCensus(
                 cn.count_triangles(g), parts["quad_plus_edge_census"].p4,
@@ -301,10 +305,10 @@ def _cmd_spectral(args) -> int:
 
 def _cmd_check(args) -> int:
     g = _load_graph(args.graph)
-    workers = _resolve_workers(args)
+    _resolve_workers(args)
     progress = _Progress("check")
     report: IdentityReport = run_all_checks(
-        g, workers=workers, source=_fingerprint(g), progress=progress.stage
+        g, source=_fingerprint(g), progress=progress.stage
     )
     width = max(len(e.name) for e in report.entries)
     marks = {"pass": "pass", "fail": "FAIL", "skip": "skip", "info": "info"}
@@ -376,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest order the exhaustive census accepts "
                    f"(0..{cn.EXHAUSTIVE_MAX_VERTICES})")
     p.add_argument("--json", help="write JSON here instead of stdout")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("spectral", help="exact c6 by closed form, sum or traces")
@@ -390,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the full identity ledger")
     p.add_argument("--graph", required=True)
     p.add_argument("--json", help="write the report as JSON")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("params", help="feasible family parameter sets")

@@ -188,7 +188,7 @@ _STAGE_ERRORS = (ValueError, CountingInconsistencyError)
 
 
 def run_all_checks(
-    g: Graph, workers: int = 1, source: str = "<memory>", progress=None
+    g: Graph, source: str = "<memory>", progress=None
 ) -> IdentityReport:
     """Evaluate the full identity ledger on a graph.
 
@@ -296,13 +296,13 @@ def run_all_checks(
     p3c = stage("triangle_census", "cycle formulas", cn.count_triangles, g)
     if ready("triangle_count", "cycle formulas", "triangle_census"):
         add("triangle_count", "cycle formulas", expected_p3(n, k), p3c)
-    p4c = stage("quadrilateral_census", "cycle formulas",
-                cn.count_quadrilaterals_by_edges, g)
-    if ready("quadrilateral_count", "cycle formulas", "quadrilateral_census"):
-        add("quadrilateral_count", "cycle formulas", expected_p4(n, k), p4c)
+    # one pass over the quadrilaterals gives p4, n2 and the quad-plus-edge counts
+    qpe = stage("quad_plus_edge_census", six, cn.quad_plus_edge_census, fam)
+    if ready("quadrilateral_count", "cycle formulas", "quad_plus_edge_census"):
+        add("quadrilateral_count", "cycle formulas", expected_p4(n, k), qpe.p4)
+    progress("quad plus edge")
 
-    pt = stage("pentagon_side_census", six, cn.pentagon_triangle_census,
-               fam, workers=workers)
+    pt = stage("pentagon_side_census", six, cn.pentagon_triangle_census, fam)
     if ready("pentagon_count", "cycle formulas", "pentagon_side_census"):
         add("pentagon_count", "cycle formulas", expected_p5(n, k), pt.p5)
     progress("pentagons")
@@ -323,8 +323,7 @@ def run_all_checks(
     progress("per-edge pentagons")
 
     # coded closed 5-walks
-    walks = stage("coded_walk_census", "coded walks", cn.coded_walk_census,
-                  fam, workers=workers)
+    walks = stage("coded_walk_census", "coded walks", cn.coded_walk_census, fam)
     if ready("walk_total", "coded walks", "coded_walk_census"):
         add("walk_total", "coded walks", expected_walk_total(n, k), walks.total)
     if ready("walk_t1_from_quadrilaterals", "coded walks", "coded_walk_census"):
@@ -361,10 +360,6 @@ def run_all_checks(
         add("quad_pairs_eq7", six,
             expected_quad_pairs(n, k), 3 * qp.n1 + qp.n4 + qp.n9)
     progress("quad pairs")
-    # one pass over the quadrilaterals gives n2 and the quad-plus-edge counts
-    qpe = stage("quad_plus_edge_census", six, cn.quad_plus_edge_census,
-                fam, workers=workers)
-    progress("quad plus edge")
     if ready("n2_eq3", six, "quad_plus_edge_census"):
         add("n2_eq3", six, expected_n2(n, k), qpe.n2)
     if ready("pentagon_sides_eq4", six, "pentagon_side_census"):
@@ -398,8 +393,7 @@ def run_all_checks(
     agree("qpe_prism_incidences")
     agree("qpe_n4_incidences")
     agree("qpe_n9_incidences")
-    n12 = stage("hexagon_census", "hexagon bound", cn.count_hexagons,
-                g, workers=workers)
+    n12 = stage("hexagon_census", "hexagon bound", cn.count_hexagons, g)
     progress("hexagons")
 
     # spectral: c6 three ways (c6 only exists from 6 vertices up)

@@ -363,9 +363,3 @@ class TestTypeCensusAssembly:
     def test_n4_equals_twice_n3_paley(self, paley9):
         tc = type_census(paley9)
         assert tc.n4 == 2 * tc.n3
-
-
-class TestWorkers:
-    def test_parallel_counts_match_serial(self, bvls):
-        assert count_pentagons(bvls, workers=2) == 384_912
-        assert count_hexagons(bvls, workers=2) == count_hexagons(bvls)

@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -80,14 +79,26 @@ class TestCheck:
 
 
 class TestGoldenReports:
-    """``check --workers 1 --json`` reproduces the committed reports byte
-    for byte; they hold no timestamps and the source is a fingerprint."""
+    """``check --json`` reproduces the committed reports byte for byte; they
+    hold no timestamps and the source is a fingerprint.  A worker count is
+    accepted and has no effect, so no byte depends on it."""
 
-    @pytest.mark.parametrize("name", ["paley9", "bvls243"])
-    def test_check_json_matches_golden(self, capsys, tmp_path, name):
+    @pytest.mark.parametrize("name, workers, env", [
+        pytest.param(name, workers, env, id=name + suffix)
+        for name in ("paley9", "bvls243")
+        for workers, env, suffix in ((["--workers", "1"], None, ""),
+                                     (["--workers", "2"], None, "-workers2"),
+                                     ([], "2", "-env2"))
+    ])
+    def test_check_json_matches_golden(self, capsys, monkeypatch, tmp_path,
+                                       name, workers, env):
+        if env is None:
+            monkeypatch.delenv("SRG12_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("SRG12_WORKERS", env)
         out_json = tmp_path / "report.json"
-        code, _, _ = run(capsys, "check", "--graph", name,
-                         "--workers", "1", "--json", str(out_json))
+        code, _, _ = run(capsys, "check", "--graph", name, *workers,
+                         "--json", str(out_json))
         assert code == 0
         golden = Path(__file__).parent / "data" / f"check_{name}.json"
         assert out_json.read_bytes() == golden.read_bytes()
@@ -296,12 +307,17 @@ class TestInputValidation:
 
         from srg12 import cli
 
+        # valid counts are accepted and ignored; --workers wins over the
+        # environment, so a bad SRG12_WORKERS is not read beside it
         monkeypatch.delenv("SRG12_WORKERS", raising=False)
-        assert cli._resolve_workers(SimpleNamespace(workers=None)) == max(1, os.cpu_count() or 1)
-        assert cli._resolve_workers(SimpleNamespace(workers=3)) == 3
+        assert cli._resolve_workers(SimpleNamespace(workers=None)) is None
+        assert cli._resolve_workers(SimpleNamespace(workers=3)) is None
         monkeypatch.setenv("SRG12_WORKERS", "2")
-        assert cli._resolve_workers(SimpleNamespace(workers=None)) == 2
-        assert cli._resolve_workers(SimpleNamespace(workers=1)) == 1
+        assert cli._resolve_workers(SimpleNamespace(workers=None)) is None
+        monkeypatch.setenv("SRG12_WORKERS", "0")
+        assert cli._resolve_workers(SimpleNamespace(workers=1)) is None
+        with pytest.raises(cli.UsageError, match="SRG12_WORKERS must be at least 1"):
+            cli._resolve_workers(SimpleNamespace(workers=None))
 
     @pytest.mark.parametrize("limit", ["-1", "17", "243"])
     def test_exhaustive_limit_out_of_range_exit_2(self, capsys, limit):

@@ -269,16 +269,14 @@ class TestPentagonEdgeKernel:
                     raised.add(got[0])
         assert counted and raised == {FamilyViolationError, CountingInconsistencyError}
 
-    def test_census_per_edge_order_serial_and_pooled(self):
-        # one triangle apex per edge, 33 vertices (enough for the pool), and
-        # edges on 0 or 1 pentagons, so a misplaced count shows
+    def test_census_per_edge_order(self):
+        # one triangle apex per edge and edges on 0 or 1 pentagons, so a
+        # misplaced count shows
         g = line_graph(generalized_petersen(11, 2))
-        fam = unverified_family(g)
-        serial = pentagon_triangle_census(fam)
-        assert serial.per_edge == tuple(pentagons_through_edge(g, e) for e in g.edges())
-        assert set(serial.per_edge) == {0, 1}
-        assert (serial.n4, serial.n8) == pentagon_side_census(g)[:2]
-        assert pentagon_triangle_census(fam, workers=2) == serial
+        pt = pentagon_triangle_census(unverified_family(g))
+        assert pt.per_edge == tuple(pentagons_through_edge(g, e) for e in g.edges())
+        assert set(pt.per_edge) == {0, 1}
+        assert (pt.n4, pt.n8) == pentagon_side_census(g)[:2]
 
     def test_census_rejects_per_edge_total_off_5_p5(self, monkeypatch, paley9):
         monkeypatch.setattr(census, "_pentagon_scan", lambda rows, n, starts: 1)
@@ -600,12 +598,17 @@ class TestInvariantsWithoutAssert:
         assert len(paths) >= 10
         assert found == []
 
-    def test_at_most_one_process_pool_site_in_src(self):
-        # every pooled census goes through one dispatch helper
+    def test_no_process_pool_in_src(self):
+        # every census runs in process, through one code path
         paths = sorted(Path(census.__file__).parent.glob("*.py"))
-        sites = sum(path.read_text().count("ProcessPoolExecutor(") for path in paths)
+        found = [
+            f"{path.name}: {word}"
+            for path in paths
+            for word in ("ProcessPoolExecutor", "concurrent.futures", "multiprocessing")
+            if word in path.read_text()
+        ]
         assert len(paths) >= 10
-        assert sites <= 1
+        assert found == []
 
     def test_duplicate_named_certificates_raise(self, monkeypatch):
         edges = dict(census.NAMED_TYPE_EDGES)
