@@ -16,10 +16,11 @@ classifies every 6-subset by canonical certificate and is the ground-truth
 oracle.
 
 The type censuses need a verified srg(n, k, 1, 2).  ``require_family``
-returns that as a ``VerifiedFamily`` (the graph with n, k, m and the
-degrees) after one ``verify_srg`` scan.  A census given a VerifiedFamily
-trusts it; one given a plain Graph verifies it first and raises
-FamilyViolationError outside the family.
+returns that as a ``VerifiedFamily`` (the graph with n, k and m) after one
+``verify_srg`` scan.  A census given a VerifiedFamily trusts it; one given a
+plain Graph verifies it first and raises FamilyViolationError outside the
+family.  n13 and the quadrilateral-edge incidence total are not enumerated:
+they follow from family identities (``quad_plus_edge_census``).
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ def named_type_certificates() -> dict[str, int]:
 
 @dataclass(frozen=True, slots=True)
 class VerifiedFamily:
-    """A graph that passed ``verify_srg`` as srg(n, k, 1, 2), with n, k,
-    the edge count m and the vertex degrees.
+    """A graph that passed ``verify_srg`` as srg(n, k, 1, 2), with n, k and
+    the edge count m.
 
     ``family_check`` builds it from its one verification scan.  The family
     censuses take it in place of a Graph and then do not verify again.
@@ -120,7 +121,6 @@ class VerifiedFamily:
     n: int
     k: int
     m: int
-    degs: tuple[int, ...]
 
 
 def family_check(g: Graph) -> tuple[SrgReport, Optional[VerifiedFamily]]:
@@ -131,8 +131,7 @@ def family_check(g: Graph) -> tuple[SrgReport, Optional[VerifiedFamily]]:
     report = verify_srg(g, SrgParams(max(n, 1), k, 1, 2))
     if not report.passed:
         return report, None
-    degs = tuple(row.bit_count() for row in g.rows)
-    return report, VerifiedFamily(g, n, k, sum(degs) // 2, degs)
+    return report, VerifiedFamily(g, n, k, n * k // 2)
 
 
 def require_family(g: Union[Graph, VerifiedFamily]) -> VerifiedFamily:
@@ -581,6 +580,7 @@ class TrianglePairCensus(NamedTuple):
     n5: int  # one connecting edge
     n14: int  # no connecting edges
     excluded: int  # pairs whose induced subgraph has further triangles
+    p3: int  # triangles listed
     n3_witness: Optional[tuple[tuple[int, ...], tuple[int, ...], tuple]]
 
 
@@ -594,7 +594,8 @@ def disjoint_triangle_pair_census(g: Graph) -> TrianglePairCensus:
     If the cross edges do not form a matching, some cross edge closes a
     further triangle and the pair is excluded.  Otherwise the cross-edge
     count decides the type: 0, 1, 2 or 3 edges give n14, n5, n3 or the
-    prism (``TRIANGLE_PAIR_TYPES``).  Works on any graph.
+    prism (``TRIANGLE_PAIR_TYPES``).  Works on any graph; p3 is the number
+    of triangles listed.
     """
     rows = g.rows
     tris = list(iter_triangles(g))
@@ -631,7 +632,7 @@ def disjoint_triangle_pair_census(g: Graph) -> TrianglePairCensus:
                 )
                 witness = (ti, tj, edges)
     n14, n5, n3, n1 = by_cross
-    return TrianglePairCensus(n1, n3, n5, n14, excluded, witness)
+    return TrianglePairCensus(n1, n3, n5, n14, excluded, len(tris), witness)
 
 
 # -- quadrilateral pairs through an edge --------------------------------------
@@ -826,6 +827,7 @@ class QuadPlusEdgeCensus(NamedTuple):
     Incidence multiplicities: a prism holds 3 such incidences, types n4 and
     n9 hold 2, every other reachable class exactly 1; n13 (the disconnected
     class) is separated from the connected aggregate n6+n7+n10+n11.
+    ``total`` and n13 follow from family identities, the rest is counted.
     """
 
     total: int
@@ -847,21 +849,20 @@ def _is_n2(rows, a: int, b: int, c: int, d: int, e: int, f: int) -> bool:
     )
 
 
-def _qpe_scan(rows, n: int, m: int, degs, v0_list):
-    """(total, prism, n4, n9 incidences, n13, quadrilaterals) over the
-    quadrilaterals whose minimum vertex is in v0_list.
+def _qpe_scan(rows, n: int, v0_list):
+    """(prism, n4, n9 incidences, quadrilaterals) over the quadrilaterals
+    whose minimum vertex is in v0_list.
 
     Each quadrilateral's four side apexes are found once.  They also give
     its four n2 completions, one per pair of adjacent sides, each of which
     must be type n2 (``_is_n2``); any other completion raises.
     """
-    prism_inc = n4_inc = n9_inc = n13 = total = quads = 0
+    prism_inc = n4_inc = n9_inc = quads = 0
     for quad in _quad_list(rows, n, v0_list):
         a, b, c, d = quad
         quads += 1
         qmask = (1 << a) | (1 << b) | (1 << c) | (1 << d)
         ra, rb, rc, rd = rows[a], rows[b], rows[c], rows[d]
-        total += m - (degs[a] + degs[b] + degs[c] + degs[d] - 4)
 
         # side apexes (unique common neighbour of each side)
         apexes = []
@@ -900,25 +901,11 @@ def _qpe_scan(rows, n: int, m: int, degs, v0_list):
         n4_inc += (rows[t_bc] & (only_d | only_a)).bit_count()
         n4_inc += (rows[t_cd] & (only_a | only_b)).bit_count()
         n4_inc += (rows[t_da] & (only_b | only_c)).bit_count()
-        # One pass over the closed neighbourhood S = N[Q].  n13 counts the
-        # edges clear of S, e(V-S) = m - sum of deg v over v in S + e(S);
-        # n9 counts the edges between single-corner vertices of adjacent
-        # corners.  S is the single-corner vertices plus the rest (corners
-        # and apexes in a family graph).
-        closed = ra | rb | rc | rd | qmask
-        deg_sum = twice_inside = 0
-        for ox, oy in ((only_a, only_b), (only_b, only_c), (only_c, only_d),
-                       (only_d, only_a)):
-            for u in iter_bits(ox):
-                ru = rows[u]
-                deg_sum += degs[u]
-                twice_inside += (ru & closed).bit_count()
-                n9_inc += (ru & oy).bit_count()
-        for v in iter_bits(closed & ~(only_a | only_b | only_c | only_d)):
-            deg_sum += degs[v]
-            twice_inside += (rows[v] & closed).bit_count()
-        n13 += m - deg_sum + twice_inside // 2
-    return total, prism_inc, n4_inc, n9_inc, n13, quads
+        # type n9: an edge between single-corner vertices of adjacent corners
+        only_bd = only_b | only_d
+        for u in iter_bits(only_a | only_c):
+            n9_inc += (rows[u] & only_bd).bit_count()
+    return prism_inc, n4_inc, n9_inc, quads
 
 
 def quad_plus_edge_census(
@@ -927,22 +914,25 @@ def quad_plus_edge_census(
     """Classify every (quadrilateral, vertex-disjoint edge) incidence.
 
     A family graph only realises the prism, n4, n9, n13 and the four
-    aggregate classes; the named ones are recognised from the edge's
-    adjacency pattern against the quadrilateral (corner apexes and
-    single-corner vertices), the aggregate is the remainder.  The same pass
-    checks the four n2 completions of every quadrilateral.
+    aggregate classes.  ``_qpe_scan`` counts the prism, n4 and n9
+    incidences from the edge's adjacency pattern against the quadrilateral
+    and checks its four n2 completions.  The rest follows from the family,
+    for a quadrilateral Q with side apexes t_ab, t_bc, t_cd, t_da:
+
+    - Q touches 4k - 4 edges, so total = p4 (m - 4(k-2) - 4).
+    - |N[Q]| = 4k - 8: corners, apexes, k - 4 single-corner vertices each.
+    - lambda = 1 and mu = 2 fix each edge inside N[Q] but t_ab t_cd and
+      t_bc t_da, so e(N[Q]) = 14k - 44 + prism_q.
+    - n13 sums n13_q = m - k |N[Q]| + e(N[Q]) = m - 4k^2 + 22k - 44 + prism_q.
+
+    The aggregate n6+n7+n10+n11 is the remainder; it shares n13's master
+    identity coefficient, so n13 cancels from the ledger.
     """
     fam = require_family(g)
-    rows, n, m, k = fam.graph.rows, fam.n, fam.m, fam.k
-    total, prism_inc, n4_inc, n9_inc, n13, quads = _qpe_scan(
-        rows, n, m, fam.degs, range(n)
-    )
-    expected_total = quads * (m - 4 * (k - 2) - 4)
-    if total != expected_total:
-        raise CountingInconsistencyError(
-            f"quadrilateral-edge incidences {total} != {quads} * "
-            f"(|E| - 4(k-2) - 4) = {expected_total}"
-        )
+    m, k = fam.m, fam.k
+    prism_inc, n4_inc, n9_inc, quads = _qpe_scan(fam.graph.rows, fam.n, range(fam.n))
+    total = quads * (m - 4 * (k - 2) - 4)
+    n13 = quads * (m - 4 * k * k + 22 * k - 44) + prism_inc
     aggregate = total - prism_inc - n4_inc - n9_inc - n13
     if aggregate < 0:
         raise CountingInconsistencyError("negative aggregate incidence count")

@@ -201,9 +201,9 @@ def _cmd_census(args) -> int:
     if what in ("cycles", "all"):
         if parts is None:
             cc = cn.cycle_census(g, progress=progress.tick)
-        else:  # the type census has counted the pentagons and hexagons
+        else:  # the type census has counted every cycle length
             cc = cn.CycleCensus(
-                cn.count_triangles(g), parts["quad_plus_edge_census"].p4,
+                parts["triangle_pair_census"].p3, parts["quad_plus_edge_census"].p4,
                 parts["pentagon_side_census"].p5, parts["hexagon_census"],
             )
         payload["cycles"] = asdict(cc)

@@ -292,10 +292,12 @@ def run_all_checks(
 
     m = fam.m
 
-    # cycle counts against their closed forms
-    p3c = stage("triangle_census", "cycle formulas", cn.count_triangles, g)
-    if ready("triangle_count", "cycle formulas", "triangle_census"):
-        add("triangle_count", "cycle formulas", expected_p3(n, k), p3c)
+    # cycle counts against their closed forms; the triangle-pair census
+    # lists the triangles
+    tp = stage("triangle_pair_census", six, cn.disjoint_triangle_pair_census, g)
+    if ready("triangle_count", "cycle formulas", "triangle_pair_census"):
+        add("triangle_count", "cycle formulas", expected_p3(n, k), tp.p3)
+    progress("triangle pairs")
     # one pass over the quadrilaterals gives p4, n2 and the quad-plus-edge counts
     qpe = stage("quad_plus_edge_census", six, cn.quad_plus_edge_census, fam)
     if ready("quadrilateral_count", "cycle formulas", "quad_plus_edge_census"):
@@ -350,11 +352,9 @@ def run_all_checks(
     progress("edge triples")
 
     # six-vertex types, one targeted census per relation
-    tp = stage("triangle_pair_census", six, cn.disjoint_triangle_pair_census, g)
     if ready("triangle_pairs_eq8", six, "triangle_pair_census"):
         add("triangle_pairs_eq8", six,
             expected_triangle_pairs(n, k), tp.n1 + tp.n3 + tp.n5 + tp.n14)
-    progress("triangle pairs")
     qp = stage("quad_pair_census", six, cn.quad_pair_census, fam)
     if ready("quad_pairs_eq7", six, "quad_pair_census"):
         add("quad_pairs_eq7", six,
@@ -401,8 +401,8 @@ def run_all_checks(
     if ready("charpoly_c2_is_minus_edges", "spectral", "charpoly_prefix"):
         add("charpoly_c2_is_minus_edges", "spectral", -m, prefix.c(2))
     if ready("charpoly_c3_is_minus_two_triangles", "spectral",
-             "charpoly_prefix", "triangle_census"):
-        add("charpoly_c3_is_minus_two_triangles", "spectral", -2 * p3c, prefix.c(3))
+             "charpoly_prefix", "triangle_pair_census"):
+        add("charpoly_c3_is_minus_two_triangles", "spectral", -2 * tp.p3, prefix.c(3))
     if n < 6:
         skip("c6_closed_vs_trace", "spectral", "graph has fewer than 6 vertices")
         skip("c6_binomial_vs_trace", "spectral", "graph has fewer than 6 vertices")
@@ -435,10 +435,9 @@ def run_all_checks(
 
     # conjecture-side observations, informational only
     if ready("makhnev_condition", "conjecture", "triangle_pair_census"):
-        mk = MakhnevResult(tp.n3 == 0, tp.n3, tp.n3_witness)
-        add_info("makhnev_condition", "conjecture", 0, mk.n3,
+        add_info("makhnev_condition", "conjecture", 0, tp.n3,
                  "holds: two triangles joined by two edges share the third"
-                 if mk.holds else f"fails, witness {mk.witness}")
+                 if tp.n3 == 0 else f"fails, witness {tp.n3_witness}")
     if ready("hexagons_equal_bound", "conjecture", "hexagon_bound", "hexagon_census"):
         add_info("hexagons_equal_bound", "conjecture", bound, n12,
                  "observed equality" if n12 == bound else "strict excess")

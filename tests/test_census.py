@@ -1,6 +1,9 @@
+import json
 import random
+from dataclasses import replace
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from srg12.census import (
     MASTER_COEFF,
     MASTER_COEFF_AGGREGATE,
     NAMED_TYPE_EDGES,
+    TypeCensus,
     coded_walk_census,
     count_hexagons,
     count_n2,
@@ -359,6 +363,19 @@ class TestTypeCensusAssembly:
         assert (tc.e4, tc.e5, tc.e6) == (186, 450, 180)
         # master identity right side: c6 + C(18,3) = 648
         assert tc.master_identity_rhs() == 648
+
+    @pytest.mark.parametrize("name", ["paley9", "bvls243"])
+    def test_n13_cancels_from_master_identity(self, name):
+        # n13 comes from a closed form and the aggregate n6+n7+n10+n11 is the
+        # remainder after it, so the ledger rests on their equal coefficients
+        golden = Path(__file__).parent / "data" / f"census_{name}.json"
+        tc = TypeCensus(**json.loads(golden.read_text())["types"])
+        assumption = "n13 and n6+n7+n10+n11 share one master identity coefficient"
+        assert MASTER_COEFF["n13"] == MASTER_COEFF_AGGREGATE, assumption
+        rhs = tc.master_identity_rhs()
+        for d in (-tc.n13, -1, 1, 12345, tc.n6_7_10_11):
+            moved = replace(tc, n13=tc.n13 + d, n6_7_10_11=tc.n6_7_10_11 - d)
+            assert moved.master_identity_rhs() == rhs, assumption
 
     def test_n4_equals_twice_n3_paley(self, paley9):
         tc = type_census(paley9)

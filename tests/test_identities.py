@@ -190,7 +190,6 @@ class TestLedgerMutations:
 # every census and spectral stage run_all_checks calls, and the fail entry a
 # raise in it leaves in the report
 STAGE_FAIL_ENTRY = {
-    "cn.count_triangles": "triangle_census",
     "cn.pentagon_triangle_census": "pentagon_side_census",
     "cn.coded_walk_census": "coded_walk_census",
     "cn.edge_triple_census": "edge_triple_census",
@@ -288,6 +287,27 @@ class TestMergedQuadrilateralPass:
             entry = report.entry(name)
             assert (entry.status, entry.detail) == (
                 "skip", "needs quad_plus_edge_census, which failed")
+
+
+class TestEnumerationBudget:
+    def test_ledger_lists_each_structure_once(self, monkeypatch, paley9):
+        calls = {"_quad_list": 0, "iter_triangles": 0}
+
+        def counted(name):
+            real = getattr(census, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(census, name, counted(name))
+        assert run_all_checks(paley9).passed
+        # the quad-plus-edge pass lists the quadrilaterals; the triangle-pair
+        # and completion censuses list the triangles
+        assert calls["_quad_list"] == 1
+        assert calls["iter_triangles"] <= 2
 
 
 class TestRouteAgreements:
