@@ -74,21 +74,11 @@ class _Progress:
 
 
 def _resolve_workers(args) -> None:
-    """Validate --workers, else SRG12_WORKERS: a count below 1 or a value
-    that is not a number is a usage error.  The count is accepted for
-    compatibility and has no effect; every census runs in process."""
-    if getattr(args, "workers", None) is not None:
-        if args.workers < 1:
-            raise UsageError(f"--workers must be at least 1, got {args.workers}")
-        return
-    env = os.environ.get("SRG12_WORKERS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise UsageError(f"invalid SRG12_WORKERS value: {env!r}")
-        if workers < 1:
-            raise UsageError(f"SRG12_WORKERS must be at least 1, got {workers}")
+    """Validate --workers: a count below 1 is a usage error.  The count is
+    accepted for compatibility and has no effect; every census runs in
+    process."""
+    if getattr(args, "workers", None) is not None and args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
 
 
 def _load_graph(source: str) -> Graph:
@@ -208,7 +198,7 @@ def _cmd_census(args) -> int:
             )
         payload["cycles"] = asdict(cc)
     if what in ("triples", "all"):
-        et = cn.edge_triple_census(g)
+        et = cn.edge_triple_census(g) if parts is None else parts["edge_triple_census"]
         payload["edge_triples"] = {"e4": et.e4, "e5": et.e5, "e6": et.e6}
     if args.exhaustive:
         classes = cn.exhaustive_six_census(g, limit=args.exhaustive_limit)

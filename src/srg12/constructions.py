@@ -57,78 +57,16 @@ def build_paley9() -> Graph:
 # -- ternary Golay coset graph --------------------------------------------
 
 
-def _gf3_poly_divmod(num: list[int], den: list[int]):
-    """Quotient and remainder of polynomials over GF(3), low-degree first."""
-    num = list(num)
-    dlead = den[-1]
-    if dlead % 3 != 1:
-        raise ValueError(f"divisor must be monic, leading coefficient {dlead}")
-    quot = [0] * max(1, len(num) - len(den) + 1)
-    for shift in range(len(num) - len(den), -1, -1):
-        coef = num[shift + len(den) - 1] % 3
-        if coef:
-            quot[shift] = coef
-            for i, d in enumerate(den):
-                num[shift + i] = (num[shift + i] - coef * d) % 3
-    while len(num) > 1 and num[-1] % 3 == 0:
-        num.pop()
-    return quot, [c % 3 for c in num]
-
-
-def ternary_golay_generator() -> tuple[int, ...]:
-    """Coefficients (low first) of a monic degree-5 factor of x^11-1 over GF(3).
-
-    x^11-1 splits as (x-1) times two irreducible quintics; either quintic
-    generates a perfect [11,6,5] code.  The lexicographically smallest
-    coefficient tuple is chosen so the construction is deterministic.
-    """
-    target = [2] + [0] * 10 + [1]  # x^11 - 1 = x^11 + 2 over GF(3)
-    found = []
-    for mask in range(3**5):
-        coeffs = []
-        m = mask
-        for _ in range(5):
-            m, c = divmod(m, 3)
-            coeffs.append(c)
-        cand = coeffs + [1]
-        if cand[0] == 0:
-            continue  # x | g would put x | x^11-1
-        _, rem = _gf3_poly_divmod(target, cand)
-        if rem == [0]:
-            found.append(tuple(cand))
-    if not found:
-        raise AssertionError("x^11-1 has no quintic factor over GF(3)")
-    return min(found)
-
-
-def _gf3_nullspace(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of the right null space of a matrix over GF(3)."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, len(rows)) if rows[i][c] % 3), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = 1 if rows[r][c] % 3 == 1 else 2
-        rows[r] = [(x * inv) % 3 for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % 3:
-                f = rows[i][c] % 3
-                rows[i] = [(a - f * b) % 3 for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for ri, pc in enumerate(pivots):
-            vec[pc] = (-rows[ri][fc]) % 3
-        basis.append(vec)
-    return basis
+# Parity-check matrix [A | I5] of the perfect ternary Golay [11,6,5] code
+# generated by g(x) = 2 + x^2 + 2x^3 + x^4 + x^5, a factor of x^11 - 1 over
+# GF(3); its rows span the dual code.
+GOLAY_PARITY_CHECK = (
+    (1, 2, 2, 2, 1, 0, 1, 0, 0, 0, 0),
+    (0, 1, 2, 2, 2, 1, 0, 1, 0, 0, 0),
+    (2, 1, 2, 0, 1, 2, 0, 0, 1, 0, 0),
+    (1, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0),
+    (2, 2, 2, 1, 0, 1, 0, 0, 0, 0, 1),
+)
 
 
 def build_bvls243() -> Graph:
@@ -139,40 +77,9 @@ def build_bvls243() -> Graph:
     contains a word of weight 1.  Equivalently this is the Cayley graph of
     GF(3)^5 whose connection set is the 22 signed parity-check columns.
     """
-    gen = ternary_golay_generator()
-    # generator matrix: shifts of g(x) as rows of a 6 x 11 matrix
-    gmat = []
-    for shift in range(6):
-        row = [0] * 11
-        for i, c in enumerate(gen):
-            row[shift + i] = c
-        gmat.append(row)
-    hmat = _gf3_nullspace(gmat)  # 5 x 11, rows span the dual code
-    if len(hmat) != 5:
-        raise AssertionError("parity check of the Golay code must have rank 5")
-
-    def syndrome(col: int) -> tuple[int, ...]:
-        return tuple(hrow[col] % 3 for hrow in hmat)
-
-    def encode(vec) -> int:
-        val = 0
-        for digit in reversed(vec):
-            val = val * 3 + digit
-        return val
-
-    connection = set()
-    for col in range(11):
-        s = syndrome(col)
-        connection.add(encode(s))
-        connection.add(encode(tuple((-d) % 3 for d in s)))
-    if len(connection) != 22 or 0 in connection:
-        raise AssertionError(
-            "weight-1 words do not give 22 distinct nonzero cosets; "
-            "generator polynomial is wrong"
-        )
-
+    conn_digits = [tuple(sign * row[col] % 3 for row in GOLAY_PARITY_CHECK)
+                   for col in range(11) for sign in (1, -1)]
     digits = [tuple((v // 3**i) % 3 for i in range(5)) for v in range(243)]
-    conn_digits = [digits[c] for c in connection]
     rows = [0] * 243
     for v in range(243):
         dv = digits[v]
@@ -239,17 +146,13 @@ def _solve_spectrum(n: int, k: int):
     Raises InfeasibleParametersError naming the first failed relation.
     """
     disc = 4 * k - 7
-    s = isqrt(disc)
+    s = isqrt(max(disc, 0))  # k < 2 makes disc negative, so never square
     if s * s != disc:
         raise InfeasibleParametersError(
             f"4k-7 = {disc} is not a perfect square", "4k-7 square"
         )
     lam1 = (-1 + s) // 2
     lam2 = (-1 - s) // 2
-    if lam1 + lam2 != -1:  # needs s odd, which 4k-7 odd guarantees
-        raise InfeasibleParametersError(
-            "eigenvalues are not integers", "lambda1+lambda2 = -1"
-        )
     num = -k - (n - 1) * lam2
     if num % s:
         raise InfeasibleParametersError(

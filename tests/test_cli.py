@@ -83,19 +83,13 @@ class TestGoldenReports:
     hold no timestamps and the source is a fingerprint.  A worker count is
     accepted and has no effect, so no byte depends on it."""
 
-    @pytest.mark.parametrize("name, workers, env", [
-        pytest.param(name, workers, env, id=name + suffix)
+    @pytest.mark.parametrize("name, workers", [
+        pytest.param(name, workers, id=name + suffix)
         for name in ("paley9", "bvls243")
-        for workers, env, suffix in ((["--workers", "1"], None, ""),
-                                     (["--workers", "2"], None, "-workers2"),
-                                     ([], "2", "-env2"))
+        for workers, suffix in ((["--workers", "1"], ""),
+                                (["--workers", "2"], "-workers2"))
     ])
-    def test_check_json_matches_golden(self, capsys, monkeypatch, tmp_path,
-                                       name, workers, env):
-        if env is None:
-            monkeypatch.delenv("SRG12_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("SRG12_WORKERS", env)
+    def test_check_json_matches_golden(self, capsys, tmp_path, name, workers):
         out_json = tmp_path / "report.json"
         code, _, _ = run(capsys, "check", "--graph", name, *workers,
                          "--json", str(out_json))
@@ -148,7 +142,8 @@ class TestCensusCommand:
             self, capsys, monkeypatch):
         from srg12 import census, cli, graph
 
-        calls = {"verify_srg": 0, "count_hexagons": 0, "_pentagon_scan": 0}
+        calls = {"verify_srg": 0, "count_hexagons": 0, "_pentagon_scan": 0,
+                 "edge_triple_census": 0}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -162,13 +157,14 @@ class TestCensusCommand:
         wrapper = counted(graph, "verify_srg")
         for module in (graph, census, cli):
             monkeypatch.setattr(module, "verify_srg", wrapper)
-        for name in ("count_hexagons", "_pentagon_scan"):
+        for name in ("count_hexagons", "_pentagon_scan", "edge_triple_census"):
             monkeypatch.setattr(census, name, counted(census, name))
         code, out, _ = run(capsys, "census", "--graph", "paley9", "--what", "all",
                            "--workers", "1")
         assert code == 0
         assert json.loads(out)["cycles"] == {"p3": 6, "p4": 9, "p5": 0, "p6": 6}
-        assert calls == {"verify_srg": 1, "count_hexagons": 1, "_pentagon_scan": 1}
+        assert calls == {"verify_srg": 1, "count_hexagons": 1, "_pentagon_scan": 1,
+                         "edge_triple_census": 1}
 
     def test_types_on_non_family_graph_fails(self, tmp_path, capsys):
         from srg12.graph import Graph
@@ -215,6 +211,13 @@ class TestSpectralCommand:
                            "--method", "sum")
         assert code == 2
         assert "r1" in err
+
+    @pytest.mark.parametrize("k, disc", [("0", "-7"), ("1", "-3")])
+    def test_valency_below_two_exit_2(self, capsys, k, disc):
+        code, _, err = run(capsys, "spectral", "--params", f"3,{k}",
+                           "--method", "sum")
+        assert code == 2
+        assert err == f"error: 4k-7 = {disc} is not a perfect square\n"
 
     def test_trace_below_six_vertices_exit_2(self, capsys):
         code, _, err = run(capsys, "spectral", "--method", "trace",
@@ -289,35 +292,14 @@ class TestInputValidation:
         assert code == 2
         assert err.startswith("error: --workers must be at least 1")
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_env_workers_below_one_exit_2(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("SRG12_WORKERS", value)
-        code, _, err = run(capsys, "check", "--graph", "k3")
-        assert code == 2
-        assert err.startswith("error: SRG12_WORKERS must be at least 1")
-
-    def test_env_workers_not_a_number_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("SRG12_WORKERS", "two")
-        code, _, err = run(capsys, "check", "--graph", "k3")
-        assert code == 2
-        assert err.startswith("error: invalid SRG12_WORKERS value")
-
-    def test_worker_count_resolution(self, monkeypatch):
+    def test_worker_count_resolution(self):
         from types import SimpleNamespace
 
         from srg12 import cli
 
-        # valid counts are accepted and ignored; --workers wins over the
-        # environment, so a bad SRG12_WORKERS is not read beside it
-        monkeypatch.delenv("SRG12_WORKERS", raising=False)
+        # valid counts are accepted and ignored
         assert cli._resolve_workers(SimpleNamespace(workers=None)) is None
         assert cli._resolve_workers(SimpleNamespace(workers=3)) is None
-        monkeypatch.setenv("SRG12_WORKERS", "2")
-        assert cli._resolve_workers(SimpleNamespace(workers=None)) is None
-        monkeypatch.setenv("SRG12_WORKERS", "0")
-        assert cli._resolve_workers(SimpleNamespace(workers=1)) is None
-        with pytest.raises(cli.UsageError, match="SRG12_WORKERS must be at least 1"):
-            cli._resolve_workers(SimpleNamespace(workers=None))
 
     @pytest.mark.parametrize("limit", ["-1", "17", "243"])
     def test_exhaustive_limit_out_of_range_exit_2(self, capsys, limit):

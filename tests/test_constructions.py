@@ -1,13 +1,13 @@
 import pytest
 
+from srg12 import constructions
 from srg12.census import count_triangles, exhaustive_six_census
 from srg12.constructions import (
+    GOLAY_PARITY_CHECK,
     FeasibleParams,
-    _gf3_poly_divmod,
     build_bvls243,
     build_paley9,
     feasible_parameters,
-    ternary_golay_generator,
 )
 from srg12.errors import InfeasibleParametersError
 from srg12.graph import SrgParams, check_condition_one, check_condition_two, verify_srg
@@ -51,25 +51,30 @@ class TestPaley9:
         assert build_paley9() == build_paley9()
 
 
+GOLAY_GENERATOR = (2, 0, 1, 2, 1, 1)  # g(x) = 2 + x^2 + 2x^3 + x^4 + x^5
+
+
 class TestGolayCode:
     def test_generator_divides_x11_minus_1(self):
-        gen = ternary_golay_generator()
-        assert len(gen) == 6 and gen[-1] == 1
-        target = [2] + [0] * 10 + [1]
-        _, rem = _gf3_poly_divmod(target, list(gen))
-        assert rem == [0]
-
-    def test_non_monic_divisor_raises(self):
-        with pytest.raises(ValueError, match="divisor must be monic"):
-            _gf3_poly_divmod([2] + [0] * 10 + [1], [1, 0, 2])
+        # g divides x^11 - 1 iff the code g generates is cyclic.  The parity
+        # check ends in I5, so its kernel has dimension 6; the six unwrapped
+        # shifts of g are independent, so the code is that kernel, and every
+        # cyclic shift of g must lie in it.
+        assert [row[6:] for row in GOLAY_PARITY_CHECK] == [
+            tuple(int(i == j) for j in range(5)) for i in range(5)
+        ]
+        word = list(GOLAY_GENERATOR) + [0] * 5
+        for _ in range(11):
+            for row in GOLAY_PARITY_CHECK:
+                assert sum(h * w for h, w in zip(row, word)) % 3 == 0
+            word = word[-1:] + word[:-1]
 
     def test_code_has_minimum_distance_5(self):
         # all 3^6 codewords of the cyclic code generated by shifts of g
-        gen = ternary_golay_generator()
         rows = []
         for shift in range(6):
             row = [0] * 11
-            for i, c in enumerate(gen):
+            for i, c in enumerate(GOLAY_GENERATOR):
                 row[shift + i] = c
             rows.append(row)
         seen_weights = set()
@@ -85,6 +90,14 @@ class TestGolayCode:
             seen_weights.add(w)
         assert min(seen_weights - {0}) == 5
         assert len(seen_weights) > 1  # nonzero codewords exist
+
+    def test_perturbed_parity_check_fails_the_build(self, monkeypatch):
+        bad = [list(row) for row in GOLAY_PARITY_CHECK]
+        bad[2][3] = (bad[2][3] + 1) % 3  # one entry of A
+        monkeypatch.setattr(constructions, "GOLAY_PARITY_CHECK",
+                            tuple(map(tuple, bad)))
+        with pytest.raises(AssertionError, match="failed srg\\(243,22,1,2\\)"):
+            build_bvls243()
 
 
 class TestBvls243:

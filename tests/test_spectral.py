@@ -49,6 +49,14 @@ class TestSpectrum:
         with pytest.raises(InfeasibleParametersError):
             srg_spectrum(SrgParams(19, 6, 1, 2))  # 4k-7 = 17 not a square
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_valency_below_two_is_infeasible(self, k):
+        # 4k-7 < 0 has no square root; the relation is named, not a bare
+        # ValueError from isqrt
+        with pytest.raises(InfeasibleParametersError) as exc:
+            srg_spectrum(SrgParams(3, k, 1, 2))
+        assert exc.value.failed_relation == "4k-7 square"
+
 
 class TestC6Table:
     def test_closed_form(self):
