@@ -9,11 +9,11 @@ the finished graph must verify as srg(243,22,1,2) or construction aborts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from typing import Optional
 
 from .errors import InfeasibleParametersError
 from .graph import Graph, SrgParams, verify_srg
+from .spectral import Spectrum, srg_spectrum
 
 KNOWN_GRAPH_TAGS = {2: "K3", 4: "Paley9", 22: "BvLS243"}
 
@@ -124,48 +124,18 @@ class FeasibleParams:
 
     def check_relations(self) -> None:
         """Raise InfeasibleParametersError naming the first relation that
-        fails."""
+        fails: n and the multiplicity total here, the spectral relations in
+        ``Spectrum.check_relations``."""
         relations = (
             ("n = (k^2+2)/2", 2 * self.n == self.k**2 + 2),
-            ("lambda1+lambda2 = -1", self.lambda1 + self.lambda2 == -1),
-            ("lambda1*lambda2 = -(k-2)", self.lambda1 * self.lambda2 == -(self.k - 2)),
             ("r1 + r2 = n - 1", self.r1 + self.r2 == self.n - 1),
-            ("k + r1*lambda1 + r2*lambda2 = 0",
-             self.k + self.r1 * self.lambda1 + self.r2 * self.lambda2 == 0),
         )
         for relation, holds in relations:
             if not holds:
                 raise InfeasibleParametersError(
                     f"parameters {self} violate {relation}", relation
                 )
-
-
-def _solve_spectrum(n: int, k: int):
-    """Integer eigenvalues/multiplicities for srg(n,k,1,2), or raise.
-
-    Raises InfeasibleParametersError naming the first failed relation.
-    """
-    disc = 4 * k - 7
-    s = isqrt(max(disc, 0))  # k < 2 makes disc negative, so never square
-    if s * s != disc:
-        raise InfeasibleParametersError(
-            f"4k-7 = {disc} is not a perfect square", "4k-7 square"
-        )
-    lam1 = (-1 + s) // 2
-    lam2 = (-1 - s) // 2
-    num = -k - (n - 1) * lam2
-    if num % s:
-        raise InfeasibleParametersError(
-            f"multiplicity r1 = {num}/{s} is not an integer",
-            "k + r1*lambda1 + r2*lambda2 = 0",
-        )
-    r1 = num // s
-    r2 = n - 1 - r1
-    if r1 < 0 or r2 < 0:
-        raise InfeasibleParametersError(
-            f"negative multiplicity (r1={r1}, r2={r2})", "r1, r2 >= 0"
-        )
-    return lam1, lam2, r1, r2
+        Spectrum(self.k, self.lambda1, self.lambda2, self.r1, self.r2).check_relations()
 
 
 def feasible_parameters(k_max: int, include_degenerate: bool = False):
@@ -181,14 +151,11 @@ def feasible_parameters(k_max: int, include_degenerate: bool = False):
     out = []
     start = 2 if include_degenerate else 4
     for k in range(start, k_max + 1, 2):
-        if (k * k + 2) % 2:
-            continue
         n = (k * k + 2) // 2
         try:
-            lam1, lam2, r1, r2 = _solve_spectrum(n, k)
+            spec = srg_spectrum(SrgParams(n, k))
         except InfeasibleParametersError:
             continue
-        fp = FeasibleParams(k, n, lam1, lam2, r1, r2, KNOWN_GRAPH_TAGS.get(k))
-        fp.check_relations()
-        out.append(fp)
+        out.append(FeasibleParams(k, n, spec.lambda1, spec.lambda2, spec.r1,
+                                  spec.r2, KNOWN_GRAPH_TAGS.get(k)))
     return out

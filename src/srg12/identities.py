@@ -464,9 +464,7 @@ class ChainReport:
         return not self.failures
 
 
-def verify_polynomial_chain(
-    sample_points, hexagon_poly: tuple[int, int, int] = (2, -21, 53)
-) -> ChainReport:
+def verify_polynomial_chain(sample_points) -> ChainReport:
     """Certify the polynomial identities behind the hexagon bound.
 
     At each sample k (even, >= 6, with n = (k^2+2)/2, at least 13 distinct
@@ -476,10 +474,8 @@ def verify_polynomial_chain(
       expressions (three independent shapes for e5);
     * assembling the master identity, subtracting the quadrilateral-plus-edge
       and triangle-pair relations, and substituting the remaining type
-      relations yields exactly hexagons-minus-n3 = nk(k-2)(2k^2-21k+53)/12.
-
-    ``hexagon_poly`` overrides the quadratic (a, b, c) in the final bound;
-    perturbing one coefficient must fail at every point (mutation check).
+      relations yields exactly hexagons-minus-n3 = ``hexagon_bound(n, k)``,
+      the bound the ledger checks.
     """
     points = sorted(set(sample_points))
     if len(points) < 13:
@@ -488,7 +484,6 @@ def verify_polynomial_chain(
         if k < 6 or k % 2:
             raise ValueError(f"sample points must be even and >= 6, got {k}")
 
-    a2, a1, a0 = hexagon_poly
     failures = []
     for k in points:
         n = family_order(k)
@@ -530,9 +525,7 @@ def verify_polynomial_chain(
             + expected_pentagon_sides(n, k)
         )
         neg_f = s4 + expected_quad_pairs(n, k) - expected_opposite_sides(n, k)
-        # hexagons minus n3 must equal nk(k-2)(a2 k^2 + a1 k + a0)/12
-        lhs = -12 * neg_f
-        rhs = n * k * (k - 2) * (a2 * k * k + a1 * k + a0)
-        if lhs != rhs:
-            failures.append(ChainFailure(k, "hexagon count chain", lhs, rhs))
+        bound = hexagon_bound(n, k)
+        if -neg_f != bound:
+            failures.append(ChainFailure(k, "hexagon count chain", -neg_f, bound))
     return ChainReport(tuple(points), tuple(failures))

@@ -11,9 +11,8 @@ binomial route needs arbitrary precision (single terms near k=994 exceed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 
-from .constructions import _solve_spectrum
 from .errors import (
     CountingInconsistencyError,
     InfeasibleParametersError,
@@ -70,8 +69,28 @@ class CharPolyPrefix:
 def srg_spectrum(params: SrgParams) -> Spectrum:
     """Exact spectrum of srg(n,k,1,2); raises InfeasibleParametersError
     naming the failed relation when no integer solution exists."""
-    lam1, lam2, r1, r2 = _solve_spectrum(params.n, params.k)
-    spec = Spectrum(params.k, lam1, lam2, r1, r2)
+    n, k = params.n, params.k
+    disc = 4 * k - 7
+    s = isqrt(max(disc, 0))  # k < 2 makes disc negative, so never square
+    if s * s != disc:
+        raise InfeasibleParametersError(
+            f"4k-7 = {disc} is not a perfect square", "4k-7 square"
+        )
+    lam1 = (-1 + s) // 2
+    lam2 = (-1 - s) // 2
+    num = -k - (n - 1) * lam2
+    if num % s:
+        raise InfeasibleParametersError(
+            f"multiplicity r1 = {num}/{s} is not an integer",
+            "k + r1*lambda1 + r2*lambda2 = 0",
+        )
+    r1 = num // s
+    r2 = n - 1 - r1
+    if r1 < 0 or r2 < 0:
+        raise InfeasibleParametersError(
+            f"negative multiplicity (r1={r1}, r2={r2})", "r1, r2 >= 0"
+        )
+    spec = Spectrum(k, lam1, lam2, r1, r2)
     spec.check_relations()
     return spec
 
@@ -104,34 +123,26 @@ def c6_binomial_sum(spec: Spectrum) -> int:
 
 
 def adjacency_traces(g: Graph, m: int) -> tuple[int, ...]:
-    """(tr A^1, ..., tr A^m) by repeated application to basis vectors.
+    """(tr A^1, ..., tr A^m), one pass per vertex v.
 
-    Works column by column: three sparse applications give the columns of
-    A^2 and A^3, and the higher traces follow from symmetry,
+    Row v of A^2 is one popcount per row, row v of A^3 sums it over each
+    vertex's neighbours, and the higher traces follow from symmetry,
     tr A^(i+j) = sum_{u,v} (A^i)_uv (A^j)_uv.  Supports m <= 6.
     """
     if m > 6:
         raise SizeLimitError("traces implemented up to m = 6")
-    n = g.order
-    nbrs = [tuple(g.neighbors(v)) for v in range(n)]
-    t = [0] * (m + 1)  # t[i] = tr A^i
-    for v in range(n):
-        w1 = [0] * n
-        for u in nbrs[v]:
-            w1[u] = 1
-        if m >= 2:
-            w2 = [sum(w1[x] for x in nbrs[u]) for u in range(n)]
-            t[2] += w2[v]
-        if m >= 3:
-            w3 = [sum(w2[x] for x in nbrs[u]) for u in range(n)]
-            t[3] += w3[v]
-        if m >= 4:
-            t[4] += sum(a * a for a in w2)
-        if m >= 5:
-            t[5] += sum(a * b for a, b in zip(w2, w3))
-        if m >= 6:
-            t[6] += sum(a * a for a in w3)
-    return tuple(t[1:])
+    rows = g.rows
+    nbrs = [tuple(g.neighbors(v)) for v in range(g.order)]
+    t = [0] * 7  # t[i] = tr A^i; tr A = 0 without loops
+    for v, rv in enumerate(rows):
+        w2 = [(rv & r).bit_count() for r in rows]
+        w3 = [sum(w2[x] for x in nb) for nb in nbrs]
+        t[2] += w2[v]
+        t[3] += w3[v]
+        t[4] += sum(a * a for a in w2)
+        t[5] += sum(a * b for a, b in zip(w2, w3))
+        t[6] += sum(a * a for a in w3)
+    return tuple(t[1:max(m, 0) + 1])
 
 
 def charpoly_prefix(g: Graph, m: int = 6) -> CharPolyPrefix:

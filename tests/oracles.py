@@ -4,10 +4,11 @@ Everything here enumerates subsets or permutations directly and stays
 independent of the counting paths under test.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from srg12._bits import iter_bits
-from srg12.census import _apex_pattern_check, iter_pentagons, named_type_certificates
+from srg12.census import _apex_pattern_check, named_type_certificates
 from srg12.errors import CountingInconsistencyError, FamilyViolationError
 from srg12.graph import Graph, classify_code
 
@@ -97,6 +98,16 @@ def pentagons_through(g: Graph, u: int, v: int):
                 if edges == 5:
                     out.append(pent)
     return out
+
+
+def iter_pentagons(g: Graph):
+    """Each induced pentagon once, as u-v-w-x-y-u with u its minimum vertex
+    and v < y, from the walks of ``pentagons_through``."""
+    for u in range(g.order):
+        for v in g.neighbors(u):
+            for pent in pentagons_through(g, u, v):
+                if min(pent) == u and v < pent[4]:
+                    yield pent
 
 
 def hexagon_scan_pairwise(rows, n: int, v0_list) -> int:
@@ -372,3 +383,12 @@ def petersen() -> Graph:
         if not set(a) & set(b)
     ]
     return Graph.from_edges(10, edges)
+
+
+def quadratic_hexagon_bound(a2: int, a1: int, a0: int):
+    """``identities.hexagon_bound`` with its quadratic 2k^2 - 21k + 53
+    replaced by a2 k^2 + a1 k + a0, as an exact Fraction: the mutant for
+    the polynomial-chain tests."""
+    def bound(n: int, k: int) -> Fraction:
+        return Fraction(n * k * (k - 2) * (a2 * k * k + a1 * k + a0), 12)
+    return bound

@@ -10,7 +10,13 @@ from math import comb
 
 import pytest
 
-from oracles import brute_edge_triples, induced_cycle_count, random_graph
+from oracles import (
+    brute_edge_triples,
+    induced_cycle_count,
+    quadratic_hexagon_bound,
+    random_graph,
+)
+from srg12 import identities
 from srg12.census import (
     count_hexagons,
     count_pentagons,
@@ -252,11 +258,12 @@ def test_criterion_09_oracle_equivalence_suite():
             limit=120.0)
 
 
-def test_criterion_10_polynomial_chain():
+def test_criterion_10_polynomial_chain(monkeypatch):
     points = list(range(6, 32, 2))
     with _Timer() as t:
         assert verify_polynomial_chain(points).passed
-        mutated = verify_polynomial_chain(points, hexagon_poly=(2, -21, 54))
+        monkeypatch.setattr(identities, "hexagon_bound", quadratic_hexagon_bound(2, -21, 54))
+        mutated = verify_polynomial_chain(points)
         failed_at = {f.k for f in mutated.failures if f.check == "hexagon count chain"}
         assert failed_at == set(points)
     _report(10, "chain passes at 13 points; mutation fails at every point", t,

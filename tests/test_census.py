@@ -11,6 +11,7 @@ from oracles import (
     brute_edge_triples,
     induced_cycle_count,
     induced_cycles_through_edge,
+    iter_pentagons,
     petersen,
     quad_edge_incidences,
     random_graph,
@@ -31,7 +32,6 @@ from srg12.census import (
     disjoint_triangle_pair_census,
     edge_triple_census,
     exhaustive_six_census,
-    iter_pentagons,
     named_type_certificates,
     pentagon_triangle_census,
     pentagons_through_edge,
@@ -115,6 +115,7 @@ class TestCycleCounts:
         for g in random_cases(31, 5, nmin=7, nmax=11):
             pents = list(iter_pentagons(g))
             assert len(pents) == count_pentagons(g)
+            assert len({frozenset(p) for p in pents}) == len(pents)
             for p in pents:
                 assert len(set(p)) == 5
                 for i in range(5):

@@ -5,7 +5,12 @@ import re
 
 import pytest
 
-from oracles import double_edge_switched, one_apex_per_edge_graph, random_graph
+from oracles import (
+    double_edge_switched,
+    one_apex_per_edge_graph,
+    quadratic_hexagon_bound,
+    random_graph,
+)
 from srg12 import census, cli, graph, identities, spectral
 from srg12.census import NAMED_TYPE_EDGES
 from srg12.errors import CountingInconsistencyError
@@ -419,15 +424,19 @@ class TestPolynomialChain:
         with pytest.raises(ValueError):
             verify_polynomial_chain(self.POINTS[:-1] + [4])  # below 6
 
-    def test_mutation_fails_everywhere(self):
-        report = verify_polynomial_chain(self.POINTS, hexagon_poly=(2, -21, 54))
+    def test_mutation_fails_everywhere(self, monkeypatch):
+        monkeypatch.setattr(identities, "hexagon_bound", quadratic_hexagon_bound(2, -21, 53))
+        assert verify_polynomial_chain(self.POINTS).passed
+        monkeypatch.setattr(identities, "hexagon_bound", quadratic_hexagon_bound(2, -21, 54))
+        report = verify_polynomial_chain(self.POINTS)
         failed_points = {
             f.k for f in report.failures if f.check == "hexagon count chain"
         }
         assert failed_points == set(self.POINTS)
 
-    def test_mutation_reports_divergent_expression(self):
-        report = verify_polynomial_chain(self.POINTS, hexagon_poly=(2, -20, 53))
+    def test_mutation_reports_divergent_expression(self, monkeypatch):
+        monkeypatch.setattr(identities, "hexagon_bound", quadratic_hexagon_bound(2, -20, 53))
+        report = verify_polynomial_chain(self.POINTS)
         assert not report.passed
         assert all(isinstance(f, ChainFailure) for f in report.failures)
 

@@ -105,6 +105,20 @@ class TestCharpolyPrefix:
         with pytest.raises(SizeLimitError):
             adjacency_traces(paley9, 7)
 
+    def test_traces_match_matrix_powers(self):
+        rng = random.Random(61)
+        for n in range(13):
+            for _ in range(3):
+                g = random_graph(rng, n, rng.random())
+                adj = [[g.rows[u] >> v & 1 for v in range(n)] for u in range(n)]
+                power, traces = adj, []
+                for _ in range(6):
+                    traces.append(sum(power[i][i] for i in range(n)))
+                    power = [[sum(a * adj[x][j] for x, a in enumerate(row))
+                              for j in range(n)] for row in power]
+                for m in range(7):
+                    assert adjacency_traces(g, m) == tuple(traces[:m])
+
 
 class TestDetSumOracle:
     def test_k3_c3(self, k3):

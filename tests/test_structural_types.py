@@ -585,6 +585,22 @@ class TestInvariantsWithoutAssert:
         assert len(paths) >= 10
         assert found == []
 
+    def test_no_private_names_imported_across_modules(self):
+        # a module's underscore names stay its own, so the layering holds:
+        # constructions reads the spectrum through spectral.srg_spectrum
+        paths = sorted(Path(census.__file__).parent.glob("*.py"))
+        found = [
+            f"{path.name}: {node.module}.{alias.name}"
+            for path in paths
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.ImportFrom) and node.module
+            and (node.level or node.module.startswith("srg12"))
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert len(paths) >= 10
+        assert found == []
+
     def test_no_process_pool_in_src(self):
         # every census runs in process, through one code path
         paths = sorted(Path(census.__file__).parent.glob("*.py"))
