@@ -13,7 +13,7 @@ adjacency of the few pairs left free (a cross-edge count, one or two bits, a
 mask test); any setting outside the expected types raises.  No canonical
 labelling runs in these loops.  The exhaustive scan, guarded to 16 vertices,
 classifies every 6-subset by canonical certificate and is the ground-truth
-oracle.
+oracle; it labels each isomorphism class once, by expanding its orbit.
 
 The type censuses need a verified srg(n, k, 1, 2).  ``require_family``
 returns that as a ``VerifiedFamily`` (the graph with n, k and m) after one
@@ -42,6 +42,7 @@ from .graph import (
     SrgParams,
     SrgReport,
     classify_code,
+    code_orbit,
     determinant_of_code,
     matching_count_of_code,
     verify_srg,
@@ -523,8 +524,11 @@ def exhaustive_six_census(
     """Classify every 6-subset's induced subgraph; ground truth for censuses.
 
     Guarded to ``limit`` vertices (default 16, i.e. C(16,6) = 8008 subsets).
-    Each isomorphism class carries the adjacency determinant and 3-edge-cover
-    count of its representative.
+    The subsets' labelled edge codes are tallied first.  Then each
+    isomorphism class met is labelled once: the orbit of one of its codes is
+    expanded (``code_orbit``), its minimum is the certificate, and every
+    orbit member's tally moves into that class.  Each class carries the
+    adjacency determinant and 3-edge-cover count of its representative.
     """
     if g.order > limit:
         raise SizeLimitError(
@@ -532,13 +536,16 @@ def exhaustive_six_census(
         )
     if g.order < 6:
         return {}
-    counts: dict[int, int] = {}
+    tally: dict[int, int] = {}
     for subset in combinations(range(g.order), 6):
-        cert = classify_code(g.subgraph_code(subset), 6)
-        counts[cert] = counts.get(cert, 0) + 1
+        code = g.subgraph_code(subset)
+        tally[code] = tally.get(code, 0) + 1
     out = {}
-    for cert, cnt in counts.items():
-        stats = ClassStats(cnt, determinant_of_code(cert, 6), matching_count_of_code(cert, 6))
+    while tally:
+        orbit = code_orbit(next(iter(tally)), 6)
+        cert = min(orbit)
+        count = sum(map(tally.pop, orbit & tally.keys()))
+        stats = ClassStats(count, determinant_of_code(cert, 6), matching_count_of_code(cert, 6))
         out[CanonicalClass(cert, 6, cert.bit_count())] = stats
     return out
 

@@ -308,9 +308,9 @@ def verify_srg(g: Graph, expected: SrgParams) -> SrgReport:
 class CanonicalClass:
     """Order-independent certificate of a graph on <= 8 vertices.
 
-    Certificates of two graphs are equal iff the graphs are isomorphic;
-    guaranteed by minimising the packed edge code over all vertex
-    permutations.
+    Certificates of two graphs are equal iff the graphs are isomorphic:
+    the certificate is the minimum packed edge code in the graph's orbit
+    under all vertex permutations (``code_orbit``).
     """
 
     certificate: int
@@ -319,37 +319,33 @@ class CanonicalClass:
 
 
 @lru_cache(maxsize=None)
-def _perm_bit_maps(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each permutation of range(n), where each edge-code bit lands."""
+def _bit_images(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each edge-code bit, the bit it lands on under each permutation
+    of range(n), as a mask; every row lists the permutations in one order."""
     pairs = pair_index_table(n)
-    maps = []
+    masks = [1 << pos for pos in range(len(pairs))]
+    images = [[] for _ in pairs]
     for sigma in itertools.permutations(range(n)):
-        dest = [0] * len(pairs)
         for (i, j), pos in pairs.items():
             a, b = sigma[i], sigma[j]
-            dest[pos] = pairs[(a, b) if a < b else (b, a)]
-        maps.append(tuple(dest))
-    return tuple(maps)
+            images[pos].append(masks[pairs[(a, b) if a < b else (b, a)]])
+    return tuple(map(tuple, images))
+
+
+def code_orbit(code: int, n: int) -> frozenset[int]:
+    """Every relabelling of a packed edge code on n vertices: its images
+    under all permutations of range(n)."""
+    if not code:
+        return frozenset((0,))
+    images = _bit_images(n)
+    # one permutation sends distinct bits to distinct bits, so sum is OR
+    return frozenset(map(sum, zip(*[images[b] for b in iter_bits(code)])))
 
 
 def canonical_code(code: int, n: int) -> int:
-    """Lexicographically minimal relabelling of a packed edge code."""
-    if code == 0:
-        return 0
-    best = None
-    for dest in _perm_bit_maps(n):
-        cand = 0
-        m = code
-        while m:
-            low = m & -m
-            cand |= 1 << dest[low.bit_length() - 1]
-            m ^= low
-            if best is not None and cand > best:
-                break
-        else:
-            if best is None or cand < best:
-                best = cand
-    return best
+    """Lexicographically minimal relabelling of a packed edge code: the
+    minimum of its orbit."""
+    return min(code_orbit(code, n))
 
 
 # classification cache: vertex count -> {raw code -> canonical code}

@@ -68,7 +68,13 @@ class CharPolyPrefix:
 
 def srg_spectrum(params: SrgParams) -> Spectrum:
     """Exact spectrum of srg(n,k,1,2); raises InfeasibleParametersError
-    naming the failed relation when no integer solution exists."""
+    naming the failed relation when no integer solution exists, or when
+    the parameters are not lambda = 1, mu = 2."""
+    if not params.is_family:
+        raise InfeasibleParametersError(
+            f"spectrum solved only for lambda = 1, mu = 2, got {params}",
+            "lambda = 1, mu = 2",
+        )
     n, k = params.n, params.k
     disc = 4 * k - 7
     s = isqrt(max(disc, 0))  # k < 2 makes disc negative, so never square

@@ -5,12 +5,61 @@ independent of the counting paths under test.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 
-from srg12._bits import iter_bits
+from srg12._bits import iter_bits, pair_index_table
 from srg12.census import _apex_pattern_check, named_type_certificates
 from srg12.errors import CountingInconsistencyError, FamilyViolationError
 from srg12.graph import Graph, classify_code
+
+
+@lru_cache(maxsize=None)
+def _perm_bit_maps(n: int):
+    """For each permutation of range(n), where each edge-code bit lands."""
+    pairs = pair_index_table(n)
+    maps = []
+    for sigma in permutations(range(n)):
+        dest = [0] * len(pairs)
+        for (i, j), pos in pairs.items():
+            a, b = sigma[i], sigma[j]
+            dest[pos] = pairs[(a, b) if a < b else (b, a)]
+        maps.append(tuple(dest))
+    return tuple(maps)
+
+
+def early_break_canonical_code(code: int, n: int) -> int:
+    """Lexicographically minimal relabelling of a packed edge code.
+
+    Tries every permutation of range(n) and abandons one as soon as its
+    partial image, built from the lowest bit up, exceeds the best so far.
+    """
+    if code == 0:
+        return 0
+    best = None
+    for dest in _perm_bit_maps(n):
+        cand = 0
+        m = code
+        while m:
+            low = m & -m
+            cand |= 1 << dest[low.bit_length() - 1]
+            m ^= low
+            if best is not None and cand > best:
+                break
+        else:
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def oracle_six_census(g: Graph) -> dict[int, int]:
+    """Number of 6-subsets per certificate, each subset labelled by
+    ``early_break_canonical_code``."""
+    counts = {}
+    for subset in combinations(range(g.order), 6):
+        cert = early_break_canonical_code(g.subgraph_code(subset), 6)
+        counts[cert] = counts.get(cert, 0) + 1
+    return counts
 
 
 def certificate_type(g: Graph, verts):

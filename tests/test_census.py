@@ -9,13 +9,16 @@ import pytest
 
 from oracles import (
     brute_edge_triples,
+    double_edge_switched,
     induced_cycle_count,
     induced_cycles_through_edge,
     iter_pentagons,
+    oracle_six_census,
     petersen,
     quad_edge_incidences,
     random_graph,
 )
+from srg12 import census, graph
 from srg12.census import (
     MASTER_COEFF,
     MASTER_COEFF_AGGREGATE,
@@ -250,6 +253,38 @@ class TestExhaustiveCensus:
                 assert st.det + st.cover_count == MASTER_COEFF[name]
             else:
                 assert st.det + st.cover_count == MASTER_COEFF_AGGREGATE
+
+
+class TestExhaustiveEnumerationBudget:
+    def test_one_orbit_expansion_per_class(self, monkeypatch):
+        # a seeded 6-regular graph on 16 vertices: C16(1, 2, 3), switched
+        circulant = Graph.from_edges(16, [(i, (i + d) % 16) for i in range(16)
+                                          for d in (1, 2, 3)])
+        g = double_edge_switched(circulant, random.Random(1603), 12)
+        expansions = []
+        labelled = []
+        real_orbit = census.code_orbit
+
+        def counted_orbit(code, n):
+            expansions.append(code)
+            return real_orbit(code, n)
+
+        monkeypatch.setattr(census, "code_orbit", counted_orbit)
+        monkeypatch.setattr(graph, "canonical_code",
+                            lambda code, n: labelled.append(code))
+        classes = exhaustive_six_census(g)
+        assert len(expansions) == len(classes) > 100
+        assert labelled == []
+        assert sum(st.count for st in classes.values()) == comb(16, 6)
+        assert sum(st.count * cls.edge_count for cls, st in classes.items()) == (
+            g.num_edges * comb(14, 4))
+
+    def test_counts_equal_the_subset_by_subset_oracle(self, paley9):
+        g = random_graph(random.Random(1010), 10, 0.5)
+        for h in (paley9, g):
+            counts = {cls.certificate: st.count
+                      for cls, st in exhaustive_six_census(h).items()}
+            assert counts == oracle_six_census(h)
 
 
 class TestDisjointTrianglePairs:

@@ -3,7 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from oracles import laplace_determinant, petersen, random_graph
+from oracles import (
+    early_break_canonical_code,
+    laplace_determinant,
+    petersen,
+    random_graph,
+)
 from srg12.errors import SizeLimitError
 from srg12.graph import (
     CANONICAL_MAX_VERTICES,
@@ -11,8 +16,10 @@ from srg12.graph import (
     SrgParams,
     adjacency_determinant,
     canonical_class,
+    canonical_code,
     check_condition_one,
     check_condition_two,
+    code_orbit,
     graph_from_code,
     three_edge_cover_count,
     verify_srg,
@@ -137,6 +144,44 @@ class TestCanonicalClass:
             perm = list(range(g.order))
             rng.shuffle(perm)
             assert canonical_class(g) == canonical_class(g.relabeled(perm))
+
+
+class TestCodeOrbit:
+    def test_canonical_code_matches_early_break_oracle(self):
+        rng = random.Random(2024)
+        for _ in range(3000):
+            code = rng.getrandbits(15)
+            assert canonical_code(code, 6) == early_break_canonical_code(code, 6)
+        for n, samples in ((7, 12), (8, 3)):
+            for _ in range(samples):
+                code = rng.getrandbits(n * (n - 1) // 2)
+                assert canonical_code(code, n) == early_break_canonical_code(code, n)
+
+    def test_six_vertex_codes_fall_into_156_classes(self):
+        # 156 graphs on 6 vertices (OEIS A000088); each orbit has size
+        # 720 / |Aut| and the orbits partition all 2^15 codes
+        left = set(range(1 << 15))
+        sizes = []
+        while left:
+            orbit = code_orbit(min(left), 6)
+            assert orbit <= left
+            left -= orbit
+            sizes.append(len(orbit))
+        assert len(sizes) == 156
+        assert sum(sizes) == 1 << 15
+        assert all(720 % size == 0 for size in sizes)
+
+    def test_orbit_is_closed_under_relabelling(self):
+        rng = random.Random(17)
+        g = random_graph(rng, 6, 0.5)
+        code = g.subgraph_code(tuple(range(6)))
+        orbit = code_orbit(code, 6)
+        assert code in orbit
+        for _ in range(20):
+            perm = list(range(6))
+            rng.shuffle(perm)
+            assert g.relabeled(perm).subgraph_code(tuple(range(6))) in orbit
+        assert code_orbit(0, 6) == {0}
 
 
 class TestDeterminant:

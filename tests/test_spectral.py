@@ -58,6 +58,15 @@ class TestSpectrum:
         assert exc.value.failed_relation == "4k-7 square"
 
 
+    @pytest.mark.parametrize("params", [SrgParams(9, 4, 0, 2), SrgParams(9, 4, 1, 1)])
+    def test_outside_the_family_is_refused(self, params):
+        # the solver assumes lambda = 1, mu = 2; it must not return the
+        # family spectrum for other parameters
+        with pytest.raises(InfeasibleParametersError) as exc:
+            srg_spectrum(params)
+        assert exc.value.failed_relation == "lambda = 1, mu = 2"
+
+
 class TestC6Table:
     def test_closed_form(self):
         for (n, k), want in C6_TABLE.items():
