@@ -5,15 +5,25 @@ enumerator fixes a canonical representative (minimum vertex first, the two
 cycle neighbours of the start in increasing order) so each cycle is visited
 exactly once; nothing is counted with multiplicity and divided afterwards.
 
-Targeted censuses of the named 6-vertex types iterate over structure pairs
-(triangle pairs, quadrilaterals through an edge, pentagon sides, ...) because
-full 6-subset scans are hopeless beyond small graphs.  Each structure fixes
-most of the 15 vertex pairs of its 6-subset, so its type is decided by the
-adjacency of the few pairs left free (a cross-edge count, one or two bits, a
-mask test); any setting outside the expected types raises.  No canonical
-labelling runs in these loops.  The exhaustive scan, guarded to 16 vertices,
-classifies every 6-subset by canonical certificate and is the ground-truth
-oracle; it labels each isomorphism class once, by expanding its orbit.
+Targeted censuses of the named 6-vertex types count structure pairs
+(triangle pairs, quadrilateral pairs through an edge, pentagon sides, ...)
+because full 6-subset scans are hopeless beyond small graphs.  Each structure
+fixes most of the 15 vertex pairs of its 6-subset, so its type is decided by
+the adjacency of the few pairs left free (a cross-edge count, one or two
+bits, a mask test); any setting outside the expected types raises.  The
+kernels count many pairs at once with shared bit masks instead of visiting
+them one by one: a triangle meets all its later partners through masks of
+triangle ids, an edge's quadrilateral pairs follow from edge counts among
+their vertices, and pentagon and hexagon paths are summed from bit-sliced
+neighbour counters.  Where a shortcut leans on a property of the family,
+the kernel corrects exactly for graphs without it (triangles, hexagons) or
+tests it (its guard) and sends the rest to the pair-by-pair check, which
+raises (quadrilateral pairs); so every count is exact on any graph.  No
+canonical labelling runs in these loops.
+
+The exhaustive scan, guarded to 16 vertices, classifies every 6-subset by
+canonical certificate and is the ground-truth oracle; it labels each
+isomorphism class once, by expanding its orbit.
 
 The type censuses need a verified srg(n, k, 1, 2).  ``require_family``
 returns that as a ``VerifiedFamily`` (the graph with n, k and m) after one
@@ -276,47 +286,70 @@ def _hexagon_scan(rows, n: int, v0_list) -> int:
     """Count induced hexagons whose minimum vertex is in v0_list.
 
     Cycle order v0-v1-v2-v3-v4-v5-v0 with v1 < v5 non-adjacent.  Every
-    other vertex lies above v0 and off N(v0); v2 is in base2 = N(v1) - N(v5),
-    v4 in base4 = N(v5) - N(v1) and v3 in base3, off N(v1) and N(v5).  The
-    three sets are disjoint (base2 lies in N(v1), which base3 and base4
-    avoid; base4 lies in N(v5), which base3 avoids), so the hexagons of the
-    triple are the pairs v2, v4 with v2 not joined to v4, each adding
-    |N(v2) & N(v4) & base3|.  Summed from the middle vertex instead:
+    other vertex lies in off, the vertices above v0 and off N(v0); v2 is in
+    base2 = N(v1) - N(v5), v4 in base4 = N(v5) - N(v1) and v3 in base3,
+    off N(v1) and N(v5).  The three sets are disjoint (base2 lies in N(v1),
+    which base3 and base4 avoid; base4 lies in N(v5), which base3 avoids),
+    so the hexagons of the triple are the pairs v2, v4 with v2 not joined to
+    v4, each adding |N(v2) & N(v4) & base3|.  That is every path v2-v3-v4
+    less those whose ends are joined:
 
-        sum over v2 of [ sum over v3 in N(v2) & base3 of |N(v3) & base4|
-                         - sum over v4 in base4 & N(v2) of
-                           |N(v2) & N(v4) & base3| ]
+        sum over v3 in base3 of a(v3) b(v3)
+        - sum over v4 in base4, v2 in base2 & N(v4) of |N(v2) & N(v4) & base3|
 
-    The first term reads a bit-sliced counter of |N(v3) & base4| over
-    base3, built once per triple; the second runs only over the adjacent
-    pairs v2 ~ v4 (the pentagons v0-v1-v2-v4-v5).  The identity is exact on
-    any graph.
+    with a = |N(v3) & base2| and b = |N(v3) & base4|.  The second term
+    runs over the pentagons v0-v1-v2-v4-v5 only, v4 outermost.  For the
+    first, each upper neighbour x of v0 gets one bit-sliced counter c_x of
+    |N(v) & R_x| over off, where R_x = N(x) & off.  base2 and base4 are R_v1
+    and R_v5 less C = R_v1 & R_v5, so with c_C = |N(v3) & C|,
+
+        a b = c_v1 c_v5 - c_C (c_v1 + c_v5) + c_C^2,
+
+    and each sum over base3 is a few AND-popcounts of counter digits: the
+    sum of c_x c_y is that of 2^(i+j) |c_x[i] & c_y[j] & base3| over the
+    digits i, j.  The c_C counter is built per triple, over base3; in a
+    family graph mu = 2 leaves v1 and v5 one common neighbour besides v0,
+    so C holds at most one vertex and that counter one digit.  The identity
+    is exact on any graph.
     """
     count = 0
     for v0 in v0_list:
         abv = _above(n, v0)
         nv0 = rows[v0]
         outer = nv0 & abv
+        off = abv & ~nv0
+        reach = {}
+        counters = {}
+        for x in iter_bits(outer):
+            reach[x] = rows[x] & off
+            counters[x] = neighbour_count_digits(rows, reach[x], off)
         for v1 in iter_bits(outer):
             r1 = rows[v1]
+            reach1, digits1 = reach[v1], counters[v1]
             for v5 in iter_bits(outer & _above(n, v1) & ~r1):
-                r5 = rows[v5]
-                base2 = r1 & abv & ~nv0 & ~r5
+                common = reach1 & reach[v5]
+                base2 = reach1 & ~common
                 if not base2:
                     continue
-                base4 = r5 & abv & ~nv0 & ~r1
+                base4 = reach[v5] & ~common
                 if not base4:
                     continue
-                base3 = abv & ~nv0 & ~r1 & ~r5
-                digits = neighbour_count_digits(rows, base4, base3)
-                for v2 in iter_bits(base2):
-                    r2 = rows[v2]
-                    part3 = r2 & base3
-                    if not part3:
-                        continue
-                    count += digit_total(digits, part3)
-                    for v4 in iter_bits(base4 & r2):
-                        count -= (part3 & rows[v4]).bit_count()
+                base3 = off & ~r1 & ~rows[v5]
+                digits5 = counters[v5]
+                for j, digit in enumerate(digits5):
+                    count += digit_total(digits1, digit & base3) << j
+                if common:
+                    near = neighbour_count_digits(rows, common, base3)
+                    for j, digit in enumerate(near):
+                        count += (digit_total(near, digit) - digit_total(digits1, digit)
+                                  - digit_total(digits5, digit)) << j
+                for v4 in iter_bits(base4):
+                    r4 = rows[v4]
+                    adjacent = r4 & base2
+                    if adjacent:
+                        part3 = r4 & base3
+                        for v2 in iter_bits(adjacent):
+                            count -= (rows[v2] & part3).bit_count()
     return count
 
 
@@ -469,13 +502,14 @@ class EdgeTripleCensus(NamedTuple):
 def edge_triple_census(g: Graph) -> EdgeTripleCensus:
     """Partition all C(|E|,3) edge triples by the size of their vertex span.
 
-    The spans <= 4 and 5 are counted by enumerating the incidence structures
-    (triangle triples, stars, paths for span <= 4; cherries plus a disjoint
-    edge for span 5), which is exact on any graph; span 6 is the rest.
+    Each span is counted by its own route, exact on any graph: <= 4 by the
+    incidence structures (triangles, stars, paths), 5 by cherries plus a
+    disjoint edge and 6 as 3-matchings, so the three sum to C(|E|,3) only
+    when every route is right.
     """
-    e4 = _count_span4_triples(g)
-    e5 = _count_span5_triples(g)
-    return EdgeTripleCensus(e4, e5, comb(g.num_edges, 3) - e4 - e5)
+    return EdgeTripleCensus(
+        _count_span4_triples(g), _count_span5_triples(g), _count_span6_triples(g)
+    )
 
 
 def _count_span4_triples(g: Graph) -> int:
@@ -507,6 +541,33 @@ def _count_span5_triples(g: Graph) -> int:
             inside2 += (rows[a] & rv).bit_count()
         total += comb(dv, 2) * (m + 2 - dv) - (dv - 1) * nbr_degs + inside2 // 2
     return total
+
+
+def _count_span6_triples(g: Graph) -> int:
+    """3-matchings: each is counted once from each of its edges uv, as a
+    pair of disjoint edges of G - {u, v}.  That graph has
+    m - d_u - d_v + 1 edges, and its pairs sharing a vertex w number
+    C(d_w - |{u, v} & N(w)|, 2); summed over w != u, v that is
+    S - C(d_u,2) - C(d_v,2) - (s_u + s_v - d_u - d_v + 2 - c_uv), with
+    S = sum of C(d_w, 2), s_x = sum over w in N(x) of (d_w - 1) and c_uv
+    the number of common neighbours of u and v."""
+    rows = g.rows
+    m = g.num_edges
+    degs = [r.bit_count() for r in rows]
+    pairs = [comb(d, 2) for d in degs]
+    total_pairs = sum(pairs)
+    excess = [sum(degs[w] for w in iter_bits(r)) - d for r, d in zip(rows, degs)]
+    total = 0
+    for u, v in g.edges():
+        du, dv = degs[u], degs[v]
+        sharing = (total_pairs - pairs[u] - pairs[v] - excess[u] - excess[v]
+                   + du + dv - 2 + (rows[u] & rows[v]).bit_count())
+        total += comb(m - du - dv + 1, 2) - sharing
+    if total % 3:
+        raise CountingInconsistencyError(
+            f"3-matching incidences {total} not divisible by 3"
+        )
+    return total // 3
 
 
 # -- exhaustive 6-subset census ---------------------------------------------
@@ -577,41 +638,57 @@ def disjoint_triangle_pair_census(g: Graph) -> TrianglePairCensus:
     count decides the type: 0, 1, 2 or 3 edges give n14, n5, n3 or the
     prism (``TRIANGLE_PAIR_TYPES``).  Works on any graph; p3 is the number
     of triangles listed.
+
+    Each triangle T = {a, b, c} meets all its later disjoint partners at
+    once, as masks of triangle ids.  A partner through an outside vertex
+    joined to two corners of T is excluded (none in a family graph, where
+    lambda = 1).  Every other partner has at most one edge to T at each of
+    its vertices, so it is excluded when some corner has two edges to it,
+    and otherwise has as many cross edges as corners it meets.  For each
+    corner, the triangles through its outside neighbours give the ids met
+    at least once and those met at least twice.  The n3 witness is the
+    lowest id with two cross edges, from the lowest T that has one.
     """
     rows = g.rows
     tris = list(iter_triangles(g))
-    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in tris]
-    # vertices outside each triangle that are adjacent to it
-    around = [
-        (rows[a] | rows[b] | rows[c]) & ~m for (a, b, c), m in zip(tris, masks)
-    ]
+    # ids of the triangles through each vertex
+    through = [0] * g.order
+    for t, tri in enumerate(tris):
+        for x in tri:
+            through[x] |= 1 << t
+    everything = (1 << len(tris)) - 1
     by_cross = [0, 0, 0, 0]
     excluded = 0
     witness = None
-    for i, ti in enumerate(tris):
-        mi = masks[i]
-        ai = around[i]
-        ra, rb, rc = (rows[x] for x in ti)
-        for j in range(i + 1, len(tris)):
-            mj = masks[j]
-            if mi & mj:
-                continue
-            ends_j = ai & mj
-            if not ends_j:
-                by_cross[0] += 1
-                continue
-            # a matching has as many edges as endpoints on either side
-            cross = (ra & mj).bit_count() + (rb & mj).bit_count() + (rc & mj).bit_count()
-            if cross != ends_j.bit_count() or cross != (around[j] & mi).bit_count():
-                excluded += 1
-                continue
-            by_cross[cross] += 1
-            if cross == 2 and witness is None:
-                tj = tris[j]
-                edges = tuple(
-                    (u, x) for u in ti for x in tj if rows[u] >> x & 1
-                )
-                witness = (ti, tj, edges)
+    for i, tri in enumerate(tris):
+        a, b, c = tri
+        ra, rb, rc = rows[a], rows[b], rows[c]
+        tmask = (1 << a) | (1 << b) | (1 << c)
+        later = everything & ~((2 << i) - 1) & ~(through[a] | through[b] | through[c])
+        twice = 0  # ids met twice at one corner, or through a two-corner vertex
+        for w in iter_bits((ra & rb | ra & rc | rb & rc) & ~tmask):
+            twice |= through[w]
+        met = []  # per corner, the ids met at least once
+        for r in (ra, rb, rc):
+            once = 0
+            for w in iter_bits(r & ~tmask):
+                ids = through[w]
+                twice |= once & ids
+                once |= ids
+            met.append(once)
+        matched = later & ~twice
+        at_a, at_b, at_c = (once & matched for once in met)
+        cross3 = at_a & at_b & at_c
+        cross2 = (at_a & at_b | at_a & at_c | at_b & at_c) & ~cross3
+        cross1 = (at_a ^ at_b ^ at_c) & ~cross3
+        cross0 = matched & ~(at_a | at_b | at_c)
+        for cross, ids in enumerate((cross0, cross1, cross2, cross3)):
+            by_cross[cross] += ids.bit_count()
+        excluded += (later & twice).bit_count()
+        if cross2 and witness is None:
+            tj = tris[(cross2 & -cross2).bit_length() - 1]
+            edges = tuple((u, x) for u in tri for x in tj if rows[u] >> x & 1)
+            witness = (tri, tj, edges)
     n14, n5, n3, n1 = by_cross
     return TrianglePairCensus(n1, n3, n5, n14, excluded, len(tris), witness)
 
@@ -664,26 +741,69 @@ def _quad_pairs_at_edge(rows, u: int, v: int, quads) -> list[int]:
     return counts
 
 
+def _quad_pairs_through_edge(g: Graph, u: int, v: int, k: int) -> list[int]:
+    """Counts, indexed like ``QUAD_PAIR_TYPES``, of the pairs of
+    quadrilaterals through edge (u, v); raises unless there are k - 2.
+
+    The quadrilaterals are the edges w-x between W = N(v) - N[u] and
+    X = N(u) - N[v].  When no w and no x lies on two of them (always so in a
+    family graph), these edges pair W with X, and a w1x2 edge would be a
+    further quadrilateral through w1, so none exists.  The pairs are then
+    read from e(W), e(X) and the prisms, the edges w1w2 of W whose partners
+    x1x2 are joined too: n4 = e(W) + e(X) - 2 prisms and n9 is the rest of
+    the C(k-2, 2) pairs.  Otherwise two of the quadrilaterals share a
+    vertex, and ``_quad_pairs_at_edge``, pair by pair, raises on the first
+    pair that shares one or has a w1x2 edge.
+    """
+    rows = g.rows
+    ru, rv = rows[u], rows[v]
+    xbase = ru & ~rv & ~(1 << v)
+    partner = {}  # w -> the bit of each x joined to it
+    found = xmask = 0
+    matched = True
+    for w in iter_bits(rv & ~ru & ~(1 << u)):
+        xs = rows[w] & xbase
+        if xs:
+            found += xs.bit_count()
+            matched = matched and not (xs & (xs - 1) or xs & xmask)
+            partner[w] = xs
+            xmask |= xs
+    if found != k - 2:
+        raise FamilyViolationError(
+            f"edge ({u},{v}) lies on {found} quadrilaterals, expected {k - 2}"
+        )
+    if not matched:
+        return _quad_pairs_at_edge(rows, u, v, c4s_through_edge(g, u, v))
+    wmask = sum(1 << w for w in partner)
+    ends = prisms = 0
+    for w, xs in partner.items():
+        rx = rows[xs.bit_length() - 1]
+        ws = rows[w] & wmask
+        ends += ws.bit_count() + (rx & xmask).bit_count()
+        for w2 in iter_bits(ws):
+            prisms += (rx & partner[w2]) != 0
+    # every W-W and X-X edge is seen from both ends
+    prisms //= 2
+    n4 = ends // 2 - 2 * prisms
+    return [comb(found, 2) - n4 - prisms, n4, prisms]
+
+
 def quad_pair_census(g: Union[Graph, VerifiedFamily]) -> QuadPairCensus:
     """Classify, for every edge, all pairs of quadrilaterals through it.
 
     In a family graph each edge lies on exactly k-2 quadrilaterals.  Two of
     them, u-v-w1-x1-u and u-v-w2-x2-u, span 6 vertices whose type is the
     number of the edges w1w2 and x1x2: none for n9, one for n4, both for the
-    prism; a w1x2 or x1w2 edge raises.  Prisms collect 3 incidences each and
-    are divided out.
+    prism; a w1x2 or x1w2 edge raises.  Each edge reads its pairs from edge
+    counts among its quadrilaterals' vertices (``_quad_pairs_through_edge``);
+    where two of them share a vertex, the pair-by-pair check raises.  Prisms
+    collect 3 incidences each and are divided out.
     """
     fam = require_family(g)
     g, k = fam.graph, fam.k
-    rows = g.rows
     n9 = n4 = prism_inc = 0
     for u, v in g.edges():
-        quads = c4s_through_edge(g, u, v)
-        if len(quads) != k - 2:
-            raise FamilyViolationError(
-                f"edge ({u},{v}) lies on {len(quads)} quadrilaterals, expected {k - 2}"
-            )
-        c9, c4, c1 = _quad_pairs_at_edge(rows, u, v, quads)
+        c9, c4, c1 = _quad_pairs_through_edge(g, u, v, k)
         n9 += c9
         n4 += c4
         prism_inc += c1

@@ -9,7 +9,12 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from srg12._bits import iter_bits, pair_index_table
-from srg12.census import _apex_pattern_check, named_type_certificates
+from srg12.census import (
+    TrianglePairCensus,
+    _apex_pattern_check,
+    iter_triangles,
+    named_type_certificates,
+)
 from srg12.errors import CountingInconsistencyError, FamilyViolationError
 from srg12.graph import Graph, classify_code
 
@@ -180,6 +185,41 @@ def hexagon_scan_pairwise(rows, n: int, v0_list) -> int:
                     for v4 in iter_bits(base4 & ~r2):
                         count += (part3 & rows[v4]).bit_count()
     return count
+
+
+def triangle_pair_census_pairwise(g: Graph) -> TrianglePairCensus:
+    """The disjoint triangle pair census, one pair of triangles at a time:
+    a pair whose cross edges are no matching is excluded, the others are
+    classed by cross-edge count, and the n3 witness is the first n3 pair in
+    listing order."""
+    rows = g.rows
+    tris = list(iter_triangles(g))
+    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in tris]
+    around = [
+        (rows[a] | rows[b] | rows[c]) & ~m for (a, b, c), m in zip(tris, masks)
+    ]
+    by_cross = [0, 0, 0, 0]
+    excluded = 0
+    witness = None
+    for i, ti in enumerate(tris):
+        mi = masks[i]
+        ra, rb, rc = (rows[x] for x in ti)
+        for j in range(i + 1, len(tris)):
+            mj = masks[j]
+            if mi & mj:
+                continue
+            # a matching has as many edges as endpoints on either side
+            cross = (ra & mj).bit_count() + (rb & mj).bit_count() + (rc & mj).bit_count()
+            if cross != (around[i] & mj).bit_count() or cross != (around[j] & mi).bit_count():
+                excluded += 1
+                continue
+            by_cross[cross] += 1
+            if cross == 2 and witness is None:
+                tj = tris[j]
+                edges = tuple((u, x) for u in ti for x in tj if rows[u] >> x & 1)
+                witness = (ti, tj, edges)
+    n14, n5, n3, n1 = by_cross
+    return TrianglePairCensus(n1, n3, n5, n14, excluded, len(tris), witness)
 
 
 def pentagon_edge_scan_pairwise(rows, edges):

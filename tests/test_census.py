@@ -176,6 +176,18 @@ class TestEdgeTriples:
             assert _count_span4_triples(g) == e4
             assert _count_span5_triples(g) == e5
 
+    def test_span6_matchings_match_brute(self):
+        from srg12.census import _count_span6_triples
+
+        rng = random.Random(66)
+        nonzero = 0
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(0, 11), rng.random())
+            e6 = brute_edge_triples(g)[2]
+            assert _count_span6_triples(g) == e6
+            nonzero += e6 > 0
+        assert nonzero > 50
+
     def test_bvls_uses_formula_scale(self, bvls):
         e4, e5, e6 = edge_triple_census(bvls)
         assert e4 == 1_551_231

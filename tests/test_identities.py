@@ -276,6 +276,19 @@ class TestLedgerFaultInjection:
         assert report.entry("makhnev_condition").status == "skip"
 
 
+class TestEdgeTriplePartition:
+    @pytest.mark.parametrize("kernel", ["_count_span4_triples", "_count_span5_triples",
+                                        "_count_span6_triples"])
+    def test_one_span_off_fails_the_partition(self, monkeypatch, paley9, kernel):
+        # each span has its own route, so a fault in any one of them breaks
+        # e4 + e5 + e6 = C(m, 3)
+        real = getattr(census, kernel)
+        monkeypatch.setattr(census, kernel, lambda g: real(g) + 1)
+        report = run_all_checks(paley9)
+        entry = report.entry("edge_triples_partition")
+        assert (entry.status, entry.expected, entry.actual) == ("fail", 1, 0)
+
+
 class TestMergedQuadrilateralPass:
     def test_kernel_fault_fails_the_stage_and_skips_n2(self, monkeypatch, paley9):
         message = "injected fault in the quadrilateral pass"
@@ -313,6 +326,16 @@ class TestEnumerationBudget:
         # and completion censuses list the triangles
         assert calls["_quad_list"] == 1
         assert calls["iter_triangles"] <= 2
+
+    def test_ledger_classifies_no_quadrilateral_pair_one_by_one(self, monkeypatch, paley9):
+        # in a family graph no two quadrilaterals through an edge share a
+        # vertex, so the pair-by-pair error path never runs
+        calls = []
+        real = census._quad_pairs_at_edge
+        monkeypatch.setattr(census, "_quad_pairs_at_edge",
+                            lambda *args: calls.append(args) or real(*args))
+        assert run_all_checks(paley9).passed
+        assert calls == []
 
 
 class TestRouteAgreements:

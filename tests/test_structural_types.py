@@ -28,10 +28,12 @@ from oracles import (
     pentagons_through,
     quad_edge_n9_incidences,
     random_graph,
+    triangle_pair_census_pairwise,
 )
 from srg12 import census, graph, spectral
 from srg12._bits import digit_total, iter_bits, neighbour_count_digits
 from srg12.census import (
+    NAMED_TYPE_EDGES,
     QUAD_PAIR_TYPES,
     TRIANGLE_PAIR_TYPES,
     _completion_type,
@@ -40,6 +42,7 @@ from srg12.census import (
     _pentagon_edge_scan,
     _qpe_scan,
     _quad_pairs_at_edge,
+    _quad_pairs_through_edge,
     _walk_scan,
     c4s_through_edge,
     count_n2,
@@ -359,6 +362,92 @@ class TestHexagonKernel:
         assert max(widest) >= 3
 
 
+def outcome(call):
+    """A kernel's result, or the type and text of what it raised."""
+    try:
+        return call()
+    except (CountingInconsistencyError, FamilyViolationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestSharedMaskKernels:
+    """Each shared-mask kernel against its pairwise route, on inputs with
+    and without the family property its shortcut leans on."""
+
+    def test_hexagon_triples_with_two_common_vertices(self):
+        # the family has C = N(v1) & N(v5), above v0 and off N(v0), of at
+        # most one vertex; triples with base2 and base4 not empty fall on
+        # both sides
+        rng = random.Random(61)
+        guards = set()
+        for _ in range(40):
+            n = rng.randint(6, 24)
+            g = random_graph(rng, n, rng.random() * 0.6 + 0.1)
+            rows = g.rows
+            for v0 in range(n):
+                assert _hexagon_scan(rows, n, [v0]) == hexagon_scan_pairwise(rows, n, [v0])
+                off = ((1 << n) - 1) & ~((2 << v0) - 1) & ~rows[v0]
+                upper = [x for x in iter_bits(rows[v0]) if x > v0]
+                for v1, v5 in combinations(upper, 2):
+                    common = rows[v1] & rows[v5] & off
+                    if (not rows[v1] >> v5 & 1 and rows[v1] & off & ~common
+                            and rows[v5] & off & ~common):
+                        guards.add(common.bit_count() >= 2)
+        assert guards == {True, False}
+
+    def test_triangle_pairs_against_pairwise_census(self, bvls):
+        # the family has no outside vertex joined to two corners of a
+        # triangle; these triangles fall on both sides
+        rng = random.Random(891)
+        graphs = [random_graph(rng, rng.randint(6, 16), rng.random() * 0.4 + 0.4)
+                  for _ in range(40)]
+        graphs += [Graph.from_edges(6, edges) for edges in NAMED_TYPE_EDGES.values()]
+        graphs.append(double_edge_switched(bvls, rng, 40))
+        guards = set()
+        results = []
+        for g in graphs:
+            tp = disjoint_triangle_pair_census(g)
+            assert tp == triangle_pair_census_pairwise(g)
+            results.append(tp)
+            rows = g.rows
+            for a, b, c in iter_triangles(g):
+                ra, rb, rc = rows[a], rows[b], rows[c]
+                guards.add(bool((ra & rb | ra & rc | rb & rc) & ~(1 << a | 1 << b | 1 << c)))
+        assert guards == {True, False}
+        assert any(tp.n3 for tp in results) and any(tp.excluded for tp in results)
+        assert results[-1].n3 and results[-1].excluded
+
+    def test_quad_pairs_guard_shared_vertex(self, bvls):
+        # the pair-by-pair path runs where a w or an x lies on two
+        # quadrilaterals through the edge (a w1x2 edge is such a further
+        # quadrilateral through w1)
+        rng = random.Random(4)
+        graphs = [random_graph(rng, rng.randint(6, 14), rng.random() * 0.5 + 0.2)
+                  for _ in range(30)]
+        switched = double_edge_switched(bvls, rng, 3)
+        cases = [(g, e) for g in graphs for e in g.edges()]
+        cases += [(switched, e) for e in rng.sample(list(switched.edges()), 150)]
+        guards = set()
+        seen = set()
+        for g, (u, v) in cases:
+            quads = c4s_through_edge(g, u, v)
+            want = outcome(lambda: _quad_pairs_at_edge(g.rows, u, v, quads))
+            got = outcome(lambda: _quad_pairs_through_edge(g, u, v, len(quads) + 2))
+            assert got == want
+            ws = {w for w, _ in quads}
+            xs = {x for _, x in quads}
+            guards.add(len(ws) < len(quads) or len(xs) < len(quads))
+            seen.add(want[0] if isinstance(want[0], str) else "counts")
+        assert guards == {True, False}
+        assert seen == {"counts", "FamilyViolationError", "CountingInconsistencyError"}
+
+    def test_quad_pairs_count_check_comes_first(self):
+        # edge (0,1) lies on two quadrilaterals sharing w = 2
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 3), (0, 4), (2, 3), (2, 4)])
+        with pytest.raises(FamilyViolationError, match=r"lies on 2 quadrilaterals, expected 1"):
+            _quad_pairs_through_edge(g, 0, 1, 3)
+
+
 class TestNeighbourCounter:
     """The bit-sliced counter against a vertex-by-vertex count."""
 
@@ -513,6 +602,22 @@ class TestKeptErrors:
         )
         with pytest.raises(CountingInconsistencyError, match="unexpected class"):
             _quad_pairs_at_edge(g.rows, 0, 1, [(2, 3), (4, 5)])
+
+    def test_quad_pair_census_unexpected_class(self):
+        # edge (0,1): w = 2, 3 and x = 4, 5, with w-x edges 2-5, 3-4 and the
+        # cross edge 3-5; pendants 6, 7 bring vertex 0 to degree 5
+        g = Graph.from_edges(8, [(0, 1), (1, 2), (1, 3), (0, 4), (0, 5), (2, 5),
+                                 (3, 4), (3, 5), (0, 6), (0, 7)])
+        with pytest.raises(CountingInconsistencyError,
+                           match=r"C4 pair through \(0,1\) induced an unexpected class"):
+            quad_pair_census(unverified_family(g))
+
+    def test_quad_pair_census_share_a_vertex(self):
+        # edge (0,1): w = 2 joined to both x = 4 and x = 5
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 4), (0, 5), (2, 4), (2, 5), (0, 6)])
+        with pytest.raises(FamilyViolationError,
+                           match=r"quadrilaterals \(0, 1, 2, 4, 2, 5\) through \(0,1\) share a vertex"):
+            quad_pair_census(unverified_family(g))
 
     def test_completion_not_n2(self):
         # quadrilateral 0-1-2-3 with side apexes 4..7; apexes 4 and 5 adjacent
