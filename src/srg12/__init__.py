@@ -15,7 +15,6 @@ from .census import (
     count_hexagons,
     count_n2,
     count_pentagons,
-    count_quadrilaterals,
     count_triangles,
     cycle_census,
     disjoint_triangle_pair_census,
@@ -46,11 +45,8 @@ from .graph import (
     CanonicalClass,
     Graph,
     SrgParams,
-    adjacency_determinant,
-    canonical_class,
     check_condition_one,
     check_condition_two,
-    three_edge_cover_count,
     verify_srg,
 )
 from .graph6 import decode as graph6_decode
@@ -69,7 +65,6 @@ from .spectral import (
     c6_binomial_sum,
     c6_closed_form,
     charpoly_prefix,
-    ci_detsum,
     srg_spectrum,
 )
 
@@ -93,22 +88,18 @@ __all__ = [
     "SrgParams",
     "TypeCensus",
     "WalkCensus",
-    "adjacency_determinant",
     "build_bvls243",
     "build_k3",
     "build_paley9",
     "c6_binomial_sum",
     "c6_closed_form",
-    "canonical_class",
     "charpoly_prefix",
     "check_condition_one",
     "check_condition_two",
-    "ci_detsum",
     "coded_walk_census",
     "count_hexagons",
     "count_n2",
     "count_pentagons",
-    "count_quadrilaterals",
     "count_triangles",
     "cycle_census",
     "disjoint_triangle_pair_census",
@@ -125,7 +116,6 @@ __all__ = [
     "quad_plus_edge_census",
     "run_all_checks",
     "srg_spectrum",
-    "three_edge_cover_count",
     "triangle_edge_completion_census",
     "type_census",
     "verify_polynomial_chain",

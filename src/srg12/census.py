@@ -218,10 +218,6 @@ def count_quadrilaterals_by_edges(g: Graph) -> int:
     return sum(1 for _ in iter_quadrilaterals(g))
 
 
-# the induced C4 count of any graph, by the same canonical iterator
-count_quadrilaterals = count_quadrilaterals_by_edges
-
-
 def _pentagon_scan(rows, n: int, v0_list) -> int:
     """Count induced pentagons whose minimum vertex is in v0_list.
 
@@ -579,21 +575,20 @@ class ClassStats(NamedTuple):
     cover_count: int
 
 
-def exhaustive_six_census(
-    g: Graph, limit: int = EXHAUSTIVE_MAX_VERTICES
-) -> dict[CanonicalClass, ClassStats]:
+def exhaustive_six_census(g: Graph) -> dict[CanonicalClass, ClassStats]:
     """Classify every 6-subset's induced subgraph; ground truth for censuses.
 
-    Guarded to ``limit`` vertices (default 16, i.e. C(16,6) = 8008 subsets).
-    The subsets' labelled edge codes are tallied first.  Then each
-    isomorphism class met is labelled once: the orbit of one of its codes is
-    expanded (``code_orbit``), its minimum is the certificate, and every
-    orbit member's tally moves into that class.  Each class carries the
+    Guarded to ``EXHAUSTIVE_MAX_VERTICES`` = 16 vertices, i.e. C(16,6) =
+    8008 subsets.  The subsets' labelled edge codes are tallied first.  Then
+    each isomorphism class met is labelled once: the orbit of one of its
+    codes is expanded (``code_orbit``), its minimum is the certificate, and
+    every orbit member's tally moves into that class.  Each class carries the
     adjacency determinant and 3-edge-cover count of its representative.
     """
-    if g.order > limit:
+    if g.order > EXHAUSTIVE_MAX_VERTICES:
         raise SizeLimitError(
-            f"exhaustive census guarded to {limit} vertices, got {g.order}"
+            f"exhaustive census guarded to {EXHAUSTIVE_MAX_VERTICES} vertices, "
+            f"got {g.order}"
         )
     if g.order < 6:
         return {}

@@ -163,11 +163,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    if not 0 <= args.exhaustive_limit <= cn.EXHAUSTIVE_MAX_VERTICES:
-        raise UsageError(
-            f"--exhaustive-limit must be in 0..{cn.EXHAUSTIVE_MAX_VERTICES}, "
-            f"got {args.exhaustive_limit}"
-        )
     g = _load_graph(args.graph)
     _resolve_workers(args)
     progress = _Progress("census")
@@ -201,7 +196,7 @@ def _cmd_census(args) -> int:
         et = cn.edge_triple_census(g) if parts is None else parts["edge_triple_census"]
         payload["edge_triples"] = {"e4": et.e4, "e5": et.e5, "e6": et.e6}
     if args.exhaustive:
-        classes = cn.exhaustive_six_census(g, limit=args.exhaustive_limit)
+        classes = cn.exhaustive_six_census(g)
         payload["exhaustive_six_census"] = [
             {"certificate": cls.certificate, "edges": cls.edge_count,
              **stats._asdict()}
@@ -365,10 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", choices=("cycles", "triples", "types", "all"),
                    default="all")
     p.add_argument("--exhaustive", action="store_true",
-                   help="include the 6-subset census (guarded by --exhaustive-limit)")
-    p.add_argument("--exhaustive-limit", type=int, default=cn.EXHAUSTIVE_MAX_VERTICES,
-                   help="largest order the exhaustive census accepts "
-                   f"(0..{cn.EXHAUSTIVE_MAX_VERTICES})")
+                   help="include the 6-subset census (graphs of at most "
+                   f"{cn.EXHAUSTIVE_MAX_VERTICES} vertices)")
     p.add_argument("--json", help="write JSON here instead of stdout")
     p.add_argument("--workers", type=int,
                    help="accepted for compatibility; has no effect")

@@ -23,35 +23,14 @@ def build_k3() -> Graph:
     return Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 
 
-# -- Paley graph on GF(9) -------------------------------------------------
-#
-# GF(9) is realised as GF(3)[x]/(x^2+1); the element a+bx gets vertex index
-# 3a+b, so the labelling (and hence graph6 output) is reproducible.
-
-
-def _gf9_mul(p: int, q: int) -> int:
-    a, b = divmod(p, 3)
-    c, d = divmod(q, 3)
-    # (a+bx)(c+dx) with x^2 = -1
-    return ((a * c - b * d) % 3) * 3 + (a * d + b * c) % 3
-
-
-def _gf9_sub(p: int, q: int) -> int:
-    a, b = divmod(p, 3)
-    c, d = divmod(q, 3)
-    return ((a - c) % 3) * 3 + (b - d) % 3
-
-
 def build_paley9() -> Graph:
-    """Paley graph on GF(9): u ~ v iff u - v is a nonzero square."""
-    squares = {_gf9_mul(t, t) for t in range(1, 9)}
-    rows = [0] * 9
-    for u in range(9):
-        for v in range(u + 1, 9):
-            if _gf9_sub(u, v) in squares:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(9, tuple(rows))
+    """Paley graph on GF(9) = GF(3)[x]/(x^2+1), with a+bx labelled 3a+b.
+
+    Its nonzero squares are +-1 and +-x, so u ~ v iff u and v agree in
+    exactly one ternary digit: the 3x3 rook's graph.
+    """
+    return Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9)
+                                if u // 3 == v // 3 or u % 3 == v % 3])
 
 
 # -- ternary Golay coset graph --------------------------------------------

@@ -14,9 +14,6 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from ._bits import iter_bits, pair_index_table
-from .errors import SizeLimitError
-
-CANONICAL_MAX_VERTICES = 8  # factorial blow-up guard for brute-force labelling
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,9 +53,6 @@ class Graph:
         return cls(order, tuple(rows))
 
     # -- basic accessors -------------------------------------------------
-
-    def row(self, v: int) -> int:
-        return self.rows[v]
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -142,11 +136,6 @@ def _rows_of_code(code: int, n: int) -> tuple[int, ...]:
                 rows[j] |= 1 << i
             pos += 1
     return tuple(rows)
-
-
-def graph_from_code(code: int, n: int) -> Graph:
-    """Inverse of ``Graph.subgraph_code`` for a graph on n labelled vertices."""
-    return Graph(n, _rows_of_code(code, n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,12 +290,12 @@ def verify_srg(g: Graph, expected: SrgParams) -> SrgReport:
     )
 
 
-# -- canonical forms on at most 8 vertices --------------------------------
+# -- canonical forms of packed edge codes ---------------------------------
 
 
 @dataclass(frozen=True, slots=True)
 class CanonicalClass:
-    """Order-independent certificate of a graph on <= 8 vertices.
+    """Order-independent certificate of a small graph.
 
     Certificates of two graphs are equal iff the graphs are isomorphic:
     the certificate is the minimum packed edge code in the graph's orbit
@@ -361,32 +350,15 @@ def classify_code(code: int, n: int) -> int:
     return cert
 
 
-def canonical_class(g: Graph) -> CanonicalClass:
-    """Certificate for graphs on at most 8 vertices (brute-force labelling)."""
-    if g.order > CANONICAL_MAX_VERTICES:
-        raise SizeLimitError(
-            f"canonical form limited to {CANONICAL_MAX_VERTICES} vertices, "
-            f"got {g.order}"
-        )
-    code = g.subgraph_code(tuple(range(g.order)))
-    cert = classify_code(code, g.order)
-    return CanonicalClass(cert, g.order, code.bit_count())
+# -- exact determinants and perfect matchings of edge codes ---------------
 
 
-# -- exact determinant and 3-edge covers ----------------------------------
-
-
-def adjacency_determinant(g: Graph) -> int:
-    """Exact determinant of the 0/1 adjacency matrix (<= 8 vertices)."""
-    if g.order > 8:
-        raise SizeLimitError("determinant limited to 8 vertices")
-    return _det_from_rows(g.rows, g.order)
-
-
-def _det_from_rows(rows, n: int) -> int:
-    """Bareiss fraction-free elimination; exact for integer matrices."""
+def determinant_of_code(code: int, n: int) -> int:
+    """Exact adjacency determinant of a packed edge code on n vertices, by
+    Bareiss fraction-free elimination."""
     if n == 0:
         return 1
+    rows = _rows_of_code(code, n)
     m = [[rows[i] >> j & 1 for j in range(n)] for i in range(n)]
     sign = 1
     prev = 1
@@ -406,17 +378,6 @@ def _det_from_rows(rows, n: int) -> int:
             m[r][p] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
-
-
-def determinant_of_code(code: int, n: int) -> int:
-    return _det_from_rows(_rows_of_code(code, n), n)
-
-
-def three_edge_cover_count(g: Graph) -> int:
-    """Number of perfect matchings of a 6-vertex graph (3 disjoint edges)."""
-    if g.order != 6:
-        raise SizeLimitError("3-edge covers are defined on exactly 6 vertices")
-    return perfect_matching_count(g.rows, 6)
 
 
 def perfect_matching_count(rows, n: int) -> int:

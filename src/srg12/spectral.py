@@ -18,7 +18,7 @@ from .errors import (
     InfeasibleParametersError,
     SizeLimitError,
 )
-from .graph import Graph, SrgParams, adjacency_determinant
+from .graph import Graph, SrgParams
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,15 +176,3 @@ def charpoly_prefix(g: Graph, m: int = 6) -> CharPolyPrefix:
     coeffs = tuple((-1) ** i * e[i] for i in range(m + 1))
     return CharPolyPrefix(coeffs)
 
-
-def ci_detsum(g: Graph, i: int) -> int:
-    """Brute-force oracle for c_i: signed sum of induced-subgraph determinants
-    over all i-subsets.  Guarded to 10 vertices and i <= 6."""
-    if g.order > 10 or i > 6:
-        raise SizeLimitError("determinant-sum oracle guarded to n<=10, i<=6")
-    from itertools import combinations
-
-    total = 0
-    for subset in combinations(range(g.order), i):
-        total += adjacency_determinant(g.induced(subset))
-    return (-1) ** i * total

@@ -15,8 +15,12 @@ from srg12.census import (
     iter_triangles,
     named_type_certificates,
 )
-from srg12.errors import CountingInconsistencyError, FamilyViolationError
-from srg12.graph import Graph, classify_code
+from srg12.errors import (
+    CountingInconsistencyError,
+    FamilyViolationError,
+    SizeLimitError,
+)
+from srg12.graph import Graph, classify_code, determinant_of_code
 
 
 @lru_cache(maxsize=None)
@@ -31,6 +35,12 @@ def _perm_bit_maps(n: int):
             dest[pos] = pairs[(a, b) if a < b else (b, a)]
         maps.append(tuple(dest))
     return tuple(maps)
+
+
+def graph_from_code(code: int, n: int) -> Graph:
+    """Inverse of ``Graph.subgraph_code`` for a graph on n labelled vertices."""
+    pairs = pair_index_table(n).items()
+    return Graph.from_edges(n, [pair for pair, pos in pairs if code >> pos & 1])
 
 
 def early_break_canonical_code(code: int, n: int) -> int:
@@ -481,3 +491,31 @@ def quadratic_hexagon_bound(a2: int, a1: int, a0: int):
     def bound(n: int, k: int) -> Fraction:
         return Fraction(n * k * (k - 2) * (a2 * k * k + a1 * k + a0), 12)
     return bound
+
+
+def ci_detsum(g: Graph, i: int) -> int:
+    """Brute-force c_i of the characteristic polynomial: signed sum of
+    induced-subgraph determinants over all i-subsets.  Guarded to 10
+    vertices and i <= 6."""
+    if g.order > 10 or i > 6:
+        raise SizeLimitError("determinant-sum oracle guarded to n<=10, i<=6")
+    total = sum(determinant_of_code(g.subgraph_code(subset), i)
+                for subset in combinations(range(g.order), i))
+    return (-1) ** i * total
+
+
+def paley9_gf9() -> Graph:
+    """Paley graph on GF(9) from its field arithmetic: GF(9) is
+    GF(3)[x]/(x^2+1), a+bx is vertex 3a+b, and u ~ v iff u - v is a nonzero
+    square."""
+    def mul(p, q):
+        (a, b), (c, d) = divmod(p, 3), divmod(q, 3)
+        return ((a * c - b * d) % 3) * 3 + (a * d + b * c) % 3  # x^2 = -1
+
+    def sub(p, q):
+        (a, b), (c, d) = divmod(p, 3), divmod(q, 3)
+        return ((a - c) % 3) * 3 + (b - d) % 3
+
+    squares = {mul(t, t) for t in range(1, 9)}
+    return Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9)
+                                if sub(u, v) in squares])

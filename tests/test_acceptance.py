@@ -12,6 +12,7 @@ import pytest
 
 from oracles import (
     brute_edge_triples,
+    ci_detsum,
     induced_cycle_count,
     quadratic_hexagon_bound,
     random_graph,
@@ -20,7 +21,7 @@ from srg12 import identities
 from srg12.census import (
     count_hexagons,
     count_pentagons,
-    count_quadrilaterals,
+    count_quadrilaterals_by_edges,
     count_triangles,
     cycle_census,
     disjoint_triangle_pair_census,
@@ -41,7 +42,6 @@ from srg12.spectral import (
     c6_binomial_sum,
     c6_closed_form,
     charpoly_prefix,
-    ci_detsum,
     srg_spectrum,
 )
 
@@ -113,7 +113,7 @@ def test_criterion_04_cycle_census(paley9, bvls):
     assert (cc9.p3, cc9.p4, cc9.p5, cc9.p6) == (6, 9, 0, 6)
     with _Timer() as t_pent:
         assert count_triangles(bvls) == 891
-        assert count_quadrilaterals(bvls) == 13_365
+        assert count_quadrilaterals_by_edges(bvls) == 13_365
         assert count_pentagons(bvls) == 384_912
         rng = random.Random(2024)
         edges = list(bvls.edges())

@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     brute_edge_triples,
     double_edge_switched,
+    graph_from_code,
     induced_cycle_count,
     induced_cycles_through_edge,
     iter_pentagons,
@@ -28,7 +29,6 @@ from srg12.census import (
     count_hexagons,
     count_n2,
     count_pentagons,
-    count_quadrilaterals,
     count_quadrilaterals_by_edges,
     count_triangles,
     cycle_census,
@@ -44,7 +44,7 @@ from srg12.census import (
     type_census,
 )
 from srg12.errors import FamilyViolationError, SizeLimitError
-from srg12.graph import Graph, graph_from_code
+from srg12.graph import Graph
 from srg12.spectral import charpoly_prefix
 
 
@@ -69,9 +69,8 @@ class TestCycleCounts:
         assert count_triangles(bvls) == 891
 
     def test_quadrilateral_goldens(self, paley9, bvls):
-        assert count_quadrilaterals(cycle(4)) == 1
-        assert count_quadrilaterals(paley9) == 9
-        assert count_quadrilaterals(bvls) == 13365
+        assert count_quadrilaterals_by_edges(cycle(4)) == 1
+        assert count_quadrilaterals_by_edges(paley9) == 9
         assert count_quadrilaterals_by_edges(bvls) == 13365
 
     def test_quadrilateral_guard_and_family_gate(self, bvls):
@@ -79,8 +78,9 @@ class TestCycleCounts:
         # on any graph, so the 4-subset oracle agrees beyond 64 vertices and
         # off the family
         g = random_graph(random.Random(64), 66, 0.1)
-        assert count_quadrilaterals(g) == induced_cycle_count(g, 4) > 0
-        assert count_quadrilaterals(petersen()) == induced_cycle_count(petersen(), 4)
+        assert count_quadrilaterals_by_edges(g) == induced_cycle_count(g, 4) > 0
+        p = petersen()
+        assert count_quadrilaterals_by_edges(p) == induced_cycle_count(p, 4)
 
     def test_pentagon_goldens(self, paley9, bvls):
         assert count_pentagons(cycle(5)) == 1
@@ -99,7 +99,7 @@ class TestCycleCounts:
                  *random_cases(102, 10, nmin=13, nmax=16)]
         for g in cases:
             assert count_triangles(g) == induced_cycle_count(g, 3)
-            assert count_quadrilaterals(g) == induced_cycle_count(g, 4)
+            assert count_quadrilaterals_by_edges(g) == induced_cycle_count(g, 4)
             assert count_pentagons(g) == induced_cycle_count(g, 5)
             assert count_hexagons(g) == induced_cycle_count(g, 6)
 

@@ -301,20 +301,20 @@ class TestInputValidation:
         assert cli._resolve_workers(SimpleNamespace(workers=None)) is None
         assert cli._resolve_workers(SimpleNamespace(workers=3)) is None
 
-    @pytest.mark.parametrize("limit", ["-1", "17", "243"])
-    def test_exhaustive_limit_out_of_range_exit_2(self, capsys, limit):
-        code, out, err = run(capsys, "census", "--graph", "paley9", "--exhaustive",
-                             "--exhaustive-limit", limit, "--workers", "1")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: --exhaustive-limit must be in 0..16")
+    @staticmethod
+    def _census_of_cycle(capsys, tmp_path, n):
+        from srg12.graph import Graph
 
-    def test_exhaustive_limit_in_range(self, capsys):
-        code, _, err = run(capsys, "census", "--graph", "paley9", "--what", "cycles",
-                           "--exhaustive", "--exhaustive-limit", "8", "--workers", "1")
-        assert code == 2  # Paley 9 is above the chosen limit
-        assert "guarded to 8 vertices" in err
-        code, out, _ = run(capsys, "census", "--graph", "paley9", "--what", "cycles",
-                           "--exhaustive", "--exhaustive-limit", "9", "--workers", "1")
+        path = tmp_path / f"c{n}.g6"
+        graph6.save_file(path, Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
+        return run(capsys, "census", "--graph", str(path), "--exhaustive")
+
+    def test_exhaustive_accepts_16_vertices(self, tmp_path, capsys):
+        code, out, _ = self._census_of_cycle(capsys, tmp_path, 16)
         assert code == 0
-        assert sum(c["count"] for c in json.loads(out)["exhaustive_six_census"]) == 84
+        assert sum(c["count"] for c in json.loads(out)["exhaustive_six_census"]) == 8008
+
+    def test_exhaustive_refuses_17_vertices(self, tmp_path, capsys):
+        assert self._census_of_cycle(capsys, tmp_path, 17) == (
+            2, "", "error: exhaustive census guarded to 16 vertices, got 17\n"
+        )

@@ -1,6 +1,7 @@
 import pytest
 
-from srg12 import constructions
+from oracles import paley9_gf9
+from srg12 import constructions, graph6
 from srg12.census import count_triangles, exhaustive_six_census
 from srg12.constructions import (
     GOLAY_PARITY_CHECK,
@@ -49,6 +50,12 @@ class TestPaley9:
 
     def test_deterministic(self):
         assert build_paley9() == build_paley9()
+
+    def test_matches_gf9_square_differences(self):
+        # the rook's-graph rule is the field construction, labelling included
+        g = build_paley9()
+        assert g == paley9_gf9()
+        assert graph6.encode(g) == b"H{S{aSf"
 
 
 GOLAY_GENERATOR = (2, 0, 1, 2, 1, 1)  # g(x) = 2 + x^2 + 2x^3 + x^4 + x^5

@@ -5,29 +5,40 @@ import pytest
 
 from oracles import (
     early_break_canonical_code,
+    graph_from_code,
     laplace_determinant,
     petersen,
     random_graph,
 )
-from srg12.errors import SizeLimitError
 from srg12.graph import (
-    CANONICAL_MAX_VERTICES,
     Graph,
     SrgParams,
-    adjacency_determinant,
-    canonical_class,
     canonical_code,
     check_condition_one,
     check_condition_two,
     code_orbit,
-    graph_from_code,
-    three_edge_cover_count,
+    determinant_of_code,
+    perfect_matching_count,
     verify_srg,
 )
 
 
 def cycle(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def full_code(g):
+    """Packed edge code of the whole graph, as the exhaustive census packs a
+    6-subset."""
+    return g.subgraph_code(tuple(range(g.order)))
+
+
+def certificate(g):
+    return canonical_code(full_code(g), g.order)
+
+
+def determinant(g):
+    return determinant_of_code(full_code(g), g.order)
 
 
 PRISM = Graph.from_edges(
@@ -111,31 +122,34 @@ class TestCanonicalClass:
     def test_relabeled_c6_same_certificate(self):
         g = cycle(6)
         rng = random.Random(7)
-        base = canonical_class(g)
+        base = certificate(g)
         for _ in range(100):
             perm = list(range(6))
             rng.shuffle(perm)
-            assert canonical_class(g.relabeled(perm)) == base
+            assert certificate(g.relabeled(perm)) == base
 
     def test_c6_vs_prism_distinct(self):
-        assert canonical_class(cycle(6)) != canonical_class(PRISM)
-
-    def test_size_guard(self):
-        with pytest.raises(SizeLimitError):
-            canonical_class(cycle(CANONICAL_MAX_VERTICES + 1))
+        assert certificate(cycle(6)) != certificate(PRISM)
 
     def test_paley9_six_subset_partition(self, paley9):
         classes = {}
         for subset in combinations(range(9), 6):
-            cls = canonical_class(paley9.induced(subset))
-            classes[cls] = classes.get(cls, 0) + 1
+            cert = canonical_code(paley9.subgraph_code(subset), 6)
+            classes[cert] = classes.get(cert, 0) + 1
         assert sum(classes.values()) == 84
 
     def test_certificate_reconstructs_isomorphic_graph(self):
-        g = PRISM
-        cls = canonical_class(g)
-        rebuilt = graph_from_code(cls.certificate, 6)
-        assert canonical_class(rebuilt) == cls
+        cert = certificate(PRISM)
+        rebuilt = graph_from_code(cert, 6)
+        assert full_code(rebuilt) == cert
+        assert certificate(rebuilt) == cert
+
+    def test_graph_from_code_inverts_subgraph_code(self):
+        rng = random.Random(21)
+        for n in range(8):
+            for _ in range(5):
+                code = rng.getrandbits(n * (n - 1) // 2)
+                assert full_code(graph_from_code(code, n)) == code
 
     def test_relabeling_invariance_random_graphs(self):
         rng = random.Random(3)
@@ -143,7 +157,7 @@ class TestCanonicalClass:
             g = random_graph(rng, rng.randint(4, 7), rng.random())
             perm = list(range(g.order))
             rng.shuffle(perm)
-            assert canonical_class(g) == canonical_class(g.relabeled(perm))
+            assert certificate(g) == certificate(g.relabeled(perm))
 
 
 class TestCodeOrbit:
@@ -186,15 +200,15 @@ class TestCodeOrbit:
 
 class TestDeterminant:
     def test_table_values(self):
-        assert adjacency_determinant(cycle(6)) == -4
-        assert adjacency_determinant(PRISM) == 0
-        assert adjacency_determinant(TWO_TRIANGLES) == 4
+        assert determinant(cycle(6)) == -4
+        assert determinant(PRISM) == 0
+        assert determinant(TWO_TRIANGLES) == 4
 
     def test_against_cofactor_expansion(self):
         rng = random.Random(11)
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 7), rng.random())
-            assert adjacency_determinant(g) == laplace_determinant(g)
+            assert determinant(g) == laplace_determinant(g)
 
     def test_relabeling_invariance(self):
         rng = random.Random(5)
@@ -202,24 +216,18 @@ class TestDeterminant:
             g = random_graph(rng, 6, 0.5)
             perm = list(range(6))
             rng.shuffle(perm)
-            assert adjacency_determinant(g) == adjacency_determinant(
-                g.relabeled(perm)
-            )
-
-    def test_size_guard(self):
-        with pytest.raises(SizeLimitError):
-            adjacency_determinant(cycle(9))
+            assert determinant(g) == determinant(g.relabeled(perm))
 
 
 class TestThreeEdgeCover:
     def test_table_values(self):
-        assert three_edge_cover_count(cycle(6)) == 2
-        assert three_edge_cover_count(TWO_TRIANGLES) == 0
-        assert three_edge_cover_count(PRISM) == 4
+        assert perfect_matching_count(cycle(6).rows, 6) == 2
+        assert perfect_matching_count(TWO_TRIANGLES.rows, 6) == 0
+        assert perfect_matching_count(PRISM.rows, 6) == 4
 
     def test_k6(self):
         k6 = Graph.from_edges(6, list(combinations(range(6), 2)))
-        assert three_edge_cover_count(k6) == 15
+        assert perfect_matching_count(k6.rows, 6) == 15
 
     def test_relabeling_invariance(self):
         rng = random.Random(9)
@@ -227,10 +235,9 @@ class TestThreeEdgeCover:
             g = random_graph(rng, 6, 0.6)
             perm = list(range(6))
             rng.shuffle(perm)
-            assert three_edge_cover_count(g) == three_edge_cover_count(
-                g.relabeled(perm)
+            assert perfect_matching_count(g.rows, 6) == perfect_matching_count(
+                g.relabeled(perm).rows, 6
             )
 
-    def test_wrong_order_rejected(self):
-        with pytest.raises(SizeLimitError):
-            three_edge_cover_count(cycle(5))
+    def test_odd_order_has_no_perfect_matching(self):
+        assert perfect_matching_count(cycle(5).rows, 5) == 0

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import srg12
-from oracles import random_graph
+from oracles import ci_detsum, random_graph
 from srg12.census import count_triangles
 from srg12.errors import InfeasibleParametersError, SizeLimitError
 from srg12.graph import Graph, SrgParams
@@ -17,7 +17,6 @@ from srg12.spectral import (
     c6_binomial_sum,
     c6_closed_form,
     charpoly_prefix,
-    ci_detsum,
     srg_spectrum,
 )
 

@@ -30,6 +30,7 @@ from oracles import (
     random_graph,
     triangle_pair_census_pairwise,
 )
+import srg12
 from srg12 import census, graph, spectral
 from srg12._bits import digit_total, iter_bits, neighbour_count_digits
 from srg12.census import (
@@ -677,6 +678,24 @@ class TestNoCertificateLabelling:
         assert calls
 
 
+def unreached_definitions(sources, exported):
+    """Top-level functions and classes of the module texts ``sources`` that
+    are not in ``exported`` and that no code but their own definition names
+    (as an ``ast.Name`` or ``ast.Attribute``)."""
+    defined, used = set(), set()
+    for source in sources:
+        for top in ast.parse(source).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(own)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    used.add(node.attr)
+    return sorted(defined - used - set(exported))
+
+
 class TestInvariantsWithoutAssert:
     def test_no_assert_statements_in_src(self):
         # python -O strips assert, so no invariant of the package may use it
@@ -705,6 +724,32 @@ class TestInvariantsWithoutAssert:
         ]
         assert len(paths) >= 10
         assert found == []
+
+    def test_every_top_level_definition_is_reached(self):
+        # a function or class of the package that no other code of the
+        # package names and that is not exported is dead code, unless the
+        # benchmark harness looks it up by name
+        perfbench_pinned = {
+            # perfbench/run.py names the expected classes of the exhaustive
+            # workload by these certificates
+            "named_type_certificates",
+        }
+        paths = sorted(Path(census.__file__).parent.glob("*.py"))
+        sources = [path.read_text() for path in paths]
+        assert len(paths) >= 10
+        # anything else listed is dead; a pinned name that the package
+        # reaches again must leave the allow-list
+        assert unreached_definitions(sources, srg12.__all__) == sorted(perfbench_pinned)
+
+    def test_unreached_definition_is_found(self):
+        source = (
+            "def dead(n):\n    return dead(n - 1)\n"  # recursion is no reach
+            "def called():\n    pass\n"
+            "class Named:\n    pass\n"
+            "def exported():\n    return called(), mod.Named\n"
+        )
+        assert unreached_definitions([source], {"exported"}) == ["dead"]
+        assert unreached_definitions([source], ()) == ["dead", "exported"]
 
     def test_no_process_pool_in_src(self):
         # every census runs in process, through one code path
