@@ -15,11 +15,11 @@ kernels count many pairs at once with shared bit masks instead of visiting
 them one by one: a triangle meets all its later partners through masks of
 triangle ids, an edge's quadrilateral pairs follow from edge counts among
 their vertices, and pentagon and hexagon paths are summed from bit-sliced
-neighbour counters.  Where a shortcut leans on a property of the family,
-the kernel corrects exactly for graphs without it (triangles, hexagons) or
-tests it (its guard) and sends the rest to the pair-by-pair check, which
-raises (quadrilateral pairs); so every count is exact on any graph.  No
-canonical labelling runs in these loops.
+neighbour counters.  Every kernel counts by an identity that is exact on
+any graph, family or not.  The only per-object loops left name the first
+bad structure and raise: a coded walk with two chords, a quadrilateral
+pair sharing a vertex or joined across, a pentagon apex with a wrong
+adjacency pattern.  No canonical labelling runs in these loops.
 
 The exhaustive scan, guarded to 16 vertices, classifies every 6-subset by
 canonical certificate and is the ground-truth oracle; it labels each
@@ -375,95 +375,80 @@ class WalkCensus(NamedTuple):
     p5_walks: int  # pentagons seen by the walk census (10 walks each)
 
 
-def _walk_tail(rows, s, w1, w2, r1, r2, ends, c14, c24, w3s):
-    """(pentagon, house, paw) walk counts of the walks s-w1-w2-w3-w4-s with
-    w3 in the mask ``w3s``, one w3 at a time; exact on any graph.
-
-    A walk with w4 = w1 is a paw (T2).  Otherwise its chords among w1w3,
-    w1w4 and w2w4 decide it: none for a pentagon, one for a house (T1); two
-    or more raise, naming the first such walk.
-    """
-    pent = house = paw = 0
-    either = c14 | c24
-    chordless = ends & ~either
-    both = c14 & c24
-    for w3 in iter_bits(w3s):
+def _first_bad_walk(rows, s, w1, w2, near):
+    """Raise for the first walk s-w1-w2-w3-w4-s, w3 in ``near`` taken in
+    increasing order, with two or more chords among w1w3, w1w4 and w2w4."""
+    r1, r2 = rows[w1], rows[w2]
+    ends = rows[s] & ~(1 << w1)
+    c14, c24 = ends & r1, ends & r2
+    for w3 in iter_bits(near):
         w4s = rows[w3] & ends
-        if r1 >> w3 & 1:  # w1w3 chord; w4 = w1 closes a paw
-            paw += 1
-            house += w4s.bit_count()
-            bad = w4s & either
-        else:
-            pent += (w4s & chordless).bit_count()
-            house += (w4s & either).bit_count()
-            bad = w4s & both
+        bad = w4s & (c14 | c24) if r1 >> w3 & 1 else w4s & c14 & c24
         if bad:
             w4 = (bad & -bad).bit_length() - 1
             chords = (r1 >> w3 & 1) + (r1 >> w4 & 1) + (r2 >> w4 & 1)
             raise CountingInconsistencyError(
                 f"walk ({s},{w1},{w2},{w3},{w4}) has {chords} chords"
             )
-    return pent, house, paw
 
 
 def _walk_scan(rows, n: int, starts) -> tuple[int, int, int]:
-    """(pentagon, house, paw) walk counts from each start s.
+    """(pentagon, house, paw) walk counts from each start s; exact on any graph.
 
     The walks are s-w1-w2-w3-w4-s with w1, w4 in N(s) and w2, w3 in D2, the
-    vertices at distance 2 from s; ``_walk_tail`` gives each one's shape.
-    For a triple (s, w1, w2), the w3 candidates ``near = rows[w2] & D2``
-    split into the chord set ``near & rows[w1]``, run through
-    ``_walk_tail``, and ``far``, the rest, counted without a w3 loop when
-    three guards hold:
+    vertices at distance 2 from s.  A walk with w4 = w1 is a paw (T2).
+    Otherwise its chords among w1w3, w1w4 and w2w4 decide it: none for a
+    pentagon, one for a house (T1); two or more raise.  Per start, one
+    bit-sliced counter holds c(x) = |N(x) & N(s)| over D2.  For a triple
+    (s, w1, w2), near = N(w2) & D2 holds the w3 candidates and
+    chord3 = near & N(w1) those with a w1w3 chord; c14 and c24 are the w4
+    candidates with a w1w4 and a w2w4 chord.  Then:
 
-    - every vertex of D2 has exactly two neighbours in N(s) (mu = 2 at s,
-      checked once per s), so each far w3 has two w4 candidates, neither
-      w1, and closes exactly two walks;
-    - w1 has one neighbour p in N(s) (c14 is one bit); w2's other
-      neighbour a in N(s) (c24) is then one bit by the first guard;
-    - p != a, so no walk has both a w1w4 and a w2w4 chord and none raises.
+    - paws = |chord3|;
+    - walks other than paws = (sum of c over near) - |chord3|;
+    - chords on those walks = (sum of c - 1 over chord3)
+      + (sum over x in c14 and over x in c24 of |N(x) & near|).
 
-    A far walk is then a house when w4 is p or a and a pentagon otherwise:
-    house += h and pent += 2 |far| - h, for
-    h = |rows[p] & far| + |rows[a] & far|.  A triple that fails a guard runs
-    every w3 through ``_walk_tail``, which is exact on any graph.
+    A walk with two chords exists exactly when chord3 meets N(c14 | c24) or
+    some x in c14 & c24 has a neighbour in near; only then does
+    ``_first_bad_walk`` visit the triple's walks, to name one and raise.
+    Otherwise the chord total counts the houses and the other non-paw walks
+    are pentagons.
     """
     pent = house = paw = 0
     for s in starts:
         ns = rows[s]
-        # vertices with at least one, two, three neighbours in N(s)
-        reach1 = reach2 = reach3 = 0
-        for w in iter_bits(ns):
-            rw = rows[w]
-            reach3 |= reach2 & rw
-            reach2 |= reach1 & rw
-            reach1 |= rw
-        d2 = reach1 & ~ns & ~(1 << s)
-        if not d2:
-            continue
-        mu2 = not (d2 & ~reach2 or d2 & reach3)
+        digits = neighbour_count_digits(rows, ns, ~(ns | 1 << s))
+        d2 = 0
+        for digit in digits:
+            d2 |= digit
+        weights = [(i, digit) for i, digit in enumerate(digits) if digit]
         for w1 in iter_bits(ns):
             r1 = rows[w1]
             ends = ns & ~(1 << w1)  # candidates for w4 other than w1
             c14 = ends & r1  # w4 with a w1w4 chord
-            fast = mu2 and c14 and not c14 & (c14 - 1)
-            if fast:
-                rp = rows[c14.bit_length() - 1]
             for w2 in iter_bits(r1 & d2):
                 r2 = rows[w2]
                 c24 = ends & r2  # w4 with a w2w4 chord
                 near = r2 & d2
-                if fast and not c14 & c24:
-                    far = near & ~r1
-                    h = ((rp & far).bit_count()
-                         + (rows[c24.bit_length() - 1] & far).bit_count())
-                    house += h
-                    pent += 2 * far.bit_count() - h
-                    near &= r1
-                dp, dh, dw = _walk_tail(rows, s, w1, w2, r1, r2, ends, c14, c24, near)
-                pent += dp
-                house += dh
-                paw += dw
+                chord3 = near & r1
+                h = 0
+                xs = c14 | c24  # iter_bits, inlined: the loop runs per triple
+                while xs:
+                    low = xs & -xs
+                    xs ^= low
+                    hit = rows[low.bit_length() - 1] & near
+                    if hit & chord3 or hit and c14 & c24 & low:
+                        _first_bad_walk(rows, s, w1, w2, near)
+                    h += hit.bit_count()
+                far = near ^ chord3
+                for i, digit in weights:
+                    house += (chord3 & digit).bit_count() << i
+                    pent += (far & digit).bit_count() << i
+                t = chord3.bit_count()
+                paw += t
+                house += h - t
+                pent -= h
     return pent, house, paw
 
 

@@ -169,6 +169,8 @@ def _cmd_census(args) -> int:
     payload = {"graph_meta": {"n": g.order, "edges": g.num_edges,
                               "source": _fingerprint(g)}}
     what = args.what
+    # first, so that its size guard refuses before any other census runs
+    classes = cn.exhaustive_six_census(g) if args.exhaustive else None
     try:
         fam, not_family = cn.require_family(g), None
     except FamilyViolationError as exc:
@@ -195,8 +197,7 @@ def _cmd_census(args) -> int:
     if what in ("triples", "all"):
         et = cn.edge_triple_census(g) if parts is None else parts["edge_triple_census"]
         payload["edge_triples"] = {"e4": et.e4, "e5": et.e5, "e6": et.e6}
-    if args.exhaustive:
-        classes = cn.exhaustive_six_census(g)
+    if classes is not None:
         payload["exhaustive_six_census"] = [
             {"certificate": cls.certificate, "edges": cls.edge_count,
              **stats._asdict()}

@@ -318,3 +318,14 @@ class TestInputValidation:
         assert self._census_of_cycle(capsys, tmp_path, 17) == (
             2, "", "error: exhaustive census guarded to 16 vertices, got 17\n"
         )
+
+    def test_exhaustive_refuses_before_other_censuses(self, monkeypatch, capsys):
+        from srg12 import census
+
+        calls = []
+        for name in ("type_census_parts", "cycle_census"):
+            monkeypatch.setattr(census, name, lambda *a, _n=name, **kw: calls.append(_n))
+        assert run(capsys, "census", "--graph", "bvls243", "--exhaustive") == (
+            2, "", "error: exhaustive census guarded to 16 vertices, got 243\n"
+        )
+        assert calls == []

@@ -337,6 +337,16 @@ class TestEnumerationBudget:
         assert run_all_checks(paley9).passed
         assert calls == []
 
+    def test_ledger_names_no_walk_one_by_one(self, monkeypatch, paley9):
+        # in a family graph no coded walk has two chords, so the walk-by-walk
+        # error path never runs
+        calls = []
+        real = census._first_bad_walk
+        monkeypatch.setattr(census, "_first_bad_walk",
+                            lambda *args: calls.append(args) or real(*args))
+        assert run_all_checks(paley9).passed
+        assert calls == []
+
 
 class TestRouteAgreements:
     def test_type_census_and_ledger_read_one_table(self, monkeypatch, paley9):

@@ -553,7 +553,7 @@ class TestCodedWalks:
 
     def test_switched_bvls_starts_match_walk_by_walk(self, bvls):
         # one double-edge switch breaks mu = 2 near the switched edges only,
-        # so the sample holds starts on both sides of the per-start guard
+        # so the sample holds starts with and without mu = 2 over D2
         rng = random.Random(4276800)
         g = double_edge_switched(bvls, rng, 1)
         rows = g.rows
@@ -587,8 +587,8 @@ class TestKeptErrors:
     def test_walk_with_chords_named_where_mu_is_2(self):
         # walk 0-1-2-3-4-0 with chords 1-4 and 2-4, plus vertex 5 joined to
         # 0 and 3: both vertices at distance 2 from 0 have two neighbours in
-        # N(0), and w1 = 1's one neighbour in N(0), 4, is also w2 = 2's
-        # other one
+        # N(0), as in a family graph, yet 4 is a neighbour in N(0) of both
+        # w1 = 1 and w2 = 2, so the walk has a w1w4 and a w2w4 chord
         g = Graph.from_edges(6, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4),
                                  (1, 4), (2, 4), (0, 5), (3, 5)])
         rows = g.rows
