@@ -16,10 +16,14 @@ them one by one: a triangle meets all its later partners through masks of
 triangle ids, an edge's quadrilateral pairs follow from edge counts among
 their vertices, and pentagon and hexagon paths are summed from bit-sliced
 neighbour counters.  Every kernel counts by an identity that is exact on
-any graph, family or not.  The only per-object loops left name the first
-bad structure and raise: a coded walk with two chords, a quadrilateral
-pair sharing a vertex or joined across, a pentagon apex with a wrong
-adjacency pattern.  No canonical labelling runs in these loops.
+any graph, family or not.  Four loops still count object by object:
+``_qpe_scan`` per quadrilateral, ``triangle_edge_completion_census`` per
+(triangle, pendant), ``_pentagon_scan`` per path of the canonical p5 DFS
+and ``disjoint_triangle_pair_census`` per triangle.  The other per-object
+loops only name the first bad structure and raise: a coded walk with two
+chords, a quadrilateral pair sharing a vertex or joined across, a pentagon
+apex with a wrong adjacency pattern.  No canonical labelling runs in any
+of these loops.
 
 The exhaustive scan, guarded to 16 vertices, classifies every 6-subset by
 canonical certificate and is the ground-truth oracle; it labels each
@@ -244,21 +248,9 @@ def _pentagon_scan(rows, n: int, v0_list) -> int:
     return count
 
 
-def _count_from_starts(scan, g: Graph, progress) -> int:
-    """Sum of ``scan(rows, n, starts)`` over all start vertices, one start
-    at a time with a progress call after each."""
-    n = g.order
-    total = 0
-    for v0 in range(n):
-        total += scan(g.rows, n, (v0,))
-        if progress:
-            progress(v0 + 1, n)
-    return total
-
-
-def count_pentagons(g: Graph, progress=None) -> int:
+def count_pentagons(g: Graph) -> int:
     """Number of induced C5, each counted once via the canonical DFS."""
-    return _count_from_starts(_pentagon_scan, g, progress)
+    return _pentagon_scan(g.rows, g.order, range(g.order))
 
 
 def pentagons_through_edge(g: Graph, edge) -> int:
@@ -350,8 +342,15 @@ def _hexagon_scan(rows, n: int, v0_list) -> int:
 
 
 def count_hexagons(g: Graph, progress=None) -> int:
-    """Number of induced C6, each counted once via the canonical DFS."""
-    return _count_from_starts(_hexagon_scan, g, progress)
+    """Number of induced C6, each counted once via the canonical DFS, one
+    start vertex at a time with a progress call after each."""
+    n = g.order
+    total = 0
+    for v0 in range(n):
+        total += _hexagon_scan(g.rows, n, (v0,))
+        if progress:
+            progress(v0 + 1, n)
+    return total
 
 
 def cycle_census(g: Graph, progress=None) -> CycleCensus:

@@ -199,10 +199,12 @@ def run_all_checks(
     graphs get the condition/regularity checks and skipped family entries;
     family members get every counting identity, the master identity and the
     spectral cross-checks, and their censuses take the verified family and
-    do not verify again.  Never raises: every census and spectral stage runs
+    do not verify again.  Never raises: each census and spectral stage runs
     through ``stage``, which records a raise as a fail entry named after the
-    stage, and every entry built from a stage's result skips, naming that
-    stage, when it failed.
+    stage, then calls ``progress`` with that name (each stage once, in run
+    order) and returns the name as a handle.  ``check`` builds each entry
+    from the results of the stages it names, or skips it, naming every one
+    of them that failed.
     """
     n = g.order
     progress = progress or (lambda name: None)
@@ -212,235 +214,186 @@ def run_all_checks(
     done: dict[str, object] = {}  # finished stage -> its result
     six = "six-vertex types"
 
-    def add(name, section, expected, actual, detail=""):
-        status = "pass" if expected == actual else "fail"
-        entries.append(IdentityEntry(name, section, expected, actual, status, detail))
-
-    def add_bool(name, section, ok, detail=""):
-        entries.append(
-            IdentityEntry(name, section, 1, 1 if ok else 0,
-                          "pass" if ok else "fail", detail)
-        )
-
-    def add_info(name, section, expected, actual, detail=""):
-        entries.append(IdentityEntry(name, section, expected, actual, "info", detail))
-
-    def skip(name, section, reason):
-        entries.append(IdentityEntry(name, section, None, None, "skip", reason))
-
-    def stage(name, section, fn, *args, **kwargs):
-        """fn(*args, **kwargs), or None after a fail entry ``name``."""
+    def stage(name, section, fn, *args):
+        """Run fn(*args) as stage ``name``; a raise becomes a fail entry."""
         try:
-            done[name] = fn(*args, **kwargs)
-            return done[name]
+            done[name] = fn(*args)
         except _STAGE_ERRORS as exc:
             errors[name] = str(exc)
-            add_bool(name, section, False, str(exc))
-            return None
+            entries.append(IdentityEntry(name, section, 1, 0, "fail", str(exc)))
+        progress(name)
+        return name
 
-    def ready(name, section, *stages):
-        """Whether entry ``name`` can be built; a skip if a stage failed."""
-        missing = [s for s in stages if s in errors]
-        if missing:
-            skip(name, section, f"needs {', '.join(missing)}, which failed")
-        return not missing
+    def check(name, section, needs, sides, kind="eq"):
+        """Entry ``name`` from ``sides(*results of needs)``, which gives
+        (expected, actual[, detail]).  ``kind`` "eq" passes on equality,
+        "bool" reports only whether they are equal (1 against 1 or 0) and
+        "info" never fails."""
+        failed = [s for s in needs if s in errors]
+        if failed:
+            entries.append(IdentityEntry(
+                name, section, None, None, "skip",
+                f"needs {', '.join(failed)}, which failed"))
+            return
+        expected, actual, *detail = sides(*(done[s] for s in needs))
+        ok = expected == actual
+        if kind == "bool":
+            expected, actual = 1, int(ok)
+        status = "info" if kind == "info" else "pass" if ok else "fail"
+        entries.append(IdentityEntry(name, section, expected, actual, status, *detail))
+
+    def holds(name, section, ok, detail=""):
+        check(name, section, [], lambda: (True, ok, detail), "bool")
 
     def agree(name):
-        """Entry ``name`` of ``cn.ROUTE_AGREEMENTS``, or its skip."""
-        needs, sides = cn.ROUTE_AGREEMENTS[name]
-        if ready(name, six, *needs):
-            add(name, six, *sides(*(done[need] for need in needs)))
+        check(name, six, *cn.ROUTE_AGREEMENTS[name])
 
     srg, fam = family_check(g)
-    add_bool("condition_one_edge_triangles", "conditions", srg.lambda_ok,
-             "" if srg.lambda_ok else f"edge {srg.lambda_witness[:2]} has "
-             f"{srg.lambda_witness[2]} common neighbours")
-    add_bool("condition_two_nonedge_quadrilaterals", "conditions", srg.mu_ok,
-             "" if srg.mu_ok else f"non-edge {srg.mu_witness[:2]} has "
-             f"{srg.mu_witness[2]} common neighbours")
+    holds("condition_one_edge_triangles", "conditions", srg.lambda_ok,
+          "" if srg.lambda_ok else f"edge {srg.lambda_witness[:2]} has "
+          f"{srg.lambda_witness[2]} common neighbours")
+    holds("condition_two_nonedge_quadrilaterals", "conditions", srg.mu_ok,
+          "" if srg.mu_ok else f"non-edge {srg.mu_witness[:2]} has "
+          f"{srg.mu_witness[2]} common neighbours")
 
     if n == 0:
-        skip("srg_verification", "srg verification", "empty graph")
+        entries.append(IdentityEntry("srg_verification", "srg verification",
+                                     None, None, "skip", "empty graph"))
         return report
 
     k = g.degree(0)
-    add_bool("regularity", "srg verification", srg.regular,
-             f"degree {k}" if srg.regular else f"vertex degrees differ: {srg.degree_witness}")
+    holds("regularity", "srg verification", srg.regular,
+          f"degree {k}" if srg.regular else f"vertex degrees differ: {srg.degree_witness}")
     if srg.regular:
         report.graph_meta["k"] = k
-        add("order_relation", "srg verification",
-            k * (k - 2), 2 * (n - k - 1))
+        check("order_relation", "srg verification", [],
+              lambda: (k * (k - 2), 2 * (n - k - 1)))
 
-    family = fam is not None and n >= 3
-    family_sections = [
-        "cycle formulas", "per-edge pentagons", "coded walks", "edge triples",
-        "six-vertex types", "master identity", "spectral", "hexagon bound",
-    ]
-    if not family:
-        reason = "graph is not a verified srg(n,k,1,2)"
-        for section in family_sections:
-            skip(f"{section.replace(' ', '_')}_suite", section, reason)
+    if fam is None or n < 3:
+        for section in ("cycle formulas", "per-edge pentagons", "coded walks",
+                        "edge triples", "six-vertex types", "master identity",
+                        "spectral", "hexagon bound"):
+            entries.append(IdentityEntry(f"{section.replace(' ', '_')}_suite", section,
+                                         None, None, "skip",
+                                         "graph is not a verified srg(n,k,1,2)"))
         if n <= 64:
             mk = stage("triangle_pair_census", "conjecture", makhnev_condition, g)
-            if ready("makhnev_condition", "conjecture", "triangle_pair_census"):
-                add_info("makhnev_condition", "conjecture", 0, mk.n3,
-                         "holds" if mk.holds else f"witness: {mk.witness}")
+            check("makhnev_condition", "conjecture", [mk], lambda r: (
+                0, r.n3, "holds" if r.holds else f"witness: {r.witness}"), "info")
         else:
-            skip("makhnev_condition", "conjecture",
-                 "triangle-pair scan skipped on large non-family graph")
+            entries.append(IdentityEntry(
+                "makhnev_condition", "conjecture", None, None, "skip",
+                "triangle-pair scan skipped on large non-family graph"))
         return report
 
     m = fam.m
 
     # cycle counts against their closed forms; the triangle-pair census
-    # lists the triangles
+    # lists the triangles, and one pass over the quadrilaterals gives p4,
+    # n2 and the quad-plus-edge counts
     tp = stage("triangle_pair_census", six, cn.disjoint_triangle_pair_census, g)
-    if ready("triangle_count", "cycle formulas", "triangle_pair_census"):
-        add("triangle_count", "cycle formulas", expected_p3(n, k), tp.p3)
-    progress("triangle pairs")
-    # one pass over the quadrilaterals gives p4, n2 and the quad-plus-edge counts
+    check("triangle_count", "cycle formulas", [tp], lambda t: (expected_p3(n, k), t.p3))
     qpe = stage("quad_plus_edge_census", six, cn.quad_plus_edge_census, fam)
-    if ready("quadrilateral_count", "cycle formulas", "quad_plus_edge_census"):
-        add("quadrilateral_count", "cycle formulas", expected_p4(n, k), qpe.p4)
-    progress("quad plus edge")
-
+    check("quadrilateral_count", "cycle formulas", [qpe],
+          lambda q: (expected_p4(n, k), q.p4))
     pt = stage("pentagon_side_census", six, cn.pentagon_triangle_census, fam)
-    if ready("pentagon_count", "cycle formulas", "pentagon_side_census"):
-        add("pentagon_count", "cycle formulas", expected_p5(n, k), pt.p5)
-    progress("pentagons")
+    check("pentagon_count", "cycle formulas", [pt], lambda p: (expected_p5(n, k), p.p5))
 
-    # the pentagon census counts the pentagons through each edge
+    # the pentagon census counts the pentagons through each edge; its
+    # failure fails this entry rather than skipping it
     per_edge = expected_pentagons_per_edge(k)
-    if pt is None:
-        entries.append(IdentityEntry(
-            "pentagons_per_edge", "per-edge pentagons", per_edge, None, "fail",
-            errors["pentagon_side_census"]))
+    if pt in errors:
+        entries.append(IdentityEntry("pentagons_per_edge", "per-edge pentagons",
+                                     per_edge, None, "fail", errors[pt]))
     else:
-        bad = next(
-            ((e, c) for e, c in zip(g.edges(), pt.per_edge) if c != per_edge), None
-        )
-        add("pentagons_per_edge", "per-edge pentagons", per_edge,
-            per_edge if bad is None else bad[1],
-            "" if bad is None else f"edge {bad[0]}")
-    progress("per-edge pentagons")
+        check("pentagons_per_edge", "per-edge pentagons", [pt], lambda p: (
+            per_edge, *next(((c, f"edge {e}") for e, c in zip(g.edges(), p.per_edge)
+                             if c != per_edge), (per_edge, ""))))
 
     # coded closed 5-walks
     walks = stage("coded_walk_census", "coded walks", cn.coded_walk_census, fam)
-    if ready("walk_total", "coded walks", "coded_walk_census"):
-        add("walk_total", "coded walks", expected_walk_total(n, k), walks.total)
-    if ready("walk_t1_from_quadrilaterals", "coded walks", "coded_walk_census"):
-        add("walk_t1_from_quadrilaterals", "coded walks",
-            4 * expected_p4(n, k), walks.t1)
-    if ready("walk_t2_from_triangles", "coded walks", "coded_walk_census"):
-        add("walk_t2_from_triangles", "coded walks",
-            3 * (k - 2) * expected_p3(n, k), walks.t2)
-    if ready("walk_decomposition", "coded walks",
-             "coded_walk_census", "pentagon_side_census"):
-        add("walk_decomposition", "coded walks", walks.total,
-            10 * pt.p5 + 6 * walks.t1 + 2 * walks.t2)
-    progress("coded walks")
+    check("walk_total", "coded walks", [walks],
+          lambda w: (expected_walk_total(n, k), w.total))
+    check("walk_t1_from_quadrilaterals", "coded walks", [walks],
+          lambda w: (4 * expected_p4(n, k), w.t1))
+    check("walk_t2_from_triangles", "coded walks", [walks],
+          lambda w: (3 * (k - 2) * expected_p3(n, k), w.t2))
+    check("walk_decomposition", "coded walks", [walks, pt],
+          lambda w, p: (w.total, 10 * p.p5 + 6 * w.t1 + 2 * w.t2))
 
     # edge triples
     triples = stage("edge_triple_census", "edge triples", cn.edge_triple_census, g)
-    if ready("edge_triples_span4", "edge triples", "edge_triple_census"):
-        add("edge_triples_span4", "edge triples", expected_e4(n, k), triples.e4)
-    if ready("edge_triples_span5", "edge triples", "edge_triple_census"):
-        add("edge_triples_span5", "edge triples", expected_e5(n, k), triples.e5)
-    if ready("edge_triples_partition", "edge triples", "edge_triple_census"):
-        add_bool("edge_triples_partition", "edge triples",
-                 triples.e4 + triples.e5 + triples.e6 == comb(m, 3))
-    progress("edge triples")
+    check("edge_triples_span4", "edge triples", [triples],
+          lambda t: (expected_e4(n, k), t.e4))
+    check("edge_triples_span5", "edge triples", [triples],
+          lambda t: (expected_e5(n, k), t.e5))
+    check("edge_triples_partition", "edge triples", [triples],
+          lambda t: (comb(m, 3), t.e4 + t.e5 + t.e6), "bool")
 
     # six-vertex types, one targeted census per relation
-    if ready("triangle_pairs_eq8", six, "triangle_pair_census"):
-        add("triangle_pairs_eq8", six,
-            expected_triangle_pairs(n, k), tp.n1 + tp.n3 + tp.n5 + tp.n14)
+    check("triangle_pairs_eq8", six, [tp],
+          lambda t: (expected_triangle_pairs(n, k), t.n1 + t.n3 + t.n5 + t.n14))
     qp = stage("quad_pair_census", six, cn.quad_pair_census, fam)
-    if ready("quad_pairs_eq7", six, "quad_pair_census"):
-        add("quad_pairs_eq7", six,
-            expected_quad_pairs(n, k), 3 * qp.n1 + qp.n4 + qp.n9)
-    progress("quad pairs")
-    if ready("n2_eq3", six, "quad_plus_edge_census"):
-        add("n2_eq3", six, expected_n2(n, k), qpe.n2)
-    if ready("pentagon_sides_eq4", six, "pentagon_side_census"):
-        add("pentagon_sides_eq4", six,
-            expected_pentagon_sides(n, k), pt.n4 + pt.n8)
-    pairs = ("triangle_pair_census", "quad_pair_census")
-    if ready("triangle_pendant_eq5", six, *pairs):
-        add("triangle_pendant_eq5", six,
-            expected_triangle_pendant(n, k), 6 * tp.n1 + qp.n4)
-    if ready("opposite_sides_eq6", six, *pairs):
-        add("opposite_sides_eq6", six,
-            expected_opposite_sides(n, k), 3 * tp.n1 + tp.n3)
+    check("quad_pairs_eq7", six, [qp],
+          lambda q: (expected_quad_pairs(n, k), 3 * q.n1 + q.n4 + q.n9))
+    check("n2_eq3", six, [qpe], lambda q: (expected_n2(n, k), q.n2))
+    check("pentagon_sides_eq4", six, [pt],
+          lambda p: (expected_pentagon_sides(n, k), p.n4 + p.n8))
+    check("triangle_pendant_eq5", six, [tp, qp],
+          lambda t, q: (expected_triangle_pendant(n, k), 6 * t.n1 + q.n4))
+    check("opposite_sides_eq6", six, [tp, qp],
+          lambda t, q: (expected_opposite_sides(n, k), 3 * t.n1 + t.n3))
     agree("prism_route_agreement")
-    if ready("n4_twice_n3", six, *pairs):
-        add("n4_twice_n3", six, 2 * tp.n3, qp.n4)
+    check("n4_twice_n3", six, [tp, qp], lambda t, q: (2 * t.n3, q.n4))
     agree("n4_route_agreement")
     comp = stage("triangle_completion_census", six,
                  cn.triangle_edge_completion_census, fam)
-    if ready("triangle_completion_eq5", six, "triangle_completion_census"):
-        add("triangle_completion_eq5", six,
-            expected_triangle_pendant(n, k), 6 * comp.n1 + comp.n4)
-    if ready("completion_prism_agreement", six,
-             "triangle_completion_census", "triangle_pair_census"):
-        add("completion_prism_agreement", six, tp.n1, comp.n1)
-    if ready("completion_n4_agreement", six,
-             "triangle_completion_census", "quad_pair_census"):
-        add("completion_n4_agreement", six, qp.n4, comp.n4)
-    progress("triangle completions")
-    if ready("quad_plus_edge_eq9", six, "quad_plus_edge_census"):
-        add("quad_plus_edge_eq9", six, expected_quad_plus_edge(n, k), qpe.total)
+    check("triangle_completion_eq5", six, [comp],
+          lambda c: (expected_triangle_pendant(n, k), 6 * c.n1 + c.n4))
+    check("completion_prism_agreement", six, [comp, tp], lambda c, t: (t.n1, c.n1))
+    check("completion_n4_agreement", six, [comp, qp], lambda c, q: (q.n4, c.n4))
+    check("quad_plus_edge_eq9", six, [qpe],
+          lambda q: (expected_quad_plus_edge(n, k), q.total))
     agree("qpe_prism_incidences")
     agree("qpe_n4_incidences")
     agree("qpe_n9_incidences")
-    n12 = stage("hexagon_census", "hexagon bound", cn.count_hexagons, g)
-    progress("hexagons")
+    hexes = stage("hexagon_census", "hexagon bound", cn.count_hexagons, g)
 
-    # spectral: c6 three ways (c6 only exists from 6 vertices up)
+    # spectral: c6 three ways (c6 only exists from 6 vertices up), and the
+    # master identity, spectral side against the assembled census side
     prefix = stage("charpoly_prefix", "spectral", sp.charpoly_prefix, g, min(6, n))
-    if ready("charpoly_c2_is_minus_edges", "spectral", "charpoly_prefix"):
-        add("charpoly_c2_is_minus_edges", "spectral", -m, prefix.c(2))
-    if ready("charpoly_c3_is_minus_two_triangles", "spectral",
-             "charpoly_prefix", "triangle_pair_census"):
-        add("charpoly_c3_is_minus_two_triangles", "spectral", -2 * tp.p3, prefix.c(3))
+    check("charpoly_c2_is_minus_edges", "spectral", [prefix], lambda c: (-m, c.c(2)))
+    check("charpoly_c3_is_minus_two_triangles", "spectral", [prefix, tp],
+          lambda c, t: (-2 * t.p3, c.c(3)))
     if n < 6:
-        skip("c6_closed_vs_trace", "spectral", "graph has fewer than 6 vertices")
-        skip("c6_binomial_vs_trace", "spectral", "graph has fewer than 6 vertices")
+        for name, section in (("c6_closed_vs_trace", "spectral"),
+                              ("c6_binomial_vs_trace", "spectral"),
+                              ("master_identity", "master identity")):
+            entries.append(IdentityEntry(name, section, None, None, "skip",
+                                         "graph has fewer than 6 vertices"))
     else:
-        c6_closed = stage("c6_closed_form", "spectral", sp.c6_closed_form, n, k)
-        if ready("c6_closed_vs_trace", "spectral", "c6_closed_form", "charpoly_prefix"):
-            add("c6_closed_vs_trace", "spectral", c6_closed, prefix.c6)
-        c6_sum = stage("c6_binomial_sum", "spectral", lambda: sp.c6_binomial_sum(
+        closed = stage("c6_closed_form", "spectral", sp.c6_closed_form, n, k)
+        check("c6_closed_vs_trace", "spectral", [closed, prefix],
+              lambda c6, c: (c6, c.c6))
+        binomial = stage("c6_binomial_sum", "spectral", lambda: sp.c6_binomial_sum(
             sp.srg_spectrum(SrgParams(n, k, 1, 2))))
-        if ready("c6_binomial_vs_trace", "spectral", "c6_binomial_sum", "charpoly_prefix"):
-            add("c6_binomial_vs_trace", "spectral", c6_sum, prefix.c6)
-    progress("spectral")
+        check("c6_binomial_vs_trace", "spectral", [binomial, prefix],
+              lambda c6, c: (c6, c.c6))
+        check("master_identity", "master identity", [prefix, *cn.TYPE_CENSUS_PARTS],
+              lambda c, *parts: (c.c6 + comb(m, 3), cn.TypeCensus.assemble(
+                  dict(zip(cn.TYPE_CENSUS_PARTS, parts))).master_identity_rhs()))
 
-    # master identity: spectral side against the assembled census side
-    if n < 6:
-        skip("master_identity", "master identity", "graph has fewer than 6 vertices")
-    elif ready("master_identity", "master identity", "charpoly_prefix",
-               *cn.TYPE_CENSUS_PARTS):
-        add("master_identity", "master identity", prefix.c6 + comb(m, 3),
-            cn.TypeCensus.assemble(done).master_identity_rhs())
-
-    # hexagon bound
+    # hexagon bound, and conjecture-side observations, informational only
     bound = stage("hexagon_bound", "hexagon bound", hexagon_bound, n, k)
-    if ready("hexagon_identity", "hexagon bound",
-             "hexagon_bound", "hexagon_census", "triangle_pair_census"):
-        add("hexagon_identity", "hexagon bound", bound, n12 - tp.n3)
-    if ready("hexagon_at_least_bound", "hexagon bound", "hexagon_bound", "hexagon_census"):
-        add_bool("hexagon_at_least_bound", "hexagon bound", n12 >= bound,
-                 f"p6 = {n12}, bound = {bound}")
-
-    # conjecture-side observations, informational only
-    if ready("makhnev_condition", "conjecture", "triangle_pair_census"):
-        add_info("makhnev_condition", "conjecture", 0, tp.n3,
-                 "holds: two triangles joined by two edges share the third"
-                 if tp.n3 == 0 else f"fails, witness {tp.n3_witness}")
-    if ready("hexagons_equal_bound", "conjecture", "hexagon_bound", "hexagon_census"):
-        add_info("hexagons_equal_bound", "conjecture", bound, n12,
-                 "observed equality" if n12 == bound else "strict excess")
+    check("hexagon_identity", "hexagon bound", [bound, hexes, tp],
+          lambda b, h, t: (b, h - t.n3))
+    check("hexagon_at_least_bound", "hexagon bound", [bound, hexes],
+          lambda b, h: (True, h >= b, f"p6 = {h}, bound = {b}"), "bool")
+    check("makhnev_condition", "conjecture", [tp], lambda t: (
+        0, t.n3, "holds: two triangles joined by two edges share the third"
+        if t.n3 == 0 else f"fails, witness {t.n3_witness}"), "info")
+    check("hexagons_equal_bound", "conjecture", [bound, hexes], lambda b, h: (
+        b, h, "observed equality" if h == b else "strict excess"), "info")
     return report
 
 

@@ -81,19 +81,29 @@ class TestCheck:
 class TestGoldenReports:
     """``check --json`` reproduces the committed reports byte for byte; they
     hold no timestamps and the source is a fingerprint.  A worker count is
-    accepted and has no effect, so no byte depends on it."""
+    accepted and has no effect, so no byte depends on it.  K3 covers the
+    graphs below 6 vertices, where the c6 and master entries skip; the
+    5-cycle, read from a graph6 file, covers a graph outside the family,
+    which fails its condition entries and exits 1."""
 
     @pytest.mark.parametrize("name, workers", [
         pytest.param(name, workers, id=name + suffix)
         for name in ("paley9", "bvls243")
         for workers, suffix in ((["--workers", "1"], ""),
                                 (["--workers", "2"], "-workers2"))
-    ])
+    ] + [pytest.param(name, ["--workers", "1"], id=name) for name in ("k3", "cycle5")])
     def test_check_json_matches_golden(self, capsys, tmp_path, name, workers):
+        graph, expected_code = name, 0
+        if name == "cycle5":
+            from srg12.graph import Graph
+
+            graph, expected_code = tmp_path / "cycle5.g6", 1
+            graph6.save_file(graph, Graph.from_edges(5, [(i, (i + 1) % 5)
+                                                         for i in range(5)]))
         out_json = tmp_path / "report.json"
-        code, _, _ = run(capsys, "check", "--graph", name, *workers,
+        code, _, _ = run(capsys, "check", "--graph", str(graph), *workers,
                          "--json", str(out_json))
-        assert code == 0
+        assert code == expected_code
         golden = Path(__file__).parent / "data" / f"check_{name}.json"
         assert out_json.read_bytes() == golden.read_bytes()
 

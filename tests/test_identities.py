@@ -125,6 +125,27 @@ class TestLedgerK3:
         assert report.entry("hexagon_identity").status == "pass"
 
 
+# every ledger stage, in the order run_all_checks runs it on a family graph
+LEDGER_STAGES = [
+    "triangle_pair_census", "quad_plus_edge_census", "pentagon_side_census",
+    "coded_walk_census", "edge_triple_census", "quad_pair_census",
+    "triangle_completion_census", "hexagon_census", "charpoly_prefix",
+    "c6_closed_form", "c6_binomial_sum", "hexagon_bound",
+]
+
+
+class TestLedgerProgress:
+    def test_each_stage_named_once_in_run_order(self, paley9):
+        names = []
+        run_all_checks(paley9, progress=names.append)
+        assert names == LEDGER_STAGES
+
+    def test_small_graph_runs_no_c6_stage(self, k3):
+        names = []
+        run_all_checks(k3, progress=names.append)
+        assert names == [s for s in LEDGER_STAGES if not s.startswith("c6_")]
+
+
 class TestLedgerTamperedCandidate:
     def test_tampered_bvls_fails_cleanly(self, bvls):
         # remove one edge, add a non-edge: a wrong srg(243,22,1,2) candidate
@@ -217,8 +238,51 @@ def inject_fault(monkeypatch, stage):
     def fail(*args, **kwargs):
         raise CountingInconsistencyError(message)
 
-    monkeypatch.setattr({"cn": census, "sp": spectral}[prefix], name, fail)
+    modules = {"cn": census, "sp": spectral, "identities": identities}
+    monkeypatch.setattr(modules[prefix], name, fail)
     return message
+
+
+# the stages each family entry reads, in the order its skip names them
+ENTRY_NEEDS = {
+    "triangle_count": "triangle_pair_census",
+    "quadrilateral_count": "quad_plus_edge_census",
+    "pentagon_count": "pentagon_side_census",
+    "walk_total": "coded_walk_census",
+    "walk_t1_from_quadrilaterals": "coded_walk_census",
+    "walk_t2_from_triangles": "coded_walk_census",
+    "walk_decomposition": "coded_walk_census, pentagon_side_census",
+    "edge_triples_span4": "edge_triple_census",
+    "edge_triples_span5": "edge_triple_census",
+    "edge_triples_partition": "edge_triple_census",
+    "triangle_pairs_eq8": "triangle_pair_census",
+    "quad_pairs_eq7": "quad_pair_census",
+    "n2_eq3": "quad_plus_edge_census",
+    "pentagon_sides_eq4": "pentagon_side_census",
+    "triangle_pendant_eq5": "triangle_pair_census, quad_pair_census",
+    "opposite_sides_eq6": "triangle_pair_census, quad_pair_census",
+    "prism_route_agreement": "triangle_pair_census, quad_pair_census",
+    "n4_twice_n3": "triangle_pair_census, quad_pair_census",
+    "n4_route_agreement": "pentagon_side_census, quad_pair_census",
+    "triangle_completion_eq5": "triangle_completion_census",
+    "completion_prism_agreement": "triangle_completion_census, triangle_pair_census",
+    "completion_n4_agreement": "triangle_completion_census, quad_pair_census",
+    "quad_plus_edge_eq9": "quad_plus_edge_census",
+    "qpe_prism_incidences": "quad_plus_edge_census, triangle_pair_census",
+    "qpe_n4_incidences": "quad_plus_edge_census, quad_pair_census",
+    "qpe_n9_incidences": "quad_plus_edge_census, quad_pair_census",
+    "charpoly_c2_is_minus_edges": "charpoly_prefix",
+    "charpoly_c3_is_minus_two_triangles": "charpoly_prefix, triangle_pair_census",
+    "c6_closed_vs_trace": "c6_closed_form, charpoly_prefix",
+    "c6_binomial_vs_trace": "c6_binomial_sum, charpoly_prefix",
+    "master_identity": "charpoly_prefix, triangle_pair_census, quad_pair_census, "
+                       "pentagon_side_census, quad_plus_edge_census, "
+                       "edge_triple_census, hexagon_census",
+    "hexagon_identity": "hexagon_bound, hexagon_census, triangle_pair_census",
+    "hexagon_at_least_bound": "hexagon_bound, hexagon_census",
+    "makhnev_condition": "triangle_pair_census",
+    "hexagons_equal_bound": "hexagon_bound, hexagon_census",
+}
 
 
 class TestLedgerFaultInjection:
@@ -246,6 +310,29 @@ class TestLedgerFaultInjection:
                 assert e.detail == message
             if e.status == "skip":
                 assert e.detail == f"needs {failed}, which failed"
+        json.dumps(report.to_json_dict())
+
+    def test_every_stage_failing_at_once(self, monkeypatch, paley9):
+        messages = {inject_fault(monkeypatch, stage)
+                    for stage in [*STAGE_FAIL_ENTRY, "identities.hexagon_bound"]}
+        names = []
+        report = run_all_checks(paley9, progress=names.append)
+        assert names == LEDGER_STAGES  # a failed stage still reports progress
+        stages = {*STAGE_FAIL_ENTRY.values(), "hexagon_bound"}
+        for name in stages:
+            entry = report.entry(name)
+            assert entry.status == "fail" and entry.detail in messages
+        # every skip names each failed stage its entry reads, in order; the
+        # per-edge entry fails with the pentagon census, and nothing passes
+        # but the entries read off the verification scan
+        skips = {e.name: e.detail for e in report.entries if e.status == "skip"}
+        assert skips == {name: f"needs {needs}, which failed"
+                         for name, needs in ENTRY_NEEDS.items()}
+        fails = {e.name for e in report.entries if e.status == "fail"}
+        assert fails == stages | {"pentagons_per_edge"}
+        assert {e.name for e in report.entries if e.status == "pass"} == {
+            "condition_one_edge_triangles", "condition_two_nonedge_quadrilaterals",
+            "regularity", "order_relation"}
         json.dumps(report.to_json_dict())
 
     def test_pentagon_fault_fails_per_edge_entry(self, monkeypatch, paley9):
@@ -305,6 +392,24 @@ class TestMergedQuadrilateralPass:
             entry = report.entry(name)
             assert (entry.status, entry.detail) == (
                 "skip", "needs quad_plus_edge_census, which failed")
+
+    @pytest.mark.parametrize("name", ["paley9", "bvls"])
+    def test_extra_quadrilateral_fails_its_restating_entries(
+        self, monkeypatch, request, name
+    ):
+        # n2 = 4 p4 and the quad-plus-edge total = p4 (m - 4k + 4) are read
+        # off the quadrilateral count, so n2_eq3 and quad_plus_edge_eq9
+        # restate quadrilateral_count and fail exactly with it
+        real = census._qpe_scan
+
+        def one_more(*args):
+            prism_inc, n4_inc, n9_inc, quads = real(*args)
+            return prism_inc, n4_inc, n9_inc, quads + 1
+
+        monkeypatch.setattr(census, "_qpe_scan", one_more)
+        report = run_all_checks(request.getfixturevalue(name))
+        assert {e.name for e in report.entries if e.status == "fail"} == {
+            "quadrilateral_count", "n2_eq3", "quad_plus_edge_eq9", "master_identity"}
 
 
 class TestEnumerationBudget:
