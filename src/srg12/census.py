@@ -16,14 +16,13 @@ them one by one: a triangle meets all its later partners through masks of
 triangle ids, an edge's quadrilateral pairs follow from edge counts among
 their vertices, and pentagon and hexagon paths are summed from bit-sliced
 neighbour counters.  Every kernel counts by an identity that is exact on
-any graph, family or not.  Four loops still count object by object:
+any graph, family or not.  Three loops still count object by object:
 ``_qpe_scan`` per quadrilateral, ``triangle_edge_completion_census`` per
-(triangle, pendant), ``_pentagon_scan`` per path of the canonical p5 DFS
-and ``disjoint_triangle_pair_census`` per triangle.  The other per-object
-loops only name the first bad structure and raise: a coded walk with two
-chords, a quadrilateral pair sharing a vertex or joined across, a pentagon
-apex with a wrong adjacency pattern.  No canonical labelling runs in any
-of these loops.
+(triangle, pendant) and ``disjoint_triangle_pair_census`` per triangle.
+The other per-object loops only name the first bad structure and raise: a
+coded walk with two chords, a quadrilateral pair sharing a vertex or joined
+across, a pentagon apex with a wrong adjacency pattern.  No canonical
+labelling runs in any of these loops.
 
 The exhaustive scan, guarded to 16 vertices, classifies every 6-subset by
 canonical certificate and is the ground-truth oracle; it labels each
@@ -222,37 +221,6 @@ def count_quadrilaterals_by_edges(g: Graph) -> int:
     return sum(1 for _ in iter_quadrilaterals(g))
 
 
-def _pentagon_scan(rows, n: int, v0_list) -> int:
-    """Count induced pentagons whose minimum vertex is in v0_list.
-
-    Cycle order v0-v1-v2-v3-v4-v0 with v1 < v4; the innermost vertex v3 is
-    resolved by one popcount.
-    """
-    count = 0
-    for v0 in v0_list:
-        abv = _above(n, v0)
-        nv0 = rows[v0]
-        outer = nv0 & abv
-        for v1 in iter_bits(outer):
-            r1 = rows[v1]
-            for v4 in iter_bits(outer & _above(n, v1) & ~r1):
-                r4 = rows[v4]
-                base2 = r1 & abv & ~nv0 & ~r4
-                if not base2:
-                    continue
-                base3 = r4 & abv & ~nv0 & ~r1
-                if not base3:
-                    continue
-                for v2 in iter_bits(base2):
-                    count += (rows[v2] & base3).bit_count()
-    return count
-
-
-def count_pentagons(g: Graph) -> int:
-    """Number of induced C5, each counted once via the canonical DFS."""
-    return _pentagon_scan(g.rows, g.order, range(g.order))
-
-
 def pentagons_through_edge(g: Graph, edge) -> int:
     """Number of induced C5 containing the given edge."""
     u, v = edge
@@ -270,8 +238,9 @@ def pentagons_through_edge(g: Graph, edge) -> int:
     return count
 
 
-def _hexagon_scan(rows, n: int, v0_list) -> int:
-    """Count induced hexagons whose minimum vertex is in v0_list.
+def _hexagon_scan(rows, n: int, v0_list) -> tuple[int, int]:
+    """(p5, p6): induced pentagons and hexagons whose minimum vertex is in
+    v0_list.
 
     Cycle order v0-v1-v2-v3-v4-v5-v0 with v1 < v5 non-adjacent.  Every
     other vertex lies in off, the vertices above v0 and off N(v0); v2 is in
@@ -286,10 +255,12 @@ def _hexagon_scan(rows, n: int, v0_list) -> int:
         - sum over v4 in base4, v2 in base2 & N(v4) of |N(v2) & N(v4) & base3|
 
     with a = |N(v3) & base2| and b = |N(v3) & base4|.  The second term
-    runs over the pentagons v0-v1-v2-v4-v5 only, v4 outermost.  For the
-    first, each upper neighbour x of v0 gets one bit-sliced counter c_x of
-    |N(v) & R_x| over off, where R_x = N(x) & off.  base2 and base4 are R_v1
-    and R_v5 less C = R_v1 & R_v5, so with c_C = |N(v3) & C|,
+    runs over the pentagons v0-v1-v2-v4-v5, v4 outermost.  Its pairs
+    v2 ~ v4 are exactly the induced pentagons with minimum v0 and v1 < v5,
+    so the same loop counts p5.  For the first term, each upper neighbour x
+    of v0 gets one bit-sliced counter c_x of |N(v) & R_x| over off, where
+    R_x = N(x) & off.  base2 and base4 are R_v1 and R_v5 less
+    C = R_v1 & R_v5, so with c_C = |N(v3) & C|,
 
         a b = c_v1 c_v5 - c_C (c_v1 + c_v5) + c_C^2,
 
@@ -300,7 +271,7 @@ def _hexagon_scan(rows, n: int, v0_list) -> int:
     so C holds at most one vertex and that counter one digit.  The identity
     is exact on any graph.
     """
-    count = 0
+    p5 = count = 0
     for v0 in v0_list:
         abv = _above(n, v0)
         nv0 = rows[v0]
@@ -335,31 +306,47 @@ def _hexagon_scan(rows, n: int, v0_list) -> int:
                     r4 = rows[v4]
                     adjacent = r4 & base2
                     if adjacent:
+                        p5 += adjacent.bit_count()
                         part3 = r4 & base3
                         for v2 in iter_bits(adjacent):
                             count -= (rows[v2] & part3).bit_count()
-    return count
+    return p5, count
 
 
-def count_hexagons(g: Graph, progress=None) -> int:
-    """Number of induced C6, each counted once via the canonical DFS, one
-    start vertex at a time with a progress call after each."""
+class PentagonHexagonCount(NamedTuple):
+    """Induced C5 and C6, from one pass of the hexagon kernel."""
+
+    p5: int
+    p6: int
+
+
+def count_pentagons_and_hexagons(g: Graph, progress=None) -> PentagonHexagonCount:
+    """Induced C5 and C6 by ``_hexagon_scan``, one start vertex at a time
+    with a progress call after each."""
     n = g.order
-    total = 0
+    p5 = p6 = 0
     for v0 in range(n):
-        total += _hexagon_scan(g.rows, n, (v0,))
+        five, six = _hexagon_scan(g.rows, n, (v0,))
+        p5 += five
+        p6 += six
         if progress:
             progress(v0 + 1, n)
-    return total
+    return PentagonHexagonCount(p5, p6)
+
+
+def count_pentagons(g: Graph) -> int:
+    """Number of induced C5, read off the pentagon and hexagon pass."""
+    return count_pentagons_and_hexagons(g).p5
+
+
+def count_hexagons(g: Graph) -> int:
+    """Number of induced C6, read off the pentagon and hexagon pass."""
+    return count_pentagons_and_hexagons(g).p6
 
 
 def cycle_census(g: Graph, progress=None) -> CycleCensus:
-    return CycleCensus(
-        p3=count_triangles(g),
-        p4=count_quadrilaterals_by_edges(g),
-        p5=count_pentagons(g),
-        p6=count_hexagons(g, progress=progress),
-    )
+    p3, p4 = count_triangles(g), count_quadrilaterals_by_edges(g)
+    return CycleCensus(p3, p4, *count_pentagons_and_hexagons(g, progress))
 
 
 # -- coded closed 5-walks --------------------------------------------------
@@ -799,7 +786,7 @@ def quad_pair_census(g: Union[Graph, VerifiedFamily]) -> QuadPairCensus:
 class PentagonTriangleCensus(NamedTuple):
     n4: int
     n8: int
-    p5: int  # pentagons, counted by the canonical DFS
+    p5: int  # pentagons, as given by the pentagon and hexagon pass
     per_edge: tuple[int, ...]  # pentagons through each edge, in g.edges() order
 
 
@@ -876,7 +863,7 @@ def _apex_pattern_check(rows, u, v, rt, ws, ys, not_uv) -> None:
 
 
 def pentagon_triangle_census(
-    g: Union[Graph, VerifiedFamily]
+    g: Union[Graph, VerifiedFamily], p5: int
 ) -> PentagonTriangleCensus:
     """For every pentagon side, classify pentagon + apex into n4 or n8.
 
@@ -884,13 +871,11 @@ def pentagon_triangle_census(
     n4 sides among them (``_pentagon_edge_scan``); the apex of a side lies
     outside each of its pentagons and can only be joined, beyond the side,
     to the side's opposite vertex, any other pattern raises.  p5 comes from
-    the canonical DFS, an independent route: the per-edge counts must sum
+    the hexagon kernel, an independent route: the per-edge counts must sum
     to 5*p5, and the remaining 5*p5 - n4 sides are type n8.
     """
     fam = require_family(g)
-    rows = fam.graph.rows
-    p5 = _pentagon_scan(rows, fam.n, range(fam.n))
-    n4, per_edge = _pentagon_edge_scan(rows, fam.graph.edges())
+    n4, per_edge = _pentagon_edge_scan(fam.graph.rows, fam.graph.edges())
     if sum(per_edge) != 5 * p5:
         raise CountingInconsistencyError(
             f"pentagons through edges: {sum(per_edge)} != 5 * {p5}"
@@ -1157,10 +1142,10 @@ class TypeCensus:
     @classmethod
     def assemble(cls, parts) -> "TypeCensus":
         """The census from its parts, keyed as ``TYPE_CENSUS_PARTS``."""
-        tp, qp, pt, qpe, triples, n12 = (parts[name] for name in TYPE_CENSUS_PARTS)
+        tp, qp, pt, qpe, triples, cycles = (parts[name] for name in TYPE_CENSUS_PARTS)
         return cls(
             n1=tp.n1, n2=qpe.n2, n3=tp.n3, n4=qp.n4, n5=tp.n5, n8=pt.n8,
-            n9=qp.n9, n12=n12, n13=qpe.n13, n14=tp.n14,
+            n9=qp.n9, n12=cycles.p6, n13=qpe.n13, n14=tp.n14,
             n6_7_10_11=qpe.n6_7_10_11,
             e4=triples.e4, e5=triples.e5, e6=triples.e6,
         )
@@ -1178,13 +1163,14 @@ def type_census_parts(g: Union[Graph, VerifiedFamily]) -> dict:
     keyed as ``TYPE_CENSUS_PARTS``; raises if a route agreement fails."""
     fam = require_family(g)
     g = fam.graph
+    cycles = count_pentagons_and_hexagons(g)
     parts = dict(zip(TYPE_CENSUS_PARTS, (
         disjoint_triangle_pair_census(g),
         quad_pair_census(fam),
-        pentagon_triangle_census(fam),
+        pentagon_triangle_census(fam, cycles.p5),
         quad_plus_edge_census(fam),
         edge_triple_census(g),
-        count_hexagons(g),
+        cycles,
     )))
     for name, (needs, sides) in ROUTE_AGREEMENTS.items():
         expected, actual = sides(*(parts[need] for need in needs))

@@ -9,6 +9,7 @@ or stdout; progress for long censuses goes to stderr, at most once a second.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 # argparse looks its messages up through gettext, which imports locale on
@@ -191,7 +192,7 @@ def _cmd_census(args) -> int:
         else:  # the type census has counted every cycle length
             cc = cn.CycleCensus(
                 parts["triangle_pair_census"].p3, parts["quad_plus_edge_census"].p4,
-                parts["pentagon_side_census"].p5, parts["hexagon_census"],
+                *parts["hexagon_census"],
             )
         payload["cycles"] = asdict(cc)
     if what in ("triples", "all"):
@@ -406,9 +407,10 @@ def _params_type(text: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # objects older than the command outlive it; frozen, its collections skip them
+    gc.freeze()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (FamilyViolationError, CountingInconsistencyError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
@@ -419,6 +421,8 @@ def main(argv=None) -> int:
     except (UsageError, InfeasibleParametersError, SizeLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

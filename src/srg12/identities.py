@@ -202,9 +202,10 @@ def run_all_checks(
     do not verify again.  Never raises: each census and spectral stage runs
     through ``stage``, which records a raise as a fail entry named after the
     stage, then calls ``progress`` with that name (each stage once, in run
-    order) and returns the name as a handle.  ``check`` builds each entry
-    from the results of the stages it names, or skips it, naming every one
-    of them that failed.
+    order) and returns the name as a handle.  A stage that reads the
+    results of others fails without running if one of them failed.
+    ``check`` builds each entry from the results of the stages it names, or
+    skips it, naming every one of them that failed.
     """
     n = g.order
     progress = progress or (lambda name: None)
@@ -214,13 +215,23 @@ def run_all_checks(
     done: dict[str, object] = {}  # finished stage -> its result
     six = "six-vertex types"
 
-    def stage(name, section, fn, *args):
-        """Run fn(*args) as stage ``name``; a raise becomes a fail entry."""
-        try:
-            done[name] = fn(*args)
-        except _STAGE_ERRORS as exc:
-            errors[name] = str(exc)
-            entries.append(IdentityEntry(name, section, 1, 0, "fail", str(exc)))
+    def unmet(needs):
+        """The text naming each failed stage of ``needs``, or ""."""
+        failed = [s for s in needs if s in errors]
+        return f"needs {', '.join(failed)}, which failed" if failed else ""
+
+    def stage(name, section, fn, *args, needs=()):
+        """Run fn(*args, *results of needs) as stage ``name``; a raise, or
+        a failed need, becomes a fail entry."""
+        detail = unmet(needs)
+        if not detail:
+            try:
+                done[name] = fn(*args, *(done[s] for s in needs))
+            except _STAGE_ERRORS as exc:
+                detail = str(exc)
+        if detail:
+            errors[name] = detail
+            entries.append(IdentityEntry(name, section, 1, 0, "fail", detail))
         progress(name)
         return name
 
@@ -229,11 +240,8 @@ def run_all_checks(
         (expected, actual[, detail]).  ``kind`` "eq" passes on equality,
         "bool" reports only whether they are equal (1 against 1 or 0) and
         "info" never fails."""
-        failed = [s for s in needs if s in errors]
-        if failed:
-            entries.append(IdentityEntry(
-                name, section, None, None, "skip",
-                f"needs {', '.join(failed)}, which failed"))
+        if skip := unmet(needs):
+            entries.append(IdentityEntry(name, section, None, None, "skip", skip))
             return
         expected, actual, *detail = sides(*(done[s] for s in needs))
         ok = expected == actual
@@ -289,14 +297,16 @@ def run_all_checks(
     m = fam.m
 
     # cycle counts against their closed forms; the triangle-pair census
-    # lists the triangles, and one pass over the quadrilaterals gives p4,
-    # n2 and the quad-plus-edge counts
+    # lists the triangles, one pass over the quadrilaterals gives p4, n2
+    # and the quad-plus-edge counts, and the hexagon pass gives p5 and p6
     tp = stage("triangle_pair_census", six, cn.disjoint_triangle_pair_census, g)
     check("triangle_count", "cycle formulas", [tp], lambda t: (expected_p3(n, k), t.p3))
     qpe = stage("quad_plus_edge_census", six, cn.quad_plus_edge_census, fam)
     check("quadrilateral_count", "cycle formulas", [qpe],
           lambda q: (expected_p4(n, k), q.p4))
-    pt = stage("pentagon_side_census", six, cn.pentagon_triangle_census, fam)
+    hexes = stage("hexagon_census", "hexagon bound", cn.count_pentagons_and_hexagons, g)
+    pt = stage("pentagon_side_census", six,
+               lambda h: cn.pentagon_triangle_census(fam, h.p5), needs=[hexes])
     check("pentagon_count", "cycle formulas", [pt], lambda p: (expected_p5(n, k), p.p5))
 
     # the pentagon census counts the pentagons through each edge; its
@@ -357,7 +367,6 @@ def run_all_checks(
     agree("qpe_prism_incidences")
     agree("qpe_n4_incidences")
     agree("qpe_n9_incidences")
-    hexes = stage("hexagon_census", "hexagon bound", cn.count_hexagons, g)
 
     # spectral: c6 three ways (c6 only exists from 6 vertices up), and the
     # master identity, spectral side against the assembled census side
@@ -386,14 +395,14 @@ def run_all_checks(
     # hexagon bound, and conjecture-side observations, informational only
     bound = stage("hexagon_bound", "hexagon bound", hexagon_bound, n, k)
     check("hexagon_identity", "hexagon bound", [bound, hexes, tp],
-          lambda b, h, t: (b, h - t.n3))
+          lambda b, h, t: (b, h.p6 - t.n3))
     check("hexagon_at_least_bound", "hexagon bound", [bound, hexes],
-          lambda b, h: (True, h >= b, f"p6 = {h}, bound = {b}"), "bool")
+          lambda b, h: (True, h.p6 >= b, f"p6 = {h.p6}, bound = {b}"), "bool")
     check("makhnev_condition", "conjecture", [tp], lambda t: (
         0, t.n3, "holds: two triangles joined by two edges share the third"
         if t.n3 == 0 else f"fails, witness {t.n3_witness}"), "info")
     check("hexagons_equal_bound", "conjecture", [bound, hexes], lambda b, h: (
-        b, h, "observed equality" if h == b else "strict excess"), "info")
+        b, h.p6, "observed equality" if h.p6 == b else "strict excess"), "info")
     return report
 
 

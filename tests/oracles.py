@@ -174,6 +174,24 @@ def iter_pentagons(g: Graph):
                     yield pent
 
 
+def pentagon_scan_pairwise(rows, n: int, v0_list) -> int:
+    """Induced pentagons v0-v1-v2-v3-v4 whose minimum vertex is in v0_list,
+    v1 < v4, one popcount over v3 per path v0-v1-v2 and end v4."""
+    count = 0
+    for v0 in v0_list:
+        abv = ((1 << n) - 1) & ~((1 << (v0 + 1)) - 1)
+        nv0 = rows[v0]
+        outer = nv0 & abv
+        for v1 in iter_bits(outer):
+            r1 = rows[v1]
+            for v4 in iter_bits(outer & ~((1 << (v1 + 1)) - 1) & ~r1):
+                r4 = rows[v4]
+                base3 = r4 & abv & ~nv0 & ~r1
+                for v2 in iter_bits(r1 & abv & ~nv0 & ~r4):
+                    count += (rows[v2] & base3).bit_count()
+    return count
+
+
 def hexagon_scan_pairwise(rows, n: int, v0_list) -> int:
     """Induced hexagons v0-v1-v2-v3-v4-v5 whose minimum vertex is in
     v0_list, one popcount over v3 per pair (v2, v4) of non-adjacent ends."""

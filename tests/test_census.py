@@ -15,6 +15,7 @@ from oracles import (
     induced_cycles_through_edge,
     iter_pentagons,
     oracle_six_census,
+    pentagon_scan_pairwise,
     petersen,
     quad_edge_incidences,
     random_graph,
@@ -118,6 +119,12 @@ class TestCycleCounts:
         for g in random_cases(31, 5, nmin=7, nmax=11):
             pents = list(iter_pentagons(g))
             assert len(pents) == count_pentagons(g)
+            # per start: the pentagons the hexagon kernel counts and the
+            # pairwise scan of the kernel tests
+            for v0 in range(g.order):
+                assert (sum(p[0] == v0 for p in pents)
+                        == census._hexagon_scan(g.rows, g.order, [v0])[0]
+                        == pentagon_scan_pairwise(g.rows, g.order, [v0]))
             assert len({frozenset(p) for p in pents}) == len(pents)
             for p in pents:
                 assert len(set(p)) == 5
@@ -350,12 +357,12 @@ class TestQuadPairs:
 
 class TestPentagonTriangles:
     def test_paley9(self, paley9):
-        pt = pentagon_triangle_census(paley9)
+        pt = pentagon_triangle_census(paley9, count_pentagons(paley9))
         assert (pt.n4, pt.n8, pt.p5) == (0, 0, 0)
 
     def test_rejects_non_family(self):
         with pytest.raises(FamilyViolationError):
-            pentagon_triangle_census(cycle(5))
+            pentagon_triangle_census(cycle(5), 1)
 
 
 class TestQuadPlusEdge:

@@ -152,8 +152,8 @@ class TestCensusCommand:
             self, capsys, monkeypatch):
         from srg12 import census, cli, graph
 
-        calls = {"verify_srg": 0, "count_hexagons": 0, "_pentagon_scan": 0,
-                 "edge_triple_census": 0}
+        calls = {"verify_srg": 0, "count_hexagons": 0,
+                 "count_pentagons_and_hexagons": 0, "edge_triple_census": 0}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -167,14 +167,17 @@ class TestCensusCommand:
         wrapper = counted(graph, "verify_srg")
         for module in (graph, census, cli):
             monkeypatch.setattr(module, "verify_srg", wrapper)
-        for name in ("count_hexagons", "_pentagon_scan", "edge_triple_census"):
+        for name in ("count_hexagons", "count_pentagons_and_hexagons",
+                     "edge_triple_census"):
             monkeypatch.setattr(census, name, counted(census, name))
         code, out, _ = run(capsys, "census", "--graph", "paley9", "--what", "all",
                            "--workers", "1")
         assert code == 0
         assert json.loads(out)["cycles"] == {"p3": 6, "p4": 9, "p5": 0, "p6": 6}
-        assert calls == {"verify_srg": 1, "count_hexagons": 1, "_pentagon_scan": 1,
-                         "edge_triple_census": 1}
+        # one pentagon and hexagon pass gives p5 and p6, and count_hexagons,
+        # a read of that pass, would run a second
+        assert calls == {"verify_srg": 1, "count_hexagons": 0,
+                         "count_pentagons_and_hexagons": 1, "edge_triple_census": 1}
 
     def test_types_on_non_family_graph_fails(self, tmp_path, capsys):
         from srg12.graph import Graph

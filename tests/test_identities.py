@@ -2,6 +2,8 @@ import inspect
 import json
 import random
 import re
+import sys
+from collections import Counter
 
 import pytest
 
@@ -125,11 +127,12 @@ class TestLedgerK3:
         assert report.entry("hexagon_identity").status == "pass"
 
 
-# every ledger stage, in the order run_all_checks runs it on a family graph
+# every ledger stage, in the order run_all_checks runs it on a family graph;
+# the pentagon census reads p5 off the hexagon census, so it runs after it
 LEDGER_STAGES = [
-    "triangle_pair_census", "quad_plus_edge_census", "pentagon_side_census",
-    "coded_walk_census", "edge_triple_census", "quad_pair_census",
-    "triangle_completion_census", "hexagon_census", "charpoly_prefix",
+    "triangle_pair_census", "quad_plus_edge_census", "hexagon_census",
+    "pentagon_side_census", "coded_walk_census", "edge_triple_census",
+    "quad_pair_census", "triangle_completion_census", "charpoly_prefix",
     "c6_closed_form", "c6_binomial_sum", "hexagon_bound",
 ]
 
@@ -223,7 +226,7 @@ STAGE_FAIL_ENTRY = {
     "cn.quad_pair_census": "quad_pair_census",
     "cn.triangle_edge_completion_census": "triangle_completion_census",
     "cn.quad_plus_edge_census": "quad_plus_edge_census",
-    "cn.count_hexagons": "hexagon_census",
+    "cn.count_pentagons_and_hexagons": "hexagon_census",
     "sp.charpoly_prefix": "charpoly_prefix",
     "sp.c6_closed_form": "c6_closed_form",
     "sp.srg_spectrum": "c6_binomial_sum",
@@ -243,8 +246,11 @@ def inject_fault(monkeypatch, stage):
     return message
 
 
-# the stages each family entry reads, in the order its skip names them
+# the stages each family entry reads, in the order its skip names them; a
+# stage entry (the pentagon census, which reads p5 off the hexagon census)
+# fails with that text instead, without running
 ENTRY_NEEDS = {
+    "pentagon_side_census": "hexagon_census",
     "triangle_count": "triangle_pair_census",
     "quadrilateral_count": "quad_plus_edge_census",
     "pentagon_count": "pentagon_side_census",
@@ -285,6 +291,26 @@ ENTRY_NEEDS = {
 }
 
 
+def failures(faults):
+    """(status, detail) of every entry that fails or skips when the stages
+    in ``faults`` (stage -> error text) raise, read off ``ENTRY_NEEDS``; the
+    per-edge entry fails with the pentagon census's text."""
+    out = {name: ("fail", detail) for name, detail in faults.items()}
+    for name, needs in ENTRY_NEEDS.items():
+        unmet = [s for s in needs.split(", ") if s in out]
+        if unmet:
+            status = "fail" if name in LEDGER_STAGES else "skip"
+            out[name] = (status, f"needs {', '.join(unmet)}, which failed")
+    if "pentagon_side_census" in out:
+        out["pentagons_per_edge"] = ("fail", out["pentagon_side_census"][1])
+    return out
+
+
+def not_passed(report):
+    return {e.name: (e.status, e.detail) for e in report.entries
+            if e.status in ("fail", "skip")}
+
+
 class TestLedgerFaultInjection:
     def test_table_lists_every_stage_called(self):
         source = inspect.getsource(run_all_checks)
@@ -304,12 +330,9 @@ class TestLedgerFaultInjection:
         failed = STAGE_FAIL_ENTRY[stage]
         entry = report.entry(failed)
         assert (entry.status, entry.detail) == ("fail", message)
-        # nothing else fails, and what needed the stage skips naming it
-        for e in report.entries:
-            if e.status == "fail":
-                assert e.detail == message
-            if e.status == "skip":
-                assert e.detail == f"needs {failed}, which failed"
+        # nothing else fails but the stages and the per-edge entry that read
+        # it, and what needed it skips naming it
+        assert not_passed(report) == failures({failed: message})
         json.dumps(report.to_json_dict())
 
     def test_every_stage_failing_at_once(self, monkeypatch, paley9):
@@ -318,18 +341,18 @@ class TestLedgerFaultInjection:
         names = []
         report = run_all_checks(paley9, progress=names.append)
         assert names == LEDGER_STAGES  # a failed stage still reports progress
-        stages = {*STAGE_FAIL_ENTRY.values(), "hexagon_bound"}
-        for name in stages:
+        # every stage that runs fails with its fault; the pentagon census
+        # does not run without p5
+        ran = {*STAGE_FAIL_ENTRY.values(), "hexagon_bound"} - {"pentagon_side_census"}
+        for name in ran:
             entry = report.entry(name)
             assert entry.status == "fail" and entry.detail in messages
         # every skip names each failed stage its entry reads, in order; the
-        # per-edge entry fails with the pentagon census, and nothing passes
-        # but the entries read off the verification scan
-        skips = {e.name: e.detail for e in report.entries if e.status == "skip"}
-        assert skips == {name: f"needs {needs}, which failed"
-                         for name, needs in ENTRY_NEEDS.items()}
-        fails = {e.name for e in report.entries if e.status == "fail"}
-        assert fails == stages | {"pentagons_per_edge"}
+        # pentagon census and the per-edge entry fail naming the hexagon
+        # census, and nothing passes but the entries read off the
+        # verification scan
+        assert not_passed(report) == failures(
+            {name: report.entry(name).detail for name in ran})
         assert {e.name for e in report.entries if e.status == "pass"} == {
             "condition_one_edge_triangles", "condition_two_nonedge_quadrilaterals",
             "regularity", "order_relation"}
@@ -341,11 +364,26 @@ class TestLedgerFaultInjection:
         assert (entry.status, entry.expected, entry.actual) == ("fail", 0, None)
         assert entry.detail == message
 
+    def test_hexagon_fault_fails_the_pentagon_census_unrun(self, monkeypatch, paley9):
+        # the pentagon census takes p5 from the hexagon census, so it fails
+        # naming it, and the per-edge entry fails with that text
+        calls = []
+        monkeypatch.setattr(census, "pentagon_triangle_census",
+                            lambda *args: calls.append(args))
+        message = inject_fault(monkeypatch, "cn.count_pentagons_and_hexagons")
+        report = run_all_checks(paley9)
+        assert calls == []
+        assert report.entry("hexagon_census").detail == message
+        for name in ("pentagon_side_census", "pentagons_per_edge"):
+            entry = report.entry(name)
+            assert (entry.status, entry.detail) == (
+                "fail", "needs hexagon_census, which failed")
+
     def test_per_edge_mismatch_names_first_edge(self, monkeypatch, paley9):
         real = census.pentagon_triangle_census
 
-        def miscounted(g):
-            pt = real(g)
+        def miscounted(g, p5):
+            pt = real(g, p5)
             per_edge = list(pt.per_edge)
             per_edge[3] = per_edge[5] = 1
             return pt._replace(per_edge=tuple(per_edge))
@@ -451,6 +489,27 @@ class TestEnumerationBudget:
                             lambda *args: calls.append(args) or real(*args))
         assert run_all_checks(paley9).passed
         assert calls == []
+
+    def test_ledger_walks_the_canonical_pentagons_once(self, paley9):
+        # one pentagon and hexagon pass, one kernel call per start, gives p5
+        # and p6; besides it only the per-edge route of the pentagon census
+        # counts pentagons, and no pentagon DFS runs
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_globals.get("__name__") == "srg12.census":
+                calls[frame.f_code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            assert run_all_checks(paley9).passed
+        finally:
+            sys.setprofile(None)
+        assert calls["count_pentagons_and_hexagons"] == 1
+        assert calls["_hexagon_scan"] == paley9.order
+        assert {name for name in calls if "pentagon" in name} == {
+            "count_pentagons_and_hexagons", "pentagon_triangle_census",
+            "_pentagon_edge_scan"}
 
 
 class TestRouteAgreements:

@@ -23,6 +23,7 @@ from oracles import (
     one_apex_per_edge_graph,
     pentagon_edge_scan_pairwise,
     pentagon_n4_sides,
+    pentagon_scan_pairwise,
     pentagon_side_census,
     pentagon_side_is_n4,
     pentagons_through,
@@ -276,15 +277,14 @@ class TestPentagonEdgeKernel:
         # one triangle apex per edge and edges on 0 or 1 pentagons, so a
         # misplaced count shows
         g = line_graph(generalized_petersen(11, 2))
-        pt = pentagon_triangle_census(unverified_family(g))
+        pt = pentagon_triangle_census(unverified_family(g), census.count_pentagons(g))
         assert pt.per_edge == tuple(pentagons_through_edge(g, e) for e in g.edges())
         assert set(pt.per_edge) == {0, 1}
         assert (pt.n4, pt.n8) == pentagon_side_census(g)[:2]
 
-    def test_census_rejects_per_edge_total_off_5_p5(self, monkeypatch, paley9):
-        monkeypatch.setattr(census, "_pentagon_scan", lambda rows, n, starts: 1)
+    def test_census_rejects_per_edge_total_off_5_p5(self, paley9):
         with pytest.raises(CountingInconsistencyError, match=r"0 != 5 \* 1"):
-            pentagon_triangle_census(paley9)
+            pentagon_triangle_census(paley9, 1)
 
 
 class TestEdgesOutside:
@@ -335,13 +335,15 @@ class TestEdgesOutside:
 
 
 class TestHexagonKernel:
-    """The middle-vertex hexagon kernel against the pairwise scan."""
+    """The middle-vertex hexagon kernel, and the pentagons it counts on the
+    way, against the pairwise scans."""
 
     def test_switched_bvls_every_start(self, bvls):
         g = double_edge_switched(bvls, random.Random(4980690), 3)
         for v0 in range(g.order):
-            assert _hexagon_scan(g.rows, g.order, [v0]) == hexagon_scan_pairwise(
-                g.rows, g.order, [v0]
+            assert _hexagon_scan(g.rows, g.order, [v0]) == (
+                pentagon_scan_pairwise(g.rows, g.order, [v0]),
+                hexagon_scan_pairwise(g.rows, g.order, [v0]),
             )
 
     def test_random_graphs_up_to_40_vertices(self, monkeypatch):
@@ -357,8 +359,9 @@ class TestHexagonKernel:
         for _ in range(60):
             n = rng.randint(6, 40)
             g = random_graph(rng, n, rng.random() * 0.8 + 0.05)
-            assert _hexagon_scan(g.rows, n, range(n)) == hexagon_scan_pairwise(
-                g.rows, n, range(n)
+            assert _hexagon_scan(g.rows, n, range(n)) == (
+                pentagon_scan_pairwise(g.rows, n, range(n)),
+                hexagon_scan_pairwise(g.rows, n, range(n)),
             )
         assert max(widest) >= 3
 
@@ -386,7 +389,8 @@ class TestSharedMaskKernels:
             g = random_graph(rng, n, rng.random() * 0.6 + 0.1)
             rows = g.rows
             for v0 in range(n):
-                assert _hexagon_scan(rows, n, [v0]) == hexagon_scan_pairwise(rows, n, [v0])
+                assert _hexagon_scan(rows, n, [v0]) == (
+                    pentagon_scan_pairwise(rows, n, [v0]), hexagon_scan_pairwise(rows, n, [v0]))
                 off = ((1 << n) - 1) & ~((2 << v0) - 1) & ~rows[v0]
                 upper = [x for x in iter_bits(rows[v0]) if x > v0]
                 for v1, v5 in combinations(upper, 2):
