@@ -1,8 +1,10 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from oracles import double_edge_switched
 from srg12 import graph6
 from srg12.cli import main
 
@@ -115,6 +117,22 @@ class TestGoldenReports:
                          "--workers", workers, "--json", str(out_json))
         assert code == 0
         golden = Path(__file__).parent / "data" / f"census_{name}.json"
+        assert out_json.read_bytes() == golden.read_bytes()
+
+    def test_exhaustive_census_json_matches_golden(self, capsys, tmp_path):
+        # the seeded switched circulant C16(1, 2, 3) of the orbit-expansion
+        # budget test: outside the family, over a hundred 6-vertex classes
+        from srg12.graph import Graph
+
+        circulant = Graph.from_edges(16, [(i, (i + d) % 16) for i in range(16)
+                                          for d in (1, 2, 3)])
+        path = tmp_path / "switched16.g6"
+        graph6.save_file(path, double_edge_switched(circulant, random.Random(1603), 12))
+        out_json = tmp_path / "census.json"
+        code, _, _ = run(capsys, "census", "--graph", str(path), "--exhaustive",
+                         "--json", str(out_json))
+        assert code == 0
+        golden = Path(__file__).parent / "data" / "census_exhaustive_switched16.json"
         assert out_json.read_bytes() == golden.read_bytes()
 
 
