@@ -24,9 +24,9 @@ coded walk with two chords, a quadrilateral pair sharing a vertex or joined
 across, a pentagon apex with a wrong adjacency pattern.  No canonical
 labelling runs in any of these loops.
 
-The exhaustive scan, guarded to 16 vertices, classifies every 6-subset by
-canonical certificate and is the ground-truth oracle; it labels each
-isomorphism class once, by expanding its orbit.
+The exhaustive scan, guarded to 16 vertices, is the ground-truth oracle: it
+tallies the edge codes of all 6-subsets, built with shared prefixes, and
+labels each isomorphism class met once, by expanding its orbit.
 
 The type censuses need a verified srg(n, k, 1, 2).  ``require_family``
 returns that as a ``VerifiedFamily`` (the graph with n, k and m) after one
@@ -38,12 +38,13 @@ they follow from family identities (``quad_plus_edge_census``).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
+from operator import add
 from typing import NamedTuple, Optional, Union
 
-from ._bits import digit_total, iter_bits, neighbour_count_digits
+from ._bits import digit_total, iter_bits, neighbour_count_digits, pair_index_table
 from .errors import (
     CountingInconsistencyError,
     FamilyViolationError,
@@ -546,27 +547,49 @@ class ClassStats(NamedTuple):
     cover_count: int
 
 
+def _six_subset_tally(rows, n: int) -> Counter:
+    """Number of 6-subsets per ``Graph.subgraph_code``, keyed in first-subset
+    order; the codes wait in a list for one first vertex at a time.  Slots
+    (i, j) of one i are consecutive, so w[j], the adjacency of vertex
+    n - len(w) + j to the p chosen ones, sits at the slots (i, 5) and moves
+    down by 5 - p to the slots (i, p)."""
+    slots = pair_index_table(6)
+    cols = [[[(rows[x] >> y & 1) << slots[(p, 5)] for y in range(x + 1, n)]
+             for x in range(n)] for p in range(5)]
+    tally, codes = Counter(), []
+
+    def extend(p, code, w):
+        for j in range(len(w) - 5 + p):
+            child = code + (w[j] >> 5 - p)
+            later = map(add, w[j + 1:], cols[p][n - len(w) + j])
+            if p == 4:
+                codes.extend(map(child.__add__, later))
+            else:
+                extend(p + 1, child, list(later))
+
+    for x in range(n - 5):
+        extend(1, 0, cols[0][x])
+        tally.update(codes)
+        codes.clear()
+    return tally
+
+
 def exhaustive_six_census(g: Graph) -> dict[CanonicalClass, ClassStats]:
     """Classify every 6-subset's induced subgraph; ground truth for censuses.
 
     Guarded to ``EXHAUSTIVE_MAX_VERTICES`` = 16 vertices, i.e. C(16,6) =
-    8008 subsets.  The subsets' labelled edge codes are tallied first.  Then
-    each isomorphism class met is labelled once: the orbit of one of its
-    codes is expanded (``code_orbit``), its minimum is the certificate, and
-    every orbit member's tally moves into that class.  Each class carries the
-    adjacency determinant and 3-edge-cover count of its representative.
+    8008 subsets.  Their labelled edge codes are tallied first, built with
+    shared prefixes.  Then each class met is labelled once: the orbit of its
+    first code is expanded (``code_orbit``), its minimum is the certificate,
+    and every orbit member's tally moves into that class.  Each class carries
+    the adjacency determinant and 3-edge-cover count of its representative.
     """
     if g.order > EXHAUSTIVE_MAX_VERTICES:
         raise SizeLimitError(
             f"exhaustive census guarded to {EXHAUSTIVE_MAX_VERTICES} vertices, "
             f"got {g.order}"
         )
-    if g.order < 6:
-        return {}
-    tally: dict[int, int] = {}
-    for subset in combinations(range(g.order), 6):
-        code = g.subgraph_code(subset)
-        tally[code] = tally.get(code, 0) + 1
+    tally = _six_subset_tally(g.rows, g.order)
     out = {}
     while tally:
         orbit = code_orbit(next(iter(tally)), 6)

@@ -9,6 +9,7 @@ single ``&``-and-popcount operations.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -106,35 +107,22 @@ class Graph:
         return Graph(len(verts), tuple(rows))
 
     def subgraph_code(self, vertices) -> int:
-        """Packed edge code of the induced subgraph on a sorted vertex tuple.
-
-        Bit t of the result corresponds to pair t in lexicographic order over
-        the positions of ``vertices``; used as a memoisation key by the
-        censuses, which never build Graph objects in their inner loops.
-        """
-        code = 0
-        pos = 0
-        k = len(vertices)
+        """Packed edge code of the induced subgraph on a sorted vertex tuple:
+        bit t is pair t of its positions in lexicographic order.  It labels the
+        named types and serves the test oracles; the exhaustive census builds
+        the same codes prefix by prefix."""
         rows = self.rows
-        for a in range(k):
-            ra = rows[vertices[a]]
-            for b in range(a + 1, k):
-                if ra >> vertices[b] & 1:
-                    code |= 1 << pos
-                pos += 1
-        return code
+        pairs = enumerate(itertools.combinations(vertices, 2))
+        return sum(1 << pos for pos, (a, b) in pairs if rows[a] >> b & 1)
 
 
 def _rows_of_code(code: int, n: int) -> tuple[int, ...]:
     """Adjacency rows of the packed edge code of a graph on n vertices."""
     rows = [0] * n
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if code >> pos & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
+    for (i, j), pos in pair_index_table(n).items():
+        if code >> pos & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
     return tuple(rows)
 
 
@@ -308,27 +296,33 @@ class CanonicalClass:
 
 
 @lru_cache(maxsize=None)
-def _bit_images(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each edge-code bit, the bit it lands on under each permutation
-    of range(n), as a mask; every row lists the permutations in one order."""
+def _orbit_columns(n: int) -> tuple[str, int, tuple[int, ...]]:
+    """(field format, byte length, columns) of the edge-code bits on n <= 8
+    vertices: column b holds, in native-endian field s, the mask of the bit
+    that pair b lands on under permutation s of range(n)."""
     pairs = pair_index_table(n)
-    masks = [1 << pos for pos in range(len(pairs))]
-    images = [[] for _ in pairs]
-    for sigma in itertools.permutations(range(n)):
-        for (i, j), pos in pairs.items():
-            a, b = sigma[i], sigma[j]
-            images[pos].append(masks[pairs[(a, b) if a < b else (b, a)]])
-    return tuple(map(tuple, images))
+    fmt, width = ("H", 2) if len(pairs) <= 16 else ("I", 4)
+    mask = [[0] * n for _ in range(n)]
+    for (i, j), pos in pairs.items():
+        mask[i][j] = mask[j][i] = 1 << pos
+    perms = list(itertools.permutations(range(n)))
+    columns = []
+    for i, j in pairs:
+        column = bytearray(width * len(perms))
+        fields = memoryview(column).cast(fmt)
+        for s, sigma in enumerate(perms):
+            fields[s] = mask[sigma[i]][sigma[j]]
+        columns.append(int.from_bytes(column, sys.byteorder))
+    return fmt, width * len(perms), tuple(columns)
 
 
 def code_orbit(code: int, n: int) -> frozenset[int]:
-    """Every relabelling of a packed edge code on n vertices: its images
-    under all permutations of range(n)."""
-    if not code:
-        return frozenset((0,))
-    images = _bit_images(n)
-    # one permutation sends distinct bits to distinct bits, so sum is OR
-    return frozenset(map(sum, zip(*[images[b] for b in iter_bits(code)])))
+    """Every relabelling of a packed edge code on n vertices: the sum of the
+    ``_orbit_columns`` of its set bits holds, in field s, its image under
+    permutation s (which sends distinct bits to distinct bits: no carries)."""
+    fmt, size, columns = _orbit_columns(n)
+    packed = sum([columns[b] for b in iter_bits(code)])
+    return frozenset(memoryview(packed.to_bytes(size, sys.byteorder)).cast(fmt))
 
 
 def canonical_code(code: int, n: int) -> int:

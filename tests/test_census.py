@@ -305,6 +305,23 @@ class TestExhaustiveEnumerationBudget:
                       for cls, st in exhaustive_six_census(h).items()}
             assert counts == oracle_six_census(h)
 
+    def test_tally_and_class_order_follow_subgraph_code(self, paley9):
+        # the prefix-shared codes tally like subgraph_code over combinations,
+        # key order included, and the classes are met in first-subset order
+        rng = random.Random(1717)
+        k6 = Graph.from_edges(6, list(combinations(range(6), 2)))
+        graphs = [k6, random_graph(rng, 7, 0.5), paley9] + [
+            random_graph(rng, n, p) for n in range(8, 17) for p in (0.3, 0.6)]
+        for g in graphs:
+            tally = {}
+            for subset in combinations(range(g.order), 6):
+                code = g.subgraph_code(subset)
+                tally[code] = tally.get(code, 0) + 1
+            assert list(census._six_subset_tally(g.rows, g.order).items()) == list(
+                tally.items())
+            first_met = dict.fromkeys(graph.classify_code(code, 6) for code in tally)
+            assert [cls.certificate for cls in exhaustive_six_census(g)] == list(first_met)
+
 
 class TestDisjointTrianglePairs:
     def test_paley9(self, paley9):

@@ -4,12 +4,14 @@ from itertools import combinations
 import pytest
 
 from oracles import (
+    _perm_bit_maps,
     early_break_canonical_code,
     graph_from_code,
     laplace_determinant,
     petersen,
     random_graph,
 )
+from srg12._bits import iter_bits
 from srg12.graph import (
     Graph,
     SrgParams,
@@ -170,6 +172,18 @@ class TestCodeOrbit:
             for _ in range(samples):
                 code = rng.getrandbits(n * (n - 1) // 2)
                 assert canonical_code(code, n) == early_break_canonical_code(code, n)
+
+    def test_orbit_matches_the_permutation_map_oracle(self):
+        # every n from the pairless n <= 1 to the 32-bit fields of n = 7, 8
+        rng = random.Random(1708)
+        for n in range(9):
+            pairs = n * (n - 1) // 2
+            codes = {0, (1 << pairs) - 1}
+            codes.update(rng.getrandbits(pairs) for _ in range(2 if n == 8 else 12))
+            for code in codes:
+                want = {sum(1 << dest[b] for b in iter_bits(code))
+                        for dest in _perm_bit_maps(n)}
+                assert code_orbit(code, n) == want
 
     def test_six_vertex_codes_fall_into_156_classes(self):
         # 156 graphs on 6 vertices (OEIS A000088); each orbit has size
