@@ -9,9 +9,10 @@ for example ``--parent HEAD~1 --pr 17 exhaustive:10 ledger-serial:5 screen:5``.
 The parent revision is exported with ``git archive`` into a temporary
 directory, removed afterwards; the change is the working tree.  Pair i of a
 workload runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-in both trees, the parent first when i is even and the change first when i
-is odd, with the same seed S = seed base + i + 1 on both sides.  Each side
-runs its own checkout's ``perfbench/`` on its own ``src/``.  The output keeps
+in both trees (T defaults to ``run_seconds`` of ``BENCHMARK.json``), the
+parent first when i is even and the change first when i is odd, with the
+same seed S = seed base + i + 1 on both sides.  Each side runs its own
+checkout's ``perfbench/`` on its own ``src/``.  The output keeps
 every pair's result line and, per end-to-end metric of ``BENCHMARK.json``,
 each side's median and quartiles and the number of pairs the change won.
 Standard library only.
@@ -36,9 +37,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def export(rev: str, dest: Path) -> str:
     """Write the files of ``rev`` under ``dest``; return its full commit id."""
-    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", rev + "^{commit}"],
+    git = ["git", "-C", str(ROOT)]
+    commit = subprocess.run([*git, "rev-parse", "--verify", rev + "^{commit}"],
                             capture_output=True, text=True, check=True).stdout.strip()
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit],
+    archive = subprocess.run([*git, "archive", "--format=tar", commit],
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest)
@@ -101,16 +103,16 @@ def workload_spec(text: str) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     parser.add_argument("--seed-base", type=int, default=0,
                         help="pair i uses seed SEED_BASE + i + 1")
     parser.add_argument("workloads", nargs="+", type=workload_spec, metavar="WORKLOAD:PAIRS")
     args = parser.parse_args(argv)
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     out = {
         "what": "perfbench result lines (the last stdout line of perfbench/run.py) "
                 "for the parent commit and this change, in alternating pairs",
@@ -139,7 +141,7 @@ def main(argv=None) -> int:
                     for side in ("parent", "change")), file=sys.stderr, flush=True)
                 pairs.append(pair)
             out["workloads"][workload] = {"pair_count": count, "seeds": seeds,
-                                          "summary": summarize(pairs, metrics),
+                                          "summary": summarize(pairs, benchmark["end_to_end"]),
                                           "pairs": pairs}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
