@@ -107,22 +107,35 @@ class Graph:
         return Graph(len(verts), tuple(rows))
 
     def subgraph_code(self, vertices) -> int:
-        """Packed edge code of the induced subgraph on a sorted vertex tuple:
-        bit t is pair t of its positions in lexicographic order.  It labels the
-        named types and serves the test oracles; the exhaustive census builds
-        the same codes prefix by prefix."""
+        """Packed edge code of the induced subgraph on a sorted vertex tuple.
+
+        Bit t of the result corresponds to pair t in lexicographic order over
+        the positions of ``vertices``; it labels the named types and serves
+        the test oracles (the exhaustive census builds its codes by prefix).
+        """
+        code = 0
+        pos = 0
+        k = len(vertices)
         rows = self.rows
-        pairs = enumerate(itertools.combinations(vertices, 2))
-        return sum(1 << pos for pos, (a, b) in pairs if rows[a] >> b & 1)
+        for a in range(k):
+            ra = rows[vertices[a]]
+            for b in range(a + 1, k):
+                if ra >> vertices[b] & 1:
+                    code |= 1 << pos
+                pos += 1
+        return code
 
 
 def _rows_of_code(code: int, n: int) -> tuple[int, ...]:
     """Adjacency rows of the packed edge code of a graph on n vertices."""
     rows = [0] * n
-    for (i, j), pos in pair_index_table(n).items():
-        if code >> pos & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+    pos = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if code >> pos & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            pos += 1
     return tuple(rows)
 
 
@@ -300,6 +313,8 @@ def _orbit_columns(n: int) -> tuple[str, int, tuple[int, ...]]:
     """(field format, byte length, columns) of the edge-code bits on n <= 8
     vertices: column b holds, in native-endian field s, the mask of the bit
     that pair b lands on under permutation s of range(n)."""
+    if n > 8:
+        raise ValueError(f"code orbits are tabulated for at most 8 vertices, got {n}")
     pairs = pair_index_table(n)
     fmt, width = ("H", 2) if len(pairs) <= 16 else ("I", 4)
     mask = [[0] * n for _ in range(n)]
@@ -317,17 +332,18 @@ def _orbit_columns(n: int) -> tuple[str, int, tuple[int, ...]]:
 
 
 def code_orbit(code: int, n: int) -> frozenset[int]:
-    """Every relabelling of a packed edge code on n vertices: the sum of the
-    ``_orbit_columns`` of its set bits holds, in field s, its image under
-    permutation s (which sends distinct bits to distinct bits: no carries)."""
+    """Every relabelling of a packed edge code on n <= 8 vertices (a larger n
+    raises ValueError): the sum of the ``_orbit_columns`` of its set bits
+    holds, in field s, its image under permutation s (which sends distinct
+    bits to distinct bits: no carries)."""
     fmt, size, columns = _orbit_columns(n)
     packed = sum([columns[b] for b in iter_bits(code)])
     return frozenset(memoryview(packed.to_bytes(size, sys.byteorder)).cast(fmt))
 
 
 def canonical_code(code: int, n: int) -> int:
-    """Lexicographically minimal relabelling of a packed edge code: the
-    minimum of its orbit."""
+    """Lexicographically minimal relabelling of a packed edge code on
+    n <= 8 vertices: the minimum of its orbit."""
     return min(code_orbit(code, n))
 
 

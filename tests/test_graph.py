@@ -185,6 +185,12 @@ class TestCodeOrbit:
                         for dest in _perm_bit_maps(n)}
                 assert code_orbit(code, n) == want
 
+    def test_orbits_are_refused_above_eight_vertices(self):
+        # the packed table covers n <= 8; n = 9 is refused before it is built
+        for orbit_function in (code_orbit, canonical_code):
+            with pytest.raises(ValueError, match="at most 8 vertices, got 9"):
+                orbit_function(1, 9)
+
     def test_six_vertex_codes_fall_into_156_classes(self):
         # 156 graphs on 6 vertices (OEIS A000088); each orbit has size
         # 720 / |Aut| and the orbits partition all 2^15 codes

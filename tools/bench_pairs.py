@@ -9,13 +9,14 @@ for example ``--parent HEAD~1 --pr 17 exhaustive:10 ledger-serial:5 screen:5``.
 The parent revision is exported with ``git archive`` into a temporary
 directory, removed afterwards; the change is the working tree.  Pair i of a
 workload runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-in both trees (T defaults to ``run_seconds`` of ``BENCHMARK.json``), the
-parent first when i is even and the change first when i is odd, with the
-same seed S = seed base + i + 1 on both sides.  Each side runs its own
-checkout's ``perfbench/`` on its own ``src/``.  The output keeps
-every pair's result line and, per end-to-end metric of ``BENCHMARK.json``,
-each side's median and quartiles and the number of pairs the change won.
-Standard library only.
+in both trees (T is ``run_seconds`` of ``BENCHMARK.json``), the parent first
+when i is even and the change first when i is odd, with the same seed
+S = seed base + i + 1 on both sides.  Each side runs its own checkout's
+``perfbench/`` on its own ``src/``.  A run that exits nonzero or reports
+``correct: false`` stops the tool.  The output keeps every pair's result
+line, each side's total of failed operations and, per end-to-end metric of
+``BENCHMARK.json``, each side's median and quartiles and the number of pairs
+the change won.  Standard library only.
 """
 
 from __future__ import annotations
@@ -54,10 +55,13 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
                           timeout=4 * seconds + 600)
     lines = done.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{workload} seed {seed} in {tree} printed nothing "
-                           f"(exit {done.returncode}): {done.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+    if done.returncode or not lines:
+        raise RuntimeError(f"{workload} seed {seed} in {tree} exited {done.returncode}: "
+                           f"{done.stderr.strip()[-500:]}")
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        raise RuntimeError(f"{workload} seed {seed} in {tree} is not correct: {lines[-1]}")
+    return result
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
@@ -107,17 +111,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     parser.add_argument("--seed-base", type=int, default=0,
                         help="pair i uses seed SEED_BASE + i + 1")
     parser.add_argument("workloads", nargs="+", type=workload_spec, metavar="WORKLOAD:PAIRS")
     args = parser.parse_args(argv)
+    seconds = benchmark["run_seconds"]
 
     out = {
         "what": "perfbench result lines (the last stdout line of perfbench/run.py) "
                 "for the parent commit and this change, in alternating pairs",
         "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "parent_commit": None,
         "host": host(),
         "order": "pair i runs the parent first when i is even and the change first "
@@ -135,12 +139,15 @@ def main(argv=None) -> int:
                 pair = {"pair": i, "seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = run_side(parent if side == "parent" else ROOT,
-                                          workload, seed, args.seconds)
+                                          workload, seed, seconds)
                 print(f"{workload} pair {i} seed {seed}: " + ", ".join(
                     f"{side} cpu_ms.p50 {pair[side]['metrics']['cpu_ms.p50']['value']:.1f}"
                     for side in ("parent", "change")), file=sys.stderr, flush=True)
                 pairs.append(pair)
+            failed = {side: sum(p[side]["failed"] for p in pairs)
+                      for side in ("parent", "change")}
             out["workloads"][workload] = {"pair_count": count, "seeds": seeds,
+                                          "failed": failed,
                                           "summary": summarize(pairs, benchmark["end_to_end"]),
                                           "pairs": pairs}
     path = ROOT / f"BENCH_{args.pr}.json"
