@@ -14,9 +14,10 @@ bits, a mask test); any setting outside the expected types raises.  The
 kernels count many pairs at once with shared bit masks instead of visiting
 them one by one: a triangle meets all its later partners through masks of
 triangle ids, an edge's quadrilateral pairs follow from edge counts among
-their vertices, and pentagon and hexagon paths are summed from bit-sliced
-neighbour counters.  Every kernel counts by an identity that is exact on
-any graph, family or not.  Three loops still count object by object:
+their vertices, and pentagons and hexagons are paths summed from
+bit-sliced neighbour counters less the triangles across them, read from
+one table of triangle-id masks.  Every kernel counts by an identity that
+is exact on any graph, family or not.  Three loops still count object by object:
 ``_qpe_scan`` per quadrilateral, ``triangle_edge_completion_census`` per
 (triangle, pendant) and ``disjoint_triangle_pair_census`` per triangle.
 The other per-object loops only name the first bad structure and raise: a
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from operator import add
 from typing import NamedTuple, Optional, Union
@@ -239,78 +241,84 @@ def pentagons_through_edge(g: Graph, edge) -> int:
     return count
 
 
-def _hexagon_scan(rows, n: int, v0_list) -> tuple[int, int]:
+@lru_cache(maxsize=1)
+def _triangle_table(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(tri_of, one_in): tri_of[v] masks the ids of the triangles through v,
+    one_in[x] those with exactly one vertex in N(x).  Ids follow the
+    minimum vertex, so the triangles with minimum at most v are the ids
+    below the top bit of tri_of[0..v].  A ledger run builds it once."""
+    n = len(rows)
+    tri_of = [0] * n
+    bit = 1
+    for a in range(n):
+        for b in iter_bits(rows[a] & _above(n, a)):
+            for c in iter_bits(rows[a] & rows[b] & _above(n, b)):
+                for x in (a, b, c):
+                    tri_of[x] |= bit
+                bit <<= 1
+    counts = (neighbour_count_digits(tri_of, row, -1) + [0, 0] for row in rows)
+    return tuple(tri_of), tuple(digits[0] & ~digits[1] for digits in counts)
+
+
+def _hexagon_scan(rows, n: int, v0_list, table) -> tuple[int, int]:
     """(p5, p6): induced pentagons and hexagons whose minimum vertex is in
-    v0_list.
+    v0_list; ``table`` is ``_triangle_table(rows)``.
 
-    Cycle order v0-v1-v2-v3-v4-v5-v0 with v1 < v5 non-adjacent.  Every
-    other vertex lies in off, the vertices above v0 and off N(v0); v2 is in
-    base2 = N(v1) - N(v5), v4 in base4 = N(v5) - N(v1) and v3 in base3,
-    off N(v1) and N(v5).  The three sets are disjoint (base2 lies in N(v1),
-    which base3 and base4 avoid; base4 lies in N(v5), which base3 avoids),
-    so the hexagons of the triple are the pairs v2, v4 with v2 not joined to
-    v4, each adding |N(v2) & N(v4) & base3|.  That is every path v2-v3-v4
-    less those whose ends are joined:
-
-        sum over v3 in base3 of a(v3) b(v3)
-        - sum over v4 in base4, v2 in base2 & N(v4) of |N(v2) & N(v4) & base3|
-
-    with a = |N(v3) & base2| and b = |N(v3) & base4|.  The second term
-    runs over the pentagons v0-v1-v2-v4-v5, v4 outermost.  Its pairs
-    v2 ~ v4 are exactly the induced pentagons with minimum v0 and v1 < v5,
-    so the same loop counts p5.  For the first term, each upper neighbour x
-    of v0 gets one bit-sliced counter c_x of |N(v) & R_x| over off, where
-    R_x = N(x) & off.  base2 and base4 are R_v1 and R_v5 less
-    C = R_v1 & R_v5, so with c_C = |N(v3) & C|,
-
-        a b = c_v1 c_v5 - c_C (c_v1 + c_v5) + c_C^2,
-
-    and each sum over base3 is a few AND-popcounts of counter digits: the
-    sum of c_x c_y is that of 2^(i+j) |c_x[i] & c_y[j] & base3| over the
-    digits i, j.  The c_C counter is built per triple, over base3; in a
-    family graph mu = 2 leaves v1 and v5 one common neighbour besides v0,
-    so C holds at most one vertex and that counter one digit.  The identity
-    is exact on any graph.
+    Cycle order v0-v1-v2-v3-v4-v5-v0 with v1 < v5 non-adjacent.  The rest
+    lie in off, above v0 and off N(v0): v2 in base2 = N(v1) - N(v5), v4 in
+    base4 = N(v5) - N(v1), v3 in base3, off N(v1) and N(v5).  These sets are
+    disjoint, so the triple's hexagons are the paths v2-v3-v4 less the
+    triangles with one vertex in each set, and its pentagons v0-v1-v2-v4-v5
+    are the edges from base2 to base4.  Each upper neighbour x of v0 gets a
+    bit-sliced counter c_x of |N(v) & R_x| over off, R_x = N(x) & off.
+    base2 and base4 are R_v1 and R_v5 less C = R_v1 & R_v5 (at most one
+    vertex in a family graph), so p5 is c_v1 summed over base4 less
+    |N(x) & base4| for x in C, and with c_C = |N(v3) & C| the paths are the
+    sum over base3 of c_v1 c_v5 - c_C (c_v1 + c_v5) + c_C^2, where c_x c_y
+    sums to 2^(i+j) |c_x[i] & c_y[j] & base3| over digits i, j.  The
+    triangles across the sets are those of off (the ids above v0 less those
+    through N(v0)) with one vertex in N(v1), one in N(v5) and none in C: one
+    AND-popcount.  Both counts are exact on any graph.
     """
+    tri_of, one_in = table
     p5 = count = 0
     for v0 in v0_list:
         abv = _above(n, v0)
         nv0 = rows[v0]
         outer = nv0 & abv
         off = abv & ~nv0
+        toff = -1 << max(map(int.bit_length, tri_of[:v0 + 1]))
         reach = {}
         counters = {}
         for x in iter_bits(outer):
+            toff &= ~tri_of[x]
             reach[x] = rows[x] & off
             counters[x] = neighbour_count_digits(rows, reach[x], off)
         for v1 in iter_bits(outer):
             r1 = rows[v1]
             reach1, digits1 = reach[v1], counters[v1]
+            tri1 = one_in[v1] & toff
             for v5 in iter_bits(outer & _above(n, v1) & ~r1):
                 common = reach1 & reach[v5]
                 base2 = reach1 & ~common
-                if not base2:
-                    continue
                 base4 = reach[v5] & ~common
-                if not base4:
+                if not (base2 and base4):
                     continue
                 base3 = off & ~r1 & ~rows[v5]
                 digits5 = counters[v5]
+                tris = tri1 & one_in[v5]
+                p5 += digit_total(digits1, base4)
                 for j, digit in enumerate(digits5):
                     count += digit_total(digits1, digit & base3) << j
                 if common:
+                    for x in iter_bits(common):
+                        p5 -= (rows[x] & base4).bit_count()
+                        tris &= ~tri_of[x]
                     near = neighbour_count_digits(rows, common, base3)
                     for j, digit in enumerate(near):
                         count += (digit_total(near, digit) - digit_total(digits1, digit)
                                   - digit_total(digits5, digit)) << j
-                for v4 in iter_bits(base4):
-                    r4 = rows[v4]
-                    adjacent = r4 & base2
-                    if adjacent:
-                        p5 += adjacent.bit_count()
-                        part3 = r4 & base3
-                        for v2 in iter_bits(adjacent):
-                            count -= (rows[v2] & part3).bit_count()
+                count -= tris.bit_count()
     return p5, count
 
 
@@ -325,9 +333,10 @@ def count_pentagons_and_hexagons(g: Graph, progress=None) -> PentagonHexagonCoun
     """Induced C5 and C6 by ``_hexagon_scan``, one start vertex at a time
     with a progress call after each."""
     n = g.order
+    table = _triangle_table(g.rows)
     p5 = p6 = 0
     for v0 in range(n):
-        five, six = _hexagon_scan(g.rows, n, (v0,))
+        five, six = _hexagon_scan(g.rows, n, (v0,), table)
         p5 += five
         p6 += six
         if progress:
@@ -818,26 +827,18 @@ def _pentagon_edge_scan(rows, edges) -> tuple[int, list[int]]:
 
     The pentagons through side (u, v) are u-v-w-x-y-u as in
     ``pentagons_through_edge``.  The side's apex t, the unique bit of
-    ``rows[u] & rows[v]``, is never w or y (those are not common neighbours
-    of u and v) nor x (x avoids N(u) and N(v)), so it lies outside every
-    such pentagon.  Beyond the side it may be joined to the opposite vertex
-    x alone (type n4) or to nothing (n8).  In a family graph t has no
-    neighbour among the candidates for w and y, so the n4 sides are the
-    pentagons whose x is joined to t; otherwise the edge takes a slow path
-    that raises on the first pentagon where t meets w or y.
-
-    The candidates ws = N(v) - N[u], ys = N(u) - N[v] and the x candidates
-    off N(u) and N(v) are disjoint, so the pentagons are the pairs w, y with
-    w not joined to y, each adding |N(w) & N(y) - N(u) - N(v)|.  Summed from
-    the middle vertex x, with xbase = N(w) - N(u) - N(v):
-
-        sum over w of [ sum over x in xbase of |N(x) & ys|
-                        - sum over y in ys & N(w) of |xbase & N(y)| ]
-
-    The first term reads a bit-sliced counter of |N(x) & ys|, built once
-    per edge; n4 reads the same counter over xbase & N(t).  The identity is
-    exact on any graph.
+    ``rows[u] & rows[v]``, lies outside them, and the n4 sides are those
+    with x in N(t).  In a family graph t meets no candidate for w or y;
+    otherwise a slow path raises on the first pentagon where it does.  The
+    candidates ws = N(v) - N[u], ys = N(u) - N[v] and x, off N(u) and N(v),
+    are disjoint, so the pentagons are the paths w-x-y, a digit product of
+    counters of |N(x) & ws| and |N(x) & ys|, less the triangles with one
+    vertex in each set: those with one vertex in N(u) and one in N(v), not
+    through t.  The n4 sides are the product over N(t), less those
+    triangles with one vertex in N(t) if t meets no w or y, else the
+    triangles through each x in N(t).  Both are exact on any graph.
     """
+    tri_of, one_in = _triangle_table(rows)
     n4 = 0
     counts = []
     for u, v in edges:
@@ -847,25 +848,24 @@ def _pentagon_edge_scan(rows, edges) -> tuple[int, list[int]]:
             raise FamilyViolationError(
                 f"side ({u},{v}) has {apex_mask.bit_count()} triangle apexes"
             )
-        rt = rows[apex_mask.bit_length() - 1]
+        t = apex_mask.bit_length() - 1
+        rt = rows[t]
         not_uv = ~(ru | rv)
         ws = rv & ~ru & ~(1 << u)
         ys = ru & ~rv & ~(1 << v)
+        tris = one_in[u] & one_in[v] & ~tri_of[t]
         if (ws | ys) & rt:
             _apex_pattern_check(rows, u, v, rt, ws, ys, not_uv)
-        count = 0
-        digits = neighbour_count_digits(rows, ys, not_uv)
-        for w in iter_bits(ws):
-            rw = rows[w]
-            xbase = rw & not_uv
-            xt = xbase & rt
-            count += digit_total(digits, xbase)
-            if xt:
-                n4 += digit_total(digits, xt)
-            for y in iter_bits(ys & rw):
-                ry = rows[y]
-                count -= (xbase & ry).bit_count()
-                n4 -= (xt & ry).bit_count()
+            for x in iter_bits(rt & not_uv):
+                for w in iter_bits(rows[x] & ws):
+                    n4 -= (rows[w] & rows[x] & ys).bit_count()
+        else:
+            n4 -= (tris & one_in[t]).bit_count()
+        count = -tris.bit_count()
+        ydigits = neighbour_count_digits(rows, ys, not_uv)
+        for i, digit in enumerate(neighbour_count_digits(rows, ws, not_uv)):
+            count += digit_total(ydigits, digit) << i
+            n4 += digit_total(ydigits, digit & rt) << i
         counts.append(count)
     return n4, counts
 

@@ -333,6 +333,14 @@ def double_edge_switched(g: Graph, rng, count: int) -> Graph:
     return Graph(g.order, tuple(rows))
 
 
+def outcome(call, *args):
+    """call(*args), or the type name and text of the census error it raised."""
+    try:
+        return call(*args)
+    except (CountingInconsistencyError, FamilyViolationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
 def random_graph(rng, n, p) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

@@ -119,11 +119,12 @@ class TestCycleCounts:
         for g in random_cases(31, 5, nmin=7, nmax=11):
             pents = list(iter_pentagons(g))
             assert len(pents) == count_pentagons(g)
+            table = census._triangle_table(g.rows)
             # per start: the pentagons the hexagon kernel counts and the
             # pairwise scan of the kernel tests
             for v0 in range(g.order):
                 assert (sum(p[0] == v0 for p in pents)
-                        == census._hexagon_scan(g.rows, g.order, [v0])[0]
+                        == census._hexagon_scan(g.rows, g.order, [v0], table)[0]
                         == pentagon_scan_pairwise(g.rows, g.order, [v0]))
             assert len({frozenset(p) for p in pents}) == len(pents)
             for p in pents:

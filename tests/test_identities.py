@@ -464,11 +464,14 @@ class TestEnumerationBudget:
 
         for name in calls:
             monkeypatch.setattr(census, name, counted(name))
+        census._triangle_table.cache_clear()
         assert run_all_checks(paley9).passed
         # the quad-plus-edge pass lists the quadrilaterals; the triangle-pair
-        # and completion censuses list the triangles
+        # and completion censuses list the triangles; the hexagon and
+        # pentagon-side stages share one triangle-id table
         assert calls["_quad_list"] == 1
         assert calls["iter_triangles"] <= 2
+        assert census._triangle_table.cache_info().misses == 1
 
     def test_ledger_classifies_no_quadrilateral_pair_one_by_one(self, monkeypatch, paley9):
         # in a family graph no two quadrilaterals through an edge share a

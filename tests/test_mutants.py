@@ -1,0 +1,208 @@
+"""Source mutants of the counting kernels, each of which a check must detect.
+
+Each row of ``MUTANTS`` names a module of ``srg12``, an exact snippet of its
+source, a replacement and a kill check.  The snippet must occur exactly
+once, so a refactor that moves it fails here by name and the row must be
+re-expressed.  The mutated source is executed as a fresh module inside the
+``srg12`` package (relative imports resolve to the real modules; nothing is
+registered in ``sys.modules``), and the kill check, which compares the
+mutant against an independent route on small seeded inputs, must report a
+difference.  Every check also runs on the unmutated module, where it must
+report none.  No subprocess runs.
+"""
+
+import json
+import random
+import types
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+import pytest
+
+from oracles import (
+    brute_edge_triples,
+    coded_walks_from,
+    hexagon_scan_pairwise,
+    one_apex_per_edge_graph,
+    outcome,
+    pentagon_edge_scan_pairwise,
+    pentagon_scan_pairwise,
+    quad_edge_n9_incidences,
+    random_graph,
+    triangle_pair_census_pairwise,
+)
+import srg12
+from srg12.errors import CountingInconsistencyError
+from srg12.graph import Graph
+
+PACKAGE = Path(srg12.__file__).parent
+
+
+# -- kill checks: True when the module differs from the independent route --
+
+
+def hexagon_differs(mod) -> bool:
+    rng = random.Random(6)
+    for _ in range(30):
+        n = rng.randint(6, 14)
+        rows = random_graph(rng, n, rng.random() * 0.6 + 0.1).rows
+        got = mod._hexagon_scan(rows, n, range(n), mod._triangle_table(rows))
+        if got != (pentagon_scan_pairwise(rows, n, range(n)),
+                   hexagon_scan_pairwise(rows, n, range(n))):
+            return True
+    return False
+
+
+def pentagon_edges_differ(mod) -> bool:
+    # one-apex graphs reach the counting paths; random graphs also reach the
+    # slow path, where the apex meets a w or y candidate
+    rng = random.Random(45)
+    graphs = [one_apex_per_edge_graph(rng, rng.randint(16, 24), tries=80) for _ in range(4)]
+    graphs += [random_graph(rng, rng.randint(6, 16), rng.random() * 0.4 + 0.1)
+               for _ in range(30)]
+    return any(outcome(mod._pentagon_edge_scan, g.rows, [e])
+               != outcome(pentagon_edge_scan_pairwise, g.rows, [e])
+               for g in graphs for e in g.edges())
+
+
+def triangle_pairs_differ(mod) -> bool:
+    rng = random.Random(891)
+    return any(mod.disjoint_triangle_pair_census(g) != triangle_pair_census_pairwise(g)
+               for g in (random_graph(rng, rng.randint(6, 12), rng.random() * 0.4 + 0.4)
+                         for _ in range(20)))
+
+
+def edge_triples_differ(mod) -> bool:
+    rng = random.Random(3)
+    return any(tuple(outcome(mod.edge_triple_census, g)) != brute_edge_triples(g)
+               for g in (random_graph(rng, rng.randint(4, 9), rng.random() * 0.6 + 0.2)
+                         for _ in range(20)))
+
+
+def walks_differ(mod) -> bool:
+    rng = random.Random(5)
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(6, 11), rng.random() * 0.5 + 0.2)
+        for s in range(g.order):
+            got = outcome(mod._walk_scan, g.rows, g.order, [s])
+            want = coded_walks_from(g, s)
+            if got != (want if isinstance(want, tuple)
+                       else (CountingInconsistencyError.__name__, want)):
+                return True
+    return False
+
+
+def n9_differs(mod) -> bool:
+    rng = random.Random(9)
+    for _ in range(8):
+        g = one_apex_per_edge_graph(rng, rng.randint(16, 20), tries=80)
+        if mod._qpe_scan(g.rows, g.order, range(g.order))[2] != quad_edge_n9_incidences(g):
+            return True
+    return False
+
+
+def cycle5_report_differs(mod) -> bool:
+    g = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    golden = json.loads((Path(__file__).parent / "data" / "check_cycle5.json").read_text())
+    return mod.run_all_checks(g).to_json_dict()["entries"] != golden["entries"]
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    snippet: str
+    replacement: str
+    differs: Callable[[types.ModuleType], bool]
+
+
+MUTANTS = [
+    # the triangle-id table and the two kernels that read it
+    Mutant("one_in holds triangles with at least one vertex in N(x)", "census",
+           "digits[0] & ~digits[1] for digits in counts",
+           "digits[0] | digits[1] for digits in counts", hexagon_differs),
+    Mutant("hexagon triangles through C kept", "census",
+           "tris &= ~tri_of[x]", "tris &= -1", hexagon_differs),
+    Mutant("p5 without the C correction", "census",
+           "p5 -= (rows[x] & base4).bit_count()", "p5 -= 0", hexagon_differs),
+    Mutant("toff keeps the triangles through N(v0)", "census",
+           "toff &= ~tri_of[x]", "toff &= -1", hexagon_differs),
+    Mutant("toff keeps the triangles with minimum at most v0", "census",
+           "toff = -1 << max(map(int.bit_length, tri_of[:v0 + 1]))", "toff = -1",
+           hexagon_differs),
+    Mutant("c_C^2 term dropped", "census",
+           "count += (digit_total(near, digit) - digit_total(digits1, digit)",
+           "count += (0 - digit_total(digits1, digit)", hexagon_differs),
+    Mutant("pentagon-side triangles through the apex kept", "census",
+           "tris = one_in[u] & one_in[v] & ~tri_of[t]",
+           "tris = one_in[u] & one_in[v]", pentagon_edges_differ),
+    Mutant("n4 triangle term dropped", "census",
+           "n4 -= (tris & one_in[t]).bit_count()", "n4 -= 0", pentagon_edges_differ),
+    Mutant("n4 slow-path triangle term dropped", "census",
+           "n4 -= (rows[w] & rows[x] & ys).bit_count()", "n4 -= 0",
+           pentagon_edges_differ),
+    Mutant("n4 path product over every x", "census",
+           "n4 += digit_total(ydigits, digit & rt) << i",
+           "n4 += digit_total(ydigits, digit) << i", pentagon_edges_differ),
+    # earlier kernels
+    Mutant("triangle pairs without the two-corner rule", "census",
+           "for w in iter_bits((ra & rb | ra & rc | rb & rc) & ~tmask):",
+           "for w in iter_bits(0):", triangle_pairs_differ),
+    Mutant("c_uv dropped from the 3-matching sum", "census",
+           "+ du + dv - 2 + (rows[u] & rows[v]).bit_count())",
+           "+ du + dv - 2)", edge_triples_differ),
+    Mutant("coded walks without the c14 chords", "census",
+           "xs = c14 | c24", "xs = c24", walks_differ),
+    Mutant("n9 against the same corners' single-corner set", "census",
+           "only_bd = only_b | only_d", "only_bd = only_a | only_c", n9_differs),
+    Mutant("bool entries never fail", "identities",
+           "expected, actual = 1, int(ok)", "expected, actual = 1, 1",
+           cycle5_report_differs),
+]
+
+# Triangles through u have two vertices in N(u), so one_in[u] already
+# excludes them: no check can detect this mutant.
+EQUIVALENT = Mutant("pentagon-side triangles through u excluded twice", "census",
+                    "tris = one_in[u] & one_in[v] & ~tri_of[t]",
+                    "tris = one_in[u] & one_in[v] & ~(tri_of[t] | tri_of[u])",
+                    pentagon_edges_differ)
+
+
+def load(module: str, snippet: str = "", replacement: str = "") -> types.ModuleType:
+    """``srg12.<module>`` executed afresh, with ``snippet`` (which must occur
+    exactly once) replaced."""
+    path = PACKAGE / f"{module}.py"
+    source = path.read_text()
+    if snippet:
+        found = source.count(snippet)
+        if found != 1:
+            pytest.fail(f"snippet {snippet!r} occurs {found} times in {module}.py")
+        source = source.replace(snippet, replacement)
+    mod = types.ModuleType(f"srg12.{module}")
+    mod.__package__ = "srg12"
+    mod.__file__ = str(path)
+    exec(compile(source, str(path), "exec"), mod.__dict__)
+    return mod
+
+
+def require_killed(mutant: Mutant) -> None:
+    if not mutant.differs(load(mutant.module, mutant.snippet, mutant.replacement)):
+        pytest.fail(f"mutant survived: {mutant.name}")
+
+
+@pytest.mark.parametrize("check", sorted({m.differs for m in MUTANTS}, key=lambda f: f.__name__),
+                         ids=lambda f: f.__name__)
+def test_unmutated_modules_pass_the_check(check):
+    modules = {m.module for m in MUTANTS if m.differs is check}
+    for module in modules:
+        assert not check(load(module))
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_mutant_is_killed(mutant):
+    require_killed(mutant)
+
+
+def test_surviving_mutant_fails_by_name():
+    with pytest.raises(pytest.fail.Exception,
+                       match="mutant survived: pentagon-side triangles through u excluded twice"):
+        require_killed(EQUIVALENT)

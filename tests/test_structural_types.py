@@ -21,6 +21,7 @@ from oracles import (
     edges_clear_of,
     hexagon_scan_pairwise,
     one_apex_per_edge_graph,
+    outcome,
     pentagon_edge_scan_pairwise,
     pentagon_n4_sides,
     pentagon_scan_pairwise,
@@ -45,6 +46,7 @@ from srg12.census import (
     _qpe_scan,
     _quad_pairs_at_edge,
     _quad_pairs_through_edge,
+    _triangle_table,
     _walk_scan,
     c4s_through_edge,
     count_n2,
@@ -334,14 +336,42 @@ class TestEdgesOutside:
         assert with_n9 >= 10
 
 
+class TestTriangleTable:
+    """The triangle-id masks of the hexagon and pentagon-side kernels
+    against a scan of every vertex triple."""
+
+    def test_random_graphs(self):
+        rng = random.Random(891)
+        sizes = set()
+        for _ in range(60):
+            n = rng.randint(0, 16)
+            g = random_graph(rng, n, rng.random() * 0.8 + 0.1)
+            tri_of, one_in = _triangle_table(g.rows)
+            tris = {frozenset(t) for t in combinations(range(n), 3)
+                    if all(g.has_edge(a, b) for a, b in combinations(t, 2))}
+            # one id per triangle, ids in order of the minimum vertex
+            by_id = [frozenset(v for v in range(n) if tri_of[v] >> i & 1)
+                     for i in range(len(tris))]
+            assert set(by_id) == tris and len(by_id) == len(tris)
+            assert [min(t) for t in by_id] == sorted(min(t) for t in by_id)
+            assert all(mask >> len(tris) == 0 for mask in tri_of + one_in)
+            for x in range(n):
+                assert one_in[x] == sum(
+                    1 << i for i, t in enumerate(by_id)
+                    if sum(g.has_edge(x, v) for v in t) == 1)
+            sizes.add(min(len(tris), 2))
+        assert sizes == {0, 1, 2}
+
+
 class TestHexagonKernel:
     """The middle-vertex hexagon kernel, and the pentagons it counts on the
     way, against the pairwise scans."""
 
     def test_switched_bvls_every_start(self, bvls):
         g = double_edge_switched(bvls, random.Random(4980690), 3)
+        table = _triangle_table(g.rows)
         for v0 in range(g.order):
-            assert _hexagon_scan(g.rows, g.order, [v0]) == (
+            assert _hexagon_scan(g.rows, g.order, [v0], table) == (
                 pentagon_scan_pairwise(g.rows, g.order, [v0]),
                 hexagon_scan_pairwise(g.rows, g.order, [v0]),
             )
@@ -359,19 +389,11 @@ class TestHexagonKernel:
         for _ in range(60):
             n = rng.randint(6, 40)
             g = random_graph(rng, n, rng.random() * 0.8 + 0.05)
-            assert _hexagon_scan(g.rows, n, range(n)) == (
+            assert _hexagon_scan(g.rows, n, range(n), _triangle_table(g.rows)) == (
                 pentagon_scan_pairwise(g.rows, n, range(n)),
                 hexagon_scan_pairwise(g.rows, n, range(n)),
             )
         assert max(widest) >= 3
-
-
-def outcome(call):
-    """A kernel's result, or the type and text of what it raised."""
-    try:
-        return call()
-    except (CountingInconsistencyError, FamilyViolationError) as exc:
-        return type(exc).__name__, str(exc)
 
 
 class TestSharedMaskKernels:
@@ -388,8 +410,9 @@ class TestSharedMaskKernels:
             n = rng.randint(6, 24)
             g = random_graph(rng, n, rng.random() * 0.6 + 0.1)
             rows = g.rows
+            table = _triangle_table(rows)
             for v0 in range(n):
-                assert _hexagon_scan(rows, n, [v0]) == (
+                assert _hexagon_scan(rows, n, [v0], table) == (
                     pentagon_scan_pairwise(rows, n, [v0]), hexagon_scan_pairwise(rows, n, [v0]))
                 off = ((1 << n) - 1) & ~((2 << v0) - 1) & ~rows[v0]
                 upper = [x for x in iter_bits(rows[v0]) if x > v0]
