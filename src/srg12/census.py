@@ -242,22 +242,26 @@ def pentagons_through_edge(g: Graph, edge) -> int:
 
 
 @lru_cache(maxsize=1)
-def _triangle_table(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(tri_of, one_in): tri_of[v] masks the ids of the triangles through v,
-    one_in[x] those with exactly one vertex in N(x).  Ids follow the
-    minimum vertex, so the triangles with minimum at most v are the ids
-    below the top bit of tri_of[0..v].  A ledger run builds it once."""
+def _triangle_ids(rows) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    """(tris, tri_of): each triangle a < b < c once, ids in order of a, and
+    tri_of[v] masking the ids through v.  A ledger run lists them once."""
     n = len(rows)
-    tri_of = [0] * n
-    bit = 1
+    tris, tri_of = [], [0] * n
     for a in range(n):
         for b in iter_bits(rows[a] & _above(n, a)):
             for c in iter_bits(rows[a] & rows[b] & _above(n, b)):
                 for x in (a, b, c):
-                    tri_of[x] |= bit
-                bit <<= 1
+                    tri_of[x] |= 1 << len(tris)
+                tris.append((a, b, c))
+    return tuple(tris), tuple(tri_of)
+
+
+@lru_cache(maxsize=1)
+def _triangle_table(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(tri_of, one_in), one_in[x] masking the ids with exactly one vertex in N(x)."""
+    tri_of = _triangle_ids(rows)[1]
     counts = (neighbour_count_digits(tri_of, row, -1) + [0, 0] for row in rows)
-    return tuple(tri_of), tuple(digits[0] & ~digits[1] for digits in counts)
+    return tri_of, tuple(digits[0] & ~digits[1] for digits in counts)
 
 
 def _hexagon_scan(rows, n: int, v0_list, table) -> tuple[int, int]:
@@ -648,12 +652,7 @@ def disjoint_triangle_pair_census(g: Graph) -> TrianglePairCensus:
     lowest id with two cross edges, from the lowest T that has one.
     """
     rows = g.rows
-    tris = list(iter_triangles(g))
-    # ids of the triangles through each vertex
-    through = [0] * g.order
-    for t, tri in enumerate(tris):
-        for x in tri:
-            through[x] |= 1 << t
+    tris, through = _triangle_ids(rows)
     everything = (1 << len(tris)) - 1
     by_cross = [0, 0, 0, 0]
     excluded = 0

@@ -464,13 +464,16 @@ class TestEnumerationBudget:
 
         for name in calls:
             monkeypatch.setattr(census, name, counted(name))
+        census._triangle_ids.cache_clear()
         census._triangle_table.cache_clear()
         assert run_all_checks(paley9).passed
         # the quad-plus-edge pass lists the quadrilaterals; the triangle-pair
-        # and completion censuses list the triangles; the hexagon and
-        # pentagon-side stages share one triangle-id table
+        # census and the one_in table of the hexagon and pentagon-side stages
+        # share one listing of the triangle ids, and the completion census
+        # lists the triangles again
         assert calls["_quad_list"] == 1
-        assert calls["iter_triangles"] <= 2
+        assert calls["iter_triangles"] <= 1
+        assert census._triangle_ids.cache_info().misses == 1
         assert census._triangle_table.cache_info().misses == 1
 
     def test_ledger_classifies_no_quadrilateral_pair_one_by_one(self, monkeypatch, paley9):

@@ -46,6 +46,7 @@ from srg12.census import (
     _qpe_scan,
     _quad_pairs_at_edge,
     _quad_pairs_through_edge,
+    _triangle_ids,
     _triangle_table,
     _walk_scan,
     c4s_through_edge,
@@ -337,8 +338,8 @@ class TestEdgesOutside:
 
 
 class TestTriangleTable:
-    """The triangle-id masks of the hexagon and pentagon-side kernels
-    against a scan of every vertex triple."""
+    """The triangle ids and masks of the triangle-pair, hexagon and
+    pentagon-side kernels against a scan of every vertex triple."""
 
     def test_random_graphs(self):
         rng = random.Random(891)
@@ -346,7 +347,9 @@ class TestTriangleTable:
         for _ in range(60):
             n = rng.randint(0, 16)
             g = random_graph(rng, n, rng.random() * 0.8 + 0.1)
-            tri_of, one_in = _triangle_table(g.rows)
+            ids, tri_of = _triangle_ids(g.rows)
+            assert _triangle_table(g.rows)[0] is tri_of
+            one_in = _triangle_table(g.rows)[1]
             tris = {frozenset(t) for t in combinations(range(n), 3)
                     if all(g.has_edge(a, b) for a, b in combinations(t, 2))}
             # one id per triangle, ids in order of the minimum vertex
@@ -354,6 +357,8 @@ class TestTriangleTable:
                      for i in range(len(tris))]
             assert set(by_id) == tris and len(by_id) == len(tris)
             assert [min(t) for t in by_id] == sorted(min(t) for t in by_id)
+            # the ids of the triangle pairs follow ``iter_triangles``
+            assert ids == tuple(tuple(sorted(t)) for t in by_id) == tuple(iter_triangles(g))
             assert all(mask >> len(tris) == 0 for mask in tri_of + one_in)
             for x in range(n):
                 assert one_in[x] == sum(

@@ -2,16 +2,16 @@
 
 Usage (from the repository root):
 
-    python3 tools/stage_times.py [--runs N] [SRC ...]
+    python3 tools/stage_times.py [SRC ...]
 
-for example ``python3 tools/stage_times.py --runs 7 ../parent/src src``.
+for example ``python3 tools/stage_times.py ../parent/src src``.
 SRC defaults to this checkout's ``src``.  Each run is a fresh interpreter
 with ``PYTHONPATH=SRC`` that builds BvLS 243 and times ``run_all_checks`` on
 it with ``time.process_time``, so no cache survives from one run to the
 next.  A stage's time is read through the ``progress`` hook: it is the time
 since the previous stage ended, so it also holds the entries checked in
 between and, for the first stage, the verification scan.  Rounds alternate
-over the trees; the table gives the minimum over the N runs of each stage
+over the trees; the table gives the minimum over RUNS runs of each stage
 and of the whole ``run_all_checks``, in seconds, one column per tree.  A run
 whose ledger does not pass stops the tool.  Standard library only.
 """
@@ -26,6 +26,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RUNS = 7  # runs per tree
 
 CHILD = """
 import json, time
@@ -62,14 +63,11 @@ def one_run(src: Path) -> dict[str, float]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=5, help="runs per tree (default 5)")
     parser.add_argument("trees", nargs="*", type=Path, default=[ROOT / "src"],
                         metavar="SRC", help="src/ directories to time")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
     best: list[dict[str, float]] = [{} for _ in args.trees]
-    for _ in range(args.runs):
+    for _ in range(RUNS):
         for tree, mins in zip(args.trees, best):
             for name, seconds in one_run(tree.resolve()).items():
                 mins[name] = min(seconds, mins.get(name, seconds))
