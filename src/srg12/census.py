@@ -17,9 +17,10 @@ triangle ids, an edge's quadrilateral pairs follow from edge counts among
 their vertices, and pentagons and hexagons are paths summed from
 bit-sliced neighbour counters less the triangles across them, read from
 one table of triangle-id masks.  Every kernel counts by an identity that
-is exact on any graph, family or not.  Three loops still count object by object:
-``_qpe_scan`` per quadrilateral, ``triangle_edge_completion_census`` per
-(triangle, pendant) and ``disjoint_triangle_pair_census`` per triangle.
+is exact on any graph, family or not.  Every census that reads triangles
+reads the one listing of ``_triangle_ids``.  Three loops still count object
+by object: ``_qpe_scan`` per quadrilateral, ``triangle_edge_completion_census``
+per (triangle, pendant) and ``disjoint_triangle_pair_census`` per triangle.
 The other per-object loops only name the first bad structure and raise: a
 coded walk with two chords, a quadrilateral pair sharing a vertex or joined
 across, a pentagon apex with a wrong adjacency pattern.  No canonical
@@ -190,17 +191,8 @@ class CycleCensus:
     p6: int
 
 
-def iter_triangles(g: Graph):
-    """Yield each triangle once as (a, b, c) with a < b < c."""
-    rows = g.rows
-    n = g.order
-    for a, b in g.edges():
-        for c in iter_bits(rows[a] & rows[b] & _above(n, b)):
-            yield (a, b, c)
-
-
 def count_triangles(g: Graph) -> int:
-    return sum(1 for _ in iter_triangles(g))
+    return len(_triangle_ids(g.rows)[0])
 
 
 def _quad_list(rows, n: int, v0_list):
@@ -243,8 +235,8 @@ def pentagons_through_edge(g: Graph, edge) -> int:
 
 @lru_cache(maxsize=1)
 def _triangle_ids(rows) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
-    """(tris, tri_of): each triangle a < b < c once, ids in order of a, and
-    tri_of[v] masking the ids through v.  A ledger run lists them once."""
+    """(tris, tri_of): each triangle a < b < c once in lexicographic order,
+    and tri_of[v] masking their ids through v; the one triangle listing."""
     n = len(rows)
     tris, tri_of = [], [0] * n
     for a in range(n):
@@ -488,16 +480,16 @@ def edge_triple_census(g: Graph) -> EdgeTripleCensus:
     disjoint edge and 6 as 3-matchings, so the three sum to C(|E|,3) only
     when every route is right.
     """
-    return EdgeTripleCensus(
-        _count_span4_triples(g), _count_span5_triples(g), _count_span6_triples(g)
-    )
+    degs = [r.bit_count() for r in g.rows]
+    m = sum(degs) // 2
+    return EdgeTripleCensus(_count_span4_triples(g, degs), _count_span5_triples(g, degs, m),
+                            _count_span6_triples(g, degs, m))
 
 
-def _count_span4_triples(g: Graph) -> int:
+def _count_span4_triples(g: Graph, degs) -> int:
     """Triangles, stars and 3-edge paths; each triangle holds 3 of the
     common neighbours summed over the edges."""
     rows = g.rows
-    degs = [r.bit_count() for r in rows]
     stars = sum(comb(d, 3) for d in degs)
     common = paths = 0
     for u, v in g.edges():
@@ -507,13 +499,11 @@ def _count_span4_triples(g: Graph) -> int:
     return common // 3 + stars + paths
 
 
-def _count_span5_triples(g: Graph) -> int:
+def _count_span5_triples(g: Graph, degs, m: int) -> int:
     """Cherries a-v-b with an edge clear of them, summed per centre v:
     C(d_v,2)(m + 2 - d_v) - (d_v - 1) sum_{a in N(v)} d_a + e(N(v)), where
     2 e(N(v)) = sum_{a in N(v)} |N(a) & N(v)|."""
     rows = g.rows
-    m = g.num_edges
-    degs = [r.bit_count() for r in rows]
     total = 0
     for rv, dv in zip(rows, degs):
         nbr_degs = inside2 = 0
@@ -524,7 +514,7 @@ def _count_span5_triples(g: Graph) -> int:
     return total
 
 
-def _count_span6_triples(g: Graph) -> int:
+def _count_span6_triples(g: Graph, degs, m: int) -> int:
     """3-matchings: each is counted once from each of its edges uv, as a
     pair of disjoint edges of G - {u, v}.  That graph has
     m - d_u - d_v + 1 edges, and its pairs sharing a vertex w number
@@ -533,8 +523,6 @@ def _count_span6_triples(g: Graph) -> int:
     S = sum of C(d_w, 2), s_x = sum over w in N(x) of (d_w - 1) and c_uv
     the number of common neighbours of u and v."""
     rows = g.rows
-    m = g.num_edges
-    degs = [r.bit_count() for r in rows]
     pairs = [comb(d, 2) for d in degs]
     total_pairs = sum(pairs)
     excess = [sum(degs[w] for w in iter_bits(r)) - d for r, d in zip(rows, degs)]
@@ -699,16 +687,6 @@ class QuadPairCensus(NamedTuple):
     n9: int
 
 
-def c4s_through_edge(g: Graph, u: int, v: int) -> list[tuple[int, int]]:
-    """Induced C4s through edge (u,v), as (w, x) with u-v-w-x-u the cycle."""
-    rows = g.rows
-    out = []
-    for w in iter_bits(rows[v] & ~rows[u] & ~(1 << u)):
-        for x in iter_bits(rows[u] & rows[w] & ~rows[v] & ~(1 << v)):
-            out.append((w, x))
-    return out
-
-
 # named type of two quadrilaterals u-v-w1-x1-u and u-v-w2-x2-u through an
 # edge, by how many of the pairs w1w2 and x1x2 are edges
 QUAD_PAIR_TYPES = ("n9", "n4", "n1")
@@ -716,7 +694,7 @@ QUAD_PAIR_TYPES = ("n9", "n4", "n1")
 
 def _quad_pairs_at_edge(rows, u: int, v: int, quads) -> list[int]:
     """Counts, indexed like ``QUAD_PAIR_TYPES``, of the pairs among
-    ``quads`` (the (w, x) of ``c4s_through_edge``) through edge (u, v).
+    ``quads``, the quadrilaterals u-v-w-x-u through edge (u, v) as (w, x).
 
     The two quadrilaterals fix 11 of the 15 vertex pairs; of the other four,
     w1w2 and x1x2 decide the type, and a w1x2 or x1w2 edge raises.
@@ -738,7 +716,7 @@ def _quad_pairs_at_edge(rows, u: int, v: int, quads) -> list[int]:
     return counts
 
 
-def _quad_pairs_through_edge(g: Graph, u: int, v: int, k: int) -> list[int]:
+def _quad_pairs_through_edge(rows, u: int, v: int, k: int) -> list[int]:
     """Counts, indexed like ``QUAD_PAIR_TYPES``, of the pairs of
     quadrilaterals through edge (u, v); raises unless there are k - 2.
 
@@ -752,7 +730,6 @@ def _quad_pairs_through_edge(g: Graph, u: int, v: int, k: int) -> list[int]:
     vertex, and ``_quad_pairs_at_edge``, pair by pair, raises on the first
     pair that shares one or has a w1x2 edge.
     """
-    rows = g.rows
     ru, rv = rows[u], rows[v]
     xbase = ru & ~rv & ~(1 << v)
     partner = {}  # w -> the bit of each x joined to it
@@ -770,7 +747,8 @@ def _quad_pairs_through_edge(g: Graph, u: int, v: int, k: int) -> list[int]:
             f"edge ({u},{v}) lies on {found} quadrilaterals, expected {k - 2}"
         )
     if not matched:
-        return _quad_pairs_at_edge(rows, u, v, c4s_through_edge(g, u, v))
+        quads = [(w, x) for w, xs in partner.items() for x in iter_bits(xs)]
+        return _quad_pairs_at_edge(rows, u, v, quads)
     wmask = sum(1 << w for w in partner)
     ends = prisms = 0
     for w, xs in partner.items():
@@ -800,7 +778,7 @@ def quad_pair_census(g: Union[Graph, VerifiedFamily]) -> QuadPairCensus:
     g, k = fam.graph, fam.k
     n9 = n4 = prism_inc = 0
     for u, v in g.edges():
-        c9, c4, c1 = _quad_pairs_through_edge(g, u, v, k)
+        c9, c4, c1 = _quad_pairs_through_edge(g.rows, u, v, k)
         n9 += c9
         n4 += c4
         prism_inc += c1
@@ -1071,10 +1049,9 @@ def triangle_edge_completion_census(
     further edges into the triangle; any such edge raises.  The identity
     6*n1 + n4 = 3(k-2)*p3 follows.
     """
-    g = require_family(g).graph
-    rows = g.rows
+    rows = require_family(g).graph.rows
     prism_inc = n4_inc = 0
-    for tri in iter_triangles(g):
+    for tri in _triangle_ids(rows)[0]:
         tmask = (1 << tri[0]) | (1 << tri[1]) | (1 << tri[2])
         for idx in range(3):
             x = tri[idx]

@@ -77,35 +77,6 @@ class Graph:
     def common_neighbors(self, u: int, v: int) -> int:
         return (self.rows[u] & self.rows[v]).bit_count()
 
-    def complement(self) -> "Graph":
-        full = (1 << self.order) - 1
-        return Graph(
-            self.order,
-            tuple((full ^ row ^ (1 << v)) for v, row in enumerate(self.rows)),
-        )
-
-    def relabeled(self, perm) -> "Graph":
-        """Return the graph with vertex v renamed perm[v]."""
-        rows = [0] * self.order
-        for v, row in enumerate(self.rows):
-            new = 0
-            for u in iter_bits(row):
-                new |= 1 << perm[u]
-            rows[perm[v]] = new
-        return Graph(self.order, tuple(rows))
-
-    def induced(self, vertices) -> "Graph":
-        """Induced subgraph on ``vertices`` (kept in the given order)."""
-        verts = list(vertices)
-        index = {v: i for i, v in enumerate(verts)}
-        rows = [0] * len(verts)
-        for i, v in enumerate(verts):
-            row = self.rows[v]
-            for j, u in enumerate(verts):
-                if row >> u & 1:
-                    rows[i] |= 1 << j
-        return Graph(len(verts), tuple(rows))
-
     def subgraph_code(self, vertices) -> int:
         """Packed edge code of the induced subgraph on a sorted vertex tuple.
 

@@ -4,6 +4,7 @@ Everything here enumerates subsets or permutations directly and stays
 independent of the counting paths under test.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -12,9 +13,9 @@ from srg12._bits import iter_bits, pair_index_table
 from srg12.census import (
     TrianglePairCensus,
     _apex_pattern_check,
-    iter_triangles,
     named_type_certificates,
 )
+from srg12.constructions import build_bvls243
 from srg12.errors import (
     CountingInconsistencyError,
     FamilyViolationError,
@@ -35,6 +36,65 @@ def _perm_bit_maps(n: int):
             dest[pos] = pairs[(a, b) if a < b else (b, a)]
         maps.append(tuple(dest))
     return tuple(maps)
+
+
+def complement(g: Graph) -> Graph:
+    full = (1 << g.order) - 1
+    return Graph(g.order, tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.rows)))
+
+
+def relabeled(g: Graph, perm) -> Graph:
+    """The graph with vertex v renamed perm[v]."""
+    rows = [0] * g.order
+    for v, row in enumerate(g.rows):
+        new = 0
+        for u in iter_bits(row):
+            new |= 1 << perm[u]
+        rows[perm[v]] = new
+    return Graph(g.order, tuple(rows))
+
+
+def induced(g: Graph, vertices) -> Graph:
+    """Induced subgraph on ``vertices`` (kept in the given order)."""
+    verts = list(vertices)
+    rows = [0] * len(verts)
+    for i, v in enumerate(verts):
+        for j, u in enumerate(verts):
+            if g.has_edge(v, u):
+                rows[i] |= 1 << j
+    return Graph(len(verts), tuple(rows))
+
+
+def triangles(g: Graph) -> list[tuple[int, int, int]]:
+    """Each triangle once as (a, b, c), a < b < c, in lexicographic order:
+    every pair of later neighbours of a that is joined."""
+    return [(a, b, c) for a in range(g.order)
+            for b, c in combinations([v for v in g.neighbors(a) if v > a], 2)
+            if g.has_edge(b, c)]
+
+
+def c4s_through_edge(g: Graph, u: int, v: int) -> list[tuple[int, int]]:
+    """Induced C4s through edge (u,v), as (w, x) with u-v-w-x-u the cycle."""
+    rows = g.rows
+    out = []
+    for w in iter_bits(rows[v] & ~rows[u] & ~(1 << u)):
+        for x in iter_bits(rows[u] & rows[w] & ~rows[v] & ~(1 << v)):
+            out.append((w, x))
+    return out
+
+
+@lru_cache(maxsize=1)
+def quad_pair_cases():
+    """Seeded (graph, edge) cases for the quadrilateral-pair kernels: every
+    edge of 30 random graphs and 150 edges of BvLS 243 after 3 switches.
+    Some hold two quadrilaterals through the edge that share a vertex."""
+    rng = random.Random(4)
+    graphs = [random_graph(rng, rng.randint(6, 14), rng.random() * 0.5 + 0.2)
+              for _ in range(30)]
+    switched = double_edge_switched(build_bvls243(), rng, 3)
+    cases = [(g, e) for g in graphs for e in g.edges()]
+    cases += [(switched, e) for e in rng.sample(list(switched.edges()), 150)]
+    return tuple(cases)
 
 
 def graph_from_code(code: int, n: int) -> Graph:
@@ -221,7 +281,7 @@ def triangle_pair_census_pairwise(g: Graph) -> TrianglePairCensus:
     classed by cross-edge count, and the n3 witness is the first n3 pair in
     listing order."""
     rows = g.rows
-    tris = list(iter_triangles(g))
+    tris = triangles(g)
     masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in tris]
     around = [
         (rows[a] | rows[b] | rows[c]) & ~m for (a, b, c), m in zip(tris, masks)

@@ -21,6 +21,7 @@ import pytest
 
 from oracles import (
     brute_edge_triples,
+    c4s_through_edge,
     coded_walks_from,
     hexagon_scan_pairwise,
     one_apex_per_edge_graph,
@@ -28,10 +29,13 @@ from oracles import (
     pentagon_edge_scan_pairwise,
     pentagon_scan_pairwise,
     quad_edge_n9_incidences,
+    quad_pair_cases,
     random_graph,
     triangle_pair_census_pairwise,
+    triangles,
 )
 import srg12
+from srg12.constructions import build_paley9
 from srg12.errors import CountingInconsistencyError
 from srg12.graph import Graph
 
@@ -70,6 +74,23 @@ def triangle_pairs_differ(mod) -> bool:
     return any(mod.disjoint_triangle_pair_census(g) != triangle_pair_census_pairwise(g)
                for g in (random_graph(rng, rng.randint(6, 12), rng.random() * 0.4 + 0.4)
                          for _ in range(20)))
+
+
+def completions_differ(mod) -> bool:
+    # 6 n1 + n4 = 3(k - 2) p3 on Paley 9 (k = 4), with the triangles listed
+    # and the prisms counted pair by pair
+    g = build_paley9()
+    n1 = triangle_pair_census_pairwise(g).n1
+    return tuple(mod.triangle_edge_completion_census(g)) != (n1, 6 * len(triangles(g)) - 6 * n1)
+
+
+def quad_pairs_differ(mod) -> bool:
+    for g, (u, v) in quad_pair_cases():
+        quads = c4s_through_edge(g, u, v)
+        if (outcome(mod._quad_pairs_through_edge, g.rows, u, v, len(quads) + 2)
+                != outcome(mod._quad_pairs_at_edge, g.rows, u, v, quads)):
+            return True
+    return False
 
 
 def edge_triples_differ(mod) -> bool:
@@ -154,6 +175,29 @@ MUTANTS = [
            "xs = c14 | c24", "xs = c24", walks_differ),
     Mutant("n9 against the same corners' single-corner set", "census",
            "only_bd = only_b | only_d", "only_bd = only_a | only_c", n9_differs),
+    Mutant("completion census skips a triangle", "census",
+           "for tri in _triangle_ids(rows)[0]:", "for tri in _triangle_ids(rows)[0][1:]:",
+           completions_differ),
+    Mutant("unmatched quadrilateral list drops one (w, x)", "census",
+           "for w, xs in partner.items() for x in iter_bits(xs)]",
+           "for w, xs in partner.items() for x in iter_bits(xs)][1:]", quad_pairs_differ),
+    # described in CHANGES.md for the shared-mask kernels and the coded walks
+    Mutant("`excluded` not counted", "census",
+           "excluded += (later & twice).bit_count()", "excluded += 0", triangle_pairs_differ),
+    Mutant("the highest n3 id taken", "census",
+           "tj = tris[(cross2 & -cross2).bit_length() - 1]", "tj = tris[cross2.bit_length() - 1]",
+           triangle_pairs_differ),
+    Mutant("n4 with one prism subtracted", "census",
+           "n4 = ends // 2 - 2 * prisms", "n4 = ends // 2 - prisms", quad_pairs_differ),
+    Mutant("the shared-x test dropped", "census",
+           "not (xs & (xs - 1) or xs & xmask)", "not xs & (xs - 1)", quad_pairs_differ),
+    Mutant("drop the c24 term", "census", "xs = c14 | c24", "xs = c14", walks_differ),
+    Mutant("drop the -|chord3| correction", "census",
+           "house += h - t", "house += h", walks_differ),
+    Mutant("count paws as |near|", "census",
+           "t = chord3.bit_count()", "t = near.bit_count()", walks_differ),
+    Mutant("pentagons summed over near instead of near - chord3", "census",
+           "far = near ^ chord3", "far = near", walks_differ),
     Mutant("bool entries never fail", "identities",
            "expected, actual = 1, int(ok)", "expected, actual = 1, 1",
            cycle5_report_differs),
