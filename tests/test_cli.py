@@ -208,6 +208,87 @@ class TestCensusCommand:
         assert "srg" in err
 
 
+# each single census mode reports graph_meta, its own section and the
+# residuals it names, as the --what all golden has them
+CENSUS_MODES = {
+    "cycles": ("cycles", ["p3", "p4", "p5", "p6_minus_bound"]),
+    "triples": ("edge_triples", ["e4", "e5"]),
+    "types": ("types", ["eq8", "n2", "n4_minus_2n3"]),
+}
+
+
+class TestCensusModes:
+    @pytest.mark.parametrize("what", sorted(CENSUS_MODES))
+    def test_mode_is_a_projection_of_the_golden(self, capsys, what):
+        golden = json.loads((Path(__file__).parent / "data" / "census_paley9.json").read_text())
+        section, residuals = CENSUS_MODES[what]
+        expected = {"graph_meta": golden["graph_meta"], section: golden[section],
+                    "residuals": {r: golden["residuals"][r] for r in residuals}}
+        code, out, err = run(capsys, "census", "--graph", "paley9", "--what", what)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("what", ["cycles", "triples"])
+    def test_non_family_mode_has_no_residuals(self, tmp_path, capsys, what):
+        from srg12.graph import Graph
+
+        path = tmp_path / "c4.g6"
+        graph6.save_file(path, Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+        code, out, _ = run(capsys, "census", "--graph", str(path), "--what", what)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["residuals"] == {}
+        assert set(payload) == {"graph_meta", CENSUS_MODES[what][0], "residuals"}
+
+    def test_empty_graph_is_not_a_family_member(self, tmp_path, capsys):
+        from srg12.graph import Graph
+
+        path = tmp_path / "empty.g6"
+        graph6.save_file(path, Graph(0, ()))
+        message = "empty graph is not a family member"
+        assert run(capsys, "census", "--graph", str(path), "--what", "types") == (
+            1, "", f"check failed: {message}\n")
+        code, out, _ = run(capsys, "census", "--graph", str(path), "--what", "all")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["types"], payload["types_error"]) == (None, message)
+        assert payload["residuals"] == {}
+
+
+class TestCensusFailures:
+    """A failed route agreement or census stage fails ``census --what
+    types|all`` with exit 1, no report and the error on stderr."""
+
+    @pytest.mark.parametrize("what", ["types", "all"])
+    def test_route_agreement_failure(self, monkeypatch, capsys, what):
+        from srg12 import census
+
+        real = census.quad_pair_census
+
+        def more_n9(g):
+            qp = real(g)
+            return qp._replace(n9=qp.n9 + 1)
+
+        monkeypatch.setattr(census, "quad_pair_census", more_n9)
+        assert run(capsys, "census", "--graph", "paley9", "--what", what) == (
+            1, "", "check failed: qpe_n9_incidences: expected 2, counted 0\n")
+
+    @pytest.mark.parametrize("what", ["types", "all"])
+    @pytest.mark.parametrize("stage", [
+        "disjoint_triangle_pair_census", "quad_pair_census", "pentagon_triangle_census",
+        "quad_plus_edge_census", "edge_triple_census", "count_pentagons_and_hexagons"])
+    def test_stage_failure(self, monkeypatch, capsys, stage, what):
+        from srg12 import census
+        from srg12.errors import CountingInconsistencyError
+
+        def fail(*args):
+            raise CountingInconsistencyError("injected")
+
+        monkeypatch.setattr(census, stage, fail)
+        assert run(capsys, "census", "--graph", "paley9", "--what", what) == (
+            1, "", "check failed: injected\n")
+
+
 class TestSpectralCommand:
     def test_closed_form(self, capsys):
         code, out, _ = run(capsys, "spectral", "--params", "99,14")

@@ -51,6 +51,11 @@ class TestClosedForms:
         assert expected_e4(243, 22) == 1_551_231
         assert expected_e5(243, 22) == 146_453_670
 
+    def test_non_integral_closed_form_raises(self):
+        with pytest.raises(ValueError,
+                           match=re.escape("triangle count: 5 is not divisible by 6")):
+            expected_p3(5, 1)
+
 
 class TestHexagonBound:
     def test_goldens(self):
