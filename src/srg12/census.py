@@ -1102,21 +1102,9 @@ TYPE_CENSUS_PARTS = (
     "quad_plus_edge_census", "edge_triple_census", "hexagon_census",
 )
 
-# Named counts reached by two routes: entry name -> (the two parts it reads,
-# its (expected, actual) sides from them).  type_census raises when the sides
-# differ; the ledger reports each as an entry.
-ROUTE_AGREEMENTS = {
-    "prism_route_agreement": (("triangle_pair_census", "quad_pair_census"),
-                              lambda tp, qp: (tp.n1, qp.n1)),
-    "n4_route_agreement": (("pentagon_side_census", "quad_pair_census"),
-                           lambda pt, qp: (qp.n4, pt.n4)),
-    "qpe_prism_incidences": (("quad_plus_edge_census", "triangle_pair_census"),
-                             lambda qpe, tp: (3 * tp.n1, qpe.prism_incidences)),
-    "qpe_n4_incidences": (("quad_plus_edge_census", "quad_pair_census"),
-                          lambda qpe, qp: (2 * qp.n4, qpe.n4_incidences)),
-    "qpe_n9_incidences": (("quad_plus_edge_census", "quad_pair_census"),
-                          lambda qpe, qp: (2 * qp.n9, qpe.n9_incidences)),
-}
+# the ledger entries comparing a count reached two ways; type_census raises on them
+ROUTE_AGREEMENTS = ("prism_route_agreement", "n4_route_agreement", "qpe_prism_incidences",
+                    "qpe_n4_incidences", "qpe_n9_incidences")
 
 
 @dataclass(frozen=True, slots=True)
@@ -1157,35 +1145,11 @@ class TypeCensus:
         return named + MASTER_COEFF_AGGREGATE * self.n6_7_10_11 + self.e4 + self.e5
 
 
-def type_census_parts(g: Union[Graph, VerifiedFamily]) -> dict:
-    """The censuses of a family graph that ``TypeCensus.assemble`` reads,
-    keyed as ``TYPE_CENSUS_PARTS``; raises if a route agreement fails."""
-    fam = require_family(g)
-    g = fam.graph
-    cycles = count_pentagons_and_hexagons(g)
-    parts = dict(zip(TYPE_CENSUS_PARTS, (
-        disjoint_triangle_pair_census(g),
-        quad_pair_census(fam),
-        pentagon_triangle_census(fam, cycles.p5),
-        quad_plus_edge_census(fam),
-        edge_triple_census(g),
-        cycles,
-    )))
-    for name, (needs, sides) in ROUTE_AGREEMENTS.items():
-        expected, actual = sides(*(parts[need] for need in needs))
-        if expected != actual:
-            raise CountingInconsistencyError(
-                f"{name}: expected {expected}, counted {actual}"
-            )
-    return parts
-
-
 def type_census(g: Union[Graph, VerifiedFamily]) -> TypeCensus:
-    """Assemble the full named-type census of a family graph.
+    """The named-type census of a family graph, run through the identity
+    ledger's runner; a failed census raises its error, and a failed route
+    agreement (``ROUTE_AGREEMENTS``) a CountingInconsistencyError naming it."""
+    from .identities import run_ledger_rows  # identities imports this module
 
-    Every count comes from its targeted enumeration; overlapping routes
-    (``ROUTE_AGREEMENTS``: the prism via triangle pairs, quadrilateral pairs
-    and the incidence scan, and so on) are cross-checked and any
-    disagreement raises.
-    """
-    return TypeCensus.assemble(type_census_parts(g))
+    parts, _ = run_ledger_rows(require_family(g), (*TYPE_CENSUS_PARTS, *ROUTE_AGREEMENTS))
+    return TypeCensus.assemble(parts)

@@ -4,6 +4,8 @@ Commands: construct, verify, census, spectral, check, params.
 Exit codes: 0 success / all checks pass, 1 identity or verification failure,
 2 usage or input errors.  Machine-readable JSON goes to --json / --out paths
 or stdout; progress for long censuses goes to stderr, at most once a second.
+``check`` and ``census --what types|all`` run identity-ledger rows through one
+runner; each census residual is a named ledger entry's actual minus expected.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     SizeLimitError,
 )
 from .graph import Graph, SrgParams, verify_srg
-from .identities import IdentityReport, jsonable, run_all_checks
+from .identities import IdentityReport, jsonable, run_all_checks, run_ledger_rows
 from .spectral import (
     adjacency_traces,
     c6_binomial_sum,
@@ -163,6 +165,19 @@ def _cmd_verify(args) -> int:
     return 0 if ok else CHECK_FAILURE
 
 
+# each residual is a ledger entry's actual minus expected; "all" reports every row
+CENSUS_RESIDUALS = {
+    "cycles": {"p3": "triangle_count", "p4": "quadrilateral_count",
+               "p5": "pentagon_count", "p6_minus_bound": "hexagons_equal_bound"},
+    "triples": {"e4": "edge_triples_span4", "e5": "edge_triples_span5"},
+    "types": {"n2": "n2_eq3", "n4_minus_2n3": "n4_twice_n3", "eq8": "triangle_pairs_eq8"},
+    "all": {"hexagon_identity": "hexagon_identity"},
+}
+# the stages a cycle census stands in for; its residuals read only p3 to p6
+_CYCLE_STAGES = ("triangle_pair_census", "quad_plus_edge_census",
+                 "pentagon_side_census", "hexagon_census")
+
+
 def _cmd_census(args) -> int:
     g = _load_graph(args.graph)
     _resolve_workers(args)
@@ -173,30 +188,33 @@ def _cmd_census(args) -> int:
     # first, so that its size guard refuses before any other census runs
     classes = cn.exhaustive_six_census(g) if args.exhaustive else None
     try:
-        fam, not_family = cn.require_family(g), None
+        fam = cn.require_family(g)
     except FamilyViolationError as exc:
-        fam, not_family = None, exc
-    parts = None
-    if what in ("types", "all"):
-        if fam is None:
-            if what == "types":
-                raise not_family
-            payload["types"] = None
-            payload["types_error"] = str(not_family)
-        else:
-            parts = cn.type_census_parts(fam)
-            payload["types"] = asdict(cn.TypeCensus.assemble(parts))
+        if what == "types":
+            raise
+        fam = None
+        if what == "all":
+            payload["types"], payload["types_error"] = None, str(exc)
+    residuals = {name: entry for mode, rows in CENSUS_RESIDUALS.items()
+                 if what in (mode, "all") for name, entry in rows.items()}
+    types = fam is not None and what in ("types", "all")
+    counted, entries, names = {}, {}, [*residuals.values()]
+    if types:  # the type censuses count every cycle length and the edge triples
+        names += [*cn.TYPE_CENSUS_PARTS, *cn.ROUTE_AGREEMENTS]
+    else:
+        if what in ("cycles", "all"):
+            counted = dict.fromkeys(_CYCLE_STAGES, cn.cycle_census(g, progress.tick))
+        if what in ("triples", "all"):
+            counted["edge_triple_census"] = cn.edge_triple_census(g)
+    if fam is not None:
+        counted, entries = run_ledger_rows(fam, names, counted, progress.stage)
+    if types:
+        payload["types"] = asdict(cn.TypeCensus.assemble(counted))
     if what in ("cycles", "all"):
-        if parts is None:
-            cc = cn.cycle_census(g, progress=progress.tick)
-        else:  # the type census has counted every cycle length
-            cc = cn.CycleCensus(
-                parts["triangle_pair_census"].p3, parts["quad_plus_edge_census"].p4,
-                *parts["hexagon_census"],
-            )
-        payload["cycles"] = asdict(cc)
+        tp, qpe, _, hexes = (counted[s] for s in _CYCLE_STAGES)
+        payload["cycles"] = {"p3": tp.p3, "p4": qpe.p4, "p5": hexes.p5, "p6": hexes.p6}
     if what in ("triples", "all"):
-        et = cn.edge_triple_census(g) if parts is None else parts["edge_triple_census"]
+        et = counted["edge_triple_census"]
         payload["edge_triples"] = {"e4": et.e4, "e5": et.e5, "e6": et.e6}
     if classes is not None:
         payload["exhaustive_six_census"] = [
@@ -206,47 +224,14 @@ def _cmd_census(args) -> int:
                 classes.items(), key=lambda kv: (-kv[1].count, kv[0].certificate)
             )
         ]
-    payload["residuals"] = _census_residuals(fam, payload)
+    payload["residuals"] = {name: entries[entry].actual - entries[entry].expected
+                            for name, entry in residuals.items() if entry in entries}
     _emit_json(payload, args.json)
     bad = [k for k, v in payload["residuals"].items() if v != 0]
     if bad:
         print(f"nonzero residuals: {', '.join(sorted(bad))}", file=sys.stderr)
         return CHECK_FAILURE
     return 0
-
-
-def _census_residuals(fam, payload) -> dict:
-    """Census counts minus their family closed forms (family graphs only:
-    ``fam`` is the verified family, or None)."""
-    from . import identities as idn
-
-    residuals = {}
-    if fam is None:
-        return residuals
-    n, k = fam.n, fam.k
-    cycles = payload.get("cycles")
-    if cycles:
-        residuals["p3"] = cycles["p3"] - idn.expected_p3(n, k)
-        residuals["p4"] = cycles["p4"] - idn.expected_p4(n, k)
-        residuals["p5"] = cycles["p5"] - idn.expected_p5(n, k)
-        residuals["p6_minus_bound"] = cycles["p6"] - idn.hexagon_bound(n, k)
-    triples = payload.get("edge_triples")
-    if triples:
-        residuals["e4"] = triples["e4"] - idn.expected_e4(n, k)
-        residuals["e5"] = triples["e5"] - idn.expected_e5(n, k)
-    types = payload.get("types")
-    if types:
-        residuals["n2"] = types["n2"] - idn.expected_n2(n, k)
-        residuals["n4_minus_2n3"] = types["n4"] - 2 * types["n3"]
-        residuals["eq8"] = (
-            types["n1"] + types["n3"] + types["n5"] + types["n14"]
-            - idn.expected_triangle_pairs(n, k)
-        )
-    if types and cycles:
-        residuals["hexagon_identity"] = (
-            types["n12"] - types["n3"] - idn.hexagon_bound(n, k)
-        )
-    return residuals
 
 
 def _cmd_spectral(args) -> int:

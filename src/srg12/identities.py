@@ -183,8 +183,192 @@ def makhnev_condition(g: Graph) -> MakhnevResult:
 # -- the ledger --------------------------------------------------------------
 
 
-# what a census stage may raise; run_all_checks turns each into a report entry
+class Stage(NamedTuple):
+    """A ledger stage, whose result is ``run(subject, *results of needs)``."""
+
+    name: str
+    section: str
+    run: object
+    needs: tuple = ()
+
+
+class Check(NamedTuple):
+    """A ledger entry: ``sides(subject, *results of needs)`` gives (expected,
+    actual[, detail]).  ``kind`` "eq" passes on equality, "bool" reports 1
+    against 1 or 0, "info" never fails, and "strict" fails, not skips."""
+
+    name: str
+    section: str
+    needs: tuple
+    sides: object
+    kind: str = "eq"
+
+
+def _pentagons_per_edge(fam, pt):
+    """The sides of pentagons_per_edge; the count is None without a census."""
+    per_edge = expected_pentagons_per_edge(fam.k)
+    if pt is None:
+        return per_edge, None
+    return per_edge, *next(((c, f"edge {e}") for e, c in zip(fam.graph.edges(), pt.per_edge)
+                            if c != per_edge), (per_edge, ""))
+
+
+# stage names and sections of the ledger's rows
+TP, QPE, HEXES, PT, QP = ("triangle_pair_census", "quad_plus_edge_census", "hexagon_census",
+                          "pentagon_side_census", "quad_pair_census")
+WALKS, TRIPLES, COMP = ("coded_walk_census", "edge_triple_census",
+                        "triangle_completion_census")
+PREFIX, BOUND = "charpoly_prefix", "hexagon_bound"
+CYCLES, SIX = "cycle formulas", "six-vertex types"
+
+# The identity ledger of a verified family, in run order.  Each row's
+# functions take the VerifiedFamily and look ``cn.<name>`` and ``sp.<name>``
+# up when they run, so wrappers put on those modules see every call.
+LEDGER = (
+    # cycle counts against their closed forms; the triangle-pair census
+    # lists the triangles, one pass over the quadrilaterals gives p4, n2
+    # and the quad-plus-edge counts, and the hexagon pass gives p5 and p6
+    Stage(TP, SIX, lambda f: cn.disjoint_triangle_pair_census(f.graph)),
+    Check("triangle_count", CYCLES, (TP,), lambda f, t: (expected_p3(f.n, f.k), t.p3)),
+    Stage(QPE, SIX, lambda f: cn.quad_plus_edge_census(f)),
+    Check("quadrilateral_count", CYCLES, (QPE,),
+          lambda f, q: (expected_p4(f.n, f.k), q.p4)),
+    Stage(HEXES, "hexagon bound", lambda f: cn.count_pentagons_and_hexagons(f.graph)),
+    Stage(PT, SIX, lambda f, h: cn.pentagon_triangle_census(f, h.p5), (HEXES,)),
+    Check("pentagon_count", CYCLES, (PT,), lambda f, p: (expected_p5(f.n, f.k), p.p5)),
+    Check("pentagons_per_edge", "per-edge pentagons", (PT,), _pentagons_per_edge, "strict"),
+    # coded closed 5-walks
+    Stage(WALKS, "coded walks", lambda f: cn.coded_walk_census(f)),
+    Check("walk_total", "coded walks", (WALKS,),
+          lambda f, w: (expected_walk_total(f.n, f.k), w.total)),
+    Check("walk_t1_from_quadrilaterals", "coded walks", (WALKS,),
+          lambda f, w: (4 * expected_p4(f.n, f.k), w.t1)),
+    Check("walk_t2_from_triangles", "coded walks", (WALKS,),
+          lambda f, w: (3 * (f.k - 2) * expected_p3(f.n, f.k), w.t2)),
+    Check("walk_decomposition", "coded walks", (WALKS, PT),
+          lambda f, w, p: (w.total, 10 * p.p5 + 6 * w.t1 + 2 * w.t2)),
+    # edge triples
+    Stage(TRIPLES, "edge triples", lambda f: cn.edge_triple_census(f.graph)),
+    Check("edge_triples_span4", "edge triples", (TRIPLES,),
+          lambda f, t: (expected_e4(f.n, f.k), t.e4)),
+    Check("edge_triples_span5", "edge triples", (TRIPLES,),
+          lambda f, t: (expected_e5(f.n, f.k), t.e5)),
+    Check("edge_triples_partition", "edge triples", (TRIPLES,),
+          lambda f, t: (comb(f.m, 3), t.e4 + t.e5 + t.e6), "bool"),
+    # six-vertex types, one targeted census per relation; the entries named
+    # in cn.ROUTE_AGREEMENTS compare one count reached by two routes
+    Check("triangle_pairs_eq8", SIX, (TP,),
+          lambda f, t: (expected_triangle_pairs(f.n, f.k), t.n1 + t.n3 + t.n5 + t.n14)),
+    Stage(QP, SIX, lambda f: cn.quad_pair_census(f)),
+    Check("quad_pairs_eq7", SIX, (QP,),
+          lambda f, q: (expected_quad_pairs(f.n, f.k), 3 * q.n1 + q.n4 + q.n9)),
+    Check("n2_eq3", SIX, (QPE,), lambda f, q: (expected_n2(f.n, f.k), q.n2)),
+    Check("pentagon_sides_eq4", SIX, (PT,),
+          lambda f, p: (expected_pentagon_sides(f.n, f.k), p.n4 + p.n8)),
+    Check("triangle_pendant_eq5", SIX, (TP, QP),
+          lambda f, t, q: (expected_triangle_pendant(f.n, f.k), 6 * t.n1 + q.n4)),
+    Check("opposite_sides_eq6", SIX, (TP, QP),
+          lambda f, t, q: (expected_opposite_sides(f.n, f.k), 3 * t.n1 + t.n3)),
+    Check("prism_route_agreement", SIX, (TP, QP), lambda f, t, q: (t.n1, q.n1)),
+    Check("n4_twice_n3", SIX, (TP, QP), lambda f, t, q: (2 * t.n3, q.n4)),
+    Check("n4_route_agreement", SIX, (PT, QP), lambda f, p, q: (q.n4, p.n4)),
+    Stage(COMP, SIX, lambda f: cn.triangle_edge_completion_census(f)),
+    Check("triangle_completion_eq5", SIX, (COMP,),
+          lambda f, c: (expected_triangle_pendant(f.n, f.k), 6 * c.n1 + c.n4)),
+    Check("completion_prism_agreement", SIX, (COMP, TP), lambda f, c, t: (t.n1, c.n1)),
+    Check("completion_n4_agreement", SIX, (COMP, QP), lambda f, c, q: (q.n4, c.n4)),
+    Check("quad_plus_edge_eq9", SIX, (QPE,),
+          lambda f, q: (expected_quad_plus_edge(f.n, f.k), q.total)),
+    Check("qpe_prism_incidences", SIX, (QPE, TP),
+          lambda f, q, t: (3 * t.n1, q.prism_incidences)),
+    Check("qpe_n4_incidences", SIX, (QPE, QP), lambda f, q, p: (2 * p.n4, q.n4_incidences)),
+    Check("qpe_n9_incidences", SIX, (QPE, QP), lambda f, q, p: (2 * p.n9, q.n9_incidences)),
+    # spectral: c6 three ways, and the master identity, spectral side
+    # against the assembled census side
+    Stage(PREFIX, "spectral", lambda f: sp.charpoly_prefix(f.graph, min(6, f.n))),
+    Check("charpoly_c2_is_minus_edges", "spectral", (PREFIX,), lambda f, c: (-f.m, c.c(2))),
+    Check("charpoly_c3_is_minus_two_triangles", "spectral", (PREFIX, TP),
+          lambda f, c, t: (-2 * t.p3, c.c(3))),
+    Stage("c6_closed_form", "spectral", lambda f: sp.c6_closed_form(f.n, f.k)),
+    Check("c6_closed_vs_trace", "spectral", ("c6_closed_form", PREFIX),
+          lambda f, c6, c: (c6, c.c6)),
+    Stage("c6_binomial_sum", "spectral",
+          lambda f: sp.c6_binomial_sum(sp.srg_spectrum(SrgParams(f.n, f.k, 1, 2)))),
+    Check("c6_binomial_vs_trace", "spectral", ("c6_binomial_sum", PREFIX),
+          lambda f, c6, c: (c6, c.c6)),
+    Check("master_identity", "master identity", (PREFIX, *cn.TYPE_CENSUS_PARTS),
+          lambda f, c, *parts: (c.c6 + comb(f.m, 3), cn.TypeCensus.assemble(
+              dict(zip(cn.TYPE_CENSUS_PARTS, parts))).master_identity_rhs())),
+    # hexagon bound, and conjecture-side observations, informational only
+    Stage(BOUND, "hexagon bound", lambda f: hexagon_bound(f.n, f.k)),
+    Check("hexagon_identity", "hexagon bound", (BOUND, HEXES, TP),
+          lambda f, b, h, t: (b, h.p6 - t.n3)),
+    Check("hexagon_at_least_bound", "hexagon bound", (BOUND, HEXES),
+          lambda f, b, h: (True, h.p6 >= b, f"p6 = {h.p6}, bound = {b}"), "bool"),
+    Check("makhnev_condition", "conjecture", (TP,), lambda f, t: (
+        0, t.n3, "holds: two triangles joined by two edges share the third"
+        if t.n3 == 0 else f"fails, witness {t.n3_witness}"), "info"),
+    Check("hexagons_equal_bound", "conjecture", (BOUND, HEXES), lambda f, b, h: (
+        b, h.p6, "observed equality" if h.p6 == b else "strict excess"), "info"),
+)
+
+# rows that read c6: below 6 vertices their stages do not run, entries skip
+_FROM_SIX_VERTICES = frozenset({"c6_closed_form", "c6_closed_vs_trace", "c6_binomial_sum",
+                                "c6_binomial_vs_trace", "master_identity"})
+
+# the Makhnev scan of a small graph outside the family, run on the graph
+_OUTSIDE_FAMILY = (
+    Stage(TP, "conjecture", lambda g: makhnev_condition(g)),
+    Check("makhnev_condition", "conjecture", (TP,), lambda g, r: (
+        0, r.n3, "holds" if r.holds else f"witness: {r.witness}"), "info"),
+)
+
+# what a stage may raise; the runner turns each into a report entry
 _STAGE_ERRORS = (ValueError, CountingInconsistencyError)
+
+
+def _run(rows, subject, report, progress, done) -> dict:
+    """Run ``rows`` in order on ``subject``: their entries go to ``report``,
+    their stages' results to ``done``; the errors of the failed stages are
+    returned, in run order.  A stage that raises one of ``_STAGE_ERRORS``,
+    or has a failed need (and then does not run), fails with a fail entry
+    named after it; ``progress(name)`` follows every stage.  An entry with
+    a failed need skips, naming each failed need in the order of its needs.
+    """
+    errors: dict[str, Exception] = {}
+    entries = report.entries
+    for row in rows:
+        if row.name in _FROM_SIX_VERTICES and report.graph_meta["n"] < 6:
+            if isinstance(row, Check):
+                entries.append(IdentityEntry(row.name, row.section, None, None, "skip",
+                                             "graph has fewer than 6 vertices"))
+            continue
+        failed = [s for s in row.needs if s in errors]
+        unmet = f"needs {', '.join(failed)}, which failed" if failed else ""
+        if isinstance(row, Stage):
+            try:
+                if failed:
+                    raise CountingInconsistencyError(unmet)
+                done[row.name] = row.run(subject, *(done[s] for s in row.needs))
+            except _STAGE_ERRORS as exc:
+                errors[row.name] = exc
+                entries.append(IdentityEntry(row.name, row.section, 1, 0, "fail", str(exc)))
+            if progress:
+                progress(row.name)
+        elif failed and row.kind == "strict":
+            entries.append(IdentityEntry(row.name, row.section, row.sides(subject, None)[0],
+                                         None, "fail", str(errors[failed[0]])))
+        elif failed:
+            entries.append(IdentityEntry(row.name, row.section, None, None, "skip", unmet))
+        else:
+            expected, actual, *detail = row.sides(subject, *(done[s] for s in row.needs))
+            ok = expected == actual
+            if row.kind == "bool":
+                expected, actual = 1, int(ok)
+            status = "info" if row.kind == "info" else "pass" if ok else "fail"
+            entries.append(IdentityEntry(row.name, row.section, expected, actual, status,
+                                         *detail))
+    return errors
 
 
 def run_all_checks(
@@ -195,66 +379,19 @@ def run_all_checks(
     One ``verify_srg`` scan gives the condition I and II entries, the
     regularity entries and the family gate.  Its witnesses, the first edge
     with lambda != 1 and the first non-edge with mu != 2, are the pairs
-    ``check_condition_one`` and ``check_condition_two`` name.  Non-family
-    graphs get the condition/regularity checks and skipped family entries;
-    family members get every counting identity, the master identity and the
-    spectral cross-checks, and their censuses take the verified family and
-    do not verify again.  Never raises: each census and spectral stage runs
-    through ``stage``, which records a raise as a fail entry named after the
-    stage, then calls ``progress`` with that name (each stage once, in run
-    order) and returns the name as a handle.  A stage that reads the
-    results of others fails without running if one of them failed.
-    ``check`` builds each entry from the results of the stages it names, or
-    skips it, naming every one of them that failed.
+    ``check_condition_one`` and ``check_condition_two`` name.  A graph
+    outside the family gets skipped family suites and, up to 64 vertices,
+    the Makhnev scan; a family member gets every row of ``LEDGER``, in
+    order, and its censuses take the verified family.  Never raises;
+    ``progress`` gets each stage's name in run order, also when it failed.
     """
     n = g.order
-    progress = progress or (lambda name: None)
     report = IdentityReport(graph_meta={"n": n, "k": None, "source": source})
     entries = report.entries
-    errors: dict[str, str] = {}  # failed stage -> error text
-    done: dict[str, object] = {}  # finished stage -> its result
-    six = "six-vertex types"
-
-    def unmet(needs):
-        """The text naming each failed stage of ``needs``, or ""."""
-        failed = [s for s in needs if s in errors]
-        return f"needs {', '.join(failed)}, which failed" if failed else ""
-
-    def stage(name, section, fn, *args, needs=()):
-        """Run fn(*args, *results of needs) as stage ``name``; a raise, or
-        a failed need, becomes a fail entry."""
-        detail = unmet(needs)
-        if not detail:
-            try:
-                done[name] = fn(*args, *(done[s] for s in needs))
-            except _STAGE_ERRORS as exc:
-                detail = str(exc)
-        if detail:
-            errors[name] = detail
-            entries.append(IdentityEntry(name, section, 1, 0, "fail", detail))
-        progress(name)
-        return name
-
-    def check(name, section, needs, sides, kind="eq"):
-        """Entry ``name`` from ``sides(*results of needs)``, which gives
-        (expected, actual[, detail]).  ``kind`` "eq" passes on equality,
-        "bool" reports only whether they are equal (1 against 1 or 0) and
-        "info" never fails."""
-        if skip := unmet(needs):
-            entries.append(IdentityEntry(name, section, None, None, "skip", skip))
-            return
-        expected, actual, *detail = sides(*(done[s] for s in needs))
-        ok = expected == actual
-        if kind == "bool":
-            expected, actual = 1, int(ok)
-        status = "info" if kind == "info" else "pass" if ok else "fail"
-        entries.append(IdentityEntry(name, section, expected, actual, status, *detail))
 
     def holds(name, section, ok, detail=""):
-        check(name, section, [], lambda: (True, ok, detail), "bool")
-
-    def agree(name):
-        check(name, six, *cn.ROUTE_AGREEMENTS[name])
+        entries.append(IdentityEntry(name, section, 1, int(ok), "pass" if ok else "fail",
+                                     detail))
 
     srg, fam = family_check(g)
     holds("condition_one_edge_triangles", "conditions", srg.lambda_ok,
@@ -274,8 +411,9 @@ def run_all_checks(
           f"degree {k}" if srg.regular else f"vertex degrees differ: {srg.degree_witness}")
     if srg.regular:
         report.graph_meta["k"] = k
-        check("order_relation", "srg verification", [],
-              lambda: (k * (k - 2), 2 * (n - k - 1)))
+        lhs, rhs = k * (k - 2), 2 * (n - k - 1)
+        entries.append(IdentityEntry("order_relation", "srg verification", lhs, rhs,
+                                     "pass" if lhs == rhs else "fail"))
 
     if fam is None or n < 3:
         for section in ("cycle formulas", "per-edge pentagons", "coded walks",
@@ -285,125 +423,37 @@ def run_all_checks(
                                          None, None, "skip",
                                          "graph is not a verified srg(n,k,1,2)"))
         if n <= 64:
-            mk = stage("triangle_pair_census", "conjecture", makhnev_condition, g)
-            check("makhnev_condition", "conjecture", [mk], lambda r: (
-                0, r.n3, "holds" if r.holds else f"witness: {r.witness}"), "info")
+            _run(_OUTSIDE_FAMILY, g, report, progress, {})
         else:
             entries.append(IdentityEntry(
                 "makhnev_condition", "conjecture", None, None, "skip",
                 "triangle-pair scan skipped on large non-family graph"))
         return report
 
-    m = fam.m
-
-    # cycle counts against their closed forms; the triangle-pair census
-    # lists the triangles, one pass over the quadrilaterals gives p4, n2
-    # and the quad-plus-edge counts, and the hexagon pass gives p5 and p6
-    tp = stage("triangle_pair_census", six, cn.disjoint_triangle_pair_census, g)
-    check("triangle_count", "cycle formulas", [tp], lambda t: (expected_p3(n, k), t.p3))
-    qpe = stage("quad_plus_edge_census", six, cn.quad_plus_edge_census, fam)
-    check("quadrilateral_count", "cycle formulas", [qpe],
-          lambda q: (expected_p4(n, k), q.p4))
-    hexes = stage("hexagon_census", "hexagon bound", cn.count_pentagons_and_hexagons, g)
-    pt = stage("pentagon_side_census", six,
-               lambda h: cn.pentagon_triangle_census(fam, h.p5), needs=[hexes])
-    check("pentagon_count", "cycle formulas", [pt], lambda p: (expected_p5(n, k), p.p5))
-
-    # the pentagon census counts the pentagons through each edge; its
-    # failure fails this entry rather than skipping it
-    per_edge = expected_pentagons_per_edge(k)
-    if pt in errors:
-        entries.append(IdentityEntry("pentagons_per_edge", "per-edge pentagons",
-                                     per_edge, None, "fail", errors[pt]))
-    else:
-        check("pentagons_per_edge", "per-edge pentagons", [pt], lambda p: (
-            per_edge, *next(((c, f"edge {e}") for e, c in zip(g.edges(), p.per_edge)
-                             if c != per_edge), (per_edge, ""))))
-
-    # coded closed 5-walks
-    walks = stage("coded_walk_census", "coded walks", cn.coded_walk_census, fam)
-    check("walk_total", "coded walks", [walks],
-          lambda w: (expected_walk_total(n, k), w.total))
-    check("walk_t1_from_quadrilaterals", "coded walks", [walks],
-          lambda w: (4 * expected_p4(n, k), w.t1))
-    check("walk_t2_from_triangles", "coded walks", [walks],
-          lambda w: (3 * (k - 2) * expected_p3(n, k), w.t2))
-    check("walk_decomposition", "coded walks", [walks, pt],
-          lambda w, p: (w.total, 10 * p.p5 + 6 * w.t1 + 2 * w.t2))
-
-    # edge triples
-    triples = stage("edge_triple_census", "edge triples", cn.edge_triple_census, g)
-    check("edge_triples_span4", "edge triples", [triples],
-          lambda t: (expected_e4(n, k), t.e4))
-    check("edge_triples_span5", "edge triples", [triples],
-          lambda t: (expected_e5(n, k), t.e5))
-    check("edge_triples_partition", "edge triples", [triples],
-          lambda t: (comb(m, 3), t.e4 + t.e5 + t.e6), "bool")
-
-    # six-vertex types, one targeted census per relation
-    check("triangle_pairs_eq8", six, [tp],
-          lambda t: (expected_triangle_pairs(n, k), t.n1 + t.n3 + t.n5 + t.n14))
-    qp = stage("quad_pair_census", six, cn.quad_pair_census, fam)
-    check("quad_pairs_eq7", six, [qp],
-          lambda q: (expected_quad_pairs(n, k), 3 * q.n1 + q.n4 + q.n9))
-    check("n2_eq3", six, [qpe], lambda q: (expected_n2(n, k), q.n2))
-    check("pentagon_sides_eq4", six, [pt],
-          lambda p: (expected_pentagon_sides(n, k), p.n4 + p.n8))
-    check("triangle_pendant_eq5", six, [tp, qp],
-          lambda t, q: (expected_triangle_pendant(n, k), 6 * t.n1 + q.n4))
-    check("opposite_sides_eq6", six, [tp, qp],
-          lambda t, q: (expected_opposite_sides(n, k), 3 * t.n1 + t.n3))
-    agree("prism_route_agreement")
-    check("n4_twice_n3", six, [tp, qp], lambda t, q: (2 * t.n3, q.n4))
-    agree("n4_route_agreement")
-    comp = stage("triangle_completion_census", six,
-                 cn.triangle_edge_completion_census, fam)
-    check("triangle_completion_eq5", six, [comp],
-          lambda c: (expected_triangle_pendant(n, k), 6 * c.n1 + c.n4))
-    check("completion_prism_agreement", six, [comp, tp], lambda c, t: (t.n1, c.n1))
-    check("completion_n4_agreement", six, [comp, qp], lambda c, q: (q.n4, c.n4))
-    check("quad_plus_edge_eq9", six, [qpe],
-          lambda q: (expected_quad_plus_edge(n, k), q.total))
-    agree("qpe_prism_incidences")
-    agree("qpe_n4_incidences")
-    agree("qpe_n9_incidences")
-
-    # spectral: c6 three ways (c6 only exists from 6 vertices up), and the
-    # master identity, spectral side against the assembled census side
-    prefix = stage("charpoly_prefix", "spectral", sp.charpoly_prefix, g, min(6, n))
-    check("charpoly_c2_is_minus_edges", "spectral", [prefix], lambda c: (-m, c.c(2)))
-    check("charpoly_c3_is_minus_two_triangles", "spectral", [prefix, tp],
-          lambda c, t: (-2 * t.p3, c.c(3)))
-    if n < 6:
-        for name, section in (("c6_closed_vs_trace", "spectral"),
-                              ("c6_binomial_vs_trace", "spectral"),
-                              ("master_identity", "master identity")):
-            entries.append(IdentityEntry(name, section, None, None, "skip",
-                                         "graph has fewer than 6 vertices"))
-    else:
-        closed = stage("c6_closed_form", "spectral", sp.c6_closed_form, n, k)
-        check("c6_closed_vs_trace", "spectral", [closed, prefix],
-              lambda c6, c: (c6, c.c6))
-        binomial = stage("c6_binomial_sum", "spectral", lambda: sp.c6_binomial_sum(
-            sp.srg_spectrum(SrgParams(n, k, 1, 2))))
-        check("c6_binomial_vs_trace", "spectral", [binomial, prefix],
-              lambda c6, c: (c6, c.c6))
-        check("master_identity", "master identity", [prefix, *cn.TYPE_CENSUS_PARTS],
-              lambda c, *parts: (c.c6 + comb(m, 3), cn.TypeCensus.assemble(
-                  dict(zip(cn.TYPE_CENSUS_PARTS, parts))).master_identity_rhs()))
-
-    # hexagon bound, and conjecture-side observations, informational only
-    bound = stage("hexagon_bound", "hexagon bound", hexagon_bound, n, k)
-    check("hexagon_identity", "hexagon bound", [bound, hexes, tp],
-          lambda b, h, t: (b, h.p6 - t.n3))
-    check("hexagon_at_least_bound", "hexagon bound", [bound, hexes],
-          lambda b, h: (True, h.p6 >= b, f"p6 = {h.p6}, bound = {b}"), "bool")
-    check("makhnev_condition", "conjecture", [tp], lambda t: (
-        0, t.n3, "holds: two triangles joined by two edges share the third"
-        if t.n3 == 0 else f"fails, witness {t.n3_witness}"), "info")
-    check("hexagons_equal_bound", "conjecture", [bound, hexes], lambda b, h: (
-        b, h.p6, "observed equality" if h.p6 == b else "strict excess"), "info")
+    _run(LEDGER, fam, report, progress, {})
     return report
+
+
+def run_ledger_rows(fam, names, done=None, progress=None) -> tuple[dict, dict]:
+    """Run the rows of ``LEDGER`` named in ``names``, and the stages they
+    need but ``done`` does not hold, on a verified family; the stage results
+    and the entries, by name.  Raises the error of the first failed stage,
+    else CountingInconsistencyError naming the first failed route agreement
+    (``cn.ROUTE_AGREEMENTS``)."""
+    done = dict(done or ())
+    wanted = set(names)
+    for row in reversed(LEDGER):  # a row's needs come before it
+        if row.name in wanted:
+            wanted.update(s for s in row.needs if s not in done)
+    report = IdentityReport(graph_meta={"n": fam.n})
+    errors = _run([r for r in LEDGER if r.name in wanted], fam, report, progress, done)
+    for exc in errors.values():
+        raise exc
+    for e in report.entries:
+        if e.name in cn.ROUTE_AGREEMENTS and e.status == "fail":
+            raise CountingInconsistencyError(
+                f"{e.name}: expected {e.expected}, counted {e.actual}")
+    return done, {e.name: e for e in report.entries}
 
 
 # -- polynomial identity chain -----------------------------------------------

@@ -435,7 +435,10 @@ class TestInputValidation:
         from srg12 import census
 
         calls = []
-        for name in ("type_census_parts", "cycle_census"):
+        for name in ("require_family", "cycle_census", "edge_triple_census",
+                     "disjoint_triangle_pair_census", "quad_pair_census",
+                     "pentagon_triangle_census", "quad_plus_edge_census",
+                     "count_pentagons_and_hexagons"):
             monkeypatch.setattr(census, name, lambda *a, _n=name, **kw: calls.append(_n))
         assert run(capsys, "census", "--graph", "bvls243", "--exhaustive") == (
             2, "", "error: exhaustive census guarded to 16 vertices, got 243\n"

@@ -1,4 +1,5 @@
-"""Source mutants of the counting kernels, each of which a check must detect.
+"""Source mutants of the counting kernels, the ledger's runner and the census
+residuals, each of which a check must detect.
 
 Each row of ``MUTANTS`` names a module of ``srg12``, an exact snippet of its
 source, a replacement and a kill check.  The snippet must occur exactly
@@ -11,9 +12,11 @@ difference.  Every check also runs on the unmutated module, where it must
 report none.  No subprocess runs.
 """
 
+import io
 import json
 import random
 import types
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -34,12 +37,15 @@ from oracles import (
     triangle_pair_census_pairwise,
     triangles,
 )
+from test_identities import LEDGER_STAGES, STAGE_FAIL_ENTRY, failures, inject_fault, not_passed
 import srg12
+from srg12 import census
 from srg12.constructions import build_paley9
 from srg12.errors import CountingInconsistencyError
 from srg12.graph import Graph
 
 PACKAGE = Path(srg12.__file__).parent
+DATA = Path(__file__).parent / "data"
 
 
 # -- kill checks: True when the module differs from the independent route --
@@ -124,8 +130,44 @@ def n9_differs(mod) -> bool:
 
 def cycle5_report_differs(mod) -> bool:
     g = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    golden = json.loads((Path(__file__).parent / "data" / "check_cycle5.json").read_text())
+    golden = json.loads((DATA / "check_cycle5.json").read_text())
     return mod.run_all_checks(g).to_json_dict()["entries"] != golden["entries"]
+
+
+def bool_entry_differs(mod) -> bool:
+    # one 3-matching too many breaks e4 + e5 + e6 = C(m, 3), a bool entry
+    with pytest.MonkeyPatch.context() as mp:
+        real = census._count_span6_triples
+        mp.setattr(census, "_count_span6_triples", lambda *args: real(*args) + 1)
+        entry = mod.run_all_checks(build_paley9()).entry("edge_triples_partition")
+    return (entry.status, entry.expected, entry.actual) != ("fail", 1, 0)
+
+
+def fault_report_differs(mod) -> bool:
+    # every census and spectral stage failing at once on Paley 9: the
+    # progress names against LEDGER_STAGES, and the fail and skip entries
+    # against the skips ENTRY_NEEDS gives
+    names = []
+    with pytest.MonkeyPatch.context() as mp:
+        for stage in STAGE_FAIL_ENTRY:
+            inject_fault(mp, stage)
+        report = mod.run_all_checks(build_paley9(), progress=names.append)
+    ran = set(STAGE_FAIL_ENTRY.values()) - {"pentagon_side_census"}
+    return names != LEDGER_STAGES or not_passed(report) != failures(
+        {name: report.entry(name).detail for name in ran})
+
+
+def residual_differs(mod) -> bool:
+    # one triangle too many: the p3 residual is the census's p3 less the
+    # golden's, which has residual 0
+    golden = json.loads((DATA / "census_paley9.json").read_text())
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(io.StringIO()):
+        real = census.count_triangles
+        mp.setattr(census, "count_triangles", lambda g: real(g) + 1)
+        mod.main(["census", "--graph", "paley9", "--what", "cycles"])
+    payload = json.loads(out.getvalue())
+    return payload["residuals"]["p3"] != payload["cycles"]["p3"] - golden["cycles"]["p3"]
 
 
 class Mutant(NamedTuple):
@@ -198,9 +240,34 @@ MUTANTS = [
            "t = chord3.bit_count()", "t = near.bit_count()", walks_differ),
     Mutant("pentagons summed over near instead of near - chord3", "census",
            "far = near ^ chord3", "far = near", walks_differ),
+    # the ledger's runner and the census residuals read off its entries
     Mutant("bool entries never fail", "identities",
-           "expected, actual = 1, int(ok)", "expected, actual = 1, 1",
+           "expected, actual = 1, int(ok)", "expected, actual = 1, 1", bool_entry_differs),
+    Mutant("info entries able to fail", "identities",
+           'status = "info" if row.kind == "info" else "pass" if ok else "fail"',
+           'status = "pass" if ok else "fail"', cycle5_report_differs),
+    Mutant("skip names in the order of failure", "identities",
+           "failed = [s for s in row.needs if s in errors]",
+           "failed = [s for s in errors if s in row.needs]", fault_report_differs),
+    Mutant("a skip names only the first failed stage", "identities",
+           "unmet = f\"needs {', '.join(failed)}, which failed\" if failed else \"\"",
+           "unmet = f\"needs {failed[0]}, which failed\" if failed else \"\"",
+           fault_report_differs),
+    Mutant("progress only after a stage that succeeded", "identities",
+           "progress(row.name)", "row.name in done and progress(row.name)",
+           fault_report_differs),
+    Mutant("the detail dropped", "identities",
+           "*detail = row.sides(subject, *(done[s] for s in row.needs))",
+           "*detail = row.sides(subject, *(done[s] for s in row.needs))[:2]",
            cycle5_report_differs),
+    Mutant("pentagons_per_edge skips instead of failing", "identities",
+           'elif failed and row.kind == "strict":', "elif False:", fault_report_differs),
+    Mutant("holds inverted", "identities",
+           '1, int(ok), "pass" if ok else "fail"', '1, int(ok), "fail" if ok else "pass"',
+           cycle5_report_differs),
+    Mutant("a residual read as expected - actual", "cli",
+           "entries[entry].actual - entries[entry].expected",
+           "entries[entry].expected - entries[entry].actual", residual_differs),
 ]
 
 # Triangles through u have two vertices in N(u), so one_in[u] already
