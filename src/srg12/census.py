@@ -24,7 +24,8 @@ per (triangle, pendant) and ``disjoint_triangle_pair_census`` per triangle.
 The other per-object loops only name the first bad structure and raise: a
 coded walk with two chords, a quadrilateral pair sharing a vertex or joined
 across, a pentagon apex with a wrong adjacency pattern.  No canonical
-labelling runs in any of these loops.
+labelling runs in any of these loops.  No census takes a progress hook:
+each runs in one call, and its caller reports it as one stage.
 
 The exhaustive scan, guarded to 16 vertices, is the ground-truth oracle: it
 tallies the edge codes of all 6-subsets, built with shared prefixes, and
@@ -104,23 +105,18 @@ MASTER_COEFF = {
 }
 MASTER_COEFF_AGGREGATE = 2
 
-_named_certs: Optional[dict[str, int]] = None
-
-
+@lru_cache(maxsize=1)
 def named_type_certificates() -> dict[str, int]:
     """Canonical certificate of each named 6-vertex type."""
-    global _named_certs
-    if _named_certs is None:
-        certs = {
-            name: classify_code(Graph.from_edges(6, edges).subgraph_code(range(6)), 6)
-            for name, edges in NAMED_TYPE_EDGES.items()
-        }
-        if len(set(certs.values())) != len(certs):
-            raise CountingInconsistencyError(
-                "two named 6-vertex types share a certificate"
-            )
-        _named_certs = certs
-    return _named_certs
+    certs = {
+        name: classify_code(Graph.from_edges(6, edges).subgraph_code(range(6)), 6)
+        for name, edges in NAMED_TYPE_EDGES.items()
+    }
+    if len(set(certs.values())) != len(certs):
+        raise CountingInconsistencyError(
+            "two named 6-vertex types share a certificate"
+        )
+    return certs
 
 
 # -- family gate -----------------------------------------------------------
@@ -325,19 +321,11 @@ class PentagonHexagonCount(NamedTuple):
     p6: int
 
 
-def count_pentagons_and_hexagons(g: Graph, progress=None) -> PentagonHexagonCount:
-    """Induced C5 and C6 by ``_hexagon_scan``, one start vertex at a time
-    with a progress call after each."""
-    n = g.order
-    table = _triangle_table(g.rows)
-    p5 = p6 = 0
-    for v0 in range(n):
-        five, six = _hexagon_scan(g.rows, n, (v0,), table)
-        p5 += five
-        p6 += six
-        if progress:
-            progress(v0 + 1, n)
-    return PentagonHexagonCount(p5, p6)
+def count_pentagons_and_hexagons(g: Graph) -> PentagonHexagonCount:
+    """Induced C5 and C6 by one ``_hexagon_scan`` over every start vertex."""
+    rows = g.rows
+    return PentagonHexagonCount(*_hexagon_scan(rows, g.order, range(g.order),
+                                               _triangle_table(rows)))
 
 
 def count_pentagons(g: Graph) -> int:
@@ -350,9 +338,11 @@ def count_hexagons(g: Graph) -> int:
     return count_pentagons_and_hexagons(g).p6
 
 
-def cycle_census(g: Graph, progress=None) -> CycleCensus:
+def cycle_census(g: Graph) -> CycleCensus:
+    """p3 to p6 of any graph, p5 and p6 from one hexagon pass; a caller
+    reports it as one stage."""
     p3, p4 = count_triangles(g), count_quadrilaterals_by_edges(g)
-    return CycleCensus(p3, p4, *count_pentagons_and_hexagons(g, progress))
+    return CycleCensus(p3, p4, *count_pentagons_and_hexagons(g))
 
 
 # -- coded closed 5-walks --------------------------------------------------

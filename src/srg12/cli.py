@@ -3,9 +3,10 @@
 Commands: construct, verify, census, spectral, check, params.
 Exit codes: 0 success / all checks pass, 1 identity or verification failure,
 2 usage or input errors.  Machine-readable JSON goes to --json / --out paths
-or stdout; progress for long censuses goes to stderr, at most once a second.
-``check`` and ``census --what types|all`` run identity-ledger rows through one
-runner; each census residual is a named ledger entry's actual minus expected.
+or stdout; progress goes to stderr, one line per finished stage and at most
+one a second.  ``check`` and ``census --what types|all`` run identity-ledger
+rows through one runner; each census residual is a named ledger entry's
+actual minus expected.
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ from .errors import (
 )
 from .graph import Graph, SrgParams, verify_srg
 from .identities import IdentityReport, jsonable, run_all_checks, run_ledger_rows
-from .spectral import (
-    adjacency_traces,
-    c6_binomial_sum,
-    c6_closed_form,
-    charpoly_prefix,
-    srg_spectrum,
-)
+from .spectral import c6_binomial_sum, c6_closed_form, charpoly_prefix, srg_spectrum
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -52,27 +47,19 @@ class UsageError(Exception):
 
 
 class _Progress:
-    """Time-gated progress writer; stderr only, >= 1s between lines."""
+    """Time-gated stage reporter; stderr only, >= 1s between lines."""
 
-    def __init__(self, label: str, enabled: bool = True):
+    def __init__(self, label: str):
         self.label = label
-        self.enabled = enabled and (
-            sys.stderr.isatty() or os.environ.get("SRG12_PROGRESS") == "1"
-        )
+        self.enabled = sys.stderr.isatty() or os.environ.get("SRG12_PROGRESS") == "1"
         self.last = time.monotonic()
 
     def stage(self, name: str) -> None:
-        self._say(f"finished {name}")
-
-    def tick(self, done: int, total: int) -> None:
-        self._say(f"{done}/{total}")
-
-    def _say(self, text: str) -> None:
         if not self.enabled:
             return
         now = time.monotonic()
         if now - self.last >= 1.0:
-            print(f"{self.label}: {text}", file=sys.stderr)
+            print(f"{self.label}: finished {name}", file=sys.stderr)
             self.last = now
 
 
@@ -203,9 +190,11 @@ def _cmd_census(args) -> int:
         names += [*cn.TYPE_CENSUS_PARTS, *cn.ROUTE_AGREEMENTS]
     else:
         if what in ("cycles", "all"):
-            counted = dict.fromkeys(_CYCLE_STAGES, cn.cycle_census(g, progress.tick))
+            counted = dict.fromkeys(_CYCLE_STAGES, cn.cycle_census(g))
+            progress.stage("cycle_census")
         if what in ("triples", "all"):
             counted["edge_triple_census"] = cn.edge_triple_census(g)
+            progress.stage("edge_triple_census")
     if fam is not None:
         counted, entries = run_ledger_rows(fam, names, counted, progress.stage)
     if types:
@@ -258,8 +247,9 @@ def _cmd_spectral(args) -> int:
             raise UsageError(
                 f"c6 needs at least 6 vertices, graph has {g.order}"
             )
-        payload["c6"] = charpoly_prefix(g, 6).c6
-        payload["intermediate"]["traces"] = list(adjacency_traces(g, 6))
+        prefix = charpoly_prefix(g, 6)
+        payload["c6"] = prefix.c6
+        payload["intermediate"]["traces"] = list(prefix.traces)
     if spec is None and params is not None:  # the spectrum, when it exists
         try:
             spec = srg_spectrum(params)

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import InfeasibleParametersError
 from .graph import Graph, SrgParams, verify_srg
-from .spectral import Spectrum, srg_spectrum
+from .spectral import srg_spectrum
 
 KNOWN_GRAPH_TAGS = {2: "K3", 4: "Paley9", 22: "BvLS243"}
 
@@ -100,21 +100,6 @@ class FeasibleParams:
     r1: int
     r2: int
     known_graph: Optional[str]
-
-    def check_relations(self) -> None:
-        """Raise InfeasibleParametersError naming the first relation that
-        fails: n and the multiplicity total here, the spectral relations in
-        ``Spectrum.check_relations``."""
-        relations = (
-            ("n = (k^2+2)/2", 2 * self.n == self.k**2 + 2),
-            ("r1 + r2 = n - 1", self.r1 + self.r2 == self.n - 1),
-        )
-        for relation, holds in relations:
-            if not holds:
-                raise InfeasibleParametersError(
-                    f"parameters {self} violate {relation}", relation
-                )
-        Spectrum(self.k, self.lambda1, self.lambda2, self.r1, self.r2).check_relations()
 
 
 def feasible_parameters(k_max: int, include_degenerate: bool = False):

@@ -130,12 +130,6 @@ class IdentityReport:
     def passed(self) -> bool:
         return all(e.status != "fail" for e in self.entries)
 
-    def entry(self, name: str) -> IdentityEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     def to_json_dict(self) -> dict:
         return {
             "graph_meta": {k: jsonable(v) for k, v in self.graph_meta.items()},
@@ -436,19 +430,21 @@ def run_all_checks(
 
 def run_ledger_rows(fam, names, done=None, progress=None) -> tuple[dict, dict]:
     """Run the rows of ``LEDGER`` named in ``names``, and the stages they
-    need but ``done`` does not hold, on a verified family; the stage results
-    and the entries, by name.  Raises the error of the first failed stage,
-    else CountingInconsistencyError naming the first failed route agreement
-    (``cn.ROUTE_AGREEMENTS``)."""
+    need but ``done`` does not hold, on a verified family, in ledger order;
+    the stage results and the entries, by name.  The first stage that fails
+    raises its error, and no row after it runs; when every stage succeeded,
+    a failed route agreement (``cn.ROUTE_AGREEMENTS``) raises
+    CountingInconsistencyError naming the first."""
     done = dict(done or ())
     wanted = set(names)
     for row in reversed(LEDGER):  # a row's needs come before it
         if row.name in wanted:
             wanted.update(s for s in row.needs if s not in done)
     report = IdentityReport(graph_meta={"n": fam.n})
-    errors = _run([r for r in LEDGER if r.name in wanted], fam, report, progress, done)
-    for exc in errors.values():
-        raise exc
+    for row in LEDGER:
+        if row.name in wanted:
+            for exc in _run((row,), fam, report, progress, done).values():
+                raise exc
     for e in report.entries:
         if e.name in cn.ROUTE_AGREEMENTS and e.status == "fail":
             raise CountingInconsistencyError(

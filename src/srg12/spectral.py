@@ -54,9 +54,11 @@ class Spectrum:
 
 @dataclass(frozen=True, slots=True)
 class CharPolyPrefix:
-    """Leading coefficients c0..cm of det(xI - A), c_i multiplying x^(n-i)."""
+    """Leading coefficients c0..cm of det(xI - A), c_i multiplying x^(n-i),
+    and the traces tr A^1..tr A^m they were computed from."""
 
     coefficients: tuple[int, ...]
+    traces: tuple[int, ...]
 
     def c(self, i: int) -> int:
         return self.coefficients[i]
@@ -174,5 +176,5 @@ def charpoly_prefix(g: Graph, m: int = 6) -> CharPolyPrefix:
             )
         e.append(acc // i)
     coeffs = tuple((-1) ** i * e[i] for i in range(m + 1))
-    return CharPolyPrefix(coeffs)
+    return CharPolyPrefix(coeffs, traces)
 

@@ -19,9 +19,11 @@ from srg12.constructions import build_bvls243
 from srg12.errors import (
     CountingInconsistencyError,
     FamilyViolationError,
+    InfeasibleParametersError,
     SizeLimitError,
 )
 from srg12.graph import Graph, classify_code, determinant_of_code
+from srg12.spectral import Spectrum
 
 
 @lru_cache(maxsize=None)
@@ -605,3 +607,25 @@ def paley9_gf9() -> Graph:
     squares = {mul(t, t) for t in range(1, 9)}
     return Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9)
                                 if sub(u, v) in squares])
+
+
+def report_entry(report, name: str):
+    """The entry of an identity report named ``name``."""
+    for e in report.entries:
+        if e.name == name:
+            return e
+    raise KeyError(name)
+
+
+def check_feasible_relations(fp) -> None:
+    """Raise InfeasibleParametersError naming the first relation a
+    ``FeasibleParams`` row fails: n and the multiplicity total here, the
+    spectral relations in ``Spectrum.check_relations``."""
+    relations = (
+        ("n = (k^2+2)/2", 2 * fp.n == fp.k**2 + 2),
+        ("r1 + r2 = n - 1", fp.r1 + fp.r2 == fp.n - 1),
+    )
+    for relation, holds in relations:
+        if not holds:
+            raise InfeasibleParametersError(f"parameters {fp} violate {relation}", relation)
+    Spectrum(fp.k, fp.lambda1, fp.lambda2, fp.r1, fp.r2).check_relations()

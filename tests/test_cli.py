@@ -255,9 +255,40 @@ class TestCensusModes:
         assert payload["residuals"] == {}
 
 
+# the census functions of the six type-census stages, in LEDGER order
+TYPE_STAGES_IN_LEDGER_ORDER = [
+    "disjoint_triangle_pair_census", "quad_plus_edge_census", "count_pentagons_and_hexagons",
+    "pentagon_triangle_census", "edge_triple_census", "quad_pair_census"]
+
+
+def stop_at(monkeypatch, failing):
+    """Put call-recording wrappers on the census module for the six
+    type-census functions, ``failing`` raising "injected"; the calls made."""
+    from srg12 import census
+    from srg12.errors import CountingInconsistencyError
+
+    calls = []
+    for name in TYPE_STAGES_IN_LEDGER_ORDER:
+        real = getattr(census, name)
+
+        def wrapper(*args, _name=name, _real=real):
+            calls.append(_name)
+            if _name == failing:
+                raise CountingInconsistencyError("injected")
+            return _real(*args)
+
+        monkeypatch.setattr(census, name, wrapper)
+    return calls
+
+
+def ran_until(failing):
+    return TYPE_STAGES_IN_LEDGER_ORDER[:TYPE_STAGES_IN_LEDGER_ORDER.index(failing) + 1]
+
+
 class TestCensusFailures:
     """A failed route agreement or census stage fails ``census --what
-    types|all`` with exit 1, no report and the error on stderr."""
+    types|all`` with exit 1, no report and the error on stderr; a failed
+    stage stops the census."""
 
     @pytest.mark.parametrize("what", ["types", "all"])
     def test_route_agreement_failure(self, monkeypatch, capsys, what):
@@ -274,19 +305,23 @@ class TestCensusFailures:
             1, "", "check failed: qpe_n9_incidences: expected 2, counted 0\n")
 
     @pytest.mark.parametrize("what", ["types", "all"])
-    @pytest.mark.parametrize("stage", [
-        "disjoint_triangle_pair_census", "quad_pair_census", "pentagon_triangle_census",
-        "quad_plus_edge_census", "edge_triple_census", "count_pentagons_and_hexagons"])
+    @pytest.mark.parametrize("stage", TYPE_STAGES_IN_LEDGER_ORDER)
     def test_stage_failure(self, monkeypatch, capsys, stage, what):
-        from srg12 import census
-        from srg12.errors import CountingInconsistencyError
-
-        def fail(*args):
-            raise CountingInconsistencyError("injected")
-
-        monkeypatch.setattr(census, stage, fail)
+        # the census stops there: no stage after it in LEDGER order runs
+        calls = stop_at(monkeypatch, stage)
         assert run(capsys, "census", "--graph", "paley9", "--what", what) == (
             1, "", "check failed: injected\n")
+        assert calls == ran_until(stage)
+
+    @pytest.mark.parametrize("stage", TYPE_STAGES_IN_LEDGER_ORDER)
+    def test_type_census_stops_at_a_failed_stage(self, monkeypatch, paley9, stage):
+        from srg12.census import type_census
+        from srg12.errors import CountingInconsistencyError
+
+        calls = stop_at(monkeypatch, stage)
+        with pytest.raises(CountingInconsistencyError, match="^injected$"):
+            type_census(paley9)
+        assert calls == ran_until(stage)
 
 
 class TestSpectralCommand:
@@ -304,11 +339,15 @@ class TestSpectralCommand:
         assert payload["c6"] == -2975686065
         assert payload["intermediate"]["r1"] == 132
 
-    def test_trace_on_builtin(self, capsys):
+    def test_trace_on_builtin(self, capsys, tmp_path):
+        path = tmp_path / "trace.json"
         code, out, _ = run(capsys, "spectral", "--method", "trace",
-                           "--graph", "paley9")
+                           "--graph", "paley9", "--json", str(path))
         assert code == 0
         assert "-168" in out
+        # tr A^i = 4^i + 4 * 1^i + 4 * (-2)^i from the spectrum of Paley 9
+        assert json.loads(path.read_text())["intermediate"]["traces"] == [
+            4**i + 4 + 4 * (-2)**i for i in range(1, 7)]
 
     def test_big_c6_serialized_as_string(self, capsys, tmp_path):
         path = tmp_path / "big.json"
@@ -367,20 +406,31 @@ class TestProgress:
         clock = iter([0.0, 0.3, 1.5, 1.6, 3.0])
         monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
         prog = cli._Progress("demo")
-        prog.tick(1, 10)   # 0.3s: suppressed
-        prog.tick(2, 10)   # 1.5s: emitted
-        prog.tick(3, 10)   # 1.6s: suppressed
-        prog.tick(4, 10)   # 3.0s: emitted
-        err = capsys.readouterr().err
-        assert err.count("demo:") == 2
+        prog.stage("a")   # 0.3s: suppressed
+        prog.stage("b")   # 1.5s: emitted
+        prog.stage("c")   # 1.6s: suppressed
+        prog.stage("d")   # 3.0s: emitted
+        assert capsys.readouterr().err == "demo: finished b\ndemo: finished d\n"
 
     def test_silent_without_tty_or_env(self, monkeypatch, capsys):
         from srg12 import cli
 
         monkeypatch.delenv("SRG12_PROGRESS", raising=False)
         prog = cli._Progress("demo")
-        prog.tick(1, 10)
+        prog.stage("a")
         assert capsys.readouterr().err == ""
+
+    def test_census_reports_stages_only(self, monkeypatch, capsys):
+        # every line passes the time gate; the cycle census is one stage,
+        # and the ledger runs the hexagon bound its residual needs
+        from srg12 import cli
+
+        monkeypatch.setenv("SRG12_PROGRESS", "1")
+        clock = iter(range(0, 1000, 2))
+        monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
+        code, _, err = run(capsys, "census", "--graph", "paley9", "--what", "cycles")
+        assert code == 0
+        assert err == "census: finished cycle_census\ncensus: finished hexagon_bound\n"
 
 
 class TestErrors:

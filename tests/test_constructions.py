@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import complement, paley9_gf9
+from oracles import check_feasible_relations, complement, paley9_gf9
 from srg12 import constructions, graph6
 from srg12.census import count_triangles, exhaustive_six_census
 from srg12.constructions import (
@@ -144,7 +144,7 @@ class TestFeasibleParameters:
 
     def test_relations_hold_for_every_entry(self):
         for fp in feasible_parameters(5000):
-            fp.check_relations()  # raises on any violated relation
+            check_feasible_relations(fp)  # raises on any violated relation
 
     @pytest.mark.parametrize("field, value, relation", [
         ("n", 10, "n = (k^2+2)/2"),
@@ -153,10 +153,10 @@ class TestFeasibleParameters:
     ])
     def test_broken_entry_raises(self, field, value, relation):
         fields = dict(k=4, n=9, lambda1=1, lambda2=-2, r1=4, r2=4, known_graph=None)
-        FeasibleParams(**fields).check_relations()
+        check_feasible_relations(FeasibleParams(**fields))
         fields[field] = value
         with pytest.raises(InfeasibleParametersError) as exc:
-            FeasibleParams(**fields).check_relations()
+            check_feasible_relations(FeasibleParams(**fields))
         assert exc.value.failed_relation == relation
 
     def test_known_graph_tags(self):

@@ -1,5 +1,5 @@
-"""Source mutants of the counting kernels, the ledger's runner and the census
-residuals, each of which a check must detect.
+"""Source mutants of the counting kernels, the ledger's runner, the census
+residuals and the spectral routes, each of which a check must detect.
 
 Each row of ``MUTANTS`` names a module of ``srg12``, an exact snippet of its
 source, a replacement and a kill check.  The snippet must occur exactly
@@ -34,6 +34,7 @@ from oracles import (
     quad_edge_n9_incidences,
     quad_pair_cases,
     random_graph,
+    report_entry,
     triangle_pair_census_pairwise,
     triangles,
 )
@@ -41,8 +42,9 @@ from test_identities import LEDGER_STAGES, STAGE_FAIL_ENTRY, failures, inject_fa
 import srg12
 from srg12 import census
 from srg12.constructions import build_paley9
-from srg12.errors import CountingInconsistencyError
-from srg12.graph import Graph
+from srg12.errors import CountingInconsistencyError, InfeasibleParametersError
+from srg12.graph import Graph, SrgParams
+from srg12.spectral import charpoly_prefix
 
 PACKAGE = Path(srg12.__file__).parent
 DATA = Path(__file__).parent / "data"
@@ -139,7 +141,7 @@ def bool_entry_differs(mod) -> bool:
     with pytest.MonkeyPatch.context() as mp:
         real = census._count_span6_triples
         mp.setattr(census, "_count_span6_triples", lambda *args: real(*args) + 1)
-        entry = mod.run_all_checks(build_paley9()).entry("edge_triples_partition")
+        entry = report_entry(mod.run_all_checks(build_paley9()), "edge_triples_partition")
     return (entry.status, entry.expected, entry.actual) != ("fail", 1, 0)
 
 
@@ -154,7 +156,7 @@ def fault_report_differs(mod) -> bool:
         report = mod.run_all_checks(build_paley9(), progress=names.append)
     ran = set(STAGE_FAIL_ENTRY.values()) - {"pentagon_side_census"}
     return names != LEDGER_STAGES or not_passed(report) != failures(
-        {name: report.entry(name).detail for name in ran})
+        {name: report_entry(report, name).detail for name in ran})
 
 
 def residual_differs(mod) -> bool:
@@ -168,6 +170,27 @@ def residual_differs(mod) -> bool:
         mod.main(["census", "--graph", "paley9", "--what", "cycles"])
     payload = json.loads(out.getvalue())
     return payload["residuals"]["p3"] != payload["cycles"]["p3"] - golden["cycles"]["p3"]
+
+
+def feasible_valencies_differ(mod) -> bool:
+    # the family's spectrally feasible valencies up to 1000
+    found = []
+    for k in range(4, 1001, 2):
+        try:
+            mod.srg_spectrum(SrgParams((k * k + 2) // 2, k, 1, 2))
+        except InfeasibleParametersError:
+            continue
+        found.append(k)
+    return found != [4, 14, 22, 112, 994]
+
+
+def c6_closed_form_differs(mod) -> bool:
+    # c6(99, 14) as the README gives it, and c6 of Paley 9 by its traces
+    try:
+        return (mod.c6_closed_form(99, 14) != -47288703
+                or mod.c6_closed_form(9, 4) != charpoly_prefix(build_paley9()).c6)
+    except ValueError:
+        return True
 
 
 class Mutant(NamedTuple):
@@ -268,6 +291,12 @@ MUTANTS = [
     Mutant("a residual read as expected - actual", "cli",
            "entries[entry].actual - entries[entry].expected",
            "entries[entry].expected - entries[entry].actual", residual_differs),
+    # spectral guards no family input reaches: a sign slip makes r1 negative,
+    # and a dropped factor leaves the c6 numerator indivisible by 576
+    Mutant("r1 numerator with its sign flipped", "spectral",
+           "num = -k - (n - 1) * lam2", "num = k + (n - 1) * lam2", feasible_valencies_differ),
+    Mutant("c6 numerator without its (k - 2) factor", "spectral",
+           "num = n * k * (k - 2) * poly", "num = n * k * poly", c6_closed_form_differs),
 ]
 
 # Triangles through u have two vertices in N(u), so one_in[u] already

@@ -697,7 +697,7 @@ class TestNoCertificateLabelling:
 
         monkeypatch.setattr(graph, "canonical_code", counted)
         monkeypatch.setattr(graph, "_CODE_CACHE", {})
-        monkeypatch.setattr(census, "_named_certs", None)
+        named_type_certificates.cache_clear()
         assert run_all_checks(build_paley9()).passed
         disjoint_triangle_pair_census(bvls)
         quad_pair_census(bvls)
@@ -805,7 +805,7 @@ class TestInvariantsWithoutAssert:
         edges = dict(census.NAMED_TYPE_EDGES)
         edges["twin"] = edges["n12"]
         monkeypatch.setattr(census, "NAMED_TYPE_EDGES", edges)
-        monkeypatch.setattr(census, "_named_certs", None)
+        named_type_certificates.cache_clear()
         with pytest.raises(CountingInconsistencyError, match="share a certificate"):
             named_type_certificates()
 
