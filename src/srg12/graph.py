@@ -141,9 +141,6 @@ class ConditionReport:
     pairs_checked: int
     violation: Optional[tuple[int, int, int]] = None  # (u, v, count)
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def check_condition_one(g: Graph) -> ConditionReport:
     """Every edge lies in exactly one triangle (common-neighbour count 1)."""
@@ -318,17 +315,10 @@ def canonical_code(code: int, n: int) -> int:
     return min(code_orbit(code, n))
 
 
-# classification cache: vertex count -> {raw code -> canonical code}
-_CODE_CACHE: dict[int, dict[int, int]] = {}
-
-
+@lru_cache(maxsize=None)
 def classify_code(code: int, n: int) -> int:
-    cache = _CODE_CACHE.setdefault(n, {})
-    cert = cache.get(code)
-    if cert is None:
-        cert = canonical_code(code, n)
-        cache[code] = cert
-    return cert
+    """``canonical_code``, computed once per (code, n)."""
+    return canonical_code(code, n)
 
 
 # -- exact determinants and perfect matchings of edge codes ---------------

@@ -12,33 +12,21 @@ from .graph import Graph
 
 _HEADER = b">>graph6<<"
 _LONG_FORM_MAX = 258047
+_BODY_BYTES = bytes(range(63, 127))  # a body byte holds six bits, plus 63
+_BITS_OF_BYTE = {byte: format(byte - 63, "06b") for byte in _BODY_BYTES}
 
 
 def encode(g: Graph) -> bytes:
     """Encode a graph as one graph6 line (without trailing newline)."""
-    n = g.order
-    out = bytearray(_encode_order(n))
-    bit_buffer = 0
-    nbits = 0
-    rows = g.rows
-    # upper triangle, column by column: x(0,1), x(0,2), x(1,2), x(0,3), ...
-    for j in range(1, n):
-        col = rows[j]
-        for i in range(j):
-            bit_buffer = bit_buffer << 1 | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(bit_buffer + 63)
-                bit_buffer = 0
-                nbits = 0
-    if nbits:
-        out.append((bit_buffer << (6 - nbits)) + 63)
-    return bytes(out)
+    # upper triangle, column by column: x(0,1), x(0,2), x(1,2), x(0,3), ...;
+    # column j is row j's j low bits, lowest first (the 1 << j keeps their zeros)
+    bits = "".join([bin(row & (1 << j) - 1 | 1 << j)[:2:-1] for j, row in enumerate(g.rows)])
+    bits += "0" * (-len(bits) % 6)
+    return _encode_order(g.order) + bytes(
+        [int(bits[pos:pos + 6], 2) + 63 for pos in range(0, len(bits), 6)])
 
 
 def _encode_order(n: int) -> bytes:
-    if n < 0:
-        raise ValueError("order must be non-negative")
     if n <= 62:
         return bytes([n + 63])
     if n <= _LONG_FORM_MAX:
@@ -68,35 +56,22 @@ def decode(data) -> Graph:
     need_bytes = (need_bits + 5) // 6
     body = data[body_start:]
     if len(body) != need_bytes:
-        raise Graph6Error(
-            f"graph6 body for n={n} needs {need_bytes} bytes, got {len(body)}",
-            byte_index=body_start + min(len(body), need_bytes),
-        )
+        raise Graph6Error(f"graph6 body for n={n} needs {need_bytes} bytes, got {len(body)}",
+                          byte_index=body_start + min(len(body), need_bytes))
+    rest = body.lstrip(_BODY_BYTES)
+    if rest:
+        raise Graph6Error(f"byte 0x{rest[0]:02x} outside graph6 range",
+                          byte_index=len(data) - len(rest))
+    bits = "".join(map(_BITS_OF_BYTE.__getitem__, body))
+    if "1" in bits[need_bits:]:  # the padding, all in the last byte
+        raise Graph6Error("nonzero padding bits", byte_index=body_start + need_bytes - 1)
     rows = [0] * n
-    pos = 0  # index into the bit stream
-    i, j = 0, 1  # current upper-triangle pair, column-major order
-    for offset, byte in enumerate(body):
-        value = byte - 63
-        if not 0 <= value <= 63:
-            raise Graph6Error(
-                f"byte 0x{byte:02x} outside graph6 range",
-                byte_index=body_start + offset,
-            )
-        for b in range(5, -1, -1):
-            if pos >= need_bits:
-                if value >> b & 1:
-                    raise Graph6Error(
-                        "nonzero padding bits", byte_index=body_start + offset
-                    )
-                continue
-            if value >> b & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
-            i += 1
-            if i == j:
-                i = 0
-                j += 1
+    for j in range(1, n):  # column j holds x(i, j) for i < j, lowest i first
+        rows[j] = col = int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= 1 << j
+            col ^= low
     return Graph(n, tuple(rows))
 
 

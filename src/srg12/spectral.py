@@ -32,10 +32,6 @@ class Spectrum:
     r1: int
     r2: int
 
-    @property
-    def n(self) -> int:
-        return self.r1 + self.r2 + 1
-
     def check_relations(self) -> None:
         """Raise InfeasibleParametersError naming the first relation that
         fails."""

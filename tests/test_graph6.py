@@ -1,4 +1,7 @@
+import ast
 import random
+import traceback
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -115,3 +118,66 @@ def test_networkx_cross_compatibility(paley9, bvls):
         assert all(theirs.has_edge(u, v) for u, v in g.edges())
         ours = graph6.decode(nx.to_graph6_bytes(theirs, header=False).strip())
         assert ours == g
+
+
+def test_networkx_agrees_on_random_graphs():
+    # both order forms: up to 62 vertices the order is one byte, from 63 on
+    # it is 126 and three more
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(300)
+    for n in [0, 1, 2, 62, 63, 300] + [rng.randint(0, 300) for _ in range(6)]:
+        g = random_graph(rng, n, rng.random())
+        theirs = nx.Graph()
+        theirs.add_nodes_from(range(n))
+        theirs.add_edges_from(g.edges())
+        line = nx.to_graph6_bytes(theirs, header=False)
+        assert graph6.encode(g) + b"\n" == line
+        back = nx.from_graph6_bytes(line)
+        assert list(back) == list(range(n))
+        assert graph6.decode(line) == Graph.from_edges(n, back.edges())
+
+
+# one row per ``raise Graph6Error`` in graph6.py, in source order: the call,
+# its input, and the exact message and byte_index it raises
+ERROR_ROWS = [
+    ("decode", "Dh\u00e9", "non-ASCII character in graph6 text (byte 2)", 2),
+    ("decode", b">>graph6<<\r\n", "empty graph6 line", None),
+    ("decode", b"Dhcc", "graph6 body for n=5 needs 2 bytes, got 3 (byte 3)", 3),
+    ("decode", b"G???\x7f?", "byte 0x7f outside graph6 range (byte 4)", 4),
+    ("decode", b"Dhd", "nonzero padding bits (byte 2)", 2),
+    ("decode", b"~~??????", "8-byte order form not supported (byte 0)", 0),
+    ("decode", b"~?B", "truncated long-form order (byte 3)", 3),
+    ("decode", b"~?B\x7f", "invalid long-form order byte (byte 1)", 1),
+    ("decode", b"\x1cabc", "invalid order byte 0x1c (byte 0)", 0),
+    ("loads", b"Dhc\nB~\n", "line 2: nonzero padding bits (byte 1)", None),
+    ("load_file", b"\n\n", "{path}: no graphs found", None),
+]
+
+
+def raise_error(tmp_path, call, data):
+    """The Graph6Error that ``graph6.<call>`` raises on ``data`` (load_file
+    reads it from a file)."""
+    path = tmp_path / "g.g6"
+    if call == "load_file":
+        path.write_bytes(data)
+        data = path
+    with pytest.raises(Graph6Error) as info:
+        getattr(graph6, call)(data)
+    return info.value, path
+
+
+@pytest.mark.parametrize("call, data, message, byte_index", ERROR_ROWS)
+def test_error_message_and_offset(tmp_path, call, data, message, byte_index):
+    exc, path = raise_error(tmp_path, call, data)
+    assert (str(exc), exc.byte_index) == (message.format(path=path), byte_index)
+
+
+def test_error_table_reaches_every_raise(tmp_path):
+    source = Path(graph6.__file__)
+    raises = sorted(node.lineno for node in ast.walk(ast.parse(source.read_text()))
+                    if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "Graph6Error")
+    assert len(raises) == len(ERROR_ROWS)
+    reached = sorted(traceback.extract_tb(raise_error(tmp_path, call, data)[0].__traceback__)[-1]
+                     .lineno for call, data, _, _ in ERROR_ROWS)
+    assert reached == raises

@@ -1,5 +1,6 @@
 """Source mutants of the counting kernels, the ledger's runner, the census
-residuals and the spectral routes, each of which a check must detect.
+residuals, the spectral routes and the graph6 codec, each of which a check
+must detect.
 
 Each row of ``MUTANTS`` names a module of ``srg12``, an exact snippet of its
 source, a replacement and a kill check.  The snippet must occur exactly
@@ -17,6 +18,7 @@ import json
 import random
 import types
 from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -42,7 +44,7 @@ from test_identities import LEDGER_STAGES, STAGE_FAIL_ENTRY, failures, inject_fa
 import srg12
 from srg12 import census
 from srg12.constructions import build_paley9
-from srg12.errors import CountingInconsistencyError, InfeasibleParametersError
+from srg12.errors import CountingInconsistencyError, Graph6Error, InfeasibleParametersError
 from srg12.graph import Graph, SrgParams
 from srg12.spectral import charpoly_prefix
 
@@ -193,6 +195,54 @@ def c6_closed_form_differs(mod) -> bool:
         return True
 
 
+@lru_cache(maxsize=1)
+def networkx_lines():
+    """(line, reading) for seeded graphs on 3 to 63 vertices, both order
+    forms: ``line`` is networkx's graph6 line of the graph with its last
+    byte replaced by each of 0x3c..0x81, and ``reading`` is the graph
+    networkx reads from it if networkx writes it back unchanged, else
+    Graph6Error."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(63)
+    rows = []
+    for n in (3, 4, 5, 8, 63):
+        g = random_graph(rng, n, 0.5)
+        theirs = nx.Graph()
+        theirs.add_nodes_from(range(n))
+        theirs.add_edges_from(g.edges())
+        written = nx.to_graph6_bytes(theirs, header=False)[:-1]
+        for last in range(0x3c, 0x82):
+            line = written[:-1] + bytes([last])
+            try:
+                read = nx.from_graph6_bytes(line)
+            except ValueError:  # a byte above 126
+                reading = Graph6Error
+            else:
+                reading = (Graph.from_edges(n, read.edges())
+                           if nx.to_graph6_bytes(read, header=False) == line + b"\n"
+                           else Graph6Error)
+            rows.append((line, reading))
+    return rows
+
+
+def graph6_differs(mod) -> bool:
+    # the known lines of the 5-cycle and K4 and the long-form order of 243,
+    # then networkx's lines: each is read as networkx reads it, or rejected
+    def read(line):
+        try:
+            return mod.decode(line)
+        except Exception as exc:  # a mutant may raise anything
+            return type(exc)
+
+    c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    k4 = Graph.from_edges(4, [(i, j) for j in range(4) for i in range(j)])
+    if ((mod.encode(c5), mod.encode(k4), mod.encode(Graph(243, (0,) * 243))[:4])
+            != (b"Dhc", b"C~", b"~?Br") or (read(b"Dhc"), read(b"C~")) != (c5, k4)):
+        return True
+    return any(read(line) != reading or reading != Graph6Error and mod.encode(reading) != line
+               for line, reading in networkx_lines())
+
+
 class Mutant(NamedTuple):
     name: str
     module: str
@@ -297,6 +347,15 @@ MUTANTS = [
            "num = -k - (n - 1) * lam2", "num = k + (n - 1) * lam2", feasible_valencies_differ),
     Mutant("c6 numerator without its (k - 2) factor", "spectral",
            "num = n * k * (k - 2) * poly", "num = n * k * poly", c6_closed_form_differs),
+    # the graph6 codec, read against the known lines and networkx
+    Mutant("column bits not reversed", "graph6",
+           "int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)",
+           "int(bits[j * (j - 1) // 2:j * (j + 1) // 2], 2)", graph6_differs),
+    Mutant("padding test dropped, so B~ decodes", "graph6",
+           'if "1" in bits[need_bits:]:', "if False:", graph6_differs),
+    Mutant("byte 127 read as a body byte", "graph6",
+           "_BODY_BYTES = bytes(range(63, 127))", "_BODY_BYTES = bytes(range(63, 128))",
+           graph6_differs),
 ]
 
 # Triangles through u have two vertices in N(u), so one_in[u] already

@@ -696,7 +696,7 @@ class TestNoCertificateLabelling:
             return real(code, n)
 
         monkeypatch.setattr(graph, "canonical_code", counted)
-        monkeypatch.setattr(graph, "_CODE_CACHE", {})
+        graph.classify_code.cache_clear()
         named_type_certificates.cache_clear()
         assert run_all_checks(build_paley9()).passed
         disjoint_triangle_pair_census(bvls)
