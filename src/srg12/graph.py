@@ -215,47 +215,31 @@ def verify_srg(g: Graph, expected: SrgParams) -> SrgReport:
             order_relation_ok=True,
         )
 
-    degs = [g.degree(v) for v in range(n)]
-    k = degs[0]
-    regular = True
-    degree_witness = None
-    for v, d in enumerate(degs):
-        if d != k:
-            regular = False
-            degree_witness = (v, d)
-            break
-
-    lambda_ok = True
-    lambda_witness = None
-    mu_ok = True
-    mu_witness = None
-    nonedges = 0
-    for u in range(n):
-        row = g.rows[u]
+    rows = g.rows
+    k = rows[0].bit_count()
+    degree_witness = next(((v, r.bit_count()) for v, r in enumerate(rows)
+                           if r.bit_count() != k), None)
+    regular = degree_witness is None
+    # the first bad edge and non-edge, in pair order; no later row changes them
+    lambda_witness = mu_witness = None
+    for u, row in enumerate(rows):
         for v in range(u + 1, n):
-            c = (row & g.rows[v]).bit_count()
+            c = (row & rows[v]).bit_count()
             if row >> v & 1:
-                if lambda_ok and c != expected.lam:
-                    lambda_ok = False
+                if c != expected.lam and lambda_witness is None:
                     lambda_witness = (u, v, c)
-            else:
-                nonedges += 1
-                if mu_ok and c != expected.mu:
-                    mu_ok = False
-                    mu_witness = (u, v, c)
-    mu_vacuous = nonedges == 0
-
-    params_match = regular and n == expected.n and k == expected.k
-    if expected.is_family and regular:
-        order_relation_ok = k * (k - 2) == 2 * (n - k - 1)
-    else:
-        order_relation_ok = True
+            elif c != expected.mu and mu_witness is None:
+                mu_witness = (u, v, c)
+        if lambda_witness and mu_witness:
+            break
+    mu_vacuous = sum(r.bit_count() for r in rows) == n * (n - 1)  # only K_n has no non-edge
+    order_relation_ok = not (expected.is_family and regular) or k * (k - 2) == 2 * (n - k - 1)
     return SrgReport(
         expected, False, regular,
         k if regular else None, degree_witness,
-        lambda_ok, lambda_witness,
-        mu_ok, mu_vacuous, mu_witness,
-        params_match, order_relation_ok,
+        lambda_witness is None, lambda_witness,
+        mu_witness is None, mu_vacuous, mu_witness,
+        regular and n == expected.n and k == expected.k, order_relation_ok,
     )
 
 

@@ -111,13 +111,15 @@ def loads(text) -> list[Graph]:
 
 
 def load_file(path) -> Graph:
-    """Read the first graph of a graph6 file."""
+    """Read the first graph of a graph6 file; the lines after it are not
+    decoded.  ``loads`` gets it behind one empty line per line before it,
+    so an error in it keeps its ``line N:`` prefix."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    graphs = loads(data)
-    if not graphs:
-        raise Graph6Error(f"{path}: no graphs found")
-    return graphs[0]
+        lines = fh.read().splitlines()
+    for idx, line in enumerate(lines):
+        if line.strip():
+            return loads(b"\n" * idx + line)[0]
+    raise Graph6Error(f"{path}: no graphs found")
 
 
 def save_file(path, g: Graph) -> None:

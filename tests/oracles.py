@@ -15,14 +15,14 @@ from srg12.census import (
     _apex_pattern_check,
     named_type_certificates,
 )
-from srg12.constructions import build_bvls243
+from srg12.constructions import build_bvls243, build_k3, build_paley9
 from srg12.errors import (
     CountingInconsistencyError,
     FamilyViolationError,
     InfeasibleParametersError,
     SizeLimitError,
 )
-from srg12.graph import Graph, classify_code, determinant_of_code
+from srg12.graph import Graph, SrgParams, SrgReport, classify_code, determinant_of_code
 from srg12.spectral import Spectrum
 
 
@@ -393,6 +393,93 @@ def double_edge_switched(g: Graph, rng, count: int) -> Graph:
         removed |= {frozenset((a, b)), frozenset((c, d))}
         done += 1
     return Graph(g.order, tuple(rows))
+
+
+def verify_srg_pairwise(g: Graph, expected: SrgParams) -> SrgReport:
+    """``graph.verify_srg`` as it was before it stopped at its witnesses: a
+    degree list, then every pair of vertices, counting the non-edges."""
+    n = g.order
+    degenerate = n <= 1
+    if degenerate:
+        return SrgReport(
+            expected, True, True, 0 if n else None, None,
+            True, None, True, True, None,
+            params_match=(expected.n == n),
+            order_relation_ok=True,
+        )
+
+    degs = [g.degree(v) for v in range(n)]
+    k = degs[0]
+    regular = True
+    degree_witness = None
+    for v, d in enumerate(degs):
+        if d != k:
+            regular = False
+            degree_witness = (v, d)
+            break
+
+    lambda_ok = True
+    lambda_witness = None
+    mu_ok = True
+    mu_witness = None
+    nonedges = 0
+    for u in range(n):
+        row = g.rows[u]
+        for v in range(u + 1, n):
+            c = (row & g.rows[v]).bit_count()
+            if row >> v & 1:
+                if lambda_ok and c != expected.lam:
+                    lambda_ok = False
+                    lambda_witness = (u, v, c)
+            else:
+                nonedges += 1
+                if mu_ok and c != expected.mu:
+                    mu_ok = False
+                    mu_witness = (u, v, c)
+    mu_vacuous = nonedges == 0
+
+    params_match = regular and n == expected.n and k == expected.k
+    if expected.is_family and regular:
+        order_relation_ok = k * (k - 2) == 2 * (n - k - 1)
+    else:
+        order_relation_ok = True
+    return SrgReport(
+        expected, False, regular,
+        k if regular else None, degree_witness,
+        lambda_ok, lambda_witness,
+        mu_ok, mu_vacuous, mu_witness,
+        params_match, order_relation_ok,
+    )
+
+
+def circulant(n: int, k: int) -> Graph:
+    """The k-regular circulant on n vertices (k even): i ~ i +- 1..k/2."""
+    return Graph.from_edges(n, [(i, (i + j) % n) for i in range(n) for j in range(1, k // 2 + 1)])
+
+
+@lru_cache(maxsize=1)
+def verify_cases() -> tuple:
+    """Seeded (graph, expected) pairs on which ``verify_srg`` must give the
+    report of ``verify_srg_pairwise``: random graphs of 0-40 vertices at five
+    densities, K0 to K8, the three builtins and a relabelled Paley 9, BvLS 243
+    after 1-3 switches and three random 14-regular graphs on 99 vertices.
+    Each graph is checked against (n, degree of vertex 0, 1, 2) and against
+    parameters with lam and mu drawn from 0..3 (k redrawn one time in four)."""
+    rng = random.Random(99)
+    bvls, paley = build_bvls243(), build_paley9()
+    graphs = [random_graph(rng, rng.randint(0, 40), p)
+              for p in (0.1, 0.3, 0.5, 0.8, 0.95) for _ in range(15)]
+    graphs += [Graph.from_edges(n, combinations(range(n), 2)) for n in range(9)]
+    graphs += [build_k3(), paley, relabeled(paley, rng.sample(range(9), 9)), bvls]
+    graphs += [double_edge_switched(bvls, rng, count) for count in (1, 2, 3)]
+    graphs += [double_edge_switched(circulant(99, 14), rng, 400) for _ in range(3)]
+    cases = []
+    for g in graphs:
+        n, k = max(g.order, 1), g.degree(0) if g.order else 0
+        cases.append((g, SrgParams(n, k, 1, 2)))
+        k = k if rng.random() < 0.75 else rng.randrange(n)
+        cases.append((g, SrgParams(n, k, rng.randint(0, 3), rng.randint(0, 3))))
+    return tuple(cases)
 
 
 def outcome(call, *args):

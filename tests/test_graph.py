@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -13,6 +13,8 @@ from oracles import (
     petersen,
     random_graph,
     relabeled,
+    verify_cases,
+    verify_srg_pairwise,
 )
 from srg12._bits import iter_bits
 from srg12.graph import (
@@ -121,6 +123,28 @@ class TestVerifySrg:
     def test_degenerate_single_vertex(self):
         rep = verify_srg(Graph(1, (0,)), SrgParams(1, 0))
         assert rep.degenerate
+
+
+class TestVerifySrgAgainstPairwise:
+    """``verify_srg`` stops after the first row that gives both witnesses;
+    its report must be the one the full pair scan gives."""
+
+    def test_reports_equal_the_full_scan(self):
+        for g, expected in verify_cases():
+            assert verify_srg(g, expected) == verify_srg_pairwise(g, expected), (g.order, expected)
+
+    def test_cases_reach_every_outcome(self):
+        reports = [verify_srg_pairwise(g, expected) for g, expected in verify_cases()]
+        full = [r for r in reports if not r.degenerate]
+        assert {r.passed for r in reports if r.degenerate} == {True, False}
+        assert {(r.lambda_ok, r.mu_ok) for r in full} == set(product((True, False), repeat=2))
+        assert {(r.regular, r.mu_vacuous, r.passed) for r in full} >= {
+            (True, True, True), (True, True, False), (True, False, True), (False, False, False)}
+        # some scans stop before the last rows: both witnesses lie in rows
+        # below n - 2
+        assert any(r.lambda_witness and r.mu_witness
+                   and max(r.lambda_witness[0], r.mu_witness[0]) < r.expected.n - 2
+                   for r in full)
 
 
 class TestCanonicalClass:

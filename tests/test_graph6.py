@@ -102,6 +102,23 @@ def test_loads_reports_failing_line(paley9):
         graph6.loads(text)
 
 
+def test_load_file_decodes_only_the_first_graph(tmp_path, monkeypatch, paley9, k3):
+    # a malformed line after the first graph fails nothing, and an error in
+    # the first graph's line keeps that line's number
+    path = tmp_path / "g.g6"
+    path.write_bytes(b"\n \n" + graph6.encode(paley9) + b"\n" + graph6.encode(k3) + b"\nB~\n")
+    decoded = []
+    real = graph6.decode
+    monkeypatch.setattr(graph6, "decode", lambda line: decoded.append(line) or real(line))
+    assert graph6.load_file(path) == paley9
+    assert decoded == [graph6.encode(paley9)]
+    path.write_bytes(b"\r\n\nB~\n" + graph6.encode(paley9) + b"\n")
+    with pytest.raises(Graph6Error) as info:
+        graph6.load_file(path)
+    assert (str(info.value), info.value.byte_index) == (
+        "line 3: nonzero padding bits (byte 1)", None)
+
+
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.g6"
     path.write_bytes(b"")

@@ -22,9 +22,11 @@ from srg12.identities import (
     ChainFailure,
     expected_e4,
     expected_e5,
+    expected_n2,
     expected_p3,
     expected_p4,
     expected_p5,
+    expected_quad_plus_edge,
     hexagon_bound,
     jsonable,
     makhnev_condition,
@@ -455,6 +457,124 @@ class TestMergedQuadrilateralPass:
         report = run_all_checks(request.getfixturevalue(name))
         assert {e.name for e in report.entries if e.status == "fail"} == {
             "quadrilateral_count", "n2_eq3", "quad_plus_edge_eq9", "master_identity"}
+
+
+# The reach table: per census stage of the ledger and integer field of its
+# result, the entries that newly fail on Paley 9 when that field is one too
+# large.  Fields that are not integers (n3_witness, per_edge) are not listed.
+FIELD_REACH = {
+    "disjoint_triangle_pair_census": {
+        "n1": ("completion_prism_agreement", "master_identity", "opposite_sides_eq6",
+               "prism_route_agreement", "qpe_prism_incidences", "triangle_pairs_eq8",
+               "triangle_pendant_eq5"),
+        "n3": ("hexagon_identity", "master_identity", "n4_twice_n3", "opposite_sides_eq6",
+               "triangle_pairs_eq8"),
+        "n5": ("master_identity", "triangle_pairs_eq8"),
+        "n14": ("master_identity", "triangle_pairs_eq8"),
+        "excluded": (),  # 0 in the family (lambda = 1), and no entry reads it
+        "p3": ("charpoly_c3_is_minus_two_triangles", "triangle_count"),
+    },
+    "quad_plus_edge_census": {
+        "total": ("quad_plus_edge_eq9",),  # restates quadrilateral_count
+        "prism_incidences": ("qpe_prism_incidences",),
+        "n4_incidences": ("qpe_n4_incidences",),
+        "n9_incidences": ("qpe_n9_incidences",),
+        "n13": ("master_identity",),
+        "n6_7_10_11": ("master_identity",),
+        "p4": ("quadrilateral_count",),
+        "n2": ("master_identity", "n2_eq3"),  # n2_eq3 restates quadrilateral_count
+    },
+    "count_pentagons_and_hexagons": {
+        # p5 fails the pentagon-side stage's 5 p5 check, and the per-edge
+        # entry with it
+        "p5": ("pentagon_side_census", "pentagons_per_edge"),
+        "p6": ("hexagon_identity", "master_identity"),
+    },
+    "pentagon_triangle_census": {
+        "n4": ("n4_route_agreement", "pentagon_sides_eq4"),
+        "n8": ("master_identity", "pentagon_sides_eq4"),
+        "p5": ("pentagon_count", "walk_decomposition"),
+    },
+    "coded_walk_census": {
+        "total": ("walk_decomposition", "walk_total"),
+        "t1": ("walk_decomposition", "walk_t1_from_quadrilaterals"),
+        "t2": ("walk_decomposition", "walk_t2_from_triangles"),
+        "p5_walks": (),  # enters the ledger only through total
+    },
+    "edge_triple_census": {
+        "e4": ("edge_triples_partition", "edge_triples_span4", "master_identity"),
+        "e5": ("edge_triples_partition", "edge_triples_span5", "master_identity"),
+        "e6": ("edge_triples_partition",),
+    },
+    "quad_pair_census": {
+        "n1": ("prism_route_agreement", "quad_pairs_eq7"),
+        "n4": ("completion_n4_agreement", "master_identity", "n4_route_agreement",
+               "n4_twice_n3", "qpe_n4_incidences", "quad_pairs_eq7", "triangle_pendant_eq5"),
+        "n9": ("master_identity", "qpe_n9_incidences", "quad_pairs_eq7"),
+    },
+    "triangle_edge_completion_census": {
+        "n1": ("completion_prism_agreement", "triangle_completion_eq5"),
+        "n4": ("completion_n4_agreement", "triangle_completion_eq5"),
+    },
+}
+
+# entries that fail exactly when quadrilateral_count does: the kernel gives
+# n2 and the quad-plus-edge total as multiples of p4, and their closed forms
+# are the same multiples of expected_p4
+RESTATES_QUADRILATERAL_COUNT = ("n2_eq3", "quad_plus_edge_eq9")
+
+
+def ledger_stage_results(g):
+    """The result of each ``cn.<stage>`` the ledger calls, by stage name."""
+    results = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for stage in FIELD_REACH:
+            real = getattr(census, stage)
+            mp.setattr(census, stage, lambda *args, _name=stage, _real=real:
+                       results.setdefault(_name, _real(*args)))
+        run_all_checks(g)
+    return results
+
+
+def newly_failing(g, stage, field):
+    """The entries of the ledger on g that fail when ``cn.<stage>`` reports
+    ``field`` one too large, and not without that."""
+    def failing():
+        return {e.name for e in run_all_checks(g).entries if e.status == "fail"}
+
+    def one_too_many(*args):
+        result = real(*args)
+        return result._replace(**{field: getattr(result, field) + 1})
+
+    before = failing()
+    real = getattr(census, stage)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census, stage, one_too_many)
+        return failing() - before
+
+
+class TestFieldReach:
+    def test_table_lists_every_integer_field(self, paley9):
+        results = ledger_stage_results(paley9)
+        assert {f"cn.{stage}" for stage in results} == {
+            stage for stage in STAGE_FAIL_ENTRY if stage.startswith("cn.")}
+        assert {stage: [f for f in r._fields if type(getattr(r, f)) is int]
+                for stage, r in results.items()} == {
+            stage: list(fields) for stage, fields in FIELD_REACH.items()}
+
+    @pytest.mark.parametrize("stage, field", [(stage, field) for stage, fields in
+                                              FIELD_REACH.items() for field in fields])
+    def test_one_too_many_fails_the_listed_entries(self, paley9, stage, field):
+        assert newly_failing(paley9, stage, field) == set(FIELD_REACH[stage][field])
+
+    @pytest.mark.parametrize("name", ["paley9", "bvls"])
+    def test_restating_entries_are_multiples_of_p4(self, request, name):
+        fam = census.require_family(request.getfixturevalue(name))
+        q = census.quad_plus_edge_census(fam)
+        factor = fam.m - 4 * (fam.k - 2) - 4
+        assert factor and (q.n2, q.total) == (4 * q.p4, factor * q.p4)
+        assert (expected_n2(fam.n, fam.k), expected_quad_plus_edge(fam.n, fam.k)) == (
+            4 * expected_p4(fam.n, fam.k), factor * expected_p4(fam.n, fam.k))
 
 
 class TestEnumerationBudget:

@@ -1,4 +1,5 @@
-"""Source mutants of the counting kernels, the ledger's runner, the census
+"""Source mutants of the counting kernels, the orbit expansion of the
+exhaustive census, the verification scan, the ledger's runner, the census
 residuals, the spectral routes and the graph6 codec, each of which a check
 must detect.
 
@@ -18,6 +19,7 @@ import json
 import random
 import types
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import astuple
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -25,11 +27,13 @@ from typing import Callable, NamedTuple
 import pytest
 
 from oracles import (
+    _perm_bit_maps,
     brute_edge_triples,
     c4s_through_edge,
     coded_walks_from,
     hexagon_scan_pairwise,
     one_apex_per_edge_graph,
+    oracle_six_census,
     outcome,
     pentagon_edge_scan_pairwise,
     pentagon_scan_pairwise,
@@ -39,12 +43,20 @@ from oracles import (
     report_entry,
     triangle_pair_census_pairwise,
     triangles,
+    verify_cases,
+    verify_srg_pairwise,
 )
 from test_identities import LEDGER_STAGES, STAGE_FAIL_ENTRY, failures, inject_fault, not_passed
 import srg12
 from srg12 import census
+from srg12._bits import iter_bits
 from srg12.constructions import build_paley9
-from srg12.errors import CountingInconsistencyError, Graph6Error, InfeasibleParametersError
+from srg12.errors import (
+    CountingInconsistencyError,
+    FamilyViolationError,
+    Graph6Error,
+    InfeasibleParametersError,
+)
 from srg12.graph import Graph, SrgParams
 from srg12.spectral import charpoly_prefix
 
@@ -103,6 +115,18 @@ def quad_pairs_differ(mod) -> bool:
     return False
 
 
+def quad_count_differs(mod) -> bool:
+    # told to expect one quadrilateral more than the edge lies on, the
+    # kernel must refuse before it pairs any
+    for g, (u, v) in quad_pair_cases():
+        found = len(c4s_through_edge(g, u, v))
+        if outcome(mod._quad_pairs_through_edge, g.rows, u, v, found + 3) != (
+                FamilyViolationError.__name__,
+                f"edge ({u},{v}) lies on {found} quadrilaterals, expected {found + 1}"):
+            return True
+    return False
+
+
 def edge_triples_differ(mod) -> bool:
     rng = random.Random(3)
     return any(tuple(outcome(mod.edge_triple_census, g)) != brute_edge_triples(g)
@@ -130,6 +154,40 @@ def n9_differs(mod) -> bool:
         if mod._qpe_scan(g.rows, g.order, range(g.order))[2] != quad_edge_n9_incidences(g):
             return True
     return False
+
+
+def verify_differs(mod) -> bool:
+    return any(astuple(mod.verify_srg(g, expected)) != astuple(verify_srg_pairwise(g, expected))
+               for g, expected in verify_cases())
+
+
+def orbit_differs(mod) -> bool:
+    # the empty, the full and seeded codes on 2 to 7 vertices, against the
+    # images that the permutation map gives
+    rng = random.Random(11)
+    for n in range(2, 8):
+        size = n * (n - 1) // 2
+        for code in [0, (1 << size) - 1] + [rng.getrandbits(size) for _ in range(3 + 9 * (n < 7))]:
+            orbit = frozenset(sum(1 << dest[b] for b in iter_bits(code))
+                              for dest in _perm_bit_maps(n))
+            if mod.code_orbit(code, n) != orbit or mod.canonical_code(code, n) != min(orbit):
+                return True
+    return False
+
+
+@lru_cache(maxsize=1)
+def six_census_cases():
+    """(graph, ``oracle_six_census`` of it): Paley 9 and seeded graphs on 7
+    and 8 vertices."""
+    rng = random.Random(16)
+    graphs = [build_paley9()] + [random_graph(rng, rng.randint(7, 8), rng.random() * 0.6 + 0.2)
+                                 for _ in range(6)]
+    return [(g, oracle_six_census(g)) for g in graphs]
+
+
+def six_census_differs(mod) -> bool:
+    return any({c.certificate: stats.count for c, stats in mod.exhaustive_six_census(g).items()}
+               != counts for g, counts in six_census_cases())
 
 
 def cycle5_report_differs(mod) -> bool:
@@ -313,6 +371,42 @@ MUTANTS = [
            "t = chord3.bit_count()", "t = near.bit_count()", walks_differ),
     Mutant("pentagons summed over near instead of near - chord3", "census",
            "far = near ^ chord3", "far = near", walks_differ),
+    # described in CHANGES.md for the orbit expansion, the shared-mask
+    # kernels and the coded walks, re-expressed against the current code
+    Mutant("an orbit missing a permutation", "graph",
+           "perms = list(itertools.permutations(range(n)))",
+           "perms = list(itertools.permutations(range(n)))[:-1]", orbit_differs),
+    Mutant("canonical_code wrong on full codes", "graph",
+           "return min(code_orbit(code, n))",
+           "return min(code_orbit(code, n)) if code.bit_count() < n * (n - 1) // 2 else 0",
+           orbit_differs),
+    Mutant("one tally popped per class", "census",
+           "count = sum(map(tally.pop, orbit & tally.keys()))",
+           "count = tally.pop(next(iter(tally)))", six_census_differs),
+    Mutant("max for min", "census", "cert = min(orbit)", "cert = max(orbit)",
+           six_census_differs),
+    Mutant("c_C ignored", "census",
+           "near = neighbour_count_digits(rows, common, base3)", "near = []", hexagon_differs),
+    Mutant("C cut to one vertex", "census",
+           "                if common:\n",
+           "                if common:\n                    common &= -common\n", hexagon_differs),
+    Mutant("the quadrilateral guard off", "census", "if found != k - 2:", "if False:",
+           quad_count_differs),
+    Mutant("two-chord test ignoring c14 & c24", "census",
+           "if hit & chord3 or hit and c14 & c24 & low:", "if hit & chord3:", walks_differ),
+    Mutant("two-chord test ignoring chord3", "census",
+           "if hit & chord3 or hit and c14 & c24 & low:", "if hit and c14 & c24 & low:",
+           walks_differ),
+    # the verification scan, which stops after the row that completes both
+    # of its witnesses
+    Mutant("the scan stops at the first witness of either kind", "graph",
+           "if lambda_witness and mu_witness:", "if lambda_witness or mu_witness:",
+           verify_differs),
+    Mutant("mu vacuous against n(n - 1)/2", "graph",
+           "== n * (n - 1)", "== n * (n - 1) // 2", verify_differs),
+    Mutant("a later bad edge overwrites the lambda witness", "graph",
+           "if c != expected.lam and lambda_witness is None:", "if c != expected.lam:",
+           verify_differs),
     # the ledger's runner and the census residuals read off its entries
     Mutant("bool entries never fail", "identities",
            "expected, actual = 1, int(ok)", "expected, actual = 1, 1", bool_entry_differs),
