@@ -539,6 +539,8 @@ def ledger_stage_results(g):
 def newly_failing(g, stage, field):
     """The entries of the ledger on g that fail when ``cn.<stage>`` reports
     ``field`` one too large, and not without that."""
+    real = getattr(census, stage)
+
     def failing():
         return {e.name for e in run_all_checks(g).entries if e.status == "fail"}
 
@@ -547,7 +549,6 @@ def newly_failing(g, stage, field):
         return result._replace(**{field: getattr(result, field) + 1})
 
     before = failing()
-    real = getattr(census, stage)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(census, stage, one_too_many)
         return failing() - before
