@@ -785,7 +785,7 @@ def quad_pair_census(g: Union[Graph, VerifiedFamily]) -> QuadPairCensus:
 class PentagonTriangleCensus(NamedTuple):
     n4: int
     n8: int
-    p5: int  # pentagons, as given by the pentagon and hexagon pass
+    p5: int  # pentagons, a fifth of the per-edge total
     per_edge: tuple[int, ...]  # pentagons through each edge, in g.edges() order
 
 
@@ -852,25 +852,24 @@ def _apex_pattern_check(rows, u, v, rt, ws, ys, not_uv) -> None:
                     )
 
 
-def pentagon_triangle_census(
-    g: Union[Graph, VerifiedFamily], p5: int
-) -> PentagonTriangleCensus:
+def pentagon_triangle_census(g: Union[Graph, VerifiedFamily]) -> PentagonTriangleCensus:
     """For every pentagon side, classify pentagon + apex into n4 or n8.
 
     One pass over the edges counts the pentagons through each edge and the
     n4 sides among them (``_pentagon_edge_scan``); the apex of a side lies
     outside each of its pentagons and can only be joined, beyond the side,
-    to the side's opposite vertex, any other pattern raises.  p5 comes from
-    the hexagon kernel, an independent route: the per-edge counts must sum
-    to 5*p5, and the remaining 5*p5 - n4 sides are type n8.
+    to the side's opposite vertex, any other pattern raises.  The remaining
+    sides are type n8.  Each induced pentagon is counted once through each
+    of its five edges, on any graph, so the per-edge total is 5*p5 and its
+    divisibility guard can only catch a broken edge scan.
     """
     fam = require_family(g)
     n4, per_edge = _pentagon_edge_scan(fam.graph.rows, fam.graph.edges())
-    if sum(per_edge) != 5 * p5:
+    sides = sum(per_edge)
+    if sides % 5:
         raise CountingInconsistencyError(
-            f"pentagons through edges: {sum(per_edge)} != 5 * {p5}"
-        )
-    return PentagonTriangleCensus(n4, 5 * p5 - n4, p5, tuple(per_edge))
+            f"pentagons through edges: {sides} is not divisible by 5")
+    return PentagonTriangleCensus(n4, sides - n4, sides // 5, tuple(per_edge))
 
 
 # -- quadrilateral plus disjoint edge -----------------------------------------

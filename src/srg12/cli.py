@@ -161,8 +161,7 @@ CENSUS_RESIDUALS = {
     "all": {"hexagon_identity": "hexagon_identity"},
 }
 # the stages a cycle census stands in for; its residuals read only p3 to p6
-_CYCLE_STAGES = ("triangle_pair_census", "quad_plus_edge_census",
-                 "pentagon_side_census", "hexagon_census")
+_CYCLE_STAGES = ("triangle_pair_census", "quad_plus_edge_census", "hexagon_census")
 
 
 def _cmd_census(args) -> int:
@@ -200,7 +199,7 @@ def _cmd_census(args) -> int:
     if types:
         payload["types"] = asdict(cn.TypeCensus.assemble(counted))
     if what in ("cycles", "all"):
-        tp, qpe, _, hexes = (counted[s] for s in _CYCLE_STAGES)
+        tp, qpe, hexes = (counted[s] for s in _CYCLE_STAGES)
         payload["cycles"] = {"p3": tp.p3, "p4": qpe.p4, "p5": hexes.p5, "p6": hexes.p6}
     if what in ("triples", "all"):
         et = counted["edge_triple_census"]

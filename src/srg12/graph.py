@@ -173,7 +173,7 @@ def check_condition_two(g: Graph) -> ConditionReport:
 
 @dataclass(frozen=True, slots=True)
 class SrgReport:
-    """Structured outcome of verify_srg; never raises, records every failure."""
+    """Structured outcome of verify_srg; never raises, keeps the first witness of each kind."""
 
     expected: SrgParams
     degenerate: bool

@@ -2,8 +2,8 @@
 
 One side of each check is a closed form in (n, k); the other side is an
 actual enumeration on the graph.  All comparisons are exact integer
-equality; run_all_checks never raises, every failure (including a census
-that detects an internal inconsistency) becomes a report entry.
+equality; run_all_checks never raises, every failure (including any error
+a census or an entry raises) becomes a report entry.
 """
 
 from __future__ import annotations
@@ -178,12 +178,12 @@ def makhnev_condition(g: Graph) -> MakhnevResult:
 
 
 class Stage(NamedTuple):
-    """A ledger stage, whose result is ``run(subject, *results of needs)``."""
+    """A ledger stage, whose result is ``run(subject)``; no stage reads
+    another's result."""
 
     name: str
     section: str
     run: object
-    needs: tuple = ()
 
 
 class Check(NamedTuple):
@@ -221,15 +221,16 @@ CYCLES, SIX = "cycle formulas", "six-vertex types"
 LEDGER = (
     # cycle counts against their closed forms; the triangle-pair census
     # lists the triangles, one pass over the quadrilaterals gives p4, n2
-    # and the quad-plus-edge counts, and the hexagon pass gives p5 and p6
+    # and the quad-plus-edge counts, and the hexagon pass gives p5 and p6;
+    # the pentagon-side census counts p5 again, through the edges
     Stage(TP, SIX, lambda f: cn.disjoint_triangle_pair_census(f.graph)),
     Check("triangle_count", CYCLES, (TP,), lambda f, t: (expected_p3(f.n, f.k), t.p3)),
     Stage(QPE, SIX, lambda f: cn.quad_plus_edge_census(f)),
     Check("quadrilateral_count", CYCLES, (QPE,),
           lambda f, q: (expected_p4(f.n, f.k), q.p4)),
     Stage(HEXES, "hexagon bound", lambda f: cn.count_pentagons_and_hexagons(f.graph)),
-    Stage(PT, SIX, lambda f, h: cn.pentagon_triangle_census(f, h.p5), (HEXES,)),
-    Check("pentagon_count", CYCLES, (PT,), lambda f, p: (expected_p5(f.n, f.k), p.p5)),
+    Stage(PT, SIX, lambda f: cn.pentagon_triangle_census(f)),
+    Check("pentagon_count", CYCLES, (HEXES,), lambda f, h: (expected_p5(f.n, f.k), h.p5)),
     Check("pentagons_per_edge", "per-edge pentagons", (PT,), _pentagons_per_edge, "strict"),
     # coded closed 5-walks
     Stage(WALKS, "coded walks", lambda f: cn.coded_walk_census(f)),
@@ -317,17 +318,15 @@ _OUTSIDE_FAMILY = (
         0, r.n3, "holds" if r.holds else f"witness: {r.witness}"), "info"),
 )
 
-# what a stage may raise; the runner turns each into a report entry
-_STAGE_ERRORS = (ValueError, CountingInconsistencyError)
-
 
 def _run(rows, subject, report, progress, done) -> dict:
     """Run ``rows`` in order on ``subject``: their entries go to ``report``,
-    their stages' results to ``done``; the errors of the failed stages are
-    returned, in run order.  A stage that raises one of ``_STAGE_ERRORS``,
-    or has a failed need (and then does not run), fails with a fail entry
-    named after it; ``progress(name)`` follows every stage.  An entry with
-    a failed need skips, naming each failed need in the order of its needs.
+    their stages' results to ``done``; the errors of the rows that raised
+    are returned, in run order.  A row that raises any ``Exception`` fails
+    with a fail entry named after it, holding the error's text, and
+    ``progress(name)`` follows every stage.  An entry with a failed need
+    skips, naming each failed need in the order of its needs, unless it is
+    "strict".
     """
     errors: dict[str, Exception] = {}
     entries = report.entries
@@ -337,31 +336,30 @@ def _run(rows, subject, report, progress, done) -> dict:
                 entries.append(IdentityEntry(row.name, row.section, None, None, "skip",
                                              "graph has fewer than 6 vertices"))
             continue
-        failed = [s for s in row.needs if s in errors]
-        unmet = f"needs {', '.join(failed)}, which failed" if failed else ""
-        if isinstance(row, Stage):
-            try:
-                if failed:
-                    raise CountingInconsistencyError(unmet)
-                done[row.name] = row.run(subject, *(done[s] for s in row.needs))
-            except _STAGE_ERRORS as exc:
-                errors[row.name] = exc
-                entries.append(IdentityEntry(row.name, row.section, 1, 0, "fail", str(exc)))
-            if progress:
-                progress(row.name)
-        elif failed and row.kind == "strict":
-            entries.append(IdentityEntry(row.name, row.section, row.sides(subject, None)[0],
-                                         None, "fail", str(errors[failed[0]])))
-        elif failed:
-            entries.append(IdentityEntry(row.name, row.section, None, None, "skip", unmet))
-        else:
-            expected, actual, *detail = row.sides(subject, *(done[s] for s in row.needs))
-            ok = expected == actual
-            if row.kind == "bool":
-                expected, actual = 1, int(ok)
-            status = "info" if row.kind == "info" else "pass" if ok else "fail"
-            entries.append(IdentityEntry(row.name, row.section, expected, actual, status,
-                                         *detail))
+        is_stage = isinstance(row, Stage)
+        failed = [] if is_stage else [s for s in row.needs if s in errors]
+        try:
+            if is_stage:
+                done[row.name] = row.run(subject)
+            elif failed and row.kind == "strict":
+                entries.append(IdentityEntry(row.name, row.section, row.sides(subject, None)[0],
+                                             None, "fail", str(errors[failed[0]])))
+            elif failed:
+                entries.append(IdentityEntry(row.name, row.section, None, None, "skip",
+                                             f"needs {', '.join(failed)}, which failed"))
+            else:
+                expected, actual, *detail = row.sides(subject, *(done[s] for s in row.needs))
+                ok = expected == actual
+                if row.kind == "bool":
+                    expected, actual = 1, int(ok)
+                status = "info" if row.kind == "info" else "pass" if ok else "fail"
+                entries.append(IdentityEntry(row.name, row.section, expected, actual, status,
+                                             *detail))
+        except Exception as exc:
+            errors[row.name] = exc
+            entries.append(IdentityEntry(row.name, row.section, 1, 0, "fail", str(exc)))
+        if is_stage and progress:
+            progress(row.name)
     return errors
 
 
@@ -371,9 +369,8 @@ def run_all_checks(
     """Evaluate the full identity ledger on a graph.
 
     One ``verify_srg`` scan gives the condition I and II entries, the
-    regularity entries and the family gate.  Its witnesses, the first edge
-    with lambda != 1 and the first non-edge with mu != 2, are the pairs
-    ``check_condition_one`` and ``check_condition_two`` name.  A graph
+    regularity entries and the family gate; their witnesses are the first
+    edge with lambda != 1 and the first non-edge with mu != 2.  A graph
     outside the family gets skipped family suites and, up to 64 vertices,
     the Makhnev scan; a family member gets every row of ``LEDGER``, in
     order, and its censuses take the verified family.  Never raises;
@@ -431,15 +428,13 @@ def run_all_checks(
 def run_ledger_rows(fam, names, done=None, progress=None) -> tuple[dict, dict]:
     """Run the rows of ``LEDGER`` named in ``names``, and the stages they
     need but ``done`` does not hold, on a verified family, in ledger order;
-    the stage results and the entries, by name.  The first stage that fails
-    raises its error, and no row after it runs; when every stage succeeded,
-    a failed route agreement (``cn.ROUTE_AGREEMENTS``) raises
+    the stage results and the entries, by name.  The first row that raises
+    raises its error, and no row after it runs; when no row raised, a failed
+    route agreement (``cn.ROUTE_AGREEMENTS``) raises
     CountingInconsistencyError naming the first."""
     done = dict(done or ())
-    wanted = set(names)
-    for row in reversed(LEDGER):  # a row's needs come before it
-        if row.name in wanted:
-            wanted.update(s for s in row.needs if s not in done)
+    wanted = {*names, *(s for row in LEDGER if row.name in names and isinstance(row, Check)
+                        for s in row.needs if s not in done)}
     report = IdentityReport(graph_meta={"n": fam.n})
     for row in LEDGER:
         if row.name in wanted:

@@ -378,12 +378,12 @@ class TestQuadPairs:
 
 class TestPentagonTriangles:
     def test_paley9(self, paley9):
-        pt = pentagon_triangle_census(paley9, count_pentagons(paley9))
+        pt = pentagon_triangle_census(paley9)
         assert (pt.n4, pt.n8, pt.p5) == (0, 0, 0)
 
     def test_rejects_non_family(self):
         with pytest.raises(FamilyViolationError):
-            pentagon_triangle_census(cycle(5), 1)
+            pentagon_triangle_census(cycle(5))
 
 
 class TestQuadPlusEdge:

@@ -444,6 +444,25 @@ class TestErrors:
         assert code == 2
 
 
+class TestInputErrors:
+    """Bad input exits 2 with nothing on stdout; argparse's own errors come
+    after its usage lines, so the last stderr line is the one pinned."""
+
+    @pytest.mark.parametrize("argv, line", [
+        ("verify --graph paley9 --params 0,0,0,0", "error: n must be at least 1"),
+        ("verify --graph paley9 --params 3,5,1,2", "error: k must satisfy 0 <= k < n"),
+        ("spectral --method trace", "error: spectral --method trace needs --graph FILE.g6"),
+        ("spectral --params 3", "srg12 spectral: error: argument --params: expected n,k"),
+    ])
+    def test_exit_2_with_message(self, capsys, argv, line):
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err.splitlines()[-1]) == (2, "", line)
+
+
 class TestInputValidation:
     @pytest.mark.parametrize("command", ["check", "census"])
     @pytest.mark.parametrize("workers", ["0", "-1"])

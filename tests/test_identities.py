@@ -135,8 +135,7 @@ class TestLedgerK3:
         assert report_entry(report, "hexagon_identity").status == "pass"
 
 
-# every ledger stage, in the order run_all_checks runs it on a family graph;
-# the pentagon census reads p5 off the hexagon census, so it runs after it
+# every ledger stage, in the order run_all_checks runs it on a family graph
 LEDGER_STAGES = [
     "triangle_pair_census", "quad_plus_edge_census", "hexagon_census",
     "pentagon_side_census", "coded_walk_census", "edge_triple_census",
@@ -242,26 +241,31 @@ STAGE_FAIL_ENTRY = {
 }
 
 
-def inject_fault(monkeypatch, stage):
+# what a faulted stage raises: the ledger's own errors and five that no
+# stage raises on purpose
+FAULT_TYPES = [CountingInconsistencyError, ValueError, TypeError, KeyError, IndexError,
+               ZeroDivisionError, AttributeError]
+
+
+def inject_fault(monkeypatch, stage, error=CountingInconsistencyError):
+    """Make ``stage`` (``cn.<name>``, ``sp.<name>`` or ``identities.<name>``)
+    raise ``error``; the text its fail entry must hold."""
     prefix, name = stage.split(".")
-    message = f"injected fault in {name}"
+    exc = error(f"injected fault in {name}")
 
     def fail(*args, **kwargs):
-        raise CountingInconsistencyError(message)
+        raise exc
 
     modules = {"cn": census, "sp": spectral, "identities": identities}
     monkeypatch.setattr(modules[prefix], name, fail)
-    return message
+    return str(exc)
 
 
-# the stages each family entry reads, in the order its skip names them; a
-# stage entry (the pentagon census, which reads p5 off the hexagon census)
-# fails with that text instead, without running
+# the stages each family entry reads, in the order its skip names them
 ENTRY_NEEDS = {
-    "pentagon_side_census": "hexagon_census",
     "triangle_count": "triangle_pair_census",
     "quadrilateral_count": "quad_plus_edge_census",
-    "pentagon_count": "pentagon_side_census",
+    "pentagon_count": "hexagon_census",
     "walk_total": "coded_walk_census",
     "walk_t1_from_quadrilaterals": "coded_walk_census",
     "walk_t2_from_triangles": "coded_walk_census",
@@ -307,8 +311,7 @@ def failures(faults):
     for name, needs in ENTRY_NEEDS.items():
         unmet = [s for s in needs.split(", ") if s in out]
         if unmet:
-            status = "fail" if name in LEDGER_STAGES else "skip"
-            out[name] = (status, f"needs {', '.join(unmet)}, which failed")
+            out[name] = ("skip", f"needs {', '.join(unmet)}, which failed")
     if "pentagon_side_census" in out:
         out["pentagons_per_edge"] = ("fail", out["pentagon_side_census"][1])
     return out
@@ -331,12 +334,13 @@ class TestLedgerFaultInjection:
         }
         assert called == set(STAGE_FAIL_ENTRY)
 
-    @pytest.mark.parametrize("stage", sorted(STAGE_FAIL_ENTRY))
-    def test_single_stage_fault_becomes_fail_entry(self, monkeypatch, paley9, stage):
-        message = inject_fault(monkeypatch, stage)
+    @pytest.mark.parametrize("error", FAULT_TYPES, ids=lambda error: error.__name__)
+    @pytest.mark.parametrize("stage", [*sorted(STAGE_FAIL_ENTRY), "identities.hexagon_bound"])
+    def test_single_stage_fault_becomes_fail_entry(self, monkeypatch, paley9, stage, error):
+        message = inject_fault(monkeypatch, stage, error)
         report = run_all_checks(paley9)
         assert not report.passed
-        failed = STAGE_FAIL_ENTRY[stage]
+        failed = STAGE_FAIL_ENTRY.get(stage, "hexagon_bound")
         entry = report_entry(report, failed)
         assert (entry.status, entry.detail) == ("fail", message)
         # nothing else fails but the stages and the per-edge entry that read
@@ -350,16 +354,14 @@ class TestLedgerFaultInjection:
         names = []
         report = run_all_checks(paley9, progress=names.append)
         assert names == LEDGER_STAGES  # a failed stage still reports progress
-        # every stage that runs fails with its fault; the pentagon census
-        # does not run without p5
-        ran = {*STAGE_FAIL_ENTRY.values(), "hexagon_bound"} - {"pentagon_side_census"}
+        # every stage fails with its fault
+        ran = {*STAGE_FAIL_ENTRY.values(), "hexagon_bound"}
         for name in ran:
             entry = report_entry(report, name)
             assert entry.status == "fail" and entry.detail in messages
         # every skip names each failed stage its entry reads, in order; the
-        # pentagon census and the per-edge entry fail naming the hexagon
-        # census, and nothing passes but the entries read off the
-        # verification scan
+        # per-edge entry fails with the pentagon census's fault, and nothing
+        # passes but the entries read off the verification scan
         assert not_passed(report) == failures(
             {name: report_entry(report, name).detail for name in ran})
         assert {e.name for e in report.entries if e.status == "pass"} == {
@@ -373,26 +375,22 @@ class TestLedgerFaultInjection:
         assert (entry.status, entry.expected, entry.actual) == ("fail", 0, None)
         assert entry.detail == message
 
-    def test_hexagon_fault_fails_the_pentagon_census_unrun(self, monkeypatch, paley9):
-        # the pentagon census takes p5 from the hexagon census, so it fails
-        # naming it, and the per-edge entry fails with that text
-        calls = []
-        monkeypatch.setattr(census, "pentagon_triangle_census",
-                            lambda *args: calls.append(args))
-        message = inject_fault(monkeypatch, "cn.count_pentagons_and_hexagons")
+    def test_hexagon_fault_leaves_the_pentagon_census(self, monkeypatch, paley9):
+        # the pentagon census reads the graph only, so it runs and its
+        # entries pass; pentagon_count, which reads the hexagon pass, skips
+        inject_fault(monkeypatch, "cn.count_pentagons_and_hexagons")
         report = run_all_checks(paley9)
-        assert calls == []
-        assert report_entry(report, "hexagon_census").detail == message
-        for name in ("pentagon_side_census", "pentagons_per_edge"):
-            entry = report_entry(report, name)
-            assert (entry.status, entry.detail) == (
-                "fail", "needs hexagon_census, which failed")
+        assert "pentagon_side_census" not in {e.name for e in report.entries}
+        for name in ("pentagons_per_edge", "pentagon_sides_eq4", "walk_decomposition"):
+            assert report_entry(report, name).status == "pass"
+        entry = report_entry(report, "pentagon_count")
+        assert (entry.status, entry.detail) == ("skip", "needs hexagon_census, which failed")
 
     def test_per_edge_mismatch_names_first_edge(self, monkeypatch, paley9):
         real = census.pentagon_triangle_census
 
-        def miscounted(g, p5):
-            pt = real(g, p5)
+        def miscounted(g):
+            pt = real(g)
             per_edge = list(pt.per_edge)
             per_edge[3] = per_edge[5] = 1
             return pt._replace(per_edge=tuple(per_edge))
@@ -403,11 +401,61 @@ class TestLedgerFaultInjection:
         assert (entry.status, entry.expected, entry.actual) == ("fail", 0, 1)
         assert entry.detail == f"edge {edge}"
 
-    def test_makhnev_fault_on_non_family_graph(self, monkeypatch):
-        message = inject_fault(monkeypatch, "cn.disjoint_triangle_pair_census")
+    @pytest.mark.parametrize("error", FAULT_TYPES, ids=lambda error: error.__name__)
+    def test_makhnev_fault_on_non_family_graph(self, monkeypatch, error):
+        message = inject_fault(monkeypatch, "cn.disjoint_triangle_pair_census", error)
         report = run_all_checks(cycle(4))
         assert report_entry(report, "triangle_pair_census").detail == message
         assert report_entry(report, "makhnev_condition").status == "skip"
+
+    @pytest.mark.parametrize("error", FAULT_TYPES, ids=lambda error: error.__name__)
+    def test_entry_whose_sides_raise_becomes_fail_entry(self, monkeypatch, paley9, error):
+        # walk_total alone reads expected_walk_total; the stages it needs ran
+        message = inject_fault(monkeypatch, "identities.expected_walk_total", error)
+        report = run_all_checks(paley9)
+        entry = report_entry(report, "walk_total")
+        assert (entry.status, entry.expected, entry.actual, entry.detail) == (
+            "fail", 1, 0, message)
+        assert not_passed(report) == {"walk_total": ("fail", message)}
+
+    def test_ledger_rows_raise_an_entry_error(self, monkeypatch, paley9):
+        # the census command runs its rows through run_ledger_rows, which
+        # raises what an entry's sides raised, as it does a stage's error
+        message = inject_fault(monkeypatch, "identities.expected_walk_total", KeyError)
+        with pytest.raises(KeyError, match=re.escape(message)):
+            identities.run_ledger_rows(census.require_family(paley9), ["walk_total"])
+
+
+class TestPentagonRoutes:
+    """The hexagon pass and the per-edge scan count the pentagons on their
+    own, and a wrong count fails only the entries of its own route."""
+
+    def test_hexagon_p5_fails_only_pentagon_count(self, monkeypatch, paley9):
+        real = census.count_pentagons_and_hexagons
+
+        def one_more(g):
+            counts = real(g)
+            return counts._replace(p5=counts.p5 + 1)
+
+        monkeypatch.setattr(census, "count_pentagons_and_hexagons", one_more)
+        report = run_all_checks(paley9)
+        assert not_passed(report) == {"pentagon_count": ("fail", "")}
+        assert report_entry(report, "pentagon_count").actual == 1
+
+    def test_edge_count_off_by_five_fails_only_per_edge_route(self, monkeypatch, paley9):
+        # five more pentagons through one edge: one more pentagon, five n8 sides
+        real = census._pentagon_edge_scan
+
+        def five_more(rows, edges):
+            n4, per_edge = real(rows, edges)
+            return n4, [per_edge[0] + 5, *per_edge[1:]]
+
+        monkeypatch.setattr(census, "_pentagon_edge_scan", five_more)
+        report = run_all_checks(paley9)
+        assert {name for name, (status, _) in not_passed(report).items()
+                if status == "fail"} == {"pentagons_per_edge", "pentagon_sides_eq4",
+                                         "walk_decomposition", "master_identity"}
+        assert report_entry(report, "pentagon_count").status == "pass"
 
 
 class TestEdgeTriplePartition:
@@ -485,15 +533,13 @@ FIELD_REACH = {
         "n2": ("master_identity", "n2_eq3"),  # n2_eq3 restates quadrilateral_count
     },
     "count_pentagons_and_hexagons": {
-        # p5 fails the pentagon-side stage's 5 p5 check, and the per-edge
-        # entry with it
-        "p5": ("pentagon_side_census", "pentagons_per_edge"),
+        "p5": ("pentagon_count",),
         "p6": ("hexagon_identity", "master_identity"),
     },
     "pentagon_triangle_census": {
         "n4": ("n4_route_agreement", "pentagon_sides_eq4"),
         "n8": ("master_identity", "pentagon_sides_eq4"),
-        "p5": ("pentagon_count", "walk_decomposition"),
+        "p5": ("walk_decomposition",),
     },
     "coded_walk_census": {
         "total": ("walk_decomposition", "walk_total"),
@@ -522,6 +568,9 @@ FIELD_REACH = {
 # n2 and the quad-plus-edge total as multiples of p4, and their closed forms
 # are the same multiples of expected_p4
 RESTATES_QUADRILATERAL_COUNT = ("n2_eq3", "quad_plus_edge_eq9")
+# entries whose sides are multiples of triangle_count's on any k-regular
+# graph: 6 n1 + n4 counts the (triangle, pendant) pairs, 3(k - 2) per triangle
+RESTATES_TRIANGLE_COUNT = ("triangle_completion_eq5",)
 
 
 def ledger_stage_results(g):
@@ -576,6 +625,15 @@ class TestFieldReach:
         assert factor and (q.n2, q.total) == (4 * q.p4, factor * q.p4)
         assert (expected_n2(fam.n, fam.k), expected_quad_plus_edge(fam.n, fam.k)) == (
             4 * expected_p4(fam.n, fam.k), factor * expected_p4(fam.n, fam.k))
+
+    @pytest.mark.parametrize("name", ["paley9", "bvls"])
+    def test_restating_entries_are_multiples_of_p3(self, request, name):
+        fam = census.require_family(request.getfixturevalue(name))
+        _, entries = identities.run_ledger_rows(fam, RESTATES_TRIANGLE_COUNT)
+        factor = 3 * (fam.k - 2)
+        for entry in RESTATES_TRIANGLE_COUNT:
+            assert (entries[entry].expected, entries[entry].actual) == (
+                factor * expected_p3(fam.n, fam.k), factor * census.count_triangles(fam.graph))
 
 
 class TestEnumerationBudget:

@@ -214,9 +214,25 @@ def fault_report_differs(mod) -> bool:
         for stage in STAGE_FAIL_ENTRY:
             inject_fault(mp, stage)
         report = mod.run_all_checks(build_paley9(), progress=names.append)
-    ran = set(STAGE_FAIL_ENTRY.values()) - {"pentagon_side_census"}
     return names != LEDGER_STAGES or not_passed(report) != failures(
-        {name: report_entry(report, name).detail for name in ran})
+        {name: report_entry(report, name).detail for name in STAGE_FAIL_ENTRY.values()})
+
+
+def escaped_error_differs(mod) -> bool:
+    # on Paley 9, a stage raising TypeError and an entry whose sides raise
+    # KeyError leave their fail entries, and run_all_checks returns
+    def fail(*args):
+        raise KeyError("injected")
+
+    with pytest.MonkeyPatch.context() as mp:
+        message = inject_fault(mp, "cn.quad_pair_census", TypeError)
+        mp.setattr(mod, "expected_walk_total", fail)
+        try:
+            report = mod.run_all_checks(build_paley9())
+        except Exception:
+            return True
+    return (report_entry(report, "quad_pair_census").detail,
+            report_entry(report, "walk_total").detail) != (message, "'injected'")
 
 
 def residual_differs(mod) -> bool:
@@ -414,11 +430,10 @@ MUTANTS = [
            'status = "info" if row.kind == "info" else "pass" if ok else "fail"',
            'status = "pass" if ok else "fail"', cycle5_report_differs),
     Mutant("skip names in the order of failure", "identities",
-           "failed = [s for s in row.needs if s in errors]",
-           "failed = [s for s in errors if s in row.needs]", fault_report_differs),
+           "[s for s in row.needs if s in errors]",
+           "[s for s in errors if s in row.needs]", fault_report_differs),
     Mutant("a skip names only the first failed stage", "identities",
-           "unmet = f\"needs {', '.join(failed)}, which failed\" if failed else \"\"",
-           "unmet = f\"needs {failed[0]}, which failed\" if failed else \"\"",
+           "f\"needs {', '.join(failed)}, which failed\"", "f\"needs {failed[0]}, which failed\"",
            fault_report_differs),
     Mutant("progress only after a stage that succeeded", "identities",
            "progress(row.name)", "row.name in done and progress(row.name)",
@@ -429,6 +444,9 @@ MUTANTS = [
            cycle5_report_differs),
     Mutant("pentagons_per_edge skips instead of failing", "identities",
            'elif failed and row.kind == "strict":', "elif False:", fault_report_differs),
+    Mutant("only the ledger's own errors recorded", "identities",
+           "except Exception as exc:", "except (ValueError, CountingInconsistencyError) as exc:",
+           escaped_error_differs),
     Mutant("holds inverted", "identities",
            '1, int(ok), "pass" if ok else "fail"', '1, int(ok), "fail" if ok else "pass"',
            cycle5_report_differs),

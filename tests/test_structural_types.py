@@ -282,14 +282,23 @@ class TestPentagonEdgeKernel:
         # one triangle apex per edge and edges on 0 or 1 pentagons, so a
         # misplaced count shows
         g = line_graph(generalized_petersen(11, 2))
-        pt = pentagon_triangle_census(unverified_family(g), census.count_pentagons(g))
+        pt = pentagon_triangle_census(unverified_family(g))
         assert pt.per_edge == tuple(pentagons_through_edge(g, e) for e in g.edges())
         assert set(pt.per_edge) == {0, 1}
-        assert (pt.n4, pt.n8) == pentagon_side_census(g)[:2]
+        assert (pt.n4, pt.n8, pt.p5) == (*pentagon_side_census(g)[:2], census.count_pentagons(g))
 
-    def test_census_rejects_per_edge_total_off_5_p5(self, paley9):
-        with pytest.raises(CountingInconsistencyError, match=r"0 != 5 \* 1"):
-            pentagon_triangle_census(paley9, 1)
+    def test_census_rejects_per_edge_total_off_a_multiple_of_5(self, monkeypatch, paley9):
+        # each pentagon lies on five edges, so only a broken edge scan reaches this
+        real = census._pentagon_edge_scan
+
+        def one_more(rows, edges):
+            n4, per_edge = real(rows, edges)
+            return n4, [per_edge[0] + 1, *per_edge[1:]]
+
+        monkeypatch.setattr(census, "_pentagon_edge_scan", one_more)
+        with pytest.raises(CountingInconsistencyError,
+                           match="^pentagons through edges: 1 is not divisible by 5$"):
+            pentagon_triangle_census(paley9)
 
 
 class TestEdgesOutside:

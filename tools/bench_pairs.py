@@ -7,7 +7,10 @@ Usage (from the repository root):
 for example ``--parent HEAD~1 --pr 17 exhaustive:10 ledger-serial:5 screen:5``.
 
 The parent revision is exported with ``git archive`` into a temporary
-directory, removed afterwards; the change is the working tree.  Pair i of a
+directory; the change is a copy of the working tree without its
+``__pycache__`` directories, ``.git`` and ``.perfbench``, so neither side
+starts with compiled modules or earlier benchmark files.  Both copies are
+removed afterwards.  Pair i of a
 workload runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
 in both trees (T is ``run_seconds`` of ``BENCHMARK.json``), the parent first
 when i is even and the change first when i is odd, with the same seed
@@ -26,6 +29,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -128,9 +132,11 @@ def main(argv=None) -> int:
                  "when i is odd; both sides of a pair use the same seed",
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent, change = Path(tmp, "parent"), Path(tmp, "change")
         out["parent_commit"] = export(args.parent, parent)
+        shutil.copytree(ROOT, change,
+                        ignore=shutil.ignore_patterns("__pycache__", ".git", ".perfbench"))
         for workload, count in args.workloads:
             seeds = [args.seed_base + i + 1 for i in range(count)]
             pairs = []
@@ -138,7 +144,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"pair": i, "seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_side(parent if side == "parent" else ROOT,
+                    pair[side] = run_side(parent if side == "parent" else change,
                                           workload, seed, seconds)
                 print(f"{workload} pair {i} seed {seed}: " + ", ".join(
                     f"{side} cpu_ms.p50 {pair[side]['metrics']['cpu_ms.p50']['value']:.1f}"
