@@ -16,16 +16,19 @@ them one by one: a triangle meets all its later partners through masks of
 triangle ids, an edge's quadrilateral pairs follow from edge counts among
 their vertices, and pentagons and hexagons are paths summed from
 bit-sliced neighbour counters less the triangles across them, read from
-one table of triangle-id masks.  Every kernel counts by an identity that
-is exact on any graph, family or not.  Every census that reads triangles
-reads the one listing of ``_triangle_ids``.  Three loops still count object
-by object: ``_qpe_scan`` per quadrilateral, ``triangle_edge_completion_census``
+one table of triangle-id masks.  Every census that reads triangles reads
+the one listing of ``_triangle_ids``.  Three loops still count object by
+object: ``_qpe_scan`` per quadrilateral, ``triangle_edge_completion_census``
 per (triangle, pendant) and ``disjoint_triangle_pair_census`` per triangle.
-The other per-object loops only name the first bad structure and raise: a
-coded walk with two chords, a quadrilateral pair sharing a vertex or joined
-across, a pentagon apex with a wrong adjacency pattern.  No canonical
-labelling runs in any of these loops.  No census takes a progress hook:
-each runs in one call, and its caller reports it as one stage.
+A count is exact whenever its kernel returns.  The hexagon, triangle-pair
+and edge-triple kernels return on any graph; the others name the first
+structure that lambda = 1 and mu = 2 rule out and raise: a side without one
+apex (``_qpe_scan``, ``_pentagon_edge_scan``), a pentagon apex with a wrong
+adjacency pattern, an edge off k - 2 quadrilaterals, a quadrilateral pair
+sharing a vertex or joined across, a coded walk with two chords, an n2 or
+triangle completion of another type.  No canonical labelling runs in any
+of these loops.  No census takes a progress hook: each runs in one call,
+and its caller reports it as one stage.
 
 The exhaustive scan, guarded to 16 vertices, is the ground-truth oracle: it
 tallies the edge codes of all 6-subsets, built with shared prefixes, and
@@ -773,9 +776,7 @@ def quad_pair_census(g: Union[Graph, VerifiedFamily]) -> QuadPairCensus:
         n4 += c4
         prism_inc += c1
     if prism_inc % 3:
-        raise CountingInconsistencyError(
-            f"prism incidences {prism_inc} not divisible by 3"
-        )
+        raise CountingInconsistencyError(f"prism incidences {prism_inc} not divisible by 3")
     return QuadPairCensus(prism_inc // 3, n4, n9)
 
 
@@ -1077,9 +1078,7 @@ def triangle_edge_completion_census(
                         "neither a prism nor type n4"
                     )
     if prism_inc % 6:
-        raise CountingInconsistencyError(
-            f"prism completions {prism_inc} not divisible by 6"
-        )
+        raise CountingInconsistencyError(f"prism completions {prism_inc} not divisible by 6")
     return TriangleCompletionCensus(prism_inc // 6, n4_inc)
 
 
@@ -1136,8 +1135,9 @@ class TypeCensus:
 
 def type_census(g: Union[Graph, VerifiedFamily]) -> TypeCensus:
     """The named-type census of a family graph, run through the identity
-    ledger's runner; a failed census raises its error, and a failed route
-    agreement (``ROUTE_AGREEMENTS``) a CountingInconsistencyError naming it."""
+    ledger's runner: a failed stage stops it with CountingInconsistencyError
+    "<stage>: <error>", and a failed route agreement (``ROUTE_AGREEMENTS``)
+    raises one naming it."""
     from .identities import run_ledger_rows  # identities imports this module
 
     parts, _ = run_ledger_rows(require_family(g), (*TYPE_CENSUS_PARTS, *ROUTE_AGREEMENTS))

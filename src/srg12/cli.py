@@ -2,8 +2,9 @@
 
 Commands: construct, verify, census, spectral, check, params.
 Exit codes: 0 success / all checks pass, 1 identity or verification failure,
-2 usage or input errors.  Machine-readable JSON goes to --json / --out paths
-or stdout; progress goes to stderr, one line per finished stage and at most
+2 usage or input errors, among them a --json or --out path that does not open,
+found before any work.  Machine-readable JSON goes to --json / --out paths or
+stdout; progress goes to stderr, one line per finished stage and at most
 one a second.  ``check`` and ``census --what types|all`` run identity-ledger
 rows through one runner; each census residual is a named ledger entry's
 actual minus expected.
@@ -243,9 +244,7 @@ def _cmd_spectral(args) -> int:
             raise UsageError("spectral --method trace needs --graph FILE.g6")
         g = _load_graph(args.graph)
         if g.order < 6:
-            raise UsageError(
-                f"c6 needs at least 6 vertices, graph has {g.order}"
-            )
+            raise UsageError(f"c6 needs at least 6 vertices, graph has {g.order}")
         prefix = charpoly_prefix(g, 6)
         payload["c6"] = prefix.c6
         payload["intermediate"]["traces"] = list(prefix.traces)
@@ -321,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a known family member")
     p.add_argument("--graph", required=True, choices=sorted(BUILTIN_GRAPHS))
-    p.add_argument("--out", help="write graph6 to this path (default stdout)")
+    p.add_argument("--out", type=_output_path, help="write graph6 to this path (default stdout)")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="srg and condition checks")
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true",
                    help="include the 6-subset census (graphs of at most "
                    f"{cn.EXHAUSTIVE_MAX_VERTICES} vertices)")
-    p.add_argument("--json", help="write JSON here instead of stdout")
+    p.add_argument("--json", type=_output_path, help="write JSON here instead of stdout")
     p.add_argument("--workers", type=int,
                    help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_census)
@@ -348,12 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("closed", "sum", "trace"),
                    default="closed")
     p.add_argument("--graph", help="graph6 file or builtin (trace method)")
-    p.add_argument("--json")
+    p.add_argument("--json", type=_output_path)
     p.set_defaults(func=_cmd_spectral)
 
     p = sub.add_parser("check", help="run the full identity ledger")
     p.add_argument("--graph", required=True)
-    p.add_argument("--json", help="write the report as JSON")
+    p.add_argument("--json", type=_output_path, help="write the report as JSON")
     p.add_argument("--workers", type=int,
                    help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_check)
@@ -361,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("params", help="feasible family parameter sets")
     p.add_argument("--max-k", type=int, required=True)
     p.add_argument("--include-degenerate", action="store_true")
-    p.add_argument("--json")
+    p.add_argument("--json", type=_output_path)
     p.set_defaults(func=_cmd_params)
     return parser
 
@@ -371,6 +370,16 @@ def _pair_type(text: str):
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected n,k")
     return int(parts[0]), int(parts[1])
+
+
+def _output_path(path: str) -> str:
+    """``path`` once it opens to append: any OSError refuses it before the
+    command runs, and a file that this check made is removed again."""
+    made = not os.path.lexists(path)
+    open(path, "a").close()
+    if made:
+        os.remove(path)
+    return path
 
 
 def _params_type(text: str):

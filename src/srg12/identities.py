@@ -188,8 +188,7 @@ class Stage(NamedTuple):
 
 class Check(NamedTuple):
     """A ledger entry: ``sides(subject, *results of needs)`` gives (expected,
-    actual[, detail]).  ``kind`` "eq" passes on equality, "bool" reports 1
-    against 1 or 0, "info" never fails, and "strict" fails, not skips."""
+    actual[, detail]).  ``kind`` "eq" passes on equal sides, "info" never fails."""
 
     name: str
     section: str
@@ -199,10 +198,8 @@ class Check(NamedTuple):
 
 
 def _pentagons_per_edge(fam, pt):
-    """The sides of pentagons_per_edge; the count is None without a census."""
+    """The sides of pentagons_per_edge, naming the first edge off the form."""
     per_edge = expected_pentagons_per_edge(fam.k)
-    if pt is None:
-        return per_edge, None
     return per_edge, *next(((c, f"edge {e}") for e, c in zip(fam.graph.edges(), pt.per_edge)
                             if c != per_edge), (per_edge, ""))
 
@@ -231,7 +228,7 @@ LEDGER = (
     Stage(HEXES, "hexagon bound", lambda f: cn.count_pentagons_and_hexagons(f.graph)),
     Stage(PT, SIX, lambda f: cn.pentagon_triangle_census(f)),
     Check("pentagon_count", CYCLES, (HEXES,), lambda f, h: (expected_p5(f.n, f.k), h.p5)),
-    Check("pentagons_per_edge", "per-edge pentagons", (PT,), _pentagons_per_edge, "strict"),
+    Check("pentagons_per_edge", "per-edge pentagons", (PT,), _pentagons_per_edge),
     # coded closed 5-walks
     Stage(WALKS, "coded walks", lambda f: cn.coded_walk_census(f)),
     Check("walk_total", "coded walks", (WALKS,),
@@ -249,7 +246,7 @@ LEDGER = (
     Check("edge_triples_span5", "edge triples", (TRIPLES,),
           lambda f, t: (expected_e5(f.n, f.k), t.e5)),
     Check("edge_triples_partition", "edge triples", (TRIPLES,),
-          lambda f, t: (comb(f.m, 3), t.e4 + t.e5 + t.e6), "bool"),
+          lambda f, t: (1, int(comb(f.m, 3) == t.e4 + t.e5 + t.e6))),
     # six-vertex types, one targeted census per relation; the entries named
     # in cn.ROUTE_AGREEMENTS compare one count reached by two routes
     Check("triangle_pairs_eq8", SIX, (TP,),
@@ -299,7 +296,7 @@ LEDGER = (
     Check("hexagon_identity", "hexagon bound", (BOUND, HEXES, TP),
           lambda f, b, h, t: (b, h.p6 - t.n3)),
     Check("hexagon_at_least_bound", "hexagon bound", (BOUND, HEXES),
-          lambda f, b, h: (True, h.p6 >= b, f"p6 = {h.p6}, bound = {b}"), "bool"),
+          lambda f, b, h: (1, int(h.p6 >= b), f"p6 = {h.p6}, bound = {b}")),
     Check("makhnev_condition", "conjecture", (TP,), lambda f, t: (
         0, t.n3, "holds: two triangles joined by two edges share the third"
         if t.n3 == 0 else f"fails, witness {t.n3_witness}"), "info"),
@@ -325,8 +322,7 @@ def _run(rows, subject, report, progress, done) -> dict:
     are returned, in run order.  A row that raises any ``Exception`` fails
     with a fail entry named after it, holding the error's text, and
     ``progress(name)`` follows every stage.  An entry with a failed need
-    skips, naming each failed need in the order of its needs, unless it is
-    "strict".
+    skips, naming each failed need in the order of its needs.
     """
     errors: dict[str, Exception] = {}
     entries = report.entries
@@ -341,18 +337,13 @@ def _run(rows, subject, report, progress, done) -> dict:
         try:
             if is_stage:
                 done[row.name] = row.run(subject)
-            elif failed and row.kind == "strict":
-                entries.append(IdentityEntry(row.name, row.section, row.sides(subject, None)[0],
-                                             None, "fail", str(errors[failed[0]])))
             elif failed:
                 entries.append(IdentityEntry(row.name, row.section, None, None, "skip",
                                              f"needs {', '.join(failed)}, which failed"))
             else:
                 expected, actual, *detail = row.sides(subject, *(done[s] for s in row.needs))
-                ok = expected == actual
-                if row.kind == "bool":
-                    expected, actual = 1, int(ok)
-                status = "info" if row.kind == "info" else "pass" if ok else "fail"
+                status = ("info" if row.kind == "info" else
+                          "pass" if expected == actual else "fail")
                 entries.append(IdentityEntry(row.name, row.section, expected, actual, status,
                                              *detail))
         except Exception as exc:
@@ -428,18 +419,17 @@ def run_all_checks(
 def run_ledger_rows(fam, names, done=None, progress=None) -> tuple[dict, dict]:
     """Run the rows of ``LEDGER`` named in ``names``, and the stages they
     need but ``done`` does not hold, on a verified family, in ledger order;
-    the stage results and the entries, by name.  The first row that raises
-    raises its error, and no row after it runs; when no row raised, a failed
-    route agreement (``cn.ROUTE_AGREEMENTS``) raises
-    CountingInconsistencyError naming the first."""
+    the stage results and the entries, by name.  A row that raises stops the
+    run: CountingInconsistencyError("<row>: <error>") from its error; else a
+    failed route agreement (``cn.ROUTE_AGREEMENTS``) raises one naming it."""
     done = dict(done or ())
     wanted = {*names, *(s for row in LEDGER if row.name in names and isinstance(row, Check)
                         for s in row.needs if s not in done)}
     report = IdentityReport(graph_meta={"n": fam.n})
     for row in LEDGER:
         if row.name in wanted:
-            for exc in _run((row,), fam, report, progress, done).values():
-                raise exc
+            for name, exc in _run((row,), fam, report, progress, done).items():
+                raise CountingInconsistencyError(f"{name}: {exc}") from exc
     for e in report.entries:
         if e.name in cn.ROUTE_AGREEMENTS and e.status == "fail":
             raise CountingInconsistencyError(

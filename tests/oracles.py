@@ -5,6 +5,7 @@ independent of the counting paths under test.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -12,6 +13,7 @@ from itertools import combinations, permutations
 from srg12._bits import iter_bits, pair_index_table
 from srg12.census import (
     TrianglePairCensus,
+    VerifiedFamily,
     _apex_pattern_check,
     named_type_certificates,
 )
@@ -596,16 +598,14 @@ def quad_edge_incidences(g: Graph) -> int:
     return total
 
 
-def quad_edge_n9_incidences(g: Graph) -> int:
+def quad_edge_type_incidences(g: Graph) -> tuple[int, int, int]:
     """Pairs (induced C4, vertex-disjoint edge) whose six vertices induce
-    type n9, each classified by canonical certificate."""
+    the prism, type n4 and type n9, each classified by canonical
+    certificate."""
     edges = list(g.edges())
-    return sum(
-        certificate_type(g, quad + edge) == "n9"
-        for quad in _induced_quads(g)
-        for edge in edges
-        if not set(quad) & set(edge)
-    )
+    found = Counter(certificate_type(g, quad + edge) for quad in _induced_quads(g)
+                    for edge in edges if not set(quad) & set(edge))
+    return found["n1"], found["n4"], found["n9"]
 
 
 def one_apex_per_edge_graph(rng, n: int, tries: int = 40) -> Graph:
@@ -622,6 +622,19 @@ def one_apex_per_edge_graph(rng, n: int, tries: int = 40) -> Graph:
                                    for x, y in trial.edges()):
             edges |= tri
     return Graph.from_edges(n, edges)
+
+
+def unverified_family(g: Graph) -> VerifiedFamily:
+    """The verified-family value of g, built without verifying, so that a
+    family census runs its kernels on a graph outside the family."""
+    return VerifiedFamily(g, g.order, g.degree(0), g.num_edges)
+
+
+def triangle_with_pendants(joins) -> Graph:
+    """The triangle 0-1-2 with two pendants at each corner (3 and 4 at 0, 5
+    and 6 at 1, 7 and 8 at 2), the pendants joined by the edges ``joins``."""
+    return Graph.from_edges(9, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (1, 5), (1, 6),
+                                (2, 7), (2, 8), *joins])
 
 
 def laplace_determinant(g: Graph) -> int:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from oracles import double_edge_switched
+from test_identities import FAULT_TYPES
 from srg12 import graph6
 from srg12.cli import main
 
@@ -253,40 +254,48 @@ class TestCensusModes:
         assert payload["residuals"] == {}
 
 
-# the census functions of the six type-census stages, in LEDGER order
-TYPE_STAGES_IN_LEDGER_ORDER = [
-    "disjoint_triangle_pair_census", "quad_plus_edge_census", "count_pentagons_and_hexagons",
-    "pentagon_triangle_census", "edge_triple_census", "quad_pair_census"]
+# the census functions of the six type-census stages, in LEDGER order, and
+# the ledger stage each one runs as
+TYPE_STAGES_IN_LEDGER_ORDER = {
+    "disjoint_triangle_pair_census": "triangle_pair_census",
+    "quad_plus_edge_census": "quad_plus_edge_census",
+    "count_pentagons_and_hexagons": "hexagon_census",
+    "pentagon_triangle_census": "pentagon_side_census",
+    "edge_triple_census": "edge_triple_census",
+    "quad_pair_census": "quad_pair_census",
+}
 
 
-def stop_at(monkeypatch, failing):
+def stop_at(monkeypatch, failing, error):
     """Put call-recording wrappers on the census module for the six
-    type-census functions, ``failing`` raising "injected"; the calls made."""
+    type-census functions, ``failing`` raising ``error("injected")``; the
+    calls made and the error raised."""
     from srg12 import census
-    from srg12.errors import CountingInconsistencyError
 
     calls = []
+    injected = error("injected")
     for name in TYPE_STAGES_IN_LEDGER_ORDER:
         real = getattr(census, name)
 
         def wrapper(*args, _name=name, _real=real):
             calls.append(_name)
             if _name == failing:
-                raise CountingInconsistencyError("injected")
+                raise injected
             return _real(*args)
 
         monkeypatch.setattr(census, name, wrapper)
-    return calls
+    return calls, injected
 
 
 def ran_until(failing):
-    return TYPE_STAGES_IN_LEDGER_ORDER[:TYPE_STAGES_IN_LEDGER_ORDER.index(failing) + 1]
+    stages = list(TYPE_STAGES_IN_LEDGER_ORDER)
+    return stages[:stages.index(failing) + 1]
 
 
 class TestCensusFailures:
     """A failed route agreement or census stage fails ``census --what
     types|all`` with exit 1, no report and the error on stderr; a failed
-    stage stops the census."""
+    stage stops the census, whatever it raised, with one error naming it."""
 
     @pytest.mark.parametrize("what", ["types", "all"])
     def test_route_agreement_failure(self, monkeypatch, capsys, what):
@@ -303,22 +312,26 @@ class TestCensusFailures:
             1, "", "check failed: qpe_n9_incidences: expected 2, counted 0\n")
 
     @pytest.mark.parametrize("what", ["types", "all"])
+    @pytest.mark.parametrize("error", FAULT_TYPES, ids=lambda error: error.__name__)
     @pytest.mark.parametrize("stage", TYPE_STAGES_IN_LEDGER_ORDER)
-    def test_stage_failure(self, monkeypatch, capsys, stage, what):
+    def test_stage_failure(self, monkeypatch, capsys, stage, error, what):
         # the census stops there: no stage after it in LEDGER order runs
-        calls = stop_at(monkeypatch, stage)
+        calls, injected = stop_at(monkeypatch, stage, error)
         assert run(capsys, "census", "--graph", "paley9", "--what", what) == (
-            1, "", "check failed: injected\n")
+            1, "", f"check failed: {TYPE_STAGES_IN_LEDGER_ORDER[stage]}: {injected}\n")
         assert calls == ran_until(stage)
 
+    @pytest.mark.parametrize("error", FAULT_TYPES, ids=lambda error: error.__name__)
     @pytest.mark.parametrize("stage", TYPE_STAGES_IN_LEDGER_ORDER)
-    def test_type_census_stops_at_a_failed_stage(self, monkeypatch, paley9, stage):
+    def test_type_census_stops_at_a_failed_stage(self, monkeypatch, paley9, stage, error):
         from srg12.census import type_census
         from srg12.errors import CountingInconsistencyError
 
-        calls = stop_at(monkeypatch, stage)
-        with pytest.raises(CountingInconsistencyError, match="^injected$"):
+        calls, injected = stop_at(monkeypatch, stage, error)
+        with pytest.raises(CountingInconsistencyError) as raised:
             type_census(paley9)
+        assert str(raised.value) == f"{TYPE_STAGES_IN_LEDGER_ORDER[stage]}: {injected}"
+        assert raised.value.__cause__ is injected
         assert calls == ran_until(stage)
 
 
@@ -453,6 +466,8 @@ class TestInputErrors:
         ("verify --graph paley9 --params 3,5,1,2", "error: k must satisfy 0 <= k < n"),
         ("spectral --method trace", "error: spectral --method trace needs --graph FILE.g6"),
         ("spectral --params 3", "srg12 spectral: error: argument --params: expected n,k"),
+        ("verify --graph paley9 --params 1,2,3",
+         "srg12 verify: error: argument --params: expected n,k,lambda,mu"),
     ])
     def test_exit_2_with_message(self, capsys, argv, line):
         try:
@@ -461,6 +476,46 @@ class TestInputErrors:
             code = exc.code
         out = capsys.readouterr()
         assert (code, out.out, out.err.splitlines()[-1]) == (2, "", line)
+
+    def test_infeasible_params_leave_the_spectrum_out(self, capsys, tmp_path):
+        # 33,8 has no integral spectrum: the closed form still gives c6
+        path = tmp_path / "c6.json"
+        assert run(capsys, "spectral", "--params", "33,8", "--json", str(path)) == (
+            0, "c6 = -242132\n", "")
+        assert json.loads(path.read_text()) == {
+            "c6": -242132, "intermediate": {}, "method": "closed"}
+
+    @pytest.mark.parametrize("argv", [
+        "construct --graph paley9 --out", "check --graph paley9 --json",
+        "census --graph paley9 --json", "spectral --params 99,14 --json",
+        "params --max-k 30 --json"], ids=lambda argv: argv.split()[0])
+    @pytest.mark.parametrize("where, error", [
+        ("directory", "[Errno 21] Is a directory"),
+        ("missing/out", "[Errno 2] No such file or directory"),
+    ], ids=["directory", "missing-directory"])
+    def test_unwritable_output_refused_before_any_work(
+            self, monkeypatch, capsys, tmp_path, argv, where, error):
+        # refused on the path's shape, so also when os.access says yes
+        from srg12 import census, cli
+
+        (tmp_path / "directory").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        calls = []
+        for module, names in (
+                (cli, ["_load_graph", "run_all_checks", "run_ledger_rows", "c6_closed_form",
+                       "feasible_parameters"]),
+                (census, ["require_family", "cycle_census", "edge_triple_census",
+                          "disjoint_triangle_pair_census", "quad_pair_census",
+                          "pentagon_triangle_census", "quad_plus_edge_census",
+                          "count_pentagons_and_hexagons"])):
+            for name in names:
+                monkeypatch.setattr(module, name, lambda *a, _n=name, **kw: calls.append(_n))
+        monkeypatch.setitem(cli.BUILTIN_GRAPHS, "paley9", lambda: calls.append("build"))
+        path = tmp_path / where
+        assert run(capsys, *argv.split(), str(path)) == (
+            2, "", f"input error: {error}: '{path}'\n")
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestInputValidation:

@@ -16,6 +16,7 @@ from oracles import (
     verify_cases,
     verify_srg_pairwise,
 )
+from srg12 import graph6
 from srg12._bits import iter_bits
 from srg12.graph import (
     Graph,
@@ -75,6 +76,26 @@ class TestGraphBasics:
         g = cycle(6)
         sub = induced(g, (0, 1, 2))
         assert sub.num_edges == 2
+
+
+class TestInputRaises:
+    """The input checks of ``Graph`` and of the graph6 order field, each
+    with its error type and message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Graph(-1, ()), ValueError, "order must be non-negative"),
+        (lambda: Graph(2, (0,)), ValueError, "adjacency must have one row per vertex"),
+        (lambda: Graph(2, (4, 0)), ValueError, "row 0 has bits outside 0..1"),
+        (lambda: Graph(2, (1, 0)), ValueError, "vertex 0 is adjacent to itself"),
+        (lambda: Graph.from_edges(2, [(0, 2)]), ValueError, "edge (0, 2) outside 0..1"),
+        (lambda: graph6._encode_order(258048), ValueError,
+         "order 258048 beyond supported graph6 range"),
+    ], ids=["negative-order", "row-count", "bits-outside", "loop-bit", "edge-outside",
+            "graph6-order"])
+    def test_type_and_message(self, call, error, message):
+        with pytest.raises(Exception) as raised:
+            call()
+        assert (type(raised.value), str(raised.value)) == (error, message)
 
 
 class TestConditions:

@@ -266,6 +266,7 @@ ENTRY_NEEDS = {
     "triangle_count": "triangle_pair_census",
     "quadrilateral_count": "quad_plus_edge_census",
     "pentagon_count": "hexagon_census",
+    "pentagons_per_edge": "pentagon_side_census",
     "walk_total": "coded_walk_census",
     "walk_t1_from_quadrilaterals": "coded_walk_census",
     "walk_t2_from_triangles": "coded_walk_census",
@@ -305,15 +306,12 @@ ENTRY_NEEDS = {
 
 def failures(faults):
     """(status, detail) of every entry that fails or skips when the stages
-    in ``faults`` (stage -> error text) raise, read off ``ENTRY_NEEDS``; the
-    per-edge entry fails with the pentagon census's text."""
+    in ``faults`` (stage -> error text) raise, read off ``ENTRY_NEEDS``."""
     out = {name: ("fail", detail) for name, detail in faults.items()}
     for name, needs in ENTRY_NEEDS.items():
         unmet = [s for s in needs.split(", ") if s in out]
         if unmet:
             out[name] = ("skip", f"needs {', '.join(unmet)}, which failed")
-    if "pentagon_side_census" in out:
-        out["pentagons_per_edge"] = ("fail", out["pentagon_side_census"][1])
     return out
 
 
@@ -343,8 +341,7 @@ class TestLedgerFaultInjection:
         failed = STAGE_FAIL_ENTRY.get(stage, "hexagon_bound")
         entry = report_entry(report, failed)
         assert (entry.status, entry.detail) == ("fail", message)
-        # nothing else fails but the stages and the per-edge entry that read
-        # it, and what needed it skips naming it
+        # nothing else fails, and what needed it skips naming it
         assert not_passed(report) == failures({failed: message})
         json.dumps(report.to_json_dict())
 
@@ -359,9 +356,8 @@ class TestLedgerFaultInjection:
         for name in ran:
             entry = report_entry(report, name)
             assert entry.status == "fail" and entry.detail in messages
-        # every skip names each failed stage its entry reads, in order; the
-        # per-edge entry fails with the pentagon census's fault, and nothing
-        # passes but the entries read off the verification scan
+        # every skip names each failed stage its entry reads, in order, and
+        # nothing passes but the entries read off the verification scan
         assert not_passed(report) == failures(
             {name: report_entry(report, name).detail for name in ran})
         assert {e.name for e in report.entries if e.status == "pass"} == {
@@ -369,11 +365,16 @@ class TestLedgerFaultInjection:
             "regularity", "order_relation"}
         json.dumps(report.to_json_dict())
 
-    def test_pentagon_fault_fails_per_edge_entry(self, monkeypatch, paley9):
-        message = inject_fault(monkeypatch, "cn.pentagon_triangle_census")
-        entry = report_entry(run_all_checks(paley9), "pentagons_per_edge")
-        assert (entry.status, entry.expected, entry.actual) == ("fail", 0, None)
-        assert entry.detail == message
+    @pytest.mark.parametrize("error", FAULT_TYPES, ids=lambda error: error.__name__)
+    def test_pentagon_fault_skips_per_edge_entry(self, monkeypatch, paley9, error):
+        # the stage's own fail entry holds the error; the per-edge entry
+        # skips like every other entry that reads the stage
+        message = inject_fault(monkeypatch, "cn.pentagon_triangle_census", error)
+        report = run_all_checks(paley9)
+        assert report_entry(report, "pentagon_side_census").detail == message
+        entry = report_entry(report, "pentagons_per_edge")
+        assert (entry.status, entry.expected, entry.actual, entry.detail) == (
+            "skip", None, None, "needs pentagon_side_census, which failed")
 
     def test_hexagon_fault_leaves_the_pentagon_census(self, monkeypatch, paley9):
         # the pentagon census reads the graph only, so it runs and its
@@ -418,12 +419,16 @@ class TestLedgerFaultInjection:
             "fail", 1, 0, message)
         assert not_passed(report) == {"walk_total": ("fail", message)}
 
-    def test_ledger_rows_raise_an_entry_error(self, monkeypatch, paley9):
+    @pytest.mark.parametrize("error", FAULT_TYPES, ids=lambda error: error.__name__)
+    def test_ledger_rows_raise_an_entry_error(self, monkeypatch, paley9, error):
         # the census command runs its rows through run_ledger_rows, which
-        # raises what an entry's sides raised, as it does a stage's error
-        message = inject_fault(monkeypatch, "identities.expected_walk_total", KeyError)
-        with pytest.raises(KeyError, match=re.escape(message)):
+        # raises one error type naming the row, as it does for a stage
+        message = inject_fault(monkeypatch, "identities.expected_walk_total", error)
+        with pytest.raises(CountingInconsistencyError) as raised:
             identities.run_ledger_rows(census.require_family(paley9), ["walk_total"])
+        assert str(raised.value) == f"walk_total: {message}"
+        assert type(raised.value.__cause__) is error
+        assert str(raised.value.__cause__) == message
 
 
 class TestPentagonRoutes:

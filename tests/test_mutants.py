@@ -37,11 +37,12 @@ from oracles import (
     outcome,
     pentagon_edge_scan_pairwise,
     pentagon_scan_pairwise,
-    quad_edge_n9_incidences,
+    quad_edge_type_incidences,
     quad_pair_cases,
     random_graph,
     report_entry,
     triangle_pair_census_pairwise,
+    triangle_with_pendants,
     triangles,
     verify_cases,
     verify_srg_pairwise,
@@ -100,10 +101,15 @@ def triangle_pairs_differ(mod) -> bool:
 
 def completions_differ(mod) -> bool:
     # 6 n1 + n4 = 3(k - 2) p3 on Paley 9 (k = 4), with the triangles listed
-    # and the prisms counted pair by pair
+    # and the prisms counted pair by pair; Paley 9 has n4 = 0, so the
+    # triangle with its pendants joined as a hexagon, given to the census as
+    # the mutant's own unverified family value, gives n4 = 6
     g = build_paley9()
     n1 = triangle_pair_census_pairwise(g).n1
-    return tuple(mod.triangle_edge_completion_census(g)) != (n1, 6 * len(triangles(g)) - 6 * n1)
+    h = triangle_with_pendants([(3, 5), (5, 8), (8, 4), (4, 6), (6, 7), (7, 3)])
+    hexagon = mod.VerifiedFamily(h, h.order, h.degree(0), h.num_edges)
+    return (tuple(mod.triangle_edge_completion_census(g)) != (n1, 6 * len(triangles(g)) - 6 * n1)
+            or tuple(mod.triangle_edge_completion_census(hexagon)) != (0, 6))
 
 
 def quad_pairs_differ(mod) -> bool:
@@ -147,11 +153,12 @@ def walks_differ(mod) -> bool:
     return False
 
 
-def n9_differs(mod) -> bool:
+def qpe_incidences_differ(mod) -> bool:
+    # the prism, n4 and n9 incidences, all non-zero on most of these graphs
     rng = random.Random(9)
     for _ in range(8):
         g = one_apex_per_edge_graph(rng, rng.randint(16, 20), tries=80)
-        if mod._qpe_scan(g.rows, g.order, range(g.order))[2] != quad_edge_n9_incidences(g):
+        if mod._qpe_scan(g.rows, g.order, range(g.order))[:3] != quad_edge_type_incidences(g):
             return True
     return False
 
@@ -196,8 +203,9 @@ def cycle5_report_differs(mod) -> bool:
     return mod.run_all_checks(g).to_json_dict()["entries"] != golden["entries"]
 
 
-def bool_entry_differs(mod) -> bool:
-    # one 3-matching too many breaks e4 + e5 + e6 = C(m, 3), a bool entry
+def partition_entry_differs(mod) -> bool:
+    # one 3-matching too many breaks e4 + e5 + e6 = C(m, 3), which the
+    # entry reports as 1 against 0
     with pytest.MonkeyPatch.context() as mp:
         real = census._count_span6_triples
         mp.setattr(census, "_count_span6_triples", lambda *args: real(*args) + 1)
@@ -363,7 +371,12 @@ MUTANTS = [
     Mutant("coded walks without the c14 chords", "census",
            "xs = c14 | c24", "xs = c24", walks_differ),
     Mutant("n9 against the same corners' single-corner set", "census",
-           "only_bd = only_b | only_d", "only_bd = only_a | only_c", n9_differs),
+           "only_bd = only_b | only_d", "only_bd = only_a | only_c", qpe_incidences_differ),
+    Mutant("n4 incidences of t_ab against corners a and c", "census",
+           "n4_inc += (rows[t_ab] & (only_c | only_d)).bit_count()",
+           "n4_inc += (rows[t_ab] & (only_c | only_a)).bit_count()", qpe_incidences_differ),
+    Mutant("an n4 completion counted twice", "census",
+           "n4_inc += 1", "n4_inc += 2", completions_differ),
     Mutant("completion census skips a triangle", "census",
            "for tri in _triangle_ids(rows)[0]:", "for tri in _triangle_ids(rows)[0][1:]:",
            completions_differ),
@@ -424,11 +437,10 @@ MUTANTS = [
            "if c != expected.lam and lambda_witness is None:", "if c != expected.lam:",
            verify_differs),
     # the ledger's runner and the census residuals read off its entries
-    Mutant("bool entries never fail", "identities",
-           "expected, actual = 1, int(ok)", "expected, actual = 1, 1", bool_entry_differs),
+    Mutant("the partition entry never fails", "identities",
+           "(1, int(comb(f.m, 3) == t.e4 + t.e5 + t.e6))", "(1, 1)", partition_entry_differs),
     Mutant("info entries able to fail", "identities",
-           'status = "info" if row.kind == "info" else "pass" if ok else "fail"',
-           'status = "pass" if ok else "fail"', cycle5_report_differs),
+           '"info" if row.kind == "info" else', "", cycle5_report_differs),
     Mutant("skip names in the order of failure", "identities",
            "[s for s in row.needs if s in errors]",
            "[s for s in errors if s in row.needs]", fault_report_differs),
@@ -442,8 +454,6 @@ MUTANTS = [
            "*detail = row.sides(subject, *(done[s] for s in row.needs))",
            "*detail = row.sides(subject, *(done[s] for s in row.needs))[:2]",
            cycle5_report_differs),
-    Mutant("pentagons_per_edge skips instead of failing", "identities",
-           'elif failed and row.kind == "strict":', "elif False:", fault_report_differs),
     Mutant("only the ledger's own errors recorded", "identities",
            "except Exception as exc:", "except (ValueError, CountingInconsistencyError) as exc:",
            escaped_error_differs),

@@ -9,6 +9,7 @@ error paths are driven with crafted rows.
 
 import ast
 import random
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -30,11 +31,13 @@ from oracles import (
     pentagon_side_census,
     pentagon_side_is_n4,
     pentagons_through,
-    quad_edge_n9_incidences,
+    quad_edge_type_incidences,
     quad_pair_cases,
     random_graph,
     triangle_pair_census_pairwise,
+    triangle_with_pendants,
     triangles,
+    unverified_family,
 )
 import srg12
 from srg12 import census, graph, spectral
@@ -75,12 +78,6 @@ def settings(order, fixed, free):
     for bits in range(1 << len(free)):
         extra = [pair for t, pair in enumerate(free) if bits >> t & 1]
         yield Graph.from_edges(order, fixed + extra)
-
-
-def unverified_family(g):
-    """The verified-family value of g, built without verifying, so that a
-    family census runs its kernels on a graph outside the family."""
-    return census.VerifiedFamily(g, g.order, g.degree(0), g.num_edges)
 
 
 class TestRulesAgainstCertificates:
@@ -143,6 +140,17 @@ class TestRulesAgainstCertificates:
             assert got == (want if want in ("n1", "n4") else None)
             seen.add(got)
         assert seen == {"n1", "n4", None}
+
+    @pytest.mark.parametrize("joins, counts", [
+        # the pendants as the hexagon 3-5-8-4-6-7-3: each completion of the
+        # triangle 0-1-2 is type n4, which no family graph built reaches
+        ([(3, 5), (5, 8), (8, 4), (4, 6), (6, 7), (7, 3)], (0, 6)),
+        # the pendants as the triangles 3-5-7 and 4-6-8: two prisms
+        ([(3, 5), (5, 7), (3, 7), (4, 6), (6, 8), (4, 8)], (2, 0)),
+    ], ids=["hexagon", "triangles"])
+    def test_triangle_completions_of_crafted_graphs(self, joins, counts):
+        g = triangle_with_pendants(joins)
+        assert tuple(triangle_edge_completion_census(unverified_family(g))) == counts
 
     def test_pentagon_side_all_8_apex_patterns(self):
         # pentagon 0..4, apex 5 on side 01 with each pattern on 2, 3, 4; the
@@ -332,20 +340,21 @@ class TestEdgesOutside:
         quads = random.Random(13365).sample(list(iter_quadrilaterals(bvls)), 40)
         self.check_quads(bvls, quads)
 
-    def test_n9_against_certificates(self):
+    def test_incidences_against_certificates(self):
         # on every family graph the single-corner vertices of each corner
         # send the same number of edges to those of both neighbouring
-        # corners, so only graphs with mu != 2 tell the two apart
+        # corners, and n4 = 2 n3 = 0 on each family graph built, so only
+        # graphs with mu != 2 tell the routes apart
         rng = random.Random(9)
         graphs = [one_apex_per_edge_graph(rng, rng.randint(9, 18)) for _ in range(20)]
         graphs += [one_apex_per_edge_graph(rng, rng.randint(16, 30), tries=120)
                    for _ in range(10)]
-        with_n9 = 0
+        nonzero = Counter()
         for g in graphs:
-            n9 = _qpe_scan(g.rows, g.order, range(g.order))[2]
-            assert n9 == quad_edge_n9_incidences(g)
-            with_n9 += n9 > 0
-        assert with_n9 >= 10
+            counts = _qpe_scan(g.rows, g.order, range(g.order))[:3]
+            assert counts == quad_edge_type_incidences(g)
+            nonzero.update(i for i, c in enumerate(counts) if c)
+        assert min(nonzero[i] for i in range(3)) >= 10
 
 
 class TestTriangleTable:
