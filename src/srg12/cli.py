@@ -96,9 +96,12 @@ def _normalize(obj):
 
 
 def _emit_json(payload, path) -> None:
-    text = json.dumps(_normalize(payload), indent=2, sort_keys=True) + "\n"
+    """Write a payload whose integers are already ``jsonable``.  json.dumps
+    escapes every non-ASCII character, so the text is ASCII whatever the
+    encoding the file is opened with; utf-8 needs no codec import."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path:
-        with open(path, "w", encoding="ascii") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -215,7 +218,7 @@ def _cmd_census(args) -> int:
         ]
     payload["residuals"] = {name: entries[entry].actual - entries[entry].expected
                             for name, entry in residuals.items() if entry in entries}
-    _emit_json(payload, args.json)
+    _emit_json(_normalize(payload), args.json)
     bad = [k for k, v in payload["residuals"].items() if v != 0]
     if bad:
         print(f"nonzero residuals: {', '.join(sorted(bad))}", file=sys.stderr)
@@ -259,7 +262,7 @@ def _cmd_spectral(args) -> int:
         )
     print(f"c6 = {payload['c6']}")
     if args.json:
-        _emit_json(payload, args.json)
+        _emit_json(_normalize(payload), args.json)
     return 0
 
 
@@ -301,7 +304,7 @@ def _cmd_params(args) -> int:
             f"{fp.r1:>8} {fp.r2:>8}  {fp.known_graph or '-'}"
         )
     if args.json:
-        _emit_json([asdict(fp) for fp in rows], args.json)
+        _emit_json(_normalize([asdict(fp) for fp in rows]), args.json)
     return 0
 
 
@@ -365,11 +368,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _int_fields(text: str, form: str) -> tuple[int, ...]:
+    """The comma-separated integers of ``text``, one per field of ``form``;
+    anything else is an argparse error naming the form."""
+    try:
+        fields = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        fields = ()
+    if len(fields) != form.count(",") + 1:
+        raise argparse.ArgumentTypeError(f"expected {form}")
+    return fields
+
+
 def _pair_type(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected n,k")
-    return int(parts[0]), int(parts[1])
+    return _int_fields(text, "n,k")
 
 
 def _output_path(path: str) -> str:
@@ -383,10 +395,7 @@ def _output_path(path: str) -> str:
 
 
 def _params_type(text: str):
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected n,k,lambda,mu")
-    return tuple(parts)
+    return _int_fields(text, "n,k,lambda,mu")
 
 
 def main(argv=None) -> int:

@@ -14,12 +14,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from ._bits import iter_bits, pair_index_table
+from ._bits import iter_bits, pair_index_table, transpose
 
 
 @dataclass(frozen=True, slots=True)
 class Graph:
-    """Immutable simple graph: ``order`` vertices, one bit row per vertex."""
+    """Immutable simple graph: ``order`` vertices, one bit row per vertex.
+
+    The rows must describe a simple undirected graph.  Symmetry is checked
+    as one comparison of the rows with their transpose
+    (``_bits.transpose``); only when that fails does a per-edge loop run,
+    to name the first (u, v) whose reverse edge is missing.
+    """
 
     order: int
     rows: tuple[int, ...]
@@ -36,10 +42,11 @@ class Graph:
                 raise ValueError(f"row {v} has bits outside 0..{n - 1}")
             if row >> v & 1:
                 raise ValueError(f"vertex {v} is adjacent to itself")
-        for v, row in enumerate(self.rows):
-            for u in iter_bits(row):
-                if not self.rows[u] >> v & 1:
-                    raise ValueError(f"adjacency not symmetric on ({u}, {v})")
+        if transpose(self.rows) != list(self.rows):
+            for v, row in enumerate(self.rows):
+                for u in iter_bits(row):
+                    if not self.rows[u] >> v & 1:
+                        raise ValueError(f"adjacency not symmetric on ({u}, {v})")
 
     @classmethod
     def from_edges(cls, order: int, edges) -> "Graph":

@@ -3,17 +3,37 @@
 Supports the short order field (n <= 62) and the 4-byte long form
 (63 <= n <= 258047), which covers every graph this package constructs.
 The optional ``>>graph6<<`` header is tolerated on input and never written.
+
+A graph6 body is base64 with another alphabet: each byte holds six bits
+plus 63 where base64 writes one of its 64 letters.  Both directions
+therefore run through ``binascii`` and ``bytes.translate``, and the bit
+string is one integer.  Decoding reads the lower triangle of the adjacency
+matrix off that integer, one column per vertex, and adds its transpose
+(``_bits.transpose``), so the rows are symmetric by construction.
+``Graph`` checks them anyway, as one comparison with their transpose; only
+a failed comparison runs its per-edge loop, which names the first pair
+(u, v) with u in row v and v not in row u.  Every check on the text runs
+before any of this, with the same message and byte offset, so a malformed
+line raises only ``Graph6Error``.
 """
 
 from __future__ import annotations
 
+import binascii
+
+from ._bits import transpose
 from .errors import Graph6Error
 from .graph import Graph
 
 _HEADER = b">>graph6<<"
 _LONG_FORM_MAX = 258047
 _BODY_BYTES = bytes(range(63, 127))  # a body byte holds six bits, plus 63
-_BITS_OF_BYTE = {byte: format(byte - 63, "06b") for byte in _BODY_BYTES}
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_BASE64 = bytes.maketrans(_BODY_BYTES, _BASE64)
+_FROM_BASE64 = bytes.maketrans(_BASE64, _BODY_BYTES)
+# each byte with its bit order reversed, so that bit p of the bit string
+# becomes bit p of a little-endian integer
+_REVERSED = bytes([int(f"{byte:08b}"[::-1], 2) for byte in range(256)])
 
 
 def encode(g: Graph) -> bytes:
@@ -21,9 +41,10 @@ def encode(g: Graph) -> bytes:
     # upper triangle, column by column: x(0,1), x(0,2), x(1,2), x(0,3), ...;
     # column j is row j's j low bits, lowest first (the 1 << j keeps their zeros)
     bits = "".join([bin(row & (1 << j) - 1 | 1 << j)[:2:-1] for j, row in enumerate(g.rows)])
-    bits += "0" * (-len(bits) % 6)
-    return _encode_order(g.order) + bytes(
-        [int(bits[pos:pos + 6], 2) + 63 for pos in range(0, len(bits), 6)])
+    nbytes = (len(bits) + 7) // 8
+    data = (int("0" + bits, 2) << 8 * nbytes - len(bits)).to_bytes(nbytes, "big")
+    body = binascii.b2a_base64(data, newline=False).translate(_FROM_BASE64)
+    return _encode_order(g.order) + body[:(len(bits) + 5) // 6]
 
 
 def _encode_order(n: int) -> bytes:
@@ -62,16 +83,14 @@ def decode(data) -> Graph:
     if rest:
         raise Graph6Error(f"byte 0x{rest[0]:02x} outside graph6 range",
                           byte_index=len(data) - len(rest))
-    bits = "".join(map(_BITS_OF_BYTE.__getitem__, body))
-    if "1" in bits[need_bits:]:  # the padding, all in the last byte
+    # the zero letters after the body complete its last group of four
+    raw = binascii.a2b_base64(body.translate(_TO_BASE64) + b"A" * (-len(body) % 4))
+    bits = int.from_bytes(raw.translate(_REVERSED), "little")
+    if bits >> need_bits:  # the padding, all in the last byte
         raise Graph6Error("nonzero padding bits", byte_index=body_start + need_bytes - 1)
-    rows = [0] * n
-    for j in range(1, n):  # column j holds x(i, j) for i < j, lowest i first
-        rows[j] = col = int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
-        while col:
-            low = col & -col
-            rows[low.bit_length() - 1] |= 1 << j
-            col ^= low
+    # column j holds x(i, j) for i < j, lowest i first: row j below the diagonal
+    low = [bits >> j * (j - 1) // 2 & (1 << j) - 1 for j in range(n)]
+    rows = [row | col for row, col in zip(low, transpose(low))]
     return Graph(n, tuple(rows))
 
 

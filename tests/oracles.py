@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from srg12 import graph6
 from srg12._bits import iter_bits, pair_index_table
 from srg12.census import (
     TrianglePairCensus,
@@ -22,6 +23,7 @@ from srg12.errors import (
     CountingInconsistencyError,
     FamilyViolationError,
     InfeasibleParametersError,
+    Graph6Error,
     SizeLimitError,
 )
 from srg12.graph import Graph, SrgParams, SrgReport, classify_code, determinant_of_code
@@ -729,3 +731,71 @@ def check_feasible_relations(fp) -> None:
         if not holds:
             raise InfeasibleParametersError(f"parameters {fp} violate {relation}", relation)
     Spectrum(fp.k, fp.lambda1, fp.lambda2, fp.r1, fp.r2).check_relations()
+
+
+# -- the graph6 codec and the symmetry check as per-edge loops -----------------
+# The codec before it ran through binascii and the transpose, and the
+# symmetry loop that ``Graph`` now runs only to name its witness.
+
+_BITS_OF_BYTE = {byte: format(byte - 63, "06b") for byte in graph6._BODY_BYTES}
+
+
+def graph6_encode_loop(g: Graph) -> bytes:
+    """Encode a graph as one graph6 line (without trailing newline)."""
+    # upper triangle, column by column: x(0,1), x(0,2), x(1,2), x(0,3), ...;
+    # column j is row j's j low bits, lowest first (the 1 << j keeps their zeros)
+    bits = "".join([bin(row & (1 << j) - 1 | 1 << j)[:2:-1] for j, row in enumerate(g.rows)])
+    bits += "0" * (-len(bits) % 6)
+    return graph6._encode_order(g.order) + bytes(
+        [int(bits[pos:pos + 6], 2) + 63 for pos in range(0, len(bits), 6)])
+
+
+def graph6_decode_loop(data) -> Graph:
+    """Decode one graph6 line (bytes or str) into a Graph."""
+    if isinstance(data, str):
+        data = graph6._ascii(data)
+    if data.startswith(graph6._HEADER):
+        data = data[len(graph6._HEADER):]
+    data = data.rstrip(b"\r\n")
+    if not data:
+        raise Graph6Error("empty graph6 line")
+    n, body_start = graph6._decode_order(data)
+    need_bits = n * (n - 1) // 2
+    need_bytes = (need_bits + 5) // 6
+    body = data[body_start:]
+    if len(body) != need_bytes:
+        raise Graph6Error(f"graph6 body for n={n} needs {need_bytes} bytes, got {len(body)}",
+                          byte_index=body_start + min(len(body), need_bytes))
+    rest = body.lstrip(graph6._BODY_BYTES)
+    if rest:
+        raise Graph6Error(f"byte 0x{rest[0]:02x} outside graph6 range",
+                          byte_index=len(data) - len(rest))
+    bits = "".join(map(_BITS_OF_BYTE.__getitem__, body))
+    if "1" in bits[need_bits:]:  # the padding, all in the last byte
+        raise Graph6Error("nonzero padding bits", byte_index=body_start + need_bytes - 1)
+    rows = [0] * n
+    for j in range(1, n):  # column j holds x(i, j) for i < j, lowest i first
+        rows[j] = col = int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= 1 << j
+            col ^= low
+    return Graph(n, tuple(rows))
+
+
+def symmetry_loop(rows) -> None:
+    """Raise ValueError naming the first (u, v), in the order of v then u,
+    with u in row v but v not in row u."""
+    for v, row in enumerate(rows):
+        for u in iter_bits(row):
+            if not rows[u] >> v & 1:
+                raise ValueError(f"adjacency not symmetric on ({u}, {v})")
+
+
+def transpose_loop(rows) -> list[int]:
+    """The transpose of a square bit matrix, one set bit at a time."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in iter_bits(row):
+            out[j] |= 1 << i
+    return out

@@ -468,6 +468,9 @@ class TestInputErrors:
         ("spectral --params 3", "srg12 spectral: error: argument --params: expected n,k"),
         ("verify --graph paley9 --params 1,2,3",
          "srg12 verify: error: argument --params: expected n,k,lambda,mu"),
+        ("verify --graph paley9 --params a,b,c,d",
+         "srg12 verify: error: argument --params: expected n,k,lambda,mu"),
+        ("spectral --params x,4", "srg12 spectral: error: argument --params: expected n,k"),
     ])
     def test_exit_2_with_message(self, capsys, argv, line):
         try:

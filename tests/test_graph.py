@@ -1,5 +1,8 @@
+import ast
 import random
+import traceback
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -13,11 +16,14 @@ from oracles import (
     petersen,
     random_graph,
     relabeled,
+    symmetry_loop,
+    transpose_loop,
     verify_cases,
     verify_srg_pairwise,
 )
 from srg12 import graph6
-from srg12._bits import iter_bits
+from srg12 import graph as graph_module
+from srg12._bits import iter_bits, transpose
 from srg12.graph import (
     Graph,
     SrgParams,
@@ -78,24 +84,105 @@ class TestGraphBasics:
         assert sub.num_edges == 2
 
 
+# one row per input check of ``Graph``, ``Graph.from_edges`` and
+# ``graph6._encode_order``: the call, its error type and its message; the
+# asymmetric rows name the witness the per-edge loop finds first
+INPUT_ROWS = [
+    (lambda: Graph(-1, ()), ValueError, "order must be non-negative"),
+    (lambda: Graph(2, (0,)), ValueError, "adjacency must have one row per vertex"),
+    (lambda: Graph(2, (4, 0)), ValueError, "row 0 has bits outside 0..1"),
+    (lambda: Graph(2, (1, 0)), ValueError, "vertex 0 is adjacent to itself"),
+    (lambda: Graph(3, (2, 0, 0)), ValueError, "adjacency not symmetric on (1, 0)"),
+    (lambda: Graph(3, (2, 5, 0)), ValueError, "adjacency not symmetric on (2, 1)"),
+    (lambda: Graph.from_edges(2, [(1, 1)]), ValueError, "loop at vertex 1"),
+    (lambda: Graph.from_edges(2, [(0, 2)]), ValueError, "edge (0, 2) outside 0..1"),
+    (lambda: graph6._encode_order(258048), ValueError,
+     "order 258048 beyond supported graph6 range"),
+]
+INPUT_IDS = ["negative-order", "row-count", "bits-outside", "loop-bit", "asymmetric-first-row",
+             "asymmetric-later-row", "loop-edge", "edge-outside", "graph6-order"]
+
+
+def raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return info.value
+
+
+def raise_lines(path, *scopes):
+    """Line numbers of the raise statements inside the named top-level
+    classes and functions of a source file."""
+    tree = ast.parse(Path(path).read_text())
+    return sorted(node.lineno for top in tree.body if getattr(top, "name", None) in scopes
+                  for node in ast.walk(top) if isinstance(node, ast.Raise))
+
+
 class TestInputRaises:
     """The input checks of ``Graph`` and of the graph6 order field, each
     with its error type and message."""
 
-    @pytest.mark.parametrize("call, error, message", [
-        (lambda: Graph(-1, ()), ValueError, "order must be non-negative"),
-        (lambda: Graph(2, (0,)), ValueError, "adjacency must have one row per vertex"),
-        (lambda: Graph(2, (4, 0)), ValueError, "row 0 has bits outside 0..1"),
-        (lambda: Graph(2, (1, 0)), ValueError, "vertex 0 is adjacent to itself"),
-        (lambda: Graph.from_edges(2, [(0, 2)]), ValueError, "edge (0, 2) outside 0..1"),
-        (lambda: graph6._encode_order(258048), ValueError,
-         "order 258048 beyond supported graph6 range"),
-    ], ids=["negative-order", "row-count", "bits-outside", "loop-bit", "edge-outside",
-            "graph6-order"])
+    @pytest.mark.parametrize("call, error, message", INPUT_ROWS, ids=INPUT_IDS)
     def test_type_and_message(self, call, error, message):
-        with pytest.raises(Exception) as raised:
-            call()
-        assert (type(raised.value), str(raised.value)) == (error, message)
+        exc = raised(call)
+        assert (type(exc), str(exc)) == (error, message)
+
+    def test_table_reaches_every_raise(self):
+        # each raise of Graph (its from_edges included) and _encode_order is
+        # the last frame of some row, and no row ends anywhere else
+        reached = {(frame.filename, frame.lineno) for frame in (
+            traceback.extract_tb(raised(call).__traceback__)[-1] for call, _, _ in INPUT_ROWS)}
+        expected = {(graph_module.__file__, line)
+                    for line in raise_lines(graph_module.__file__, "Graph")}
+        expected |= {(graph6.__file__, line)
+                     for line in raise_lines(graph6.__file__, "_encode_order")}
+        assert len(expected) == 8
+        assert reached == expected
+
+
+class TestTranspose:
+    """``_bits.transpose`` against the per-bit loop, on both sides of every
+    tile width and on several tiles."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129,
+                                   255, 256, 257, 511, 513, 600])
+    def test_equals_the_loop(self, n):
+        rng = random.Random(n)
+        for density in (0.0, 0.1, 0.5, 1.0):
+            rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+            assert transpose(rows) == transpose_loop(rows)
+            assert transpose(tuple(rows)) == transpose_loop(rows)
+
+
+def symmetry_outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestSymmetryAgainstTheLoop:
+    """``Graph`` checks symmetry by comparing its rows with their transpose;
+    on asymmetric rows it must name the pair the per-edge loop names."""
+
+    def test_asymmetric_rows_name_the_loop_witness(self):
+        rng = random.Random(1711)
+        for n in [2, 3, 8, 9, 64, 65, 99, 243, 256, 257, 300] + [rng.randint(2, 300)
+                                                                for _ in range(30)]:
+            rows = list(random_graph(rng, n, rng.random() * 0.3).rows)
+            for _ in range(rng.randint(1, 3)):  # one to three arcs flipped
+                u, v = rng.sample(range(n), 2)
+                rows[v] ^= 1 << u
+            expected = symmetry_outcome(symmetry_loop, rows)
+            got = symmetry_outcome(Graph, n, tuple(rows))
+            assert (got.rows if isinstance(got, Graph) else got) == (
+                tuple(rows) if expected is None else expected), n
+
+    def test_symmetric_rows_are_accepted(self):
+        rng = random.Random(1712)
+        for n in range(0, 300, 13):
+            g = random_graph(rng, n, rng.random())
+            assert Graph(n, g.rows) == g
+            assert symmetry_loop(g.rows) is None
 
 
 class TestConditions:

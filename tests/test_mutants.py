@@ -1,7 +1,7 @@
 """Source mutants of the counting kernels, the orbit expansion of the
 exhaustive census, the verification scan, the ledger's runner, the census
-residuals, the spectral routes and the graph6 codec, each of which a check
-must detect.
+residuals, the spectral routes, the graph6 codec, the bit-matrix transpose
+and the symmetry check of ``Graph``, each of which a check must detect.
 
 Each row of ``MUTANTS`` names a module of ``srg12``, an exact snippet of its
 source, a replacement and a kill check.  The snippet must occur exactly
@@ -41,8 +41,10 @@ from oracles import (
     quad_pair_cases,
     random_graph,
     report_entry,
+    symmetry_loop,
     triangle_pair_census_pairwise,
     triangle_with_pendants,
+    transpose_loop,
     triangles,
     verify_cases,
     verify_srg_pairwise,
@@ -325,6 +327,38 @@ def graph6_differs(mod) -> bool:
                for line, reading in networkx_lines())
 
 
+def transpose_differs(mod) -> bool:
+    # one tile of each width up to 256, and several tiles from 257 on
+    rng = random.Random(28)
+    for n in (1, 5, 8, 9, 16, 30, 64, 100, 128, 200, 256, 257, 300):
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        try:
+            if mod.transpose(rows) != transpose_loop(rows):
+                return True
+        except Exception:  # a mutant may raise anything
+            return True
+    return False
+
+
+def symmetry_differs(mod) -> bool:
+    # rows with one arc flipped must be refused with the loop's witness
+    rng = random.Random(29)
+    for n in (2, 3, 9, 40, 99):
+        rows = list(random_graph(rng, n, 0.3).rows)
+        u, v = rng.sample(range(n), 2)
+        rows[v] ^= 1 << u
+        try:
+            mod.Graph(n, tuple(rows))
+        except ValueError as exc:
+            try:
+                symmetry_loop(rows)
+            except ValueError as expected:
+                if str(exc) == str(expected):
+                    continue
+        return True
+    return False
+
+
 class Mutant(NamedTuple):
     name: str
     module: str
@@ -471,13 +505,22 @@ MUTANTS = [
            "num = n * k * (k - 2) * poly", "num = n * k * poly", c6_closed_form_differs),
     # the graph6 codec, read against the known lines and networkx
     Mutant("column bits not reversed", "graph6",
-           "int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)",
-           "int(bits[j * (j - 1) // 2:j * (j + 1) // 2], 2)", graph6_differs),
-    Mutant("padding test dropped, so B~ decodes", "graph6",
-           'if "1" in bits[need_bits:]:', "if False:", graph6_differs),
-    Mutant("byte 127 read as a body byte", "graph6",
-           "_BODY_BYTES = bytes(range(63, 127))", "_BODY_BYTES = bytes(range(63, 128))",
+           'int.from_bytes(raw.translate(_REVERSED), "little")', 'int.from_bytes(raw, "little")',
            graph6_differs),
+    Mutant("padding test dropped, so B~ decodes", "graph6",
+           "if bits >> need_bits:", "if False:", graph6_differs),
+    Mutant("byte 127 read as a body byte", "graph6",
+           "rest = body.lstrip(_BODY_BYTES)", 'rest = body.lstrip(_BODY_BYTES + b"\\x7f")',
+           graph6_differs),
+    # the bit-matrix transpose, read against the per-bit loop, and the
+    # symmetry check of Graph that compares the rows with it
+    Mutant("one transpose swap level skipped", "_bits",
+           "for shift, mask in _swap_masks(width):", "for shift, mask in _swap_masks(width)[1:]:",
+           transpose_differs),
+    Mutant("a wrong swap shift", "_bits",
+           "masks.append((s * (width - 1),", "masks.append((s * (width + 1),", transpose_differs),
+    Mutant("the symmetry fallback dropped", "graph",
+           "if transpose(self.rows) != list(self.rows):", "if False:", symmetry_differs),
 ]
 
 # Triangles through u have two vertices in N(u), so one_in[u] already

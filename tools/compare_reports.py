@@ -8,9 +8,14 @@ Usage (from the repository root):
 The parent revision is exported with ``git archive`` (``bench_pairs.export``)
 into a temporary directory, which is removed afterwards.  Each command runs
 as ``python -m srg12.cli ...`` with ``PYTHONPATH`` set to one tree's ``src``,
-in an empty working directory of its own that also holds the two graph6
-input files (a 5-cycle and the circulant C16(1, 3)), without
-``SRG12_PROGRESS`` and without writing bytecode.  A command with
+in an empty working directory of its own that also holds the graph6
+input files, without ``SRG12_PROGRESS`` and without writing bytecode.
+Two inputs are fixed lines (a 5-cycle and the circulant C16(1, 3)); three
+are generated from a fixed seed with perfbench's standard-library input
+helpers, so that large graphs also reach the commands through the decoder:
+a random 14-regular graph on 99 vertices, a relabelled BvLS 243 with one
+double-edge switch, and a relabelled BvLS 243 written with the
+``>>graph6<<`` header and a CRLF line end.  A command with
 ``--json``/``--out`` writes ``out.json``/``out.g6`` there.  The tool
 compares the exit code, stdout, stderr and the written file, prints one
 line per command (``same`` or ``DIFF`` and what differs) and exits 1 if any
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -28,7 +34,42 @@ from pathlib import Path
 
 from bench_pairs import ROOT, export
 
-INPUTS = {"c5.g6": "Dhc\n", "c16.g6": "OlSggSD?gA_D?D_Ag?l?D\n"}
+sys.path.insert(0, str(ROOT / "perfbench"))
+from inputs import random_perm, random_regular, relabel, switch_edges  # noqa: E402
+
+# parity-check matrix [A | I5] of the ternary Golay code, as in constructions.py
+GOLAY = ((1, 2, 2, 2, 1, 0, 1, 0, 0, 0, 0), (0, 1, 2, 2, 2, 1, 0, 1, 0, 0, 0),
+         (2, 1, 2, 0, 1, 2, 0, 0, 1, 0, 0), (1, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0),
+         (2, 2, 2, 1, 0, 1, 0, 0, 0, 0, 1))
+
+
+def bvls243() -> list[int]:
+    """Rows of the Cayley graph of GF(3)^5 on the 22 signed Golay columns."""
+    conn = [[sign * row[col] % 3 for row in GOLAY] for col in range(11) for sign in (1, -1)]
+    digits = [[v // 3**i % 3 for i in range(5)] for v in range(243)]
+    return [sum(1 << sum((d + c) % 3 * 3**i for i, (d, c) in enumerate(zip(digits[v], dc)))
+                for dc in conn) for v in range(243)]
+
+
+def graph6_line(rows: list[int]) -> bytes:
+    """The graph6 line of ``rows``, bit by bit."""
+    n = len(rows)
+    bits = "".join(str(rows[i] >> j & 1) for j in range(1, n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    order = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]
+    return bytes(v + 63 for v in order + [int(bits[p:p + 6], 2) for p in range(0, len(bits), 6)])
+
+
+def inputs() -> dict[str, bytes]:
+    rng = random.Random(2806)
+    bvls = relabel(bvls243(), random_perm(243, rng))
+    return {"c5.g6": b"Dhc\n", "c16.g6": b"OlSggSD?gA_D?D_Ag?l?D\n",
+            "n99.g6": graph6_line(random_regular(99, 14, rng)) + b"\n",
+            "bvls-switched.g6": graph6_line(switch_edges(bvls, rng, 1)) + b"\n",
+            "bvls-header.g6": b">>graph6<<" + graph6_line(bvls) + b"\r\n"}
+
+
+INPUTS = inputs()
 
 # each command, with the output file it writes
 COMMANDS = [
@@ -43,6 +84,9 @@ COMMANDS = [
     "spectral --params 99,14 --json out.json",
     "params --max-k 1000 --json out.json",
     "construct --graph bvls243 --out out.g6",
+    *(command.format(g) for g in ("n99.g6", "bvls-switched.g6", "bvls-header.g6")
+      for command in ("check --graph {} --json out.json", "verify --graph {}",
+                      "census --graph {} --what cycles --json out.json")),
 ]
 
 
@@ -52,7 +96,7 @@ def run(src: Path, command: str) -> dict:
     env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory(prefix="srg12-compare-") as work:
         for name, text in INPUTS.items():
-            Path(work, name).write_text(text)
+            Path(work, name).write_bytes(text)
         done = subprocess.run([sys.executable, "-m", "srg12.cli", *command.split()],
                               cwd=work, env=env, capture_output=True, timeout=600)
         written = [Path(work, name) for name in ("out.json", "out.g6")]
