@@ -39,7 +39,9 @@ returns that as a ``VerifiedFamily`` (the graph with n, k and m) after one
 ``verify_srg`` scan.  A census given a VerifiedFamily trusts it; one given a
 plain Graph verifies it first and raises FamilyViolationError outside the
 family.  n13 and the quadrilateral-edge incidence total are not enumerated:
-they follow from family identities (``quad_plus_edge_census``).
+they follow from family identities (``quad_plus_edge_census``).  The stages
+a ``TypeCensus`` is assembled from, its route agreements and the master
+identity over it are ledger rows of ``identities``; ``type_census`` runs them.
 """
 
 from __future__ import annotations
@@ -100,13 +102,6 @@ NAMED_TYPE_EDGES = {
     "n14": [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)],
 }
 
-# coefficient of each named count in the master identity; the aggregate
-# n6+n7+n10+n11 enters with coefficient 2
-MASTER_COEFF = {
-    "n1": 4, "n2": -2, "n3": 2, "n4": 2, "n5": 4, "n8": -2,
-    "n9": 2, "n12": -2, "n13": 2, "n14": 4,
-}
-MASTER_COEFF_AGGREGATE = 2
 
 @lru_cache(maxsize=1)
 def named_type_certificates() -> dict[str, int]:
@@ -1084,16 +1079,6 @@ def triangle_edge_completion_census(
 
 # -- assembled type census ------------------------------------------------------
 
-# the censuses a TypeCensus is assembled from, by the ledger's stage names
-TYPE_CENSUS_PARTS = (
-    "triangle_pair_census", "quad_pair_census", "pentagon_side_census",
-    "quad_plus_edge_census", "edge_triple_census", "hexagon_census",
-)
-
-# the ledger entries comparing a count reached two ways; type_census raises on them
-ROUTE_AGREEMENTS = ("prism_route_agreement", "n4_route_agreement", "qpe_prism_incidences",
-                    "qpe_n4_incidences", "qpe_n9_incidences")
-
 
 @dataclass(frozen=True, slots=True)
 class TypeCensus:
@@ -1114,31 +1099,12 @@ class TypeCensus:
     e5: int
     e6: int
 
-    @classmethod
-    def assemble(cls, parts) -> "TypeCensus":
-        """The census from its parts, keyed as ``TYPE_CENSUS_PARTS``."""
-        tp, qp, pt, qpe, triples, cycles = (parts[name] for name in TYPE_CENSUS_PARTS)
-        return cls(
-            n1=tp.n1, n2=qpe.n2, n3=tp.n3, n4=qp.n4, n5=tp.n5, n8=pt.n8,
-            n9=qp.n9, n12=cycles.p6, n13=qpe.n13, n14=tp.n14,
-            n6_7_10_11=qpe.n6_7_10_11,
-            e4=triples.e4, e5=triples.e5, e6=triples.e6,
-        )
-
-    def master_identity_rhs(self) -> int:
-        """Right-hand side of the master identity for c6 + C(|E|,3)."""
-        named = sum(
-            MASTER_COEFF[name] * getattr(self, name) for name in MASTER_COEFF
-        )
-        return named + MASTER_COEFF_AGGREGATE * self.n6_7_10_11 + self.e4 + self.e5
-
 
 def type_census(g: Union[Graph, VerifiedFamily]) -> TypeCensus:
-    """The named-type census of a family graph, run through the identity
-    ledger's runner: a failed stage stops it with CountingInconsistencyError
-    "<stage>: <error>", and a failed route agreement (``ROUTE_AGREEMENTS``)
-    raises one naming it."""
-    from .identities import run_ledger_rows  # identities imports this module
+    """The named-type census of a family graph, run as the ledger's rows
+    ``TYPE_CENSUS_ROWS``: a failed stage stops it with CountingInconsistencyError
+    "<stage>: <error>", and a failed route agreement raises one naming it."""
+    from . import identities  # identities imports this module
 
-    parts, _ = run_ledger_rows(require_family(g), (*TYPE_CENSUS_PARTS, *ROUTE_AGREEMENTS))
-    return TypeCensus.assemble(parts)
+    parts, _ = identities.run_ledger_rows(require_family(g), identities.TYPE_CENSUS_ROWS)
+    return identities.type_census_of(parts)

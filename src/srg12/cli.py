@@ -36,7 +36,8 @@ from .errors import (
     SizeLimitError,
 )
 from .graph import Graph, SrgParams, verify_srg
-from .identities import IdentityReport, jsonable, run_all_checks, run_ledger_rows
+from .identities import (HEXES, QPE, TP, TRIPLES, TYPE_CENSUS_ROWS, IdentityReport, jsonable,
+                         run_all_checks, run_ledger_rows, type_census_of)
 from .spectral import c6_binomial_sum, c6_closed_form, charpoly_prefix, srg_spectrum
 
 USAGE_ERROR = 2
@@ -164,8 +165,6 @@ CENSUS_RESIDUALS = {
     "types": {"n2": "n2_eq3", "n4_minus_2n3": "n4_twice_n3", "eq8": "triangle_pairs_eq8"},
     "all": {"hexagon_identity": "hexagon_identity"},
 }
-# the stages a cycle census stands in for; its residuals read only p3 to p6
-_CYCLE_STAGES = ("triangle_pair_census", "quad_plus_edge_census", "hexagon_census")
 
 
 def _cmd_census(args) -> int:
@@ -190,23 +189,24 @@ def _cmd_census(args) -> int:
     types = fam is not None and what in ("types", "all")
     counted, entries, names = {}, {}, [*residuals.values()]
     if types:  # the type censuses count every cycle length and the edge triples
-        names += [*cn.TYPE_CENSUS_PARTS, *cn.ROUTE_AGREEMENTS]
+        names += TYPE_CENSUS_ROWS
     else:
         if what in ("cycles", "all"):
-            counted = dict.fromkeys(_CYCLE_STAGES, cn.cycle_census(g))
+            # stands in for the stages the cycle residuals read: p3 to p6
+            counted = dict.fromkeys((TP, QPE, HEXES), cn.cycle_census(g))
             progress.stage("cycle_census")
         if what in ("triples", "all"):
-            counted["edge_triple_census"] = cn.edge_triple_census(g)
-            progress.stage("edge_triple_census")
+            counted[TRIPLES] = cn.edge_triple_census(g)
+            progress.stage(TRIPLES)
     if fam is not None:
         counted, entries = run_ledger_rows(fam, names, counted, progress.stage)
     if types:
-        payload["types"] = asdict(cn.TypeCensus.assemble(counted))
+        payload["types"] = asdict(type_census_of(counted))
     if what in ("cycles", "all"):
-        tp, qpe, hexes = (counted[s] for s in _CYCLE_STAGES)
+        tp, qpe, hexes = counted[TP], counted[QPE], counted[HEXES]
         payload["cycles"] = {"p3": tp.p3, "p4": qpe.p4, "p5": hexes.p5, "p6": hexes.p6}
     if what in ("triples", "all"):
-        et = counted["edge_triple_census"]
+        et = counted[TRIPLES]
         payload["edge_triples"] = {"e4": et.e4, "e5": et.e5, "e6": et.e6}
     if classes is not None:
         payload["exhaustive_six_census"] = [

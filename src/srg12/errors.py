@@ -20,7 +20,8 @@ class FamilyViolationError(ValueError):
 
 
 class CountingInconsistencyError(RuntimeError):
-    """Two counting routes that must agree did not; carries the residual."""
+    """Counts broke a guarantee: two routes disagree, a total is not divisible
+    as it must be, or a kernel met a structure lambda = 1, mu = 2 rule out."""
 
 
 class InfeasibleParametersError(ValueError):

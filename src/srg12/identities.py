@@ -3,7 +3,10 @@
 One side of each check is a closed form in (n, k); the other side is an
 actual enumeration on the graph.  All comparisons are exact integer
 equality; run_all_checks never raises, every failure (including any error
-a census or an entry raises) becomes a report entry.
+a census or an entry raises) becomes a report entry.  This module alone
+spells ledger row names: the master identity and the six stages of a type
+census are stated beside its row in ``LEDGER``, whose "agree" rows are the
+route agreements, and ``run_ledger_rows`` refuses a name that no row has.
 """
 
 from __future__ import annotations
@@ -188,7 +191,8 @@ class Stage(NamedTuple):
 
 class Check(NamedTuple):
     """A ledger entry: ``sides(subject, *results of needs)`` gives (expected,
-    actual[, detail]).  ``kind`` "eq" passes on equal sides, "info" never fails."""
+    actual[, detail]).  ``kind`` "eq" passes on equal sides, "info" never fails;
+    "agree" passes as "eq" does, and a failed one also stops a type census."""
 
     name: str
     section: str
@@ -211,6 +215,30 @@ WALKS, TRIPLES, COMP = ("coded_walk_census", "edge_triple_census",
                         "triangle_completion_census")
 PREFIX, BOUND = "charpoly_prefix", "hexagon_bound"
 CYCLES, SIX = "cycle formulas", "six-vertex types"
+
+# the stages a TypeCensus is assembled from, in the order master_identity needs them
+TYPE_CENSUS_STAGES = (TP, QP, PT, QPE, TRIPLES, HEXES)
+# coefficient of each named count in the master identity; the aggregate
+# n6+n7+n10+n11 enters with coefficient 2
+MASTER_COEFF = {"n1": 4, "n2": -2, "n3": 2, "n4": 2, "n5": 4, "n8": -2, "n9": 2, "n12": -2,
+                "n13": 2, "n14": 4}
+MASTER_COEFF_AGGREGATE = 2
+
+
+def type_census_of(parts) -> cn.TypeCensus:
+    """The TypeCensus of the results of ``TYPE_CENSUS_STAGES``, by stage name."""
+    tp, qp, pt, qpe, triples, hexes = (parts[name] for name in TYPE_CENSUS_STAGES)
+    return cn.TypeCensus(
+        n1=tp.n1, n2=qpe.n2, n3=tp.n3, n4=qp.n4, n5=tp.n5, n8=pt.n8, n9=qp.n9, n12=hexes.p6,
+        n13=qpe.n13, n14=tp.n14, n6_7_10_11=qpe.n6_7_10_11,
+        e4=triples.e4, e5=triples.e5, e6=triples.e6)
+
+
+def master_identity_rhs(tc: cn.TypeCensus) -> int:
+    """Right-hand side of the master identity for c6 + C(|E|,3)."""
+    named = sum(MASTER_COEFF[name] * getattr(tc, name) for name in MASTER_COEFF)
+    return named + MASTER_COEFF_AGGREGATE * tc.n6_7_10_11 + tc.e4 + tc.e5
+
 
 # The identity ledger of a verified family, in run order.  Each row's
 # functions take the VerifiedFamily and look ``cn.<name>`` and ``sp.<name>``
@@ -247,8 +275,8 @@ LEDGER = (
           lambda f, t: (expected_e5(f.n, f.k), t.e5)),
     Check("edge_triples_partition", "edge triples", (TRIPLES,),
           lambda f, t: (1, int(comb(f.m, 3) == t.e4 + t.e5 + t.e6))),
-    # six-vertex types, one targeted census per relation; the entries named
-    # in cn.ROUTE_AGREEMENTS compare one count reached by two routes
+    # six-vertex types, one targeted census per relation; the "agree" rows
+    # compare one count reached by two routes
     Check("triangle_pairs_eq8", SIX, (TP,),
           lambda f, t: (expected_triangle_pairs(f.n, f.k), t.n1 + t.n3 + t.n5 + t.n14)),
     Stage(QP, SIX, lambda f: cn.quad_pair_census(f)),
@@ -261,9 +289,9 @@ LEDGER = (
           lambda f, t, q: (expected_triangle_pendant(f.n, f.k), 6 * t.n1 + q.n4)),
     Check("opposite_sides_eq6", SIX, (TP, QP),
           lambda f, t, q: (expected_opposite_sides(f.n, f.k), 3 * t.n1 + t.n3)),
-    Check("prism_route_agreement", SIX, (TP, QP), lambda f, t, q: (t.n1, q.n1)),
+    Check("prism_route_agreement", SIX, (TP, QP), lambda f, t, q: (t.n1, q.n1), "agree"),
     Check("n4_twice_n3", SIX, (TP, QP), lambda f, t, q: (2 * t.n3, q.n4)),
-    Check("n4_route_agreement", SIX, (PT, QP), lambda f, p, q: (q.n4, p.n4)),
+    Check("n4_route_agreement", SIX, (PT, QP), lambda f, p, q: (q.n4, p.n4), "agree"),
     Stage(COMP, SIX, lambda f: cn.triangle_edge_completion_census(f)),
     Check("triangle_completion_eq5", SIX, (COMP,),
           lambda f, c: (expected_triangle_pendant(f.n, f.k), 6 * c.n1 + c.n4)),
@@ -272,9 +300,11 @@ LEDGER = (
     Check("quad_plus_edge_eq9", SIX, (QPE,),
           lambda f, q: (expected_quad_plus_edge(f.n, f.k), q.total)),
     Check("qpe_prism_incidences", SIX, (QPE, TP),
-          lambda f, q, t: (3 * t.n1, q.prism_incidences)),
-    Check("qpe_n4_incidences", SIX, (QPE, QP), lambda f, q, p: (2 * p.n4, q.n4_incidences)),
-    Check("qpe_n9_incidences", SIX, (QPE, QP), lambda f, q, p: (2 * p.n9, q.n9_incidences)),
+          lambda f, q, t: (3 * t.n1, q.prism_incidences), "agree"),
+    Check("qpe_n4_incidences", SIX, (QPE, QP),
+          lambda f, q, p: (2 * p.n4, q.n4_incidences), "agree"),
+    Check("qpe_n9_incidences", SIX, (QPE, QP),
+          lambda f, q, p: (2 * p.n9, q.n9_incidences), "agree"),
     # spectral: c6 three ways, and the master identity, spectral side
     # against the assembled census side
     Stage(PREFIX, "spectral", lambda f: sp.charpoly_prefix(f.graph, min(6, f.n))),
@@ -288,9 +318,9 @@ LEDGER = (
           lambda f: sp.c6_binomial_sum(sp.srg_spectrum(SrgParams(f.n, f.k, 1, 2)))),
     Check("c6_binomial_vs_trace", "spectral", ("c6_binomial_sum", PREFIX),
           lambda f, c6, c: (c6, c.c6)),
-    Check("master_identity", "master identity", (PREFIX, *cn.TYPE_CENSUS_PARTS),
-          lambda f, c, *parts: (c.c6 + comb(f.m, 3), cn.TypeCensus.assemble(
-              dict(zip(cn.TYPE_CENSUS_PARTS, parts))).master_identity_rhs())),
+    Check("master_identity", "master identity", (PREFIX, *TYPE_CENSUS_STAGES),
+          lambda f, c, *parts: (c.c6 + comb(f.m, 3), master_identity_rhs(
+              type_census_of(dict(zip(TYPE_CENSUS_STAGES, parts)))))),
     # hexagon bound, and conjecture-side observations, informational only
     Stage(BOUND, "hexagon bound", lambda f: hexagon_bound(f.n, f.k)),
     Check("hexagon_identity", "hexagon bound", (BOUND, HEXES, TP),
@@ -303,6 +333,11 @@ LEDGER = (
     Check("hexagons_equal_bound", "conjecture", (BOUND, HEXES), lambda f, b, h: (
         b, h.p6, "observed equality" if h.p6 == b else "strict excess"), "info"),
 )
+
+_ROWS = {row.name: row for row in LEDGER}
+# the rows a type census runs: its stages and the route agreements
+TYPE_CENSUS_ROWS = (*TYPE_CENSUS_STAGES,
+                    *(row.name for row in LEDGER if isinstance(row, Check) and row.kind == "agree"))
 
 # rows that read c6: below 6 vertices their stages do not run, entries skip
 _FROM_SIX_VERTICES = frozenset({"c6_closed_form", "c6_closed_vs_trace", "c6_binomial_sum",
@@ -419,19 +454,22 @@ def run_all_checks(
 def run_ledger_rows(fam, names, done=None, progress=None) -> tuple[dict, dict]:
     """Run the rows of ``LEDGER`` named in ``names``, and the stages they
     need but ``done`` does not hold, on a verified family, in ledger order;
-    the stage results and the entries, by name.  A row that raises stops the
+    the stage results and the entries, by name.  A name that no row has
+    raises ValueError before any row runs.  A row that raises stops the
     run: CountingInconsistencyError("<row>: <error>") from its error; else a
-    failed route agreement (``cn.ROUTE_AGREEMENTS``) raises one naming it."""
+    failed "agree" row raises one naming it."""
+    if unknown := [name for name in names if name not in _ROWS]:
+        raise ValueError(f"no ledger row named {unknown[0]!r}")
     done = dict(done or ())
-    wanted = {*names, *(s for row in LEDGER if row.name in names and isinstance(row, Check)
-                        for s in row.needs if s not in done)}
+    wanted = {*names, *(s for name in names if isinstance(_ROWS[name], Check)
+                        for s in _ROWS[name].needs if s not in done)}
     report = IdentityReport(graph_meta={"n": fam.n})
     for row in LEDGER:
         if row.name in wanted:
             for name, exc in _run((row,), fam, report, progress, done).items():
                 raise CountingInconsistencyError(f"{name}: {exc}") from exc
     for e in report.entries:
-        if e.name in cn.ROUTE_AGREEMENTS and e.status == "fail":
+        if e.status == "fail" and _ROWS[e.name].kind == "agree":
             raise CountingInconsistencyError(
                 f"{e.name}: expected {e.expected}, counted {e.actual}")
     return done, {e.name: e for e in report.entries}

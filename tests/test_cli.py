@@ -1,19 +1,42 @@
+import argparse
+import ast
 import json
 import random
+import traceback
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from oracles import double_edge_switched
+from test_graph import raised
 from test_identities import FAULT_TYPES
-from srg12 import graph6
+from srg12 import cli, graph6
 from srg12.cli import main
+from srg12.errors import FamilyViolationError
+from srg12.graph import Graph
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def exit_code(argv):
+    """The exit code of ``srg12 <argv>``, argparse's exits included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and last stderr line of ``srg12 <argv>``; argparse's
+    own errors come after its usage lines."""
+    code = exit_code(argv.split())
+    out = capsys.readouterr()
+    return code, out.out, out.err.splitlines()[-1]
 
 
 class TestConstruct:
@@ -381,12 +404,6 @@ class TestSpectralCommand:
         assert code == 2
         assert err == f"error: 4k-7 = {disc} is not a perfect square\n"
 
-    def test_trace_below_six_vertices_exit_2(self, capsys):
-        code, _, err = run(capsys, "spectral", "--method", "trace",
-                           "--graph", "k3")
-        assert code == 2
-        assert "6 vertices" in err
-
     def test_missing_params_exit_2(self, capsys):
         code, _, _ = run(capsys, "spectral", "--method", "closed")
         assert code == 2
@@ -464,8 +481,6 @@ class TestInputErrors:
     @pytest.mark.parametrize("argv, line", [
         ("verify --graph paley9 --params 0,0,0,0", "error: n must be at least 1"),
         ("verify --graph paley9 --params 3,5,1,2", "error: k must satisfy 0 <= k < n"),
-        ("spectral --method trace", "error: spectral --method trace needs --graph FILE.g6"),
-        ("spectral --params 3", "srg12 spectral: error: argument --params: expected n,k"),
         ("verify --graph paley9 --params 1,2,3",
          "srg12 verify: error: argument --params: expected n,k,lambda,mu"),
         ("verify --graph paley9 --params a,b,c,d",
@@ -473,12 +488,7 @@ class TestInputErrors:
         ("spectral --params x,4", "srg12 spectral: error: argument --params: expected n,k"),
     ])
     def test_exit_2_with_message(self, capsys, argv, line):
-        try:
-            code = main(argv.split())
-        except SystemExit as exc:
-            code = exc.code
-        out = capsys.readouterr()
-        assert (code, out.out, out.err.splitlines()[-1]) == (2, "", line)
+        assert outcome(capsys, argv) == (2, "", line)
 
     def test_infeasible_params_leave_the_spectrum_out(self, capsys, tmp_path):
         # 33,8 has no integral spectrum: the closed form still gives c6
@@ -569,3 +579,139 @@ class TestInputValidation:
             2, "", "error: exhaustive census guarded to 16 vertices, got 243\n"
         )
         assert calls == []
+
+
+def command(argv):
+    """``srg12 <argv>`` run without the error handling of ``main``."""
+    args = cli.build_parser().parse_args(argv.split())
+    return args.func(args)
+
+
+NOT_FAMILY = ("graph is not a verified srg(4,2,1,2): regular=True lambda_ok=False mu_ok=True "
+              "order_relation=False")
+# one row per raise of cli.py: the call, its error type and message, and the
+# command line with its exit code and last stderr line; c4.g6 is a 4-cycle
+CLI_RAISES = [
+    (lambda: cli._resolve_workers(SimpleNamespace(workers=0)), cli.UsageError,
+     "--workers must be at least 1, got 0",
+     ("check --graph k3 --workers 0", 2, "error: --workers must be at least 1, got 0")),
+    (lambda: command("spectral --method sum"), cli.UsageError,
+     "spectral --method closed|sum needs --params n,k",
+     ("spectral --method sum", 2, "error: spectral --method closed|sum needs --params n,k")),
+    (lambda: command("spectral --method trace"), cli.UsageError,
+     "spectral --method trace needs --graph FILE.g6",
+     ("spectral --method trace", 2, "error: spectral --method trace needs --graph FILE.g6")),
+    (lambda: command("spectral --method trace --graph k3"), cli.UsageError,
+     "c6 needs at least 6 vertices, graph has 3",
+     ("spectral --method trace --graph k3", 2, "error: c6 needs at least 6 vertices, graph has 3")),
+    (lambda: cli._int_fields("3", "n,k"), argparse.ArgumentTypeError, "expected n,k",
+     ("spectral --params 3", 2, "srg12 spectral: error: argument --params: expected n,k")),
+    (lambda: command("census --graph c4.g6 --what types"), FamilyViolationError, NOT_FAMILY,
+     ("census --graph c4.g6 --what types", 1, f"check failed: {NOT_FAMILY}")),
+]
+
+
+def raise_sites(path):
+    """Where a traceback through each raise of a source file leaves it: the
+    raise's own line, or, for a bare ``raise``, the first statement of the
+    ``try`` whose handler re-raises."""
+    tree = ast.parse(Path(path).read_text())
+    bare = {id(node): top.body[0].lineno for top in ast.walk(tree) if isinstance(top, ast.Try)
+            for handler in top.handlers for node in ast.walk(handler)
+            if isinstance(node, ast.Raise) and node.exc is None}
+    return sorted(bare.get(id(node), node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise))
+
+
+class TestCliRaises:
+    @pytest.fixture(autouse=True)
+    def c4_file(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        graph6.save_file("c4.g6", Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+
+    @pytest.mark.parametrize("call, error, message, line", CLI_RAISES,
+                             ids=["workers", "closed-sum-params", "trace-graph",
+                                  "trace-order", "int-fields", "census-types"])
+    def test_type_message_and_command(self, capsys, call, error, message, line):
+        exc = raised(call)
+        assert (type(exc), str(exc)) == (error, message)
+        argv, code, last = line
+        assert outcome(capsys, argv) == (code, "", last)
+
+    def test_table_reaches_every_raise(self, capsys):
+        reached = []
+        for call, *_ in CLI_RAISES:
+            frames = traceback.extract_tb(raised(call).__traceback__)
+            reached.append([f.lineno for f in frames if f.filename == cli.__file__][-1])
+        capsys.readouterr()
+        assert len(reached) == 6
+        assert sorted(reached) == raise_sites(cli.__file__)
+
+
+def graph6_bytes(rng):
+    """A random line: arbitrary bytes, or a graph6 line of a random graph
+    whose order and body length agree, left as it is or with one byte
+    replaced, removed or inserted, or with a header or CRLF end."""
+    if rng.random() < 0.3:
+        return bytes(rng.randrange(256) for _ in range(rng.randrange(40)))
+    n = rng.randrange(24)
+    body = bytes(rng.randrange(63, 127) for _ in range(-(-n * (n - 1) // 12)))
+    line = bytearray(bytes([63 + n]) + body + b"\n")
+    cut = rng.randrange(len(line))
+    edit = rng.randrange(6)
+    if edit == 1:
+        line[cut] = rng.randrange(256)
+    elif edit == 2:
+        del line[cut]
+    elif edit == 3:
+        line.insert(cut, rng.randrange(256))
+    elif edit == 4:
+        line = b">>graph6<<" + line
+    elif edit == 5:
+        line = line[:-1] + b"\r\n"
+    return bytes(line)
+
+
+def field(rng, bound):
+    """A random --params or --max-k field: mostly an integer of magnitude at
+    most ``bound``, small more often than not."""
+    pick = rng.random()
+    if pick < 0.1:
+        return rng.choice(["", "x", "1.5", "-", "0x10", " 7"])
+    if pick < 0.6:
+        return str(rng.randint(-3, 30))
+    return str(rng.randint(-bound, bound))
+
+
+class TestMalformedInputProperty:
+    """Seeded random inputs through ``main``: every run exits 0, 1 or 2 and
+    no exception escapes it (in a process, a traceback on stderr)."""
+
+    def assert_handled(self, capsys, argv, what):
+        code = exit_code(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, what)
+
+    def test_random_graph6_files(self, monkeypatch, capsys, tmp_path):
+        rng = random.Random(1616)
+        monkeypatch.chdir(tmp_path)
+        for _ in range(60):
+            data = graph6_bytes(rng)
+            Path("g.g6").write_bytes(data)
+            for argv in ("check", "verify", "census", "spectral --method trace"):
+                self.assert_handled(capsys, [*argv.split(), "--graph", "g.g6"], data)
+
+    def test_random_params_and_max_k(self, capsys):
+        # params walks every even k up to --max-k: a huge bound is slow, not
+        # wrong, so its values stay at most 2000
+        rng = random.Random(1617)
+        for _ in range(40):
+            fields = ",".join(field(rng, 10**6) for _ in range(rng.choice([2, 2, 4, 4, 3])))
+            k = rng.randint(-3, 1000)
+            pair = rng.choice([fields, f"{(k * k + 2) // 2},{k}"])  # n = (k^2+2)/2 or not
+            for argv in (["verify", "--graph", "paley9", "--params", fields],
+                         ["spectral", "--method", rng.choice(["closed", "sum"]),
+                          "--params", pair]):
+                self.assert_handled(capsys, argv, argv[-1])
+            max_k = field(rng, 2000)
+            self.assert_handled(capsys, ["params", "--max-k", max_k], max_k)

@@ -12,6 +12,8 @@ from srg12.constructions import (
 )
 from srg12.errors import InfeasibleParametersError
 from srg12.graph import SrgParams, check_condition_one, check_condition_two, verify_srg
+from test_cli import outcome
+from test_graph import last_frame, raise_lines, raised
 
 
 class TestK3:
@@ -98,14 +100,6 @@ class TestGolayCode:
         assert min(seen_weights - {0}) == 5
         assert len(seen_weights) > 1  # nonzero codewords exist
 
-    def test_perturbed_parity_check_fails_the_build(self, monkeypatch):
-        bad = [list(row) for row in GOLAY_PARITY_CHECK]
-        bad[2][3] = (bad[2][3] + 1) % 3  # one entry of A
-        monkeypatch.setattr(constructions, "GOLAY_PARITY_CHECK",
-                            tuple(map(tuple, bad)))
-        with pytest.raises(AssertionError, match="failed srg\\(243,22,1,2\\)"):
-            build_bvls243()
-
 
 class TestBvls243:
     def test_shape(self, bvls):
@@ -170,10 +164,6 @@ class TestFeasibleParameters:
         degen = feasible_parameters(3, include_degenerate=True)
         assert len(degen) == 1 and degen[0].k == 2 and degen[0].known_graph == "K3"
 
-    def test_k_max_validation(self):
-        with pytest.raises(ValueError):
-            feasible_parameters(1)
-
     def test_infeasible_k8_excluded(self):
         # 4k-7 = 25 is a square but multiplicities are 88/5
         assert 8 not in [fp.k for fp in feasible_parameters(10)]
@@ -183,3 +173,49 @@ def test_builders_are_family_members(k3, paley9, bvls):
     for g, params in ((k3, (3, 2)), (paley9, (9, 4)), (bvls, (243, 22))):
         n, k = params
         assert verify_srg(g, SrgParams(n, k, 1, 2)).passed
+
+
+def build_on_perturbed_parity_check(mp):
+    bad = [list(row) for row in GOLAY_PARITY_CHECK]
+    bad[2][3] = (bad[2][3] + 1) % 3  # one entry of A
+    mp.setattr(constructions, "GOLAY_PARITY_CHECK", tuple(map(tuple, bad)))
+    return build_bvls243()
+
+
+# one row per raise of constructions.py: the call (given a MonkeyPatch), its
+# error type and message, and the command that reaches it with its exit code
+# and last stderr line, or None.  build_bvls243 takes no input: only a
+# patched parity-check matrix reaches its self-check, and with the real one
+# it verifies (TestBvls243.test_verifies).
+CONSTRUCTION_RAISES = [
+    (build_on_perturbed_parity_check, AssertionError,
+     "Golay coset graph failed srg(243,22,1,2) verification: SrgReport(expected=SrgParams("
+     "n=243, k=22, lam=1, mu=2), degenerate=False, regular=True, degree=22, "
+     "degree_witness=None, lambda_ok=True, lambda_witness=None, mu_ok=False, "
+     "mu_vacuous=False, mu_witness=(0, 14, 0), params_match=True, order_relation_ok=True)",
+     None),
+    (lambda mp: feasible_parameters(1), ValueError, "k_max must be at least 2",
+     ("params --max-k 1", 2, "error: k_max must be at least 2")),
+]
+
+
+class TestConstructionRaises:
+    @pytest.mark.parametrize("call, error, message, command", CONSTRUCTION_RAISES,
+                             ids=["bvls-self-check", "k-max"])
+    def test_type_message_and_command(self, monkeypatch, capsys, call, error, message,
+                                      command):
+        exc = raised(lambda: call(monkeypatch))
+        assert (type(exc), str(exc)) == (error, message)
+        if command:
+            argv, code, line = command
+            assert outcome(capsys, argv) == (code, "", line)
+
+    def test_table_reaches_every_raise(self, monkeypatch):
+        reached = set()
+        for call, *_ in CONSTRUCTION_RAISES:
+            with monkeypatch.context() as mp:
+                reached.add(last_frame(lambda: call(mp)))
+        path = constructions.__file__
+        expected = {(path, line) for line in raise_lines(path)}
+        assert len(expected) == len(CONSTRUCTION_RAISES) == 2
+        assert reached == expected

@@ -111,10 +111,17 @@ def raised(call):
 
 def raise_lines(path, *scopes):
     """Line numbers of the raise statements inside the named top-level
-    classes and functions of a source file."""
+    classes and functions of a source file, or in all of it without names."""
     tree = ast.parse(Path(path).read_text())
-    return sorted(node.lineno for top in tree.body if getattr(top, "name", None) in scopes
+    return sorted(node.lineno for top in tree.body
+                  if not scopes or getattr(top, "name", None) in scopes
                   for node in ast.walk(top) if isinstance(node, ast.Raise))
+
+
+def last_frame(call):
+    """(file, line) of the frame in which ``call`` raised."""
+    frame = traceback.extract_tb(raised(call).__traceback__)[-1]
+    return frame.filename, frame.lineno
 
 
 class TestInputRaises:
@@ -129,8 +136,7 @@ class TestInputRaises:
     def test_table_reaches_every_raise(self):
         # each raise of Graph (its from_edges included) and _encode_order is
         # the last frame of some row, and no row ends anywhere else
-        reached = {(frame.filename, frame.lineno) for frame in (
-            traceback.extract_tb(raised(call).__traceback__)[-1] for call, _, _ in INPUT_ROWS)}
+        reached = {last_frame(call) for call, _, _ in INPUT_ROWS}
         expected = {(graph_module.__file__, line)
                     for line in raise_lines(graph_module.__file__, "Graph")}
         expected |= {(graph6.__file__, line)

@@ -1,9 +1,11 @@
+import ast
 import inspect
 import json
 import random
 import re
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -706,6 +708,43 @@ class TestEnumerationBudget:
             "_pentagon_edge_scan"}
 
 
+def row_names_spelt(module) -> dict[str, set]:
+    """The ledger row names that string constants of ``module`` spell,
+    docstrings left out, by the top-level name assigned around them (""
+    for any other place)."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    rows = {row.name for row in identities.LEDGER}
+    spelt: dict[str, set] = {}
+    for top in tree.body:
+        owner = top.targets[0].id if isinstance(top, ast.Assign) and len(
+            top.targets) == 1 and isinstance(top.targets[0], ast.Name) else ""
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Constant) and node.value in rows
+                    and id(node) not in docstrings):
+                spelt.setdefault(owner, set()).add(node.value)
+    return spelt
+
+
+class TestRowNamesInOneModule:
+    """identities spells every ledger row name and states the master
+    identity; census spells none, and cli only in its JSON contract."""
+
+    def test_census_spells_no_row_name(self):
+        assert row_names_spelt(census) == {}
+        assert not [name for name in vars(census) if "MASTER" in name or "master" in name]
+
+    def test_cli_spells_row_names_only_in_its_residuals(self):
+        assert row_names_spelt(cli) == {"CENSUS_RESIDUALS": {
+            entry for rows in cli.CENSUS_RESIDUALS.values() for entry in rows.values()}}
+
+    def test_the_scan_sees_identities_spell_them(self):
+        spelt = row_names_spelt(identities)
+        assert set().union(*spelt.values()) == {row.name for row in identities.LEDGER}
+
+
 class TestRouteAgreements:
     def test_type_census_and_ledger_read_one_table(self, monkeypatch, paley9):
         real = census.quad_pair_census
@@ -722,8 +761,22 @@ class TestRouteAgreements:
         assert (entry.status, entry.expected, entry.actual) == ("fail", 2, 0)
 
     def test_every_agreement_is_a_ledger_entry(self, report):
-        for name in census.ROUTE_AGREEMENTS:
+        agree = [row.name for row in identities.LEDGER
+                 if isinstance(row, identities.Check) and row.kind == "agree"]
+        assert agree == ["prism_route_agreement", "n4_route_agreement", "qpe_prism_incidences",
+                         "qpe_n4_incidences", "qpe_n9_incidences"]
+        assert identities.TYPE_CENSUS_ROWS == (*identities.TYPE_CENSUS_STAGES, *agree)
+        for name in agree:
             assert report_entry(report, name).status == "pass"
+
+    def test_unknown_row_name_is_refused(self, monkeypatch, paley9):
+        # a misspelt name would otherwise drop its row silently; nothing runs
+        calls = []
+        monkeypatch.setattr(census, "disjoint_triangle_pair_census", calls.append)
+        with pytest.raises(ValueError, match="^no ledger row named 'no_such_row'$"):
+            identities.run_ledger_rows(census.require_family(paley9),
+                                       ["triangle_count", "no_such_row"])
+        assert calls == []
 
 
 class TestLateBinding:
@@ -749,8 +802,8 @@ class TestLateBinding:
         capsys.readouterr()
         # the type census runs each of its parts once, and no other census
         parts = {name for name in names
-                 if STAGE_FAIL_ENTRY[f"cn.{name}"] in census.TYPE_CENSUS_PARTS}
-        assert len(parts) == len(census.TYPE_CENSUS_PARTS)
+                 if STAGE_FAIL_ENTRY[f"cn.{name}"] in identities.TYPE_CENSUS_STAGES}
+        assert len(parts) == len(identities.TYPE_CENSUS_STAGES)
         assert calls == {name: int(name in parts) for name in names}
 
 

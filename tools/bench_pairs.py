@@ -19,7 +19,10 @@ S = seed base + i + 1 on both sides.  Each side runs its own checkout's
 ``correct: false`` stops the tool.  The output keeps every pair's result
 line, each side's total of failed operations and, per end-to-end metric of
 ``BENCHMARK.json``, each side's median and quartiles and the number of pairs
-the change won.  Standard library only.
+the change won.  It is written after every pair, with ``"complete": false``
+until the last pair is in, so a run that stops part way keeps the pairs it
+finished; SIGTERM stops the run like Ctrl-C, and both copies are still
+removed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -110,7 +114,13 @@ def workload_spec(text: str) -> tuple[str, int]:
     return name, int(pairs)
 
 
+def stop(signum, frame):
+    """Unwind on SIGTERM as on Ctrl-C, so that ``with`` blocks clean up."""
+    raise KeyboardInterrupt(f"stopped by signal {signum}")
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, stop)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -127,11 +137,14 @@ def main(argv=None) -> int:
         "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED "
                    f"--seconds {seconds:g} --trace 0",
         "parent_commit": None,
+        "complete": False,
         "host": host(),
         "order": "pair i runs the parent first when i is even and the change first "
                  "when i is odd; both sides of a pair use the same seed",
         "workloads": {},
     }
+    path = ROOT / f"BENCH_{args.pr}.json"
+    left = sum(count for _, count in args.workloads)
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent, change = Path(tmp, "parent"), Path(tmp, "change")
         out["parent_commit"] = export(args.parent, parent)
@@ -150,14 +163,14 @@ def main(argv=None) -> int:
                     f"{side} cpu_ms.p50 {pair[side]['metrics']['cpu_ms.p50']['value']:.1f}"
                     for side in ("parent", "change")), file=sys.stderr, flush=True)
                 pairs.append(pair)
-            failed = {side: sum(p[side]["failed"] for p in pairs)
-                      for side in ("parent", "change")}
-            out["workloads"][workload] = {"pair_count": count, "seeds": seeds,
-                                          "failed": failed,
-                                          "summary": summarize(pairs, benchmark["end_to_end"]),
-                                          "pairs": pairs}
-    path = ROOT / f"BENCH_{args.pr}.json"
-    path.write_text(json.dumps(out, indent=1) + "\n")
+                failed = {side: sum(p[side]["failed"] for p in pairs)
+                          for side in ("parent", "change")}
+                out["workloads"][workload] = {
+                    "pair_count": len(pairs), "seeds": seeds[:len(pairs)], "failed": failed,
+                    "summary": summarize(pairs, benchmark["end_to_end"]), "pairs": pairs}
+                left -= 1
+                out["complete"] = not left
+                path.write_text(json.dumps(out, indent=1) + "\n")
     print(path)
     return 0
 

@@ -76,7 +76,8 @@ COMMANDS = [
     *(f"check --graph {g} --json out.json" for g in ("k3", "paley9", "bvls243", "c5.g6")),
     *(f"census --graph paley9 --what {w} --json out.json"
       for w in ("all", "cycles", "types", "triples")),
-    *(f"census --graph bvls243 --what {w} --json out.json" for w in ("all", "cycles")),
+    *(f"census --graph bvls243 --what {w} --json out.json"
+      for w in ("all", "cycles", "types", "triples")),
     "census --graph k3 --what all --json out.json",
     "census --graph c16.g6 --exhaustive --json out.json",
     "verify --graph paley9",
@@ -87,6 +88,8 @@ COMMANDS = [
     *(command.format(g) for g in ("n99.g6", "bvls-switched.g6", "bvls-header.g6")
       for command in ("check --graph {} --json out.json", "verify --graph {}",
                       "census --graph {} --what cycles --json out.json")),
+    # outside the family: types exits 1, all reports no type census
+    *(f"census --graph bvls-switched.g6 --what {w} --json out.json" for w in ("all", "types")),
 ]
 
 
