@@ -1,6 +1,7 @@
-"""Small helpers for graphs stored as per-vertex bit rows."""
+"""Small helpers for graphs stored as per-vertex bit rows.
 
-from functools import lru_cache
+``graph6.decode`` completes its rows with ``transpose``, ``Graph`` checks them
+with ``is_symmetric``; both slice one digit string and keep no cache."""
 
 
 def iter_bits(mask):
@@ -56,59 +57,24 @@ def pair_index_table(n):
     return table
 
 
-_TILE = 256  # widest tile: the masks of every width up to it fill about 82 KB
-
-
-@lru_cache(maxsize=None)  # one entry per power-of-two width from 8 to _TILE
-def _swap_masks(width):
-    """(shift, mask) of each delta swap that transposes a width x width bit
-    tile packed row by row (bit i * width + j holds entry (i, j)).  The swap
-    of level s exchanges entry (i, j) with (i + s, j - s) wherever bit s is
-    set in j and clear in i; the mask marks those (i, j)."""
-    nbytes = width // 8
-    blank = bytes(nbytes)
-    masks = []
-    s = width >> 1
-    while s:
-        # the columns j with bit s set: s ones, s zeros, repeated across the row
-        cols = (((1 << s) - 1) << s) * ((1 << width) - 1) // ((1 << 2 * s) - 1)
-        row = cols.to_bytes(nbytes, "little")
-        mask = (row * s + blank * s) * (width // (2 * s))  # rows i with bit s clear
-        masks.append((s * (width - 1), int.from_bytes(mask, "little")))
-        s >>= 1
-    return tuple(masks)
-
-
-def _transpose_tile(rows, cols, width):
-    """The first ``cols`` rows of the transpose of the bit matrix whose rows
-    (at most ``width`` of them, each below 2**width) are ``rows``."""
-    nbytes = width // 8
-    x = int.from_bytes(b"".join([r.to_bytes(nbytes, "little") for r in rows]), "little")
-    for shift, mask in _swap_masks(width):
-        t = (x ^ x >> shift) & mask
-        x ^= t ^ t << shift
-    data = x.to_bytes(cols * nbytes, "little")
-    return [int.from_bytes(data[i:i + nbytes], "little")
-            for i in range(0, cols * nbytes, nbytes)]
+def _cells(rows):
+    """The square bit matrix ``rows`` as binary digits, rows last first and
+    each highest bit first: digit (n - 1 - i) * n + n - 1 - j is bit j of row i."""
+    spec = f"0{len(rows)}b"
+    return "".join([format(row, spec) for row in reversed(rows)])
 
 
 def transpose(rows):
-    """Rows of the transpose of the square bit matrix given by ``rows``: bit
-    i of row j is bit j of row i.  One packed integer per tile of at most
-    _TILE x _TILE entries goes through log2(width) masked swaps, so the work
-    is a few whole-tile operations, not one per set bit."""
+    """Rows of the transpose of the square bit matrix ``rows``: bit i of row
+    j is bit j of row i.  Row j is every n-th digit of ``_cells`` from
+    position n - 1 - j, one string slice and one ``int``."""
     n = len(rows)
-    width = 8
-    while width < n and width < _TILE:
-        width <<= 1
-    if n <= width:
-        return _transpose_tile(rows, n, width)
-    out = [0] * n
-    full = (1 << width) - 1
-    for top in range(0, n, width):
-        band = rows[top:top + width]
-        for left in range(0, n, width):
-            tile = _transpose_tile([r >> left & full for r in band], min(width, n - left), width)
-            for j, col in enumerate(tile, left):
-                out[j] |= col << top
-    return out
+    cells = _cells(rows)
+    return [int(cells[n - 1 - j::n], 2) for j in range(n)]
+
+
+def is_symmetric(rows):
+    """Whether the square bit matrix ``rows`` reads the same by columns."""
+    n = len(rows)
+    cells = _cells(rows)
+    return cells == "".join([cells[j::n] for j in range(n)])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from ._bits import iter_bits, pair_index_table, transpose
+from ._bits import is_symmetric, iter_bits, pair_index_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -22,9 +22,9 @@ class Graph:
     """Immutable simple graph: ``order`` vertices, one bit row per vertex.
 
     The rows must describe a simple undirected graph.  Symmetry is checked
-    as one comparison of the rows with their transpose
-    (``_bits.transpose``); only when that fails does a per-edge loop run,
-    to name the first (u, v) whose reverse edge is missing.
+    by ``_bits.is_symmetric``, one string comparison with no cache; only
+    when that fails does a per-edge loop run, to name the first (u, v) whose
+    reverse edge is missing.
     """
 
     order: int
@@ -42,7 +42,7 @@ class Graph:
                 raise ValueError(f"row {v} has bits outside 0..{n - 1}")
             if row >> v & 1:
                 raise ValueError(f"vertex {v} is adjacent to itself")
-        if transpose(self.rows) != list(self.rows):
+        if not is_symmetric(self.rows):
             for v, row in enumerate(self.rows):
                 for u in iter_bits(row):
                     if not self.rows[u] >> v & 1:

@@ -10,11 +10,11 @@ therefore run through ``binascii`` and ``bytes.translate``, and the bit
 string is one integer.  Decoding reads the lower triangle of the adjacency
 matrix off that integer, one column per vertex, and adds its transpose
 (``_bits.transpose``), so the rows are symmetric by construction.
-``Graph`` checks them anyway, as one comparison with their transpose; only
-a failed comparison runs its per-edge loop, which names the first pair
-(u, v) with u in row v and v not in row u.  Every check on the text runs
-before any of this, with the same message and byte offset, so a malformed
-line raises only ``Graph6Error``.
+``Graph`` checks them anyway (``_bits.is_symmetric``); only a failed check
+runs its per-edge loop, which names the first pair (u, v) with u in row v
+and v not in row u.  Neither helper keeps a cache.  Every check on the
+text runs before any of this, with the same message and byte offset, so a
+malformed line raises only ``Graph6Error``.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from oracles import (
     quad_edge_incidences,
     random_graph,
     relabeled,
+    unverified_family,
 )
 from srg12 import census, graph
 from srg12.census import (
@@ -40,13 +41,16 @@ from srg12.census import (
     pentagons_through_edge,
     quad_pair_census,
     quad_plus_edge_census,
+    require_family,
     triangle_edge_completion_census,
     type_census,
 )
-from srg12.errors import FamilyViolationError, SizeLimitError
+from srg12.constructions import build_paley9
+from srg12.errors import CountingInconsistencyError, FamilyViolationError, SizeLimitError
 from srg12.graph import Graph
 from srg12.identities import MASTER_COEFF, MASTER_COEFF_AGGREGATE, master_identity_rhs
 from srg12.spectral import charpoly_prefix
+from test_graph import last_frame, raise_lines, raised
 
 
 def cycle(n):
@@ -455,3 +459,166 @@ class TestTypeCensusAssembly:
     def test_n4_equals_twice_n3_paley(self, paley9):
         tc = type_census(paley9)
         assert tc.n4 == 2 * tc.n3
+
+
+def crafted(n, edges):
+    """The graph on n vertices with ``edges``, given to a family census
+    unverified."""
+    return unverified_family(Graph.from_edges(n, edges))
+
+
+def duplicate_certificates(mp):
+    mp.setattr(census, "NAMED_TYPE_EDGES", {**NAMED_TYPE_EDGES, "twin": NAMED_TYPE_EDGES["n12"]})
+    named_type_certificates.cache_clear()  # the patched table is read afresh
+    try:
+        return named_type_certificates()
+    finally:
+        named_type_certificates.cache_clear()
+
+
+def patched_call(name, kernel, census_call):
+    """A row whose kernel ``census.<name>`` is replaced by ``kernel`` before
+    ``census_call`` runs on Paley 9."""
+    def call(mp):
+        mp.setattr(census, name, kernel)
+        return census_call(build_paley9())
+    return call
+
+
+C4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
+TRIANGLE = [(0, 1), (0, 2), (1, 2)]
+
+# No verified family reaches the guards below; each row reaches its guard
+# with crafted rows, a patched kernel or a kernel input that disagrees with
+# itself, and the comment names the kernel fault the guard would catch.
+# - Walk counts: on any graph each induced pentagon gives 10 coded walks,
+#   each house 6 (three starts whose chord avoids them, two directions) and
+#   each triangle with a pendant 2, so only a ``_walk_scan`` that miscounts
+#   leaves a remainder.
+# - 3-matchings: every 3-matching is counted once from each of its three
+#   edges, on any graph, so only degrees or an edge count that disagree
+#   with the rows (or a wrong sharing term) leave a remainder.
+# - Prism incidences of the quadrilateral pairs: a pair is counted only
+#   when it induces a prism, and then once through each of the prism's
+#   three matching edges; only a ``_quad_pairs_through_edge`` that
+#   miscounts prisms leaves a remainder.
+# - Pentagons through edges: each induced pentagon is counted once through
+#   each of its five edges, so only a broken ``_pentagon_edge_scan`` leaves
+#   a remainder.
+# - Apexes of quadrilateral sides: lambda = 1 gives every edge exactly one
+#   common neighbour; C4 rows have none.
+# - Negative aggregate: with lambda = 1 and mu = 2 the total and n13 are
+#   exact closed forms, so the aggregate counts real incidences and is at
+#   least 0; only a ``_qpe_scan`` that over-counts the prism, n4 or n9
+#   incidences makes it negative.
+# - A pendant at several corners: p joined to corners x and y makes p and z
+#   two common neighbours of the edge xy, against lambda = 1.
+# - A non-edge (p, y) needs mu = 2 common neighbours; a pendant of a lone
+#   triangle has one.
+# - A collapsed completion: q != r outside the triangle, since p meets it
+#   at x only; q = r would be a second common neighbour of the edge yz,
+#   against lambda = 1.
+# - Prism completions: each prism is reached from both its triangles and
+#   each of their three corners, on any graph where no other guard raises,
+#   so only a ``_completion_type`` that names a prism wrongly leaves a
+#   remainder.
+CENSUS_RAISES = [
+    (duplicate_certificates, CountingInconsistencyError,
+     "two named 6-vertex types share a certificate"),
+    (lambda mp: require_family(Graph(0, ())), FamilyViolationError,
+     "empty graph is not a family member"),
+    (lambda mp: require_family(Graph.from_edges(4, C4)), FamilyViolationError,
+     "graph is not a verified srg(4,2,1,2): regular=True lambda_ok=False mu_ok=True "
+     "order_relation=False"),
+    (lambda mp: pentagons_through_edge(build_paley9(), (0, 4)), ValueError,
+     "(0, 4) is not an edge"),
+    (lambda mp: coded_walk_census(crafted(5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4),
+                                              (1, 3), (1, 4)])),
+     CountingInconsistencyError, "walk (0,1,2,3,4) has 2 chords"),
+    (patched_call("_walk_scan", lambda rows, n, starts: (11, 0, 0), coded_walk_census),
+     CountingInconsistencyError, "pentagon walk count 11 not divisible by 10"),
+    # K2 with the edge count 3 in place of 1
+    (lambda mp: census._count_span6_triples(Graph(2, (2, 1)), [1, 1], 3),
+     CountingInconsistencyError, "3-matching incidences 1 not divisible by 3"),
+    (lambda mp: exhaustive_six_census(Graph(17, (0,) * 17)), SizeLimitError,
+     "exhaustive census guarded to 16 vertices, got 17"),
+    (lambda mp: quad_pair_census(crafted(7, [(0, 1), (1, 2), (0, 4), (0, 5), (2, 4), (2, 5),
+                                             (0, 6)])),
+     FamilyViolationError, "quadrilaterals (0, 1, 2, 4, 2, 5) through (0,1) share a vertex"),
+    (lambda mp: quad_pair_census(crafted(8, [(0, 1), (1, 2), (1, 3), (0, 4), (0, 5), (2, 5),
+                                             (3, 4), (3, 5), (0, 6), (0, 7)])),
+     CountingInconsistencyError, "C4 pair through (0,1) induced an unexpected class"),
+    (lambda mp: quad_pair_census(crafted(4, C4)), FamilyViolationError,
+     "edge (0,1) lies on 1 quadrilaterals, expected 0"),
+    (patched_call("_quad_pairs_through_edge",
+                  lambda rows, u, v, k: [0, 0, int((u, v) == (0, 1))], quad_pair_census),
+     CountingInconsistencyError, "prism incidences 1 not divisible by 3"),
+    (lambda mp: pentagon_triangle_census(crafted(5, [(0, 1), (1, 2), (2, 3), (3, 4),
+                                                     (4, 0)])),
+     FamilyViolationError, "side (0,1) has 0 triangle apexes"),
+    # pentagon 0-1-2-3-4 whose side (0,1) has apex 5, also joined to w = 2
+    (lambda mp: pentagon_triangle_census(crafted(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                                                     (5, 0), (5, 1), (5, 2)])),
+     CountingInconsistencyError,
+     "apex of side (0,1) has adjacency pattern 001 on pentagon (0, 1, 2, 3, 4)"),
+    (patched_call("_pentagon_edge_scan", lambda rows, edges: (0, [1]),
+                  pentagon_triangle_census),
+     CountingInconsistencyError, "pentagons through edges: 1 is not divisible by 5"),
+    (lambda mp: quad_plus_edge_census(crafted(4, C4)), FamilyViolationError,
+     "side (0,1) has 0 triangle apexes"),
+    # vertex 4 is the apex of sides 01 and 12
+    (lambda mp: count_n2(crafted(7, C4 + [(4, 0), (4, 1), (4, 2), (5, 2), (5, 3), (6, 3),
+                                          (6, 0)])),
+     CountingInconsistencyError, "adjacent-side apexes of (0, 1, 2, 3) collide"),
+    # the apexes 4 and 5 of sides 01 and 12 joined
+    (lambda mp: count_n2(crafted(8, C4 + [(4, 0), (4, 1), (5, 1), (5, 2), (6, 2), (6, 3),
+                                          (7, 3), (7, 0), (4, 5)])),
+     CountingInconsistencyError, "completion of (0, 1, 2, 3) on adjacent sides is not type n2"),
+    # one quadrilateral of Paley 9 with 9 n4 incidences: total 6, n13 -2
+    (patched_call("_qpe_scan", lambda rows, n, v0_list: (0, 9, 0, 1), quad_plus_edge_census),
+     CountingInconsistencyError, "negative aggregate incidence count"),
+    (lambda mp: triangle_edge_completion_census(crafted(4, TRIANGLE + [(0, 3), (1, 3),
+                                                                       (2, 3)])),
+     FamilyViolationError, "vertex 3 joins triangle (0, 1, 2) at several corners"),
+    (lambda mp: triangle_edge_completion_census(crafted(4, TRIANGLE + [(0, 3)])),
+     FamilyViolationError, "non-edge (3,1) has 1 common neighbours"),
+    # pendant 3 at 0; vertex 4 joined to 3 and to both 1 and 2, so q = r = 4
+    (lambda mp: triangle_edge_completion_census(crafted(5, TRIANGLE + [(0, 3), (3, 4), (1, 4),
+                                                                       (2, 4)])),
+     CountingInconsistencyError, "completion of triangle (0, 1, 2) with pendant 3 collapsed"),
+    # triangle 0-1-2, pendant 3 at 0, q = 4 and r = 5 with a further edge 4-0
+    (lambda mp: triangle_edge_completion_census(crafted(6, TRIANGLE + [(0, 3), (3, 4), (4, 1),
+                                                                       (3, 5), (5, 2),
+                                                                       (4, 0)])),
+     CountingInconsistencyError,
+     "completion of triangle (0, 1, 2) with pendant 3 is neither a prism nor type n4"),
+    # the four completions at vertex 0 of Paley 9 (two triangles, two
+    # pendants each) named prisms, the rest n4
+    (patched_call("_completion_type", lambda rows, x, *rest: "n1" if x == 0 else "n4",
+                  triangle_edge_completion_census),
+     CountingInconsistencyError, "prism completions 4 not divisible by 6"),
+]
+CENSUS_IDS = ["certificates", "empty", "not-family", "not-an-edge", "walk-chords",
+              "walk-count", "3-matchings", "exhaustive-size", "quad-pair-share",
+              "quad-pair-class", "edge-quadrilaterals", "quad-prisms", "pentagon-apexes",
+              "apex-pattern", "pentagon-sides", "qpe-apexes", "n2-collide", "n2-type",
+              "negative-aggregate", "several-corners", "non-edge", "collapsed",
+              "completion-type", "prism-completions"]
+
+
+class TestCensusRaises:
+    """Every raise of ``census``, each with its error type and message."""
+
+    @pytest.mark.parametrize("call, error, message", CENSUS_RAISES, ids=CENSUS_IDS)
+    def test_type_and_message(self, monkeypatch, call, error, message):
+        exc = raised(lambda: call(monkeypatch))
+        assert (type(exc), str(exc)) == (error, message)
+
+    def test_table_reaches_every_raise(self, monkeypatch):
+        reached = set()
+        for call, *_ in CENSUS_RAISES:
+            with monkeypatch.context() as mp:
+                reached.add(last_frame(lambda: call(mp)))
+        expected = {(census.__file__, line) for line in raise_lines(census.__file__)}
+        assert len(expected) == len(CENSUS_RAISES) == 24
+        assert reached == expected

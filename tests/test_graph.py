@@ -23,7 +23,7 @@ from oracles import (
 )
 from srg12 import graph6
 from srg12 import graph as graph_module
-from srg12._bits import iter_bits, transpose
+from srg12._bits import is_symmetric, iter_bits, transpose
 from srg12.graph import (
     Graph,
     SrgParams,
@@ -145,18 +145,38 @@ class TestInputRaises:
         assert reached == expected
 
 
-class TestTranspose:
-    """``_bits.transpose`` against the per-bit loop, on both sides of every
-    tile width and on several tiles."""
+SIZES = [0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 513, 600]
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129,
-                                   255, 256, 257, 511, 513, 600])
+
+class TestTranspose:
+    """``_bits.transpose`` and ``_bits.is_symmetric`` against the per-bit
+    loop, on both sides of every power of two up to 512 and above."""
+
+    @pytest.mark.parametrize("n", SIZES)
     def test_equals_the_loop(self, n):
         rng = random.Random(n)
         for density in (0.0, 0.1, 0.5, 1.0):
             rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
             assert transpose(rows) == transpose_loop(rows)
             assert transpose(tuple(rows)) == transpose_loop(rows)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_symmetry_equals_the_loop(self, n):
+        # a symmetric matrix, then one arc flipped in the first row, in the
+        # last row and next to the diagonal
+        rng = random.Random(n)
+        rows = list(random_graph(rng, n, 0.3).rows)
+        cases = [rows]
+        if n >= 2:
+            i = rng.randrange(n - 1)
+            for v, u in ((0, rng.randrange(1, n)), (n - 1, rng.randrange(n - 1)), (i, i + 1)):
+                flipped = rows.copy()
+                flipped[v] ^= 1 << u
+                cases.append(flipped)
+        for case in cases:
+            expected = transpose_loop(case) == case
+            assert is_symmetric(case) == is_symmetric(tuple(case)) == expected
+        assert [is_symmetric(case) for case in cases] == [True] + [False] * (len(cases) - 1)
 
 
 def symmetry_outcome(call, *args):

@@ -1,7 +1,8 @@
 """Source mutants of the counting kernels, the orbit expansion of the
 exhaustive census, the verification scan, the ledger's runner, the census
 residuals, the spectral routes, the graph6 codec, the bit-matrix transpose
-and the symmetry check of ``Graph``, each of which a check must detect.
+and symmetry test, and the symmetry check of ``Graph``, each of which a
+check must detect.
 
 Each row of ``MUTANTS`` names a module of ``srg12``, an exact snippet of its
 source, a replacement and a kill check.  The snippet must occur exactly
@@ -328,7 +329,7 @@ def graph6_differs(mod) -> bool:
 
 
 def transpose_differs(mod) -> bool:
-    # one tile of each width up to 256, and several tiles from 257 on
+    # small sizes, powers of two up to 256 and sizes on either side, and 300
     rng = random.Random(28)
     for n in (1, 5, 8, 9, 16, 30, 64, 100, 128, 200, 256, 257, 300):
         rows = [rng.getrandbits(n) for _ in range(n)]
@@ -337,6 +338,22 @@ def transpose_differs(mod) -> bool:
                 return True
         except Exception:  # a mutant may raise anything
             return True
+    return False
+
+
+def is_symmetric_differs(mod) -> bool:
+    # symmetric rows, then the same rows with one arc flipped in the last row
+    rng = random.Random(30)
+    for n in (2, 3, 9, 40, 99):
+        rows = list(random_graph(rng, n, 0.3).rows)
+        flipped = rows.copy()
+        flipped[n - 1] ^= 1 << rng.randrange(n - 1)
+        for case in (rows, flipped):
+            try:
+                if mod.is_symmetric(case) != (transpose_loop(case) == case):
+                    return True
+            except Exception:  # a mutant may raise anything
+                return True
     return False
 
 
@@ -512,15 +529,18 @@ MUTANTS = [
     Mutant("byte 127 read as a body byte", "graph6",
            "rest = body.lstrip(_BODY_BYTES)", 'rest = body.lstrip(_BODY_BYTES + b"\\x7f")',
            graph6_differs),
-    # the bit-matrix transpose, read against the per-bit loop, and the
-    # symmetry check of Graph that compares the rows with it
-    Mutant("one transpose swap level skipped", "_bits",
-           "for shift, mask in _swap_masks(width):", "for shift, mask in _swap_masks(width)[1:]:",
-           transpose_differs),
-    Mutant("a wrong swap shift", "_bits",
-           "masks.append((s * (width - 1),", "masks.append((s * (width + 1),", transpose_differs),
-    Mutant("the symmetry fallback dropped", "graph",
-           "if transpose(self.rows) != list(self.rows):", "if False:", symmetry_differs),
+    # the bit-matrix transpose and the symmetry test, read against the
+    # per-bit loop, and the symmetry check of Graph that calls the test
+    Mutant("columns read in the wrong order", "_bits",
+           "return [int(cells[n - 1 - j::n], 2) for j in range(n)]",
+           "return [int(cells[j::n], 2) for j in range(n)]", transpose_differs),
+    Mutant("a shifted slice start", "_bits",
+           "int(cells[n - 1 - j::n], 2)", "int(cells[n - j::n], 2)", transpose_differs),
+    Mutant("is_symmetric skipping its last column", "_bits",
+           'cells == "".join([cells[j::n] for j in range(n)])',
+           'cells == "".join([cells[j::n] for j in range(n - 1)])', is_symmetric_differs),
+    Mutant("the symmetry check of Graph turned off", "graph",
+           "if not is_symmetric(self.rows):", "if False:", symmetry_differs),
 ]
 
 # Triangles through u have two vertices in N(u), so one_in[u] already

@@ -10,12 +10,14 @@ into a temporary directory, which is removed afterwards.  Each command runs
 as ``python -m srg12.cli ...`` with ``PYTHONPATH`` set to one tree's ``src``,
 in an empty working directory of its own that also holds the graph6
 input files, without ``SRG12_PROGRESS`` and without writing bytecode.
-Two inputs are fixed lines (a 5-cycle and the circulant C16(1, 3)); three
+Two inputs are fixed lines (a 5-cycle and the circulant C16(1, 3)); five
 are generated from a fixed seed with perfbench's standard-library input
 helpers, so that large graphs also reach the commands through the decoder:
 a random 14-regular graph on 99 vertices, a relabelled BvLS 243 with one
-double-edge switch, and a relabelled BvLS 243 written with the
-``>>graph6<<`` header and a CRLF line end.  A command with
+double-edge switch, a relabelled BvLS 243 written with the ``>>graph6<<``
+header and a CRLF line end, and random 6-regular graphs on 257 and 300
+vertices, the widest matrices that the decoder's transpose and the
+symmetry check of ``Graph`` meet here.  A command with
 ``--json``/``--out`` writes ``out.json``/``out.g6`` there.  The tool
 compares the exit code, stdout, stderr and the written file, prints one
 line per command (``same`` or ``DIFF`` and what differs) and exits 1 if any
@@ -66,7 +68,8 @@ def inputs() -> dict[str, bytes]:
     return {"c5.g6": b"Dhc\n", "c16.g6": b"OlSggSD?gA_D?D_Ag?l?D\n",
             "n99.g6": graph6_line(random_regular(99, 14, rng)) + b"\n",
             "bvls-switched.g6": graph6_line(switch_edges(bvls, rng, 1)) + b"\n",
-            "bvls-header.g6": b">>graph6<<" + graph6_line(bvls) + b"\r\n"}
+            "bvls-header.g6": b">>graph6<<" + graph6_line(bvls) + b"\r\n",
+            **{f"n{n}.g6": graph6_line(random_regular(n, 6, rng)) + b"\n" for n in (257, 300)}}
 
 
 INPUTS = inputs()
@@ -88,6 +91,8 @@ COMMANDS = [
     *(command.format(g) for g in ("n99.g6", "bvls-switched.g6", "bvls-header.g6")
       for command in ("check --graph {} --json out.json", "verify --graph {}",
                       "census --graph {} --what cycles --json out.json")),
+    *(command.format(g) for g in ("n257.g6", "n300.g6")
+      for command in ("check --graph {} --json out.json", "verify --graph {}")),
     # outside the family: types exits 1, all reports no type census
     *(f"census --graph bvls-switched.g6 --what {w} --json out.json" for w in ("all", "types")),
 ]
