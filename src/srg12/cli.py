@@ -169,7 +169,6 @@ CENSUS_RESIDUALS = {
 
 def _cmd_census(args) -> int:
     g = _load_graph(args.graph)
-    _resolve_workers(args)
     progress = _Progress("census")
     payload = {"graph_meta": {"n": g.order, "edges": g.num_edges,
                               "source": _fingerprint(g)}}
@@ -268,7 +267,6 @@ def _cmd_spectral(args) -> int:
 
 def _cmd_check(args) -> int:
     g = _load_graph(args.graph)
-    _resolve_workers(args)
     progress = _Progress("check")
     report: IdentityReport = run_all_checks(
         g, source=_fingerprint(g), progress=progress.stage
@@ -403,6 +401,7 @@ def main(argv=None) -> int:
     gc.freeze()
     try:
         args = build_parser().parse_args(argv)
+        _resolve_workers(args)
         return args.func(args)
     except (FamilyViolationError, CountingInconsistencyError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)

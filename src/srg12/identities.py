@@ -397,9 +397,10 @@ def run_all_checks(
     One ``verify_srg`` scan gives the condition I and II entries, the
     regularity entries and the family gate; their witnesses are the first
     edge with lambda != 1 and the first non-edge with mu != 2.  A graph
-    outside the family gets skipped family suites and, up to 64 vertices,
-    the Makhnev scan; a family member gets every row of ``LEDGER``, in
-    order, and its censuses take the verified family.  Never raises;
+    outside the family, and K1, whose charpoly rows need 3 vertices, get
+    skipped family suites and, up to 64 vertices, the Makhnev scan; a
+    family member gets every row of ``LEDGER``, in order, and its censuses
+    take the verified family.  Never raises;
     ``progress`` gets each stage's name in run order, also when it failed.
     """
     n = g.order
@@ -433,12 +434,13 @@ def run_all_checks(
                                      "pass" if lhs == rhs else "fail"))
 
     if fam is None or n < 3:
+        reason = ("graph is not a verified srg(n,k,1,2)" if fam is None
+                  else "graph has fewer than 3 vertices")
         for section in ("cycle formulas", "per-edge pentagons", "coded walks",
                         "edge triples", "six-vertex types", "master identity",
                         "spectral", "hexagon bound"):
             entries.append(IdentityEntry(f"{section.replace(' ', '_')}_suite", section,
-                                         None, None, "skip",
-                                         "graph is not a verified srg(n,k,1,2)"))
+                                         None, None, "skip", reason))
         if n <= 64:
             _run(_OUTSIDE_FAMILY, g, report, progress, {})
         else:

@@ -1,6 +1,7 @@
-"""Brute-force oracles the censuses are tested against.
+"""Brute-force oracles the censuses are tested against, and the helpers
+that run the calls and command lines of the raise tables.
 
-Everything here enumerates subsets or permutations directly and stays
+Every oracle enumerates subsets or permutations directly and stays
 independent of the counting paths under test.
 """
 
@@ -10,6 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
+import pytest
+
 from srg12 import graph6
 from srg12._bits import iter_bits, pair_index_table
 from srg12.census import (
@@ -18,6 +21,7 @@ from srg12.census import (
     _apex_pattern_check,
     named_type_certificates,
 )
+from srg12.cli import main
 from srg12.constructions import build_bvls243, build_k3, build_paley9
 from srg12.errors import (
     CountingInconsistencyError,
@@ -492,6 +496,41 @@ def outcome(call, *args):
         return call(*args)
     except (CountingInconsistencyError, FamilyViolationError) as exc:
         return type(exc).__name__, str(exc)
+
+
+def raised(call):
+    """The exception that ``call()`` raises; the test fails if it returns."""
+    with pytest.raises(Exception) as info:
+        call()
+    return info.value
+
+
+def raise_error(tmp_path, call, data):
+    """The Graph6Error that ``graph6.<call>`` raises on ``data`` (load_file
+    reads it from a file)."""
+    path = tmp_path / "g.g6"
+    if call == "load_file":
+        path.write_bytes(data)
+        data = path
+    with pytest.raises(Graph6Error) as info:
+        getattr(graph6, call)(data)
+    return info.value, path
+
+
+def exit_code(argv):
+    """The exit code of ``srg12 <argv>``, argparse's exits included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def command_outcome(capsys, argv):
+    """Exit code, stdout and last stderr line of ``srg12 <argv>``; argparse's
+    own errors come after its usage lines."""
+    code = exit_code(argv.split())
+    out = capsys.readouterr()
+    return code, out.out, out.err.splitlines()[-1]
 
 
 def random_graph(rng, n, p) -> Graph:

@@ -50,7 +50,6 @@ from srg12.errors import CountingInconsistencyError, FamilyViolationError, SizeL
 from srg12.graph import Graph
 from srg12.identities import MASTER_COEFF, MASTER_COEFF_AGGREGATE, master_identity_rhs
 from srg12.spectral import charpoly_prefix
-from test_graph import last_frame, raise_lines, raised
 
 
 def cycle(n):
@@ -604,21 +603,3 @@ CENSUS_IDS = ["certificates", "empty", "not-family", "not-an-edge", "walk-chords
               "apex-pattern", "pentagon-sides", "qpe-apexes", "n2-collide", "n2-type",
               "negative-aggregate", "several-corners", "non-edge", "collapsed",
               "completion-type", "prism-completions"]
-
-
-class TestCensusRaises:
-    """Every raise of ``census``, each with its error type and message."""
-
-    @pytest.mark.parametrize("call, error, message", CENSUS_RAISES, ids=CENSUS_IDS)
-    def test_type_and_message(self, monkeypatch, call, error, message):
-        exc = raised(lambda: call(monkeypatch))
-        assert (type(exc), str(exc)) == (error, message)
-
-    def test_table_reaches_every_raise(self, monkeypatch):
-        reached = set()
-        for call, *_ in CENSUS_RAISES:
-            with monkeypatch.context() as mp:
-                reached.add(last_frame(lambda: call(mp)))
-        expected = {(census.__file__, line) for line in raise_lines(census.__file__)}
-        assert len(expected) == len(CENSUS_RAISES) == 24
-        assert reached == expected

