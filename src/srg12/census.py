@@ -19,8 +19,10 @@ bit-sliced neighbour counters less the triangles across them, read from
 one table of triangle-id masks.  Every census that reads triangles reads
 the one listing of ``_triangle_ids``.  Three loops still count object by
 object: ``_qpe_scan`` per quadrilateral, ``triangle_edge_completion_census``
-per (triangle, pendant) and ``disjoint_triangle_pair_census`` per triangle.
-A count is exact whenever its kernel returns.  The hexagon, triangle-pair
+per (triangle, corner) and ``disjoint_triangle_pair_census`` per triangle.
+A guard tests a whole structure with masks, and a per-object loop, which
+names the witness and raises, runs only where that test fails.  A count is
+exact whenever its kernel returns.  The hexagon, triangle-pair
 and edge-triple kernels return on any graph; the others name the first
 structure that lambda = 1 and mu = 2 rule out and raise: a side without one
 apex (``_qpe_scan``, ``_pentagon_edge_scan``), a pentagon apex with a wrong
@@ -899,52 +901,69 @@ def _is_n2(rows, a: int, b: int, c: int, d: int, e: int, f: int) -> bool:
     )
 
 
+def _side_apexes_one_by_one(rows, quad) -> list[int]:
+    """The side apexes t_ab, t_bc, t_cd, t_da of quadrilateral a-b-c-d, one
+    side and one n2 completion (``_is_n2``) at a time; exact on any graph,
+    and raises on the first side or completion that a guard refuses."""
+    apexes = []
+    for x, y in zip(quad, quad[1:] + quad[:1]):
+        am = rows[x] & rows[y]
+        if am.bit_count() != 1:
+            raise FamilyViolationError(f"side ({x},{y}) has {am.bit_count()} triangle apexes")
+        apexes.append(am.bit_length() - 1)
+    # n2: the quadrilateral with the apexes of two adjacent sides.  An
+    # apex is joined to both ends of its side, so it is no corner of the
+    # induced C4; six distinct vertices need only e != f.
+    for i in range(4):
+        e, f = apexes[i], apexes[i - 3]
+        if e == f:
+            raise CountingInconsistencyError(f"adjacent-side apexes of {quad} collide")
+        if not _is_n2(rows, quad[i], quad[i - 3], quad[i - 2], quad[i - 1], e, f):
+            raise CountingInconsistencyError(
+                f"completion of {quad} on adjacent sides is not type n2")
+    return apexes
+
+
+def _side_apexes(rows, a: int, b: int, c: int, d: int) -> list[int]:
+    """``_side_apexes_one_by_one`` of a-b-c-d, by one test that each side
+    has one apex and one mask over the apex rows: t_ab misses c and t_bc,
+    t_bc misses d and t_cd, t_cd misses a and t_da, t_da misses b and t_ab.
+    With one apex per side that is every ``_is_n2`` test, since an apex
+    joined to the far end of the next side is that side's apex too.  The
+    loop runs only when a test fails, and raises there."""
+    ab, bc, cd, da = rows[a] & rows[b], rows[b] & rows[c], rows[c] & rows[d], rows[d] & rows[a]
+    if ab.bit_count() == bc.bit_count() == cd.bit_count() == da.bit_count() == 1:
+        apexes = [ab.bit_length() - 1, bc.bit_length() - 1, cd.bit_length() - 1,
+                  da.bit_length() - 1]
+        t_ab, t_bc, t_cd, t_da = apexes
+        if not (rows[t_ab] & ((1 << c) | bc) | rows[t_bc] & ((1 << d) | cd)
+                | rows[t_cd] & ((1 << a) | da) | rows[t_da] & ((1 << b) | ab)):
+            return apexes
+    return _side_apexes_one_by_one(rows, (a, b, c, d))
+
+
 def _qpe_scan(rows, n: int, v0_list):
     """(prism, n4, n9 incidences, quadrilaterals) over the quadrilaterals
     whose minimum vertex is in v0_list.
 
-    Each quadrilateral's four side apexes are found once.  They also give
-    its four n2 completions, one per pair of adjacent sides, each of which
-    must be type n2 (``_is_n2``); any other completion raises.
+    Each quadrilateral's four side apexes are found once (``_side_apexes``).
+    They also give its four n2 completions, one per pair of adjacent sides,
+    each of which must be type n2; any other completion raises.
     """
     prism_inc = n4_inc = n9_inc = quads = 0
-    for quad in _quad_list(rows, n, v0_list):
-        a, b, c, d = quad
+    for a, b, c, d in _quad_list(rows, n, v0_list):
         quads += 1
         qmask = (1 << a) | (1 << b) | (1 << c) | (1 << d)
         ra, rb, rc, rd = rows[a], rows[b], rows[c], rows[d]
-
-        # side apexes (unique common neighbour of each side)
-        apexes = []
-        for x, y in ((a, b), (b, c), (c, d), (d, a)):
-            am = rows[x] & rows[y]
-            if am.bit_count() != 1:
-                raise FamilyViolationError(
-                    f"side ({x},{y}) has {am.bit_count()} triangle apexes"
-                )
-            apexes.append(am.bit_length() - 1)
-        # n2: the quadrilateral with the apexes of two adjacent sides.  An
-        # apex is joined to both ends of its side, so it is no corner of the
-        # induced C4; six distinct vertices need only e != f.
-        for i in range(4):
-            e, f = apexes[i], apexes[i - 3]
-            if e == f:
-                raise CountingInconsistencyError(
-                    f"adjacent-side apexes of {quad} collide"
-                )
-            if not _is_n2(rows, quad[i], quad[i - 3], quad[i - 2], quad[i - 1], e, f):
-                raise CountingInconsistencyError(
-                    f"completion of {quad} on adjacent sides is not type n2"
-                )
-        t_ab, t_bc, t_cd, t_da = apexes
+        t_ab, t_bc, t_cd, t_da = _side_apexes(rows, a, b, c, d)
         prism_inc += rows[t_ab] >> t_cd & 1
         prism_inc += rows[t_bc] >> t_da & 1
 
         # vertices adjacent to exactly one corner
-        only_a = ra & ~rb & ~rc & ~rd & ~qmask
-        only_b = rb & ~ra & ~rc & ~rd & ~qmask
-        only_c = rc & ~ra & ~rb & ~rd & ~qmask
-        only_d = rd & ~ra & ~rb & ~rc & ~qmask
+        only_a = ra & ~(rb | rc | rd | qmask)
+        only_b = rb & ~(ra | rc | rd | qmask)
+        only_c = rc & ~(ra | rb | rd | qmask)
+        only_d = rd & ~(ra | rb | rc | qmask)
         # type n4: apex of one side joined to a single-corner vertex of a
         # corner off that side
         n4_inc += (rows[t_ab] & (only_c | only_d)).bit_count()
@@ -953,8 +972,11 @@ def _qpe_scan(rows, n: int, v0_list):
         n4_inc += (rows[t_da] & (only_b | only_c)).bit_count()
         # type n9: an edge between single-corner vertices of adjacent corners
         only_bd = only_b | only_d
-        for u in iter_bits(only_a | only_c):
-            n9_inc += (rows[u] & only_bd).bit_count()
+        us = only_a | only_c  # iter_bits, inlined: the loop runs per quadrilateral
+        while us:
+            low = us & -us
+            us ^= low
+            n9_inc += (rows[low.bit_length() - 1] & only_bd).bit_count()
     return prism_inc, n4_inc, n9_inc, quads
 
 
@@ -1022,6 +1044,59 @@ def _completion_type(rows, x: int, y: int, z: int, q: int, r: int) -> Optional[s
     return "n1" if rows[q] >> r & 1 else "n4"
 
 
+def _corner_completions_one_by_one(rows, tri, idx: int) -> list[str]:
+    """Completion types of triangle ``tri`` by the pendants at corner
+    tri[idx], one pendant at a time; exact on any graph, and raises on the
+    first pendant that a guard refuses."""
+    x, y, z = tri[idx], tri[idx - 2], tri[idx - 1]
+    tmask = (1 << x) | (1 << y) | (1 << z)
+    kinds = []
+    for p in iter_bits(rows[x] & ~tmask):
+        rp = rows[p]
+        if (rp & tmask).bit_count() != 1:
+            raise FamilyViolationError(f"vertex {p} joins triangle {tri} at several corners")
+        seconds = []
+        for other in (y, z):
+            cm = rp & rows[other]
+            if cm.bit_count() != 2:
+                raise FamilyViolationError(
+                    f"non-edge ({p},{other}) has {cm.bit_count()} common neighbours")
+            seconds.append((cm & ~(1 << x)).bit_length() - 1)
+        q, r = seconds
+        completion = f"completion of triangle {tri} with pendant {p}"
+        if len({x, y, z, p, q, r}) != 6:
+            raise CountingInconsistencyError(f"{completion} collapsed")
+        kinds.append(_completion_type(rows, x, y, z, q, r))
+        if kinds[-1] is None:
+            raise CountingInconsistencyError(f"{completion} is neither a prism nor type n4")
+    return kinds
+
+
+def _corner_completions(rows, tri, idx: int) -> list[str]:
+    """``_corner_completions_one_by_one`` at corner x = tri[idx], by one
+    mask test that no pendant touches the other corners y and z, then per
+    pendant p single bits q and r of N(p) & N(y) and N(p) & N(z) less x,
+    with q != r.  The loop runs only when a test fails or
+    ``_completion_type`` names no type, and raises there."""
+    x, y, z = tri[idx], tri[idx - 2], tri[idx - 1]
+    ry, rz = rows[y], rows[z]
+    pendants = rows[x] & ~((1 << y) | (1 << z))
+    if not pendants & (ry | rz):
+        kinds = []
+        others = ~(1 << x)
+        for p in iter_bits(pendants):
+            rp = rows[p] & others
+            qs, rs = rp & ry, rp & rz
+            if qs.bit_count() != 1 or rs.bit_count() != 1 or qs == rs:
+                break
+            kinds.append(_completion_type(rows, x, y, z, qs.bit_length() - 1,
+                                          rs.bit_length() - 1))
+        else:
+            if None not in kinds:
+                return kinds
+    return _corner_completions_one_by_one(rows, tri, idx)
+
+
 def triangle_edge_completion_census(
     g: Union[Graph, VerifiedFamily]
 ) -> TriangleCompletionCensus:
@@ -1032,46 +1107,17 @@ def triangle_edge_completion_census(
     induced 6-vertex graph is a prism when q~r (reached from 6 pendant
     choices) or type n4 otherwise (reached once), provided q and r have no
     further edges into the triangle; any such edge raises.  The identity
-    6*n1 + n4 = 3(k-2)*p3 follows.
+    6*n1 + n4 = 3(k-2)*p3 follows.  Each corner's pendants are checked at
+    once (``_corner_completions``).
     """
     rows = require_family(g).graph.rows
     prism_inc = n4_inc = 0
     for tri in _triangle_ids(rows)[0]:
-        tmask = (1 << tri[0]) | (1 << tri[1]) | (1 << tri[2])
         for idx in range(3):
-            x = tri[idx]
-            y, z = (tri[(idx + 1) % 3], tri[(idx + 2) % 3])
-            for p in iter_bits(rows[x] & ~tmask):
-                rp = rows[p]
-                if (rp & tmask).bit_count() != 1:
-                    raise FamilyViolationError(
-                        f"vertex {p} joins triangle {tri} at several corners"
-                    )
-                seconds = []
-                for other in (y, z):
-                    cm = rp & rows[other]
-                    if cm.bit_count() != 2:
-                        raise FamilyViolationError(
-                            f"non-edge ({p},{other}) has {cm.bit_count()} "
-                            "common neighbours"
-                        )
-                    cm &= ~(1 << x)
-                    seconds.append(cm.bit_length() - 1)
-                q, r = seconds
-                if len({x, y, z, p, q, r}) != 6:
-                    raise CountingInconsistencyError(
-                        f"completion of triangle {tri} with pendant {p} collapsed"
-                    )
-                kind = _completion_type(rows, x, y, z, q, r)
-                if kind == "n1":
-                    prism_inc += 1
-                elif kind == "n4":
-                    n4_inc += 1
-                else:
-                    raise CountingInconsistencyError(
-                        f"completion of triangle {tri} with pendant {p} is "
-                        "neither a prism nor type n4"
-                    )
+            kinds = _corner_completions(rows, tri, idx)
+            prisms = kinds.count("n1")
+            prism_inc += prisms
+            n4_inc += len(kinds) - prisms
     if prism_inc % 6:
         raise CountingInconsistencyError(f"prism completions {prism_inc} not divisible by 6")
     return TriangleCompletionCensus(prism_inc // 6, n4_inc)

@@ -34,6 +34,8 @@ _FROM_BASE64 = bytes.maketrans(_BASE64, _BODY_BYTES)
 # each byte with its bit order reversed, so that bit p of the bit string
 # becomes bit p of a little-endian integer
 _REVERSED = bytes([int(f"{byte:08b}"[::-1], 2) for byte in range(256)])
+# the first byte of the sibling formats that this module does not read
+_OTHER_FORMATS = {ord(":"): "sparse6", ord("&"): "digraph6"}
 
 
 def encode(g: Graph) -> bytes:
@@ -107,7 +109,9 @@ def _decode_order(data: bytes):
         return (vals[0] << 12 | vals[1] << 6 | vals[2], 4)
     value = first - 63
     if not 0 <= value <= 62:
-        raise Graph6Error(f"invalid order byte 0x{first:02x}", byte_index=0)
+        other = _OTHER_FORMATS.get(first)
+        raise Graph6Error(f"{other} input is not supported" if other
+                          else f"invalid order byte 0x{first:02x}", byte_index=0)
     return value, 1
 
 

@@ -665,6 +665,25 @@ def one_apex_per_edge_graph(rng, n: int, tries: int = 40) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+@lru_cache(maxsize=1)
+def mask_test_graphs() -> tuple[Graph, ...]:
+    """Seeded inputs for the whole-structure mask tests of the completion
+    and quad-plus-edge kernels: 12 graphs of edge-disjoint triangles, where
+    every edge has one apex but mu = 2 may fail, and BvLS 243 after two
+    double-edge switches, which leave the switched edges without an apex."""
+    rng = random.Random(32)
+    graphs = [one_apex_per_edge_graph(rng, rng.randint(12, 24), tries=80) for _ in range(12)]
+    graphs.append(double_edge_switched(build_bvls243(), rng, 2))
+    return tuple(graphs)
+
+
+def trusting_completion_type(rows, x: int, y: int, z: int, q: int, r: int) -> str:
+    """``census._completion_type`` that trusts its vertices: the qr bit alone
+    names a prism or type n4, so only the census's own guards refuse a
+    collapsed completion or a pendant at two corners."""
+    return "n1" if rows[q] >> r & 1 else "n4"
+
+
 def unverified_family(g: Graph) -> VerifiedFamily:
     """The verified-family value of g, built without verifying, so that a
     family census runs its kernels on a graph outside the family."""

@@ -521,6 +521,21 @@ TRIANGLE = [(0, 1), (0, 2), (1, 2)]
 #   each of their three corners, on any graph where no other guard raises,
 #   so only a ``_completion_type`` that names a prism wrongly leaves a
 #   remainder.
+# The apex, n2 and completion guards are tested on a whole structure first,
+# and the per-object loop that raises runs only where a mask test fails, so
+# the rows above reach their guards through that loop:
+# - ``_side_apexes`` (qpe-apexes, n2-collide, n2-type): the test that each
+#   of ra & rb, rb & rc, rc & rd and rd & ra is a single bit stands for
+#   "triangle apexes"; the mask of the apex rows against the far corner and
+#   the apex of the next side stands for "collide" (an apex joined to the
+#   far corner of the next side is that side's apex too) and for "not type
+#   n2".
+# - ``_corner_completions`` (several-corners, non-edge, collapsed,
+#   completion-type): the corner test, no pendant of x in N(y) | N(z),
+#   stands for "several corners"; the single-bit tests of q in N(p) & N(y)
+#   and r in N(p) & N(z), x left out, for "common neighbours"; q != r for
+#   "collapsed"; and a type that ``_completion_type`` does not name for
+#   "neither a prism nor type n4".
 CENSUS_RAISES = [
     (duplicate_certificates, CountingInconsistencyError,
      "two named 6-vertex types share a certificate"),

@@ -455,6 +455,137 @@ verification failed
 """
 
 
+# The usage line of each command, and the rest of its -h text, as argparse
+# prints them at 80 columns (in Python 3.11's wording); an error row prints
+# the usage line before its error line.
+USAGE = {
+    "": "usage: srg12 [-h] {construct,verify,census,spectral,check,params} ...\n",
+    "construct": "usage: srg12 construct [-h] --graph {bvls243,k3,paley9} [--out OUT]\n",
+    "verify": "usage: srg12 verify [-h] --graph GRAPH [--params PARAMS]\n",
+    "census": "usage: srg12 census [-h] --graph GRAPH [--what {cycles,triples,types,all}]\n"
+              "                    [--exhaustive] [--json JSON] [--workers WORKERS]\n",
+    "spectral": "usage: srg12 spectral [-h] [--params PARAMS] [--method {closed,sum,trace}]\n"
+                "                      [--graph GRAPH] [--json JSON]\n",
+    "check": "usage: srg12 check [-h] --graph GRAPH [--json JSON] [--workers WORKERS]\n",
+    "params": "usage: srg12 params [-h] --max-k MAX_K [--include-degenerate] [--json JSON]\n",
+}
+HELP = {
+    "": """
+Constructions, censuses and identity checks for strongly regular graphs with
+lambda=1, mu=2
+
+positional arguments:
+  {construct,verify,census,spectral,check,params}
+    construct           build a known family member
+    verify              srg and condition checks
+    census              cycle/edge-triple/type censuses
+    spectral            exact c6 by closed form, sum or traces
+    check               run the full identity ledger
+    params              feasible family parameter sets
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "construct": """
+options:
+  -h, --help            show this help message and exit
+  --graph {bvls243,k3,paley9}
+  --out OUT             write graph6 to this path (default stdout)
+""",
+    "verify": """
+options:
+  -h, --help       show this help message and exit
+  --graph GRAPH    builtin name (k3|paley9|bvls243) or graph6 file
+  --params PARAMS  expected n,k,lambda,mu (default: n,deg,1,2)
+""",
+    "census": """
+options:
+  -h, --help            show this help message and exit
+  --graph GRAPH
+  --what {cycles,triples,types,all}
+  --exhaustive          include the 6-subset census (graphs of at most 16
+                        vertices)
+  --json JSON           write JSON here instead of stdout
+  --workers WORKERS     accepted for compatibility; has no effect
+""",
+    "spectral": """
+options:
+  -h, --help            show this help message and exit
+  --params PARAMS       n,k
+  --method {closed,sum,trace}
+  --graph GRAPH         graph6 file or builtin (trace method)
+  --json JSON
+""",
+    "check": """
+options:
+  -h, --help         show this help message and exit
+  --graph GRAPH
+  --json JSON        write the report as JSON
+  --workers WORKERS  accepted for compatibility; has no effect
+""",
+    "params": """
+options:
+  -h, --help            show this help message and exit
+  --max-k MAX_K
+  --include-degenerate
+  --json JSON
+""",
+}
+
+
+def refused(command, error):
+    """stderr of an argparse refusal: the usage line, then the error."""
+    prog = f"srg12 {command}".rstrip()
+    return USAGE[command] + f"{prog}: error: {error}\n"
+
+
+# argv, exit code, whole stdout and whole stderr
+WHOLE_TEXTS = [
+    ("", 2, "", refused("", "the following arguments are required: command")),
+    ("-h", 0, USAGE[""] + HELP[""], ""),
+    ("frobnicate", 2, "", refused("", "argument command: invalid choice: 'frobnicate' (choose "
+                                      "from 'construct', 'verify', 'census', 'spectral', 'check', "
+                                      "'params')")),
+    *((f"{command} -h", 0, USAGE[command] + HELP[command], "") for command in HELP if command),
+    ("construct", 2, "", refused("construct", "the following arguments are required: --graph")),
+    ("construct --graph nope", 2, "",
+     refused("construct", "argument --graph: invalid choice: 'nope' (choose from 'bvls243', "
+                          "'k3', 'paley9')")),
+    ("verify", 2, "", refused("verify", "the following arguments are required: --graph")),
+    ("verify --graph k3 --params 1,x", 2, "",
+     refused("verify", "argument --params: expected n,k,lambda,mu")),
+    ("census", 2, "", refused("census", "the following arguments are required: --graph")),
+    ("census --graph k3 --what nope", 2, "",
+     refused("census", "argument --what: invalid choice: 'nope' (choose from 'cycles', "
+                       "'triples', 'types', 'all')")),
+    ("census --graph k3 --workers x", 2, "",
+     refused("census", "argument --workers: invalid int value: 'x'")),
+    ("spectral --method nope", 2, "",
+     refused("spectral", "argument --method: invalid choice: 'nope' (choose from 'closed', "
+                         "'sum', 'trace')")),
+    ("spectral --params x", 2, "", refused("spectral", "argument --params: expected n,k")),
+    ("check", 2, "", refused("check", "the following arguments are required: --graph")),
+    ("check --graph k3 --workers x", 2, "",
+     refused("check", "argument --workers: invalid int value: 'x'")),
+    ("params", 2, "", refused("params", "the following arguments are required: --max-k")),
+    ("params --max-k x", 2, "", refused("params", "argument --max-k: invalid int value: 'x'")),
+]
+
+
+class TestWholeTexts:
+    """The whole help and usage texts of the parser: no command, a bad one,
+    each command's -h, and each command's missing required argument, bad
+    choice and bad integer (spectral has no required argument; construct,
+    verify, check and params no choice; construct no integer)."""
+
+    @pytest.mark.parametrize("argv, code, out, err", WHOLE_TEXTS,
+                             ids=[row[0] or "no-arguments" for row in WHOLE_TEXTS])
+    def test_exit_code_stdout_and_stderr(self, monkeypatch, capsys, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert exit_code(argv.split()) == code
+        assert tuple(capsys.readouterr()) == (out, err)
+
+
 class TestErrors:
     def test_malformed_graph6_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.g6"
@@ -464,9 +595,10 @@ class TestErrors:
         assert "byte" in err
 
     @pytest.mark.parametrize("name, data, code, out, err", [
-        ("s6.g6", b":Fa@x^\n", 2, "", "input error: line 1: invalid order byte 0x3a (byte 0)\n"),
+        ("s6.g6", b":Fa@x^\n", 2, "",
+         "input error: line 1: sparse6 input is not supported (byte 0)\n"),
         ("d6.g6", b"&DOOOW?\n", 2, "",
-         "input error: line 1: invalid order byte 0x26 (byte 0)\n"),
+         "input error: line 1: digraph6 input is not supported (byte 0)\n"),
         ("nul.g6", b"Dhc\0\n", 2, "",
          "input error: line 1: graph6 body for n=5 needs 2 bytes, got 3 (byte 3)\n"),
         ("lone-nul.g6", b"\0\n", 2, "", "input error: line 1: invalid order byte 0x00 (byte 0)\n"),

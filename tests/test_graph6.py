@@ -164,6 +164,8 @@ ERROR_ROWS = [
     ("decode", b"~?B", "truncated long-form order (byte 3)", 3),
     ("decode", b"~?B\x7f", "invalid long-form order byte (byte 1)", 1),
     ("decode", b"\x1cabc", "invalid order byte 0x1c (byte 0)", 0),
+    ("decode", b":Fa@x^", "sparse6 input is not supported (byte 0)", 0),
+    ("decode", b"&DOOOW?", "digraph6 input is not supported (byte 0)", 0),
     ("loads", b"Dhc\nB~\n", "line 2: nonzero padding bits (byte 1)", None),
     ("load_file", b"\n\n", "{path}: no graphs found", None),
 ]

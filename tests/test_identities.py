@@ -679,6 +679,19 @@ class TestEnumerationBudget:
         assert run_all_checks(paley9).passed
         assert calls == []
 
+    def test_ledger_checks_no_corner_or_quadrilateral_one_by_one(self, monkeypatch, paley9,
+                                                                  bvls):
+        # in a family graph every (triangle, corner) and every quadrilateral
+        # passes its mask tests, so neither one-by-one loop runs
+        calls = []
+        for name in ("_corner_completions_one_by_one", "_side_apexes_one_by_one"):
+            real = getattr(census, name)
+            monkeypatch.setattr(census, name,
+                                lambda *args, real=real: calls.append(args) or real(*args))
+        assert run_all_checks(paley9).passed
+        assert run_all_checks(bvls).passed
+        assert calls == []
+
     def test_ledger_names_no_walk_one_by_one(self, monkeypatch, paley9):
         # in a family graph no coded walk has two chords, so the walk-by-walk
         # error path never runs

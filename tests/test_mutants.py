@@ -33,6 +33,7 @@ from oracles import (
     c4s_through_edge,
     coded_walks_from,
     hexagon_scan_pairwise,
+    mask_test_graphs,
     one_apex_per_edge_graph,
     oracle_six_census,
     outcome,
@@ -47,6 +48,7 @@ from oracles import (
     triangle_with_pendants,
     transpose_loop,
     triangles,
+    trusting_completion_type,
     verify_cases,
     verify_srg_pairwise,
 )
@@ -113,6 +115,26 @@ def completions_differ(mod) -> bool:
     hexagon = mod.VerifiedFamily(h, h.order, h.degree(0), h.num_edges)
     return (tuple(mod.triangle_edge_completion_census(g)) != (n1, 6 * len(triangles(g)) - 6 * n1)
             or tuple(mod.triangle_edge_completion_census(hexagon)) != (0, 6))
+
+
+def side_apexes_differ(mod) -> bool:
+    # per quadrilateral, the mask tests against the one-by-one loop; in the
+    # crafted graph, vertex 4 is the apex of sides 12 and 23 of 0-1-2-3
+    collide = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 1), (4, 2), (4, 3),
+                                   (5, 0), (5, 1), (6, 3), (6, 0)])
+    return any(outcome(mod._side_apexes, g.rows, *quad)
+               != outcome(mod._side_apexes_one_by_one, g.rows, quad)
+               for g in mask_test_graphs() + (collide,) for quad in mod.iter_quadrilaterals(g))
+
+
+def corner_completions_differ(mod) -> bool:
+    # per (triangle, corner), the mask tests against the one-by-one loop,
+    # under a type rule that trusts its vertices, so that no guard leans on
+    # the checks of _completion_type
+    mod._completion_type = trusting_completion_type
+    return any(outcome(mod._corner_completions, g.rows, tri, idx)
+               != outcome(mod._corner_completions_one_by_one, g.rows, tri, idx)
+               for g in mask_test_graphs() for tri in triangles(g) for idx in range(3))
 
 
 def quad_pairs_differ(mod) -> bool:
@@ -427,7 +449,14 @@ MUTANTS = [
            "n4_inc += (rows[t_ab] & (only_c | only_d)).bit_count()",
            "n4_inc += (rows[t_ab] & (only_c | only_a)).bit_count()", qpe_incidences_differ),
     Mutant("an n4 completion counted twice", "census",
-           "n4_inc += 1", "n4_inc += 2", completions_differ),
+           "n4_inc += len(kinds) - prisms", "n4_inc += 2 * (len(kinds) - prisms)",
+           completions_differ),
+    Mutant("the d term of the n2 mask dropped", "census",
+           "rows[t_bc] & ((1 << d) | cd)", "rows[t_bc] & cd", side_apexes_differ),
+    Mutant("the q != r test dropped", "census",
+           " or qs == rs:", ":", corner_completions_differ),
+    Mutant("the rows[z] half of the corner test dropped", "census",
+           "if not pendants & (ry | rz):", "if not pendants & ry:", corner_completions_differ),
     Mutant("completion census skips a triangle", "census",
            "for tri in _triangle_ids(rows)[0]:", "for tri in _triangle_ids(rows)[0][1:]:",
            completions_differ),

@@ -10,6 +10,7 @@ error paths are driven with crafted rows.
 import ast
 import random
 from collections import Counter
+from contextlib import suppress
 from itertools import combinations
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from oracles import (
     edges_clear_of,
     hexagon_scan_pairwise,
     induced,
+    mask_test_graphs,
     one_apex_per_edge_graph,
     outcome,
     pentagon_edge_scan_pairwise,
@@ -37,9 +39,11 @@ from oracles import (
     triangle_pair_census_pairwise,
     triangle_with_pendants,
     triangles,
+    trusting_completion_type,
     unverified_family,
 )
 import srg12
+import test_census
 from srg12 import census, graph, spectral
 from srg12._bits import digit_total, iter_bits, neighbour_count_digits
 from srg12.census import (
@@ -47,12 +51,16 @@ from srg12.census import (
     QUAD_PAIR_TYPES,
     TRIANGLE_PAIR_TYPES,
     _completion_type,
+    _corner_completions,
+    _corner_completions_one_by_one,
     _hexagon_scan,
     _is_n2,
     _pentagon_edge_scan,
     _qpe_scan,
     _quad_pairs_at_edge,
     _quad_pairs_through_edge,
+    _side_apexes,
+    _side_apexes_one_by_one,
     _triangle_ids,
     _triangle_table,
     _walk_scan,
@@ -487,6 +495,68 @@ class TestSharedMaskKernels:
             seen.add(want[0] if isinstance(want[0], str) else "counts")
         assert guards == {True, False}
         assert seen == {"counts", "FamilyViolationError", "CountingInconsistencyError"}
+
+    @staticmethod
+    def census_raise_graphs():
+        """The graphs that the rows of ``CENSUS_RAISES`` craft, each caught
+        as its row builds it."""
+        graphs = []
+
+        class Built(Exception):
+            pass
+
+        def catch(n, edges):
+            graphs.append(Graph.from_edges(n, edges))
+            raise Built
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(test_census, "crafted", catch)
+            for call, *_ in test_census.CENSUS_RAISES:
+                with suppress(Exception):
+                    call(mp)
+        return graphs
+
+    @staticmethod
+    def against_one_by_one(mp, fast, one_by_one, cases, guards):
+        """``fast(*case)`` against ``one_by_one(*case)`` for each case; the
+        set of ``guards``, message fragments, that the loop raised on, with
+        "passed" for a case where it returned."""
+        fell_back = []
+        mp.setattr(census, one_by_one.__name__,
+                   lambda *args: fell_back.append(args) or one_by_one(*args))
+        seen = set()
+        for case in cases:
+            want = outcome(one_by_one, *case)
+            fell_back.clear()
+            assert outcome(fast, *case) == want
+            # a mask test fails exactly where the loop raises
+            assert bool(fell_back) == isinstance(want, tuple)
+            seen |= {guard for guard in guards if guard in want[1]} if fell_back else {"passed"}
+        return seen
+
+    def test_side_apexes_against_one_by_one(self, monkeypatch):
+        # the apex-count test and the n2 mask each fall on both sides
+        graphs = mask_test_graphs() + tuple(self.census_raise_graphs())
+        cases = [(g.rows, quad) for g in graphs for quad in iter_quadrilaterals(g)]
+        guards = {"triangle apexes", "collide", "not type n2"}
+        assert self.against_one_by_one(
+            monkeypatch, lambda rows, quad: _side_apexes(rows, *quad), _side_apexes_one_by_one,
+            cases, guards) == guards | {"passed"}
+
+    def test_corner_completions_against_one_by_one(self, monkeypatch):
+        # per (triangle, corner): the corner test ("several corners"), the
+        # single-bit test of each pendant ("common neighbours", "collapsed")
+        # and the type rule each fall on both sides; under a type rule that
+        # trusts its vertices, the other guards must hold alone
+        graphs = mask_test_graphs() + tuple(self.census_raise_graphs())
+        cases = [(g.rows, tri, idx) for g in graphs for tri in triangles(g) for idx in range(3)]
+        guards = {"several corners", "common neighbours", "collapsed", "neither a prism"}
+        for rule, reached in ((_completion_type, guards),
+                              (trusting_completion_type, guards - {"neither a prism"})):
+            monkeypatch.setattr(census, "_completion_type", rule)
+            assert self.against_one_by_one(monkeypatch, _corner_completions,
+                                           _corner_completions_one_by_one, cases,
+                                           guards) == reached | {"passed"}
 
     def test_quad_pairs_count_check_comes_first(self):
         # edge (0,1) lies on two quadrilaterals sharing w = 2
