@@ -3,6 +3,8 @@
 Supports the short order field (n <= 62) and the 4-byte long form
 (63 <= n <= 258047), which covers every graph this package constructs.
 The optional ``>>graph6<<`` header is tolerated on input and never written.
+A sparse6 or digraph6 line, with or without its ``>>sparse6<<`` or
+``>>digraph6<<`` header, is refused by name.
 
 A graph6 body is base64 with another alphabet: each byte holds six bits
 plus 63 where base64 writes one of its 64 letters.  Both directions
@@ -34,8 +36,9 @@ _FROM_BASE64 = bytes.maketrans(_BASE64, _BODY_BYTES)
 # each byte with its bit order reversed, so that bit p of the bit string
 # becomes bit p of a little-endian integer
 _REVERSED = bytes([int(f"{byte:08b}"[::-1], 2) for byte in range(256)])
-# the first byte of the sibling formats that this module does not read
-_OTHER_FORMATS = {ord(":"): "sparse6", ord("&"): "digraph6"}
+# the sibling formats that this module does not read, by their first byte
+# and by their header
+_OTHER_FORMATS = {"sparse6": (b":", b">>sparse6<<"), "digraph6": (b"&", b">>digraph6<<")}
 
 
 def encode(g: Graph) -> bytes:
@@ -109,7 +112,8 @@ def _decode_order(data: bytes):
         return (vals[0] << 12 | vals[1] << 6 | vals[2], 4)
     value = first - 63
     if not 0 <= value <= 62:
-        other = _OTHER_FORMATS.get(first)
+        other = next((name for name, starts in _OTHER_FORMATS.items()
+                      if data.startswith(starts)), None)
         raise Graph6Error(f"{other} input is not supported" if other
                           else f"invalid order byte 0x{first:02x}", byte_index=0)
     return value, 1

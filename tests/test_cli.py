@@ -599,6 +599,10 @@ class TestErrors:
          "input error: line 1: sparse6 input is not supported (byte 0)\n"),
         ("d6.g6", b"&DOOOW?\n", 2, "",
          "input error: line 1: digraph6 input is not supported (byte 0)\n"),
+        ("s6-header.g6", b">>sparse6<<:Fa@x^\n", 2, "",
+         "input error: line 1: sparse6 input is not supported (byte 0)\n"),
+        ("d6-header.g6", b">>digraph6<<&DOOOW?\n", 2, "",
+         "input error: line 1: digraph6 input is not supported (byte 0)\n"),
         ("nul.g6", b"Dhc\0\n", 2, "",
          "input error: line 1: graph6 body for n=5 needs 2 bytes, got 3 (byte 3)\n"),
         ("lone-nul.g6", b"\0\n", 2, "", "input error: line 1: invalid order byte 0x00 (byte 0)\n"),
@@ -606,7 +610,7 @@ class TestErrors:
         (".", None, 2, "", "input error: [Errno 21] Is a directory: '.'\n"),
         ("missing.g6", None, 2, "",
          "input error: [Errno 2] No such file or directory: 'missing.g6'\n"),
-    ], ids=["sparse6", "digraph6", "nul-after-line", "lone-nul", "crlf", "directory", "missing"])
+    ], ids=["sparse6", "digraph6", "sparse6-header", "digraph6-header", "nul-after-line", "lone-nul", "crlf", "directory", "missing"])
     def test_verify_outcome(self, monkeypatch, capsys, tmp_path, name, data, code, out, err):
         # whole stdout and stderr of verify on files no other table reads
         monkeypatch.chdir(tmp_path)

@@ -9,8 +9,6 @@ error paths are driven with crafted rows.
 
 import ast
 import random
-from collections import Counter
-from contextlib import suppress
 from itertools import combinations
 from pathlib import Path
 
@@ -19,48 +17,28 @@ import pytest
 from oracles import (
     c4s_through_edge,
     certificate_type,
-    coded_walks_from,
-    double_edge_switched,
     edges_clear_of,
-    hexagon_scan_pairwise,
     induced,
-    mask_test_graphs,
-    one_apex_per_edge_graph,
-    outcome,
-    pentagon_edge_scan_pairwise,
     pentagon_n4_sides,
-    pentagon_scan_pairwise,
     pentagon_side_census,
     pentagon_side_is_n4,
     pentagons_through,
-    quad_edge_type_incidences,
-    quad_pair_cases,
     random_graph,
-    triangle_pair_census_pairwise,
     triangle_with_pendants,
     triangles,
-    trusting_completion_type,
     unverified_family,
 )
 import srg12
-import test_census
 from srg12 import census, graph, spectral
 from srg12._bits import digit_total, iter_bits, neighbour_count_digits
 from srg12.census import (
-    NAMED_TYPE_EDGES,
     QUAD_PAIR_TYPES,
     TRIANGLE_PAIR_TYPES,
     _completion_type,
-    _corner_completions,
-    _corner_completions_one_by_one,
-    _hexagon_scan,
     _is_n2,
     _pentagon_edge_scan,
-    _qpe_scan,
     _quad_pairs_at_edge,
     _quad_pairs_through_edge,
-    _side_apexes,
-    _side_apexes_one_by_one,
     _triangle_ids,
     _triangle_table,
     _walk_scan,
@@ -260,40 +238,6 @@ class TestPentagonEdgeKernel:
         assert counts == [len(pentagons_through(bvls, u, v)) for u, v in edges]
         assert n4 == sum(self.oracle_n4(bvls, u, v) for u, v in edges) == 0
 
-    @staticmethod
-    def edge_outcome(scan, rows, edge):
-        try:
-            return scan(rows, [edge])
-        except (FamilyViolationError, CountingInconsistencyError) as exc:
-            return type(exc), str(exc)
-
-    def test_one_apex_per_edge_graphs_match_pairwise(self):
-        rng = random.Random(45)
-        edges = with_n4 = 0
-        for _ in range(20):
-            g = one_apex_per_edge_graph(rng, rng.randint(16, 30), tries=120)
-            for e in g.edges():
-                got = _pentagon_edge_scan(g.rows, [e])
-                assert got == pentagon_edge_scan_pairwise(g.rows, [e])
-                edges += 1
-                with_n4 += got[0] > 0
-        assert edges > 500 and with_n4 > 100
-
-    def test_random_graphs_match_pairwise_with_raising_edges(self):
-        rng = random.Random(46)
-        counted = 0
-        raised = set()
-        for _ in range(40):
-            g = random_graph(rng, rng.randint(6, 24), rng.random() * 0.5 + 0.05)
-            for e in g.edges():
-                got = self.edge_outcome(_pentagon_edge_scan, g.rows, e)
-                assert got == self.edge_outcome(pentagon_edge_scan_pairwise, g.rows, e)
-                if isinstance(got[0], int):
-                    counted += 1
-                else:
-                    raised.add(got[0])
-        assert counted and raised == {FamilyViolationError, CountingInconsistencyError}
-
     def test_census_per_edge_order(self):
         # one triangle apex per edge and edges on 0 or 1 pentagons, so a
         # misplaced count shows
@@ -348,22 +292,6 @@ class TestEdgesOutside:
         quads = random.Random(13365).sample(list(iter_quadrilaterals(bvls)), 40)
         self.check_quads(bvls, quads)
 
-    def test_incidences_against_certificates(self):
-        # on every family graph the single-corner vertices of each corner
-        # send the same number of edges to those of both neighbouring
-        # corners, and n4 = 2 n3 = 0 on each family graph built, so only
-        # graphs with mu != 2 tell the routes apart
-        rng = random.Random(9)
-        graphs = [one_apex_per_edge_graph(rng, rng.randint(9, 18)) for _ in range(20)]
-        graphs += [one_apex_per_edge_graph(rng, rng.randint(16, 30), tries=120)
-                   for _ in range(10)]
-        nonzero = Counter()
-        for g in graphs:
-            counts = _qpe_scan(g.rows, g.order, range(g.order))[:3]
-            assert counts == quad_edge_type_incidences(g)
-            nonzero.update(i for i, c in enumerate(counts) if c)
-        assert min(nonzero[i] for i in range(3)) >= 10
-
 
 class TestTriangleTable:
     """The triangle ids and masks of the triangle-pair, hexagon and
@@ -394,175 +322,6 @@ class TestTriangleTable:
                     if sum(g.has_edge(x, v) for v in t) == 1)
             sizes.add(min(len(tris), 2))
         assert sizes == {0, 1, 2}
-
-
-class TestHexagonKernel:
-    """The middle-vertex hexagon kernel, and the pentagons it counts on the
-    way, against the pairwise scans."""
-
-    def test_switched_bvls_every_start(self, bvls):
-        g = double_edge_switched(bvls, random.Random(4980690), 3)
-        table = _triangle_table(g.rows)
-        for v0 in range(g.order):
-            assert _hexagon_scan(g.rows, g.order, [v0], table) == (
-                pentagon_scan_pairwise(g.rows, g.order, [v0]),
-                hexagon_scan_pairwise(g.rows, g.order, [v0]),
-            )
-
-    def test_random_graphs_up_to_40_vertices(self, monkeypatch):
-        widest = []
-
-        def recording(rows, sources, within):
-            digits = neighbour_count_digits(rows, sources, within)
-            widest.append(len(digits))
-            return digits
-
-        monkeypatch.setattr(census, "neighbour_count_digits", recording)
-        rng = random.Random(6)
-        for _ in range(60):
-            n = rng.randint(6, 40)
-            g = random_graph(rng, n, rng.random() * 0.8 + 0.05)
-            assert _hexagon_scan(g.rows, n, range(n), _triangle_table(g.rows)) == (
-                pentagon_scan_pairwise(g.rows, n, range(n)),
-                hexagon_scan_pairwise(g.rows, n, range(n)),
-            )
-        assert max(widest) >= 3
-
-
-class TestSharedMaskKernels:
-    """Each shared-mask kernel against its pairwise route, on inputs with
-    and without the family property its shortcut leans on."""
-
-    def test_hexagon_triples_with_two_common_vertices(self):
-        # the family has C = N(v1) & N(v5), above v0 and off N(v0), of at
-        # most one vertex; triples with base2 and base4 not empty fall on
-        # both sides
-        rng = random.Random(61)
-        guards = set()
-        for _ in range(40):
-            n = rng.randint(6, 24)
-            g = random_graph(rng, n, rng.random() * 0.6 + 0.1)
-            rows = g.rows
-            table = _triangle_table(rows)
-            for v0 in range(n):
-                assert _hexagon_scan(rows, n, [v0], table) == (
-                    pentagon_scan_pairwise(rows, n, [v0]), hexagon_scan_pairwise(rows, n, [v0]))
-                off = ((1 << n) - 1) & ~((2 << v0) - 1) & ~rows[v0]
-                upper = [x for x in iter_bits(rows[v0]) if x > v0]
-                for v1, v5 in combinations(upper, 2):
-                    common = rows[v1] & rows[v5] & off
-                    if (not rows[v1] >> v5 & 1 and rows[v1] & off & ~common
-                            and rows[v5] & off & ~common):
-                        guards.add(common.bit_count() >= 2)
-        assert guards == {True, False}
-
-    def test_triangle_pairs_against_pairwise_census(self, bvls):
-        # the family has no outside vertex joined to two corners of a
-        # triangle; these triangles fall on both sides
-        rng = random.Random(891)
-        graphs = [random_graph(rng, rng.randint(6, 16), rng.random() * 0.4 + 0.4)
-                  for _ in range(40)]
-        graphs += [Graph.from_edges(6, edges) for edges in NAMED_TYPE_EDGES.values()]
-        graphs.append(double_edge_switched(bvls, rng, 40))
-        guards = set()
-        results = []
-        for g in graphs:
-            tp = disjoint_triangle_pair_census(g)
-            assert tp == triangle_pair_census_pairwise(g)
-            results.append(tp)
-            rows = g.rows
-            for a, b, c in triangles(g):
-                ra, rb, rc = rows[a], rows[b], rows[c]
-                guards.add(bool((ra & rb | ra & rc | rb & rc) & ~(1 << a | 1 << b | 1 << c)))
-        assert guards == {True, False}
-        assert any(tp.n3 for tp in results) and any(tp.excluded for tp in results)
-        assert results[-1].n3 and results[-1].excluded
-
-    def test_quad_pairs_guard_shared_vertex(self):
-        # the pair-by-pair path runs where a w or an x lies on two
-        # quadrilaterals through the edge (a w1x2 edge is such a further
-        # quadrilateral through w1)
-        guards = set()
-        seen = set()
-        for g, (u, v) in quad_pair_cases():
-            quads = c4s_through_edge(g, u, v)
-            want = outcome(lambda: _quad_pairs_at_edge(g.rows, u, v, quads))
-            got = outcome(lambda: _quad_pairs_through_edge(g.rows, u, v, len(quads) + 2))
-            assert got == want
-            ws = {w for w, _ in quads}
-            xs = {x for _, x in quads}
-            guards.add(len(ws) < len(quads) or len(xs) < len(quads))
-            seen.add(want[0] if isinstance(want[0], str) else "counts")
-        assert guards == {True, False}
-        assert seen == {"counts", "FamilyViolationError", "CountingInconsistencyError"}
-
-    @staticmethod
-    def census_raise_graphs():
-        """The graphs that the rows of ``CENSUS_RAISES`` craft, each caught
-        as its row builds it."""
-        graphs = []
-
-        class Built(Exception):
-            pass
-
-        def catch(n, edges):
-            graphs.append(Graph.from_edges(n, edges))
-            raise Built
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(test_census, "crafted", catch)
-            for call, *_ in test_census.CENSUS_RAISES:
-                with suppress(Exception):
-                    call(mp)
-        return graphs
-
-    @staticmethod
-    def against_one_by_one(mp, fast, one_by_one, cases, guards):
-        """``fast(*case)`` against ``one_by_one(*case)`` for each case; the
-        set of ``guards``, message fragments, that the loop raised on, with
-        "passed" for a case where it returned."""
-        fell_back = []
-        mp.setattr(census, one_by_one.__name__,
-                   lambda *args: fell_back.append(args) or one_by_one(*args))
-        seen = set()
-        for case in cases:
-            want = outcome(one_by_one, *case)
-            fell_back.clear()
-            assert outcome(fast, *case) == want
-            # a mask test fails exactly where the loop raises
-            assert bool(fell_back) == isinstance(want, tuple)
-            seen |= {guard for guard in guards if guard in want[1]} if fell_back else {"passed"}
-        return seen
-
-    def test_side_apexes_against_one_by_one(self, monkeypatch):
-        # the apex-count test and the n2 mask each fall on both sides
-        graphs = mask_test_graphs() + tuple(self.census_raise_graphs())
-        cases = [(g.rows, quad) for g in graphs for quad in iter_quadrilaterals(g)]
-        guards = {"triangle apexes", "collide", "not type n2"}
-        assert self.against_one_by_one(
-            monkeypatch, lambda rows, quad: _side_apexes(rows, *quad), _side_apexes_one_by_one,
-            cases, guards) == guards | {"passed"}
-
-    def test_corner_completions_against_one_by_one(self, monkeypatch):
-        # per (triangle, corner): the corner test ("several corners"), the
-        # single-bit test of each pendant ("common neighbours", "collapsed")
-        # and the type rule each fall on both sides; under a type rule that
-        # trusts its vertices, the other guards must hold alone
-        graphs = mask_test_graphs() + tuple(self.census_raise_graphs())
-        cases = [(g.rows, tri, idx) for g in graphs for tri in triangles(g) for idx in range(3)]
-        guards = {"several corners", "common neighbours", "collapsed", "neither a prism"}
-        for rule, reached in ((_completion_type, guards),
-                              (trusting_completion_type, guards - {"neither a prism"})):
-            monkeypatch.setattr(census, "_completion_type", rule)
-            assert self.against_one_by_one(monkeypatch, _corner_completions,
-                                           _corner_completions_one_by_one, cases,
-                                           guards) == reached | {"passed"}
-
-    def test_quad_pairs_count_check_comes_first(self):
-        # edge (0,1) lies on two quadrilaterals sharing w = 2
-        g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 3), (0, 4), (2, 3), (2, 4)])
-        with pytest.raises(FamilyViolationError, match=r"lies on 2 quadrilaterals, expected 1"):
-            _quad_pairs_through_edge(g.rows, 0, 1, 3)
 
 
 class TestNeighbourCounter:
@@ -651,42 +410,6 @@ class TestBvlsSample:
             assert certificate_type(bvls, (a, b, c, d, e, f)) == "n2"
 
 
-class TestCodedWalks:
-    def test_popcount_scan_matches_walk_by_walk(self):
-        rng = random.Random(5)
-        outcomes = set()
-        for _ in range(40):
-            g = random_graph(rng, rng.randint(6, 12), rng.random() * 0.5 + 0.2)
-            for s in range(g.order):
-                want = coded_walks_from(g, s)
-                try:
-                    got = _walk_scan(g.rows, g.order, [s])
-                except CountingInconsistencyError as exc:
-                    got = str(exc)
-                assert got == want
-                outcomes.add(type(want))
-        assert outcomes == {tuple, str}
-
-    def test_switched_bvls_starts_match_walk_by_walk(self, bvls):
-        # one double-edge switch breaks mu = 2 near the switched edges only,
-        # so the sample holds starts with and without mu = 2 over D2
-        rng = random.Random(4276800)
-        g = double_edge_switched(bvls, rng, 1)
-        rows = g.rows
-        guards = set()
-        for s in rng.sample(range(g.order), 30):
-            want = coded_walks_from(g, s)
-            try:
-                got = _walk_scan(rows, g.order, [s])
-            except CountingInconsistencyError as exc:
-                got = str(exc)
-            assert got == want
-            d2 = [x for x in range(g.order)
-                  if x != s and not rows[s] >> x & 1 and rows[x] & rows[s]]
-            guards.add(all((rows[x] & rows[s]).bit_count() == 2 for x in d2))
-        assert guards == {True, False}
-
-
 class TestKeptErrors:
     @pytest.mark.parametrize("chords, extra", [
         (2, [(1, 3), (1, 4)]),
@@ -712,6 +435,12 @@ class TestKeptErrors:
         with pytest.raises(CountingInconsistencyError,
                            match=r"walk \(0,1,2,3,4\) has 2 chords"):
             _walk_scan(rows, 6, [0])
+
+    def test_quad_pairs_count_check_comes_first(self):
+        # edge (0,1) lies on two quadrilaterals sharing w = 2
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 3), (0, 4), (2, 3), (2, 4)])
+        with pytest.raises(FamilyViolationError, match=r"lies on 2 quadrilaterals, expected 1"):
+            _quad_pairs_through_edge(g.rows, 0, 1, 3)
 
     def test_quad_pair_unexpected_class(self):
         g = Graph.from_edges(

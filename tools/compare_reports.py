@@ -11,7 +11,8 @@ as ``python -m srg12.cli ...`` with ``PYTHONPATH`` set to one tree's ``src``,
 in an empty working directory of its own that also holds the graph6
 input files, without ``SRG12_PROGRESS`` and without writing bytecode.
 Three inputs are fixed lines (a 4-cycle, a 5-cycle and the circulant
-C16(1, 3)), and five are malformed lines: sparse6, digraph6, a NUL byte
+C16(1, 3)), and seven are malformed lines: sparse6 and digraph6, each
+also behind its ``>>sparse6<<`` or ``>>digraph6<<`` header, a NUL byte
 after a line and alone, and a CRLF end.  Five more are generated from a
 fixed seed with perfbench's standard-library input helpers, so that large
 graphs also reach the commands through the decoder: a random 14-regular
@@ -67,8 +68,9 @@ def graph6_line(rows: list[int]) -> bytes:
     return bytes(v + 63 for v in order + [int(bits[p:p + 6], 2) for p in range(0, len(bits), 6)])
 
 
-MALFORMED = {"s6.g6": b":Fa@x^\n", "d6.g6": b"&DOOOW?\n", "nul.g6": b"Dhc\0\n",
-             "lone-nul.g6": b"\0\n", "crlf.g6": b"Dhc\r\n"}
+MALFORMED = {"s6.g6": b":Fa@x^\n", "d6.g6": b"&DOOOW?\n",
+             "s6-header.g6": b">>sparse6<<:Fa@x^\n", "d6-header.g6": b">>digraph6<<&DOOOW?\n",
+             "nul.g6": b"Dhc\0\n", "lone-nul.g6": b"\0\n", "crlf.g6": b"Dhc\r\n"}
 
 
 def inputs() -> dict[str, bytes]:
