@@ -3,12 +3,14 @@ comparison.
 
 A row of ``DIFFERENTIALS`` names the fast kernel's module, the call of the
 kernel (given the module first) and of its reference on one case, the
-oracle or one-by-one functions behind the reference, the seeded cases and,
-where equal outcomes would not show that the cases reach both sides of the
-kernel's shortcuts, what they must reach.  A row runs on the imported
-module here and, as its kill check, on each mutant of
-``tests/test_mutants.py``.  Each reference outcome is computed once per
-case, on first use, and reused.  Where a kernel falls back to a one-by-one
+oracle or one-by-one functions behind the reference, the seeded cases in
+labelled groups and, where equal outcomes would not show that the cases
+reach both sides of the kernel's shortcuts, what they must reach.  Here
+each group of a row runs on the imported module as a test of its own, and
+each row's reach check as another; a whole row, group after group, is the
+kill check of each of its mutants in ``tests/test_mutants.py``.  Each
+group's cases are built, and each reference outcome computed, once, on
+first use, and reused.  Where a kernel falls back to a one-by-one
 loop of its module, its outcome says whether the loop ran, and the
 reference's whether the loop raised: a mask test fails exactly where the
 loop raises.  A ``_pairwise`` or ``_loop`` function of ``oracles.py`` and
@@ -21,7 +23,7 @@ import random
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
 from math import comb
 from typing import Callable, NamedTuple, Optional
@@ -69,10 +71,13 @@ class Differential(NamedTuple):
     module: str  # the srg12 module of the fast kernel
     fast: Callable  # fast(module, *case): the kernel's outcome
     reference: Callable  # reference(*case): the reference's outcome
-    cases: Callable[[], list]  # the seeded cases
+    cases: dict  # label -> (): the seeded cases of that group
     reach: Optional[Callable] = None  # reach(cases, outcomes) asserts what the cases reach
     references: tuple = ()  # the functions behind ``reference``, if not itself
     patch: tuple = ()  # (name, value) pairs set in the module on both sides
+
+    def __hash__(self):  # the cases dict has none; row names are unique
+        return hash(self.name)
 
 
 @contextmanager
@@ -83,33 +88,39 @@ def patched(module, patch):
         yield
 
 
-@lru_cache(maxsize=None)
-def cases_of(row: Differential) -> list:
-    return row.cases()
+_CASES: dict[tuple[str, str], list] = {}
+_EXPECTED: dict[tuple[str, str], list] = {}
 
 
-_EXPECTED: dict[str, list] = {}
+def cases_of(row: Differential, label: str) -> list:
+    """The cases of the row's group ``label``, built on first use."""
+    if (row.name, label) not in _CASES:
+        _CASES[row.name, label] = list(row.cases[label]())
+    return _CASES[row.name, label]
 
 
-def expected(row: Differential):
-    """The row's reference outcomes, one per case, each computed on first use."""
-    done = _EXPECTED.setdefault(row.name, [])
+def expected(row: Differential, label: str):
+    """The reference outcomes of the group, one per case, each computed on
+    first use."""
+    done = _EXPECTED.setdefault((row.name, label), [])
     module = importlib.import_module(f"srg12.{row.module}")
-    for i, case in enumerate(cases_of(row)):
+    for i, case in enumerate(cases_of(row, label)):
         if i == len(done):
             with patched(module, row.patch):
                 done.append(row.reference(*case))
         yield done[i]
 
 
-def first_difference(row: Differential, module):
-    """(case, fast outcome, reference outcome) at the first case on which
-    the row's kernel in ``module`` differs from its reference, or None."""
+def first_difference(row: Differential, module, labels=None):
+    """(case, fast outcome, reference outcome) at the first case of the
+    groups ``labels`` (all, by default) on which the row's kernel in
+    ``module`` differs from its reference, or None."""
     with patched(module, row.patch):
-        for case, want in zip(cases_of(row), expected(row)):
-            got = row.fast(module, *case)
-            if got != want:
-                return case, got, want
+        for label in labels or row.cases:
+            for case, want in zip(cases_of(row, label), expected(row, label)):
+                got = row.fast(module, *case)
+                if got != want:
+                    return case, got, want
     return None
 
 
@@ -166,16 +177,27 @@ def random_graphs(rng, count, sizes, densities):
 bvls243 = lru_cache(maxsize=1)(build_bvls243)
 
 
-def hexagon_cases():
-    """(rows, n, starts): seeded graphs on 6-14 and on 6-40 vertices from
-    every start at once, then seeded graphs on 6-24 vertices and BvLS 243
-    after three switches from each start alone."""
-    graphs = (random_graphs(random.Random(6), 30, (6, 14), (0.1, 0.6))
-              + random_graphs(random.Random(6), 60, (6, 40), (0.05, 0.8)))
-    cases = [(g.rows, g.order, range(g.order)) for g in graphs]
-    graphs = random_graphs(random.Random(61), 40, (6, 24), (0.1, 0.6))
-    graphs.append(double_edge_switched(bvls243(), random.Random(4980690), 3))
-    return cases + [(g.rows, g.order, [v0]) for g in graphs for v0 in range(g.order)]
+def every_start(graphs):
+    return [(g.rows, g.order, range(g.order)) for g in graphs]
+
+
+def each_start(graphs):
+    return [(g.rows, g.order, [v0]) for g in graphs for v0 in range(g.order)]
+
+
+# (rows, n, starts): seeded graphs on 6-14 and on 6-40 vertices from every
+# start at once, then seeded graphs on 6-24 vertices and BvLS 243 after
+# three switches from each start alone
+HEXAGON_CASES = {
+    "every-start-6-14":
+        lambda: every_start(random_graphs(random.Random(6), 30, (6, 14), (0.1, 0.6))),
+    "every-start-6-40":
+        lambda: every_start(random_graphs(random.Random(6), 60, (6, 40), (0.05, 0.8))),
+    "each-start-6-24":
+        lambda: each_start(random_graphs(random.Random(61), 40, (6, 24), (0.1, 0.6))),
+    "each-start-switched-bvls243":
+        lambda: each_start([double_edge_switched(bvls243(), random.Random(4980690), 3)]),
+}
 
 
 def hexagon_reach(cases, outcomes):
@@ -199,17 +221,27 @@ def hexagon_reach(cases, outcomes):
     assert wide and guards == {True, False}
 
 
-def pentagon_edge_cases():
-    """(rows, edge): every edge of seeded graphs with one apex per edge,
-    which reach the counting paths, and of seeded random graphs, which also
-    reach the slow path, where the apex meets a w or y candidate."""
-    rng = random.Random(45)
-    graphs = [one_apex_per_edge_graph(rng, rng.randint(16, 24), tries=80) for _ in range(4)]
-    graphs += random_graphs(rng, 30, (6, 16), (0.1, 0.4))
-    rng = random.Random(45)
-    graphs += [one_apex_per_edge_graph(rng, rng.randint(16, 30), tries=120) for _ in range(20)]
-    graphs += random_graphs(random.Random(46), 40, (6, 24), (0.05, 0.5))
+def every_edge(graphs):
     return [(g.rows, e) for g in graphs for e in g.edges()]
+
+
+def one_apex_graphs(rng, count, sizes, tries):
+    return [one_apex_per_edge_graph(rng, rng.randint(*sizes), tries=tries) for _ in range(count)]
+
+
+def one_apex_then_random(rng):
+    graphs = one_apex_graphs(rng, 4, (16, 24), 80)
+    return graphs + random_graphs(rng, 30, (6, 16), (0.1, 0.4))
+
+
+# (rows, edge): every edge of seeded graphs with one apex per edge, which
+# reach the counting paths, and of seeded random graphs, which also reach
+# the slow path, where the apex meets a w or y candidate
+PENTAGON_EDGE_CASES = {
+    "one-apex-16-24-random-6-16": lambda: every_edge(one_apex_then_random(random.Random(45))),
+    "one-apex-16-30": lambda: every_edge(one_apex_graphs(random.Random(45), 20, (16, 30), 120)),
+    "random-6-24": lambda: every_edge(random_graphs(random.Random(46), 40, (6, 24), (0.05, 0.5))),
+}
 
 
 def pentagon_edge_reach(cases, outcomes):
@@ -219,14 +251,22 @@ def pentagon_edge_reach(cases, outcomes):
         "FamilyViolationError", "CountingInconsistencyError"}
 
 
-def triangle_pair_cases():
-    """(graph,): seeded graphs, the named types, last BvLS 243 after 40 switches."""
-    graphs = random_graphs(random.Random(891), 20, (6, 12), (0.4, 0.4))
-    rng = random.Random(891)
-    graphs += random_graphs(rng, 40, (6, 16), (0.4, 0.4))
-    graphs += [Graph.from_edges(6, edges) for edges in NAMED_TYPE_EDGES.values()]
-    graphs.append(double_edge_switched(bvls243(), rng, 40))
+def each_graph(graphs):
     return [(g,) for g in graphs]
+
+
+def random_then_switched(rng):
+    graphs = random_graphs(rng, 40, (6, 16), (0.4, 0.4))
+    return graphs + [double_edge_switched(bvls243(), rng, 40)]
+
+
+# (graph,): seeded graphs, the named types, last BvLS 243 after 40 switches
+TRIANGLE_PAIR_CASES = {
+    "random-6-12": lambda: each_graph(random_graphs(random.Random(891), 20, (6, 12), (0.4, 0.4))),
+    "named-types": lambda: each_graph(Graph.from_edges(6, edges)
+                                      for edges in NAMED_TYPE_EDGES.values()),
+    "random-6-16-switched-bvls243": lambda: each_graph(random_then_switched(random.Random(891))),
+}
 
 
 def triangle_pair_reach(cases, outcomes):
@@ -263,16 +303,22 @@ COLLIDE = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 1), (4, 2), (
                                (5, 0), (5, 1), (6, 3), (6, 0)])
 
 
-def side_apex_cases():
-    """(rows, quad) per quadrilateral of the mask test and crafted graphs."""
-    graphs = mask_test_graphs() + census_raise_graphs() + (COLLIDE,)
+def every_quad(graphs):
     return [(g.rows, quad) for g in graphs for quad in iter_quadrilaterals(g)]
 
 
-def corner_cases():
-    """(rows, triangle, corner) per corner of the mask test and crafted graphs."""
-    graphs = mask_test_graphs() + census_raise_graphs()
+def every_corner(graphs):
     return [(g.rows, tri, idx) for g in graphs for tri in triangles(g) for idx in range(3)]
+
+
+# (rows, quad) per quadrilateral of the mask test and crafted graphs
+SIDE_APEX_CASES = {"mask-test": lambda: every_quad(mask_test_graphs()),
+                   "census-raises": lambda: every_quad(census_raise_graphs()),
+                   "collide": lambda: every_quad([COLLIDE])}
+
+# (rows, triangle, corner) per corner of the mask test and crafted graphs
+CORNER_CASES = {"mask-test": lambda: every_corner(mask_test_graphs()),
+                "census-raises": lambda: every_corner(census_raise_graphs())}
 
 
 # message fragments of the guards of the one-by-one loops
@@ -289,9 +335,11 @@ def loop_guards(*reached):
     return reach
 
 
-def quad_pair_edge_cases():
-    """(rows, u, v, quadrilaterals through uv) per case of ``quad_pair_cases``."""
-    return [(g.rows, u, v, c4s_through_edge(g, u, v)) for g, (u, v) in quad_pair_cases()]
+# (rows, u, v, quadrilaterals through uv) per case of ``quad_pair_cases``
+QUAD_PAIR_CASES = {
+    "random-6-14-switched-bvls243":
+        lambda: [(g.rows, u, v, c4s_through_edge(g, u, v)) for g, (u, v) in quad_pair_cases()],
+}
 
 
 def quad_pair_reach(cases, outcomes):
@@ -305,17 +353,19 @@ def quad_pair_reach(cases, outcomes):
         "counts", "FamilyViolationError", "CountingInconsistencyError"}
 
 
-def qpe_cases():
-    """(graph,): seeded graphs with one apex per edge, where mu = 2 may
-    fail; on family graphs the single-corner vertices of each corner send
-    as many edges to both neighbouring corners, and n4 = 2 n3 = 0, so only
-    such graphs tell the routes apart."""
-    rng = random.Random(9)
-    graphs = [one_apex_per_edge_graph(rng, rng.randint(16, 20), tries=80) for _ in range(8)]
-    rng = random.Random(9)
-    graphs += [one_apex_per_edge_graph(rng, rng.randint(9, 18)) for _ in range(20)]
-    graphs += [one_apex_per_edge_graph(rng, rng.randint(16, 30), tries=120) for _ in range(10)]
-    return [(g,) for g in graphs]
+def one_apex_9_to_30(rng):
+    graphs = [one_apex_per_edge_graph(rng, rng.randint(9, 18)) for _ in range(20)]
+    return graphs + one_apex_graphs(rng, 10, (16, 30), 120)
+
+
+# (graph,): seeded graphs with one apex per edge, where mu = 2 may fail; on
+# family graphs the single-corner vertices of each corner send as many
+# edges to both neighbouring corners, and n4 = 2 n3 = 0, so only such
+# graphs tell the routes apart
+QPE_CASES = {
+    "one-apex-16-20": lambda: each_graph(one_apex_graphs(random.Random(9), 8, (16, 20), 80)),
+    "one-apex-9-30": lambda: each_graph(one_apex_9_to_30(random.Random(9))),
+}
 
 
 def qpe_reach(cases, outcomes):
@@ -324,16 +374,23 @@ def qpe_reach(cases, outcomes):
     assert min(nonzero[i] for i in range(3)) >= 10
 
 
-def walk_cases():
-    """(graph, start): every start of seeded graphs on 6-11 and on 6-12
-    vertices, then 30 starts of BvLS 243 after one switch, which breaks
-    mu = 2 near the switched edges only."""
-    graphs = (random_graphs(random.Random(5), 20, (6, 11), (0.2, 0.5))
-              + random_graphs(random.Random(5), 40, (6, 12), (0.2, 0.5)))
-    cases = [(g, s) for g in graphs for s in range(g.order)]
-    rng = random.Random(4276800)
+def walk_starts(graphs):
+    return [(g, s) for g in graphs for s in range(g.order)]
+
+
+def switched_bvls_starts(rng):
     g = double_edge_switched(bvls243(), rng, 1)
-    return cases + [(g, s) for s in rng.sample(range(g.order), 30)]
+    return [(g, s) for s in rng.sample(range(g.order), 30)]
+
+
+# (graph, start): every start of seeded graphs on 6-11 and on 6-12
+# vertices, then 30 starts of BvLS 243 after one switch, which breaks
+# mu = 2 near the switched edges only
+WALK_CASES = {
+    "random-6-11": lambda: walk_starts(random_graphs(random.Random(5), 20, (6, 11), (0.2, 0.5))),
+    "random-6-12": lambda: walk_starts(random_graphs(random.Random(5), 40, (6, 12), (0.2, 0.5))),
+    "switched-bvls243": lambda: switched_bvls_starts(random.Random(4276800)),
+}
 
 
 def walk_reach(cases, outcomes):
@@ -346,9 +403,10 @@ def walk_reach(cases, outcomes):
     assert guards == {True, False}
 
 
-def edge_triple_cases():
-    return [(g,) for g in random_graphs(random.Random(3), 20, (4, 9), (0.2, 0.6))
-            + random_graphs(random.Random(23), 20, (6, 16), (0.15, 0.6))]
+EDGE_TRIPLE_CASES = {
+    "random-4-9": lambda: each_graph(random_graphs(random.Random(3), 20, (4, 9), (0.2, 0.6))),
+    "random-6-16": lambda: each_graph(random_graphs(random.Random(23), 20, (6, 16), (0.15, 0.6))),
+}
 
 
 def edge_triple_reach(cases, outcomes):
@@ -368,16 +426,19 @@ def verify_reach(cases, reports):
                and max(r.lambda_witness[0], r.mu_witness[0]) < r.expected.n - 2 for r in full)
 
 
-def orbit_cases():
-    """(code, n): the empty, the full and seeded codes on every n from the
-    pairless n <= 1 to the 32-bit fields of 7 and 8."""
+def orbit_codes_2_to_7():
     rng = random.Random(11)
     cases = []
     for n in range(2, 8):
         size = n * (n - 1) // 2
         codes = [0, (1 << size) - 1] + [rng.getrandbits(size) for _ in range(3 + 9 * (n < 7))]
         cases += [(code, n) for code in codes]
+    return cases
+
+
+def orbit_codes_0_to_8():
     rng = random.Random(1708)
+    cases = []
     for n in range(9):
         pairs = n * (n - 1) // 2
         codes = {0, (1 << pairs) - 1}
@@ -386,50 +447,67 @@ def orbit_cases():
     return cases
 
 
-def six_census_cases():
-    rng = random.Random(16)
-    graphs = [build_paley9()] + random_graphs(rng, 6, (7, 8), (0.2, 0.6))
-    graphs.append(random_graph(random.Random(1010), 10, 0.5))
-    return [(g,) for g in graphs]
+# (code, n): the empty, the full and seeded codes on every n from the
+# pairless n <= 1 to the 32-bit fields of 7 and 8
+ORBIT_CASES = {"n2-7": orbit_codes_2_to_7, "n0-8": orbit_codes_0_to_8}
+
+
+SIX_CENSUS_CASES = {
+    "paley9": lambda: [(build_paley9(),)],
+    "random-7-8": lambda: each_graph(random_graphs(random.Random(16), 6, (7, 8), (0.2, 0.6))),
+    "random-10": lambda: [(random_graph(random.Random(1010), 10, 0.5),)],
+}
 
 
 # both sides of every power of two up to 512, and above
 SIZES = [0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 513, 600]
 
 
-def transpose_cases():
-    """(rows,): seeded square bit matrices, of ``SIZES`` at four densities."""
+def seeded_matrices():
     rng = random.Random(28)
-    cases = [[rng.getrandbits(n) for _ in range(n)]
-             for n in (1, 5, 8, 9, 16, 30, 64, 100, 128, 200, 256, 257, 300)]
-    for n in SIZES:
-        rng = random.Random(n)
-        cases += [[sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
-                  for density in (0.0, 0.1, 0.5, 1.0)]
-    return [(rows,) for rows in cases]
+    return [([rng.getrandbits(n) for _ in range(n)],)
+            for n in (1, 5, 8, 9, 16, 30, 64, 100, 128, 200, 256, 257, 300)]
 
 
-def symmetry_cases():
-    """(rows,): seeded symmetric matrices, each followed by copies with one
-    arc flipped (for ``SIZES``: in the first row, the last, by the diagonal)."""
+def matrices_at(n):
+    rng = random.Random(n)
+    return [([sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)],)
+            for density in (0.0, 0.1, 0.5, 1.0)]
+
+
+# (rows,): seeded square bit matrices, then those of ``SIZES`` at four densities
+TRANSPOSE_CASES = {"seeded": seeded_matrices,
+                   **{f"n{n}": partial(matrices_at, n) for n in SIZES}}
+
+
+def seeded_symmetric():
     rng = random.Random(30)
     cases = []
     for n in (2, 3, 9, 40, 99):
         rows = list(random_graph(rng, n, 0.3).rows)
         flipped = rows.copy()
         flipped[n - 1] ^= 1 << rng.randrange(n - 1)
-        cases += [rows, flipped]
-    for n in SIZES:
-        rng = random.Random(n)
-        rows = list(random_graph(rng, n, 0.3).rows)
-        cases.append(rows)
-        if n >= 2:
-            i = rng.randrange(n - 1)
-            for v, u in ((0, rng.randrange(1, n)), (n - 1, rng.randrange(n - 1)), (i, i + 1)):
-                flipped = rows.copy()
-                flipped[v] ^= 1 << u
-                cases.append(flipped)
-    return [(rows,) for rows in cases]
+        cases += [(rows,), (flipped,)]
+    return cases
+
+
+def symmetric_at(n):
+    rng = random.Random(n)
+    rows = list(random_graph(rng, n, 0.3).rows)
+    cases = [(rows,)]
+    if n >= 2:
+        i = rng.randrange(n - 1)
+        for v, u in ((0, rng.randrange(1, n)), (n - 1, rng.randrange(n - 1)), (i, i + 1)):
+            flipped = rows.copy()
+            flipped[v] ^= 1 << u
+            cases.append((flipped,))
+    return cases
+
+
+# (rows,): seeded symmetric matrices, each followed by copies with one arc
+# flipped (for ``SIZES``: in the first row, the last, by the diagonal)
+SYMMETRY_CASES = {"seeded": seeded_symmetric,
+                  **{f"n{n}": partial(symmetric_at, n) for n in SIZES}}
 
 
 def symmetry_reach(cases, outcomes):
@@ -438,9 +516,7 @@ def symmetry_reach(cases, outcomes):
                                  (False, False): len(cases) - 5 - len(SIZES)}
 
 
-def graph_symmetry_cases():
-    """(n, rows): seeded symmetric rows with one arc flipped, then with one
-    to three arcs flipped."""
+def one_flip():
     rng = random.Random(29)
     cases = []
     for n in (2, 3, 9, 40, 99):
@@ -448,7 +524,12 @@ def graph_symmetry_cases():
         u, v = rng.sample(range(n), 2)
         rows[v] ^= 1 << u
         cases.append((n, tuple(rows)))
+    return cases
+
+
+def up_to_three_flips():
     rng = random.Random(1711)
+    cases = []
     for n in [2, 3, 8, 9, 64, 65, 99, 243, 256, 257, 300] + [rng.randint(2, 300)
                                                             for _ in range(30)]:
         rows = list(random_graph(rng, n, rng.random() * 0.3).rows)
@@ -457,6 +538,11 @@ def graph_symmetry_cases():
             rows[v] ^= 1 << u
         cases.append((n, tuple(rows)))
     return cases
+
+
+# (n, rows): seeded symmetric rows with one arc flipped, then with one to
+# three arcs flipped
+GRAPH_SYMMETRY_CASES = {"one-flip": one_flip, "up-to-three-flips": up_to_three_flips}
 
 
 def corrupted(rng, line):
@@ -471,29 +557,48 @@ def corrupted(rng, line):
     yield line + b"\r\n"
 
 
-def graph6_cases():
-    """(graph, lines): seeded graphs up to 300 vertices, at byte and word
-    edges and a sparse one on 2000, each with its line and corruptions;
-    then small graphs with every value of the last byte."""
-    def with_corruptions(rng, g):
-        return g, list(corrupted(rng, graph6_encode_loop(g)))
+def with_corruptions(rng, g):
+    return g, list(corrupted(rng, graph6_encode_loop(g)))
 
+
+def random_lines():
     rng = random.Random(2801)
-    cases = [with_corruptions(rng, random_graph(rng, rng.randint(0, 300), rng.random()))
-             for _ in range(40)]
-    for n in (7, 8, 9, 15, 16, 17, 62, 63, 64, 127, 128, 129, 255, 256, 257):
-        rng = random.Random(n)
-        cases += [with_corruptions(rng, random_graph(rng, n, density))
-                  for density in (0.0, rng.random(), 1.0)]
+    return [with_corruptions(rng, random_graph(rng, rng.randint(0, 300), rng.random()))
+            for _ in range(40)]
+
+
+def lines_at(n):
+    rng = random.Random(n)
+    return [with_corruptions(rng, random_graph(rng, n, density))
+            for density in (0.0, rng.random(), 1.0)]
+
+
+def sparse_line():
     rng = random.Random(2000)
     edges = {tuple(sorted(rng.sample(range(2000), 2))) for _ in range(6000)}
-    cases.append(with_corruptions(rng, Graph.from_edges(2000, edges)))
+    return [with_corruptions(rng, Graph.from_edges(2000, edges))]
+
+
+def every_last_byte():
     rng = random.Random(2802)
+    cases = []
     for n in (2, 3, 4, 5, 8, 63, 99):
         g = random_graph(rng, n, 0.5)
         line = graph6_encode_loop(g)
         cases.append((g, [line[:-1] + bytes([last]) for last in range(256)]))
     return cases
+
+
+# (graph, lines): seeded graphs up to 300 vertices, at byte and word edges
+# and a sparse one on 2000, each with its line and corruptions; then small
+# graphs with every value of the last byte
+GRAPH6_CASES = {
+    "random-0-300": random_lines,
+    **{f"n{n}": partial(lines_at, n)
+       for n in (7, 8, 9, 15, 16, 17, 62, 63, 64, 127, 128, 129, 255, 256, 257)},
+    "sparse-2000": sparse_line,
+    "every-last-byte": every_last_byte,
+}
 
 
 def graph6_reach(cases, outcomes):
@@ -508,7 +613,7 @@ def corner_completions(name, reach, patch=()):
         name, "census",
         lambda mod, *case: with_loop(mod, "_corner_completions",
                                      "_corner_completions_one_by_one", *case),
-        lambda *case: loop_outcome("_corner_completions_one_by_one", *case), corner_cases,
+        lambda *case: loop_outcome("_corner_completions_one_by_one", *case), CORNER_CASES,
         loop_guards("several corners", "common neighbours", "collapsed", *reach),
         (census._corner_completions_one_by_one,), patch)
 
@@ -519,20 +624,20 @@ DIFFERENTIALS = [
         lambda mod, rows, n, starts: mod._hexagon_scan(rows, n, starts, mod._triangle_table(rows)),
         lambda rows, n, starts: (pentagon_scan_pairwise(rows, n, starts),
                                  hexagon_scan_pairwise(rows, n, starts)),
-        hexagon_cases, hexagon_reach, (pentagon_scan_pairwise, hexagon_scan_pairwise)),
+        HEXAGON_CASES, hexagon_reach, (pentagon_scan_pairwise, hexagon_scan_pairwise)),
     Differential(
         "pentagon-edges", "census",
         lambda mod, rows, edge: outcome(mod._pentagon_edge_scan, rows, [edge]),
         lambda rows, edge: outcome(pentagon_edge_scan_pairwise, rows, [edge]),
-        pentagon_edge_cases, pentagon_edge_reach, (pentagon_edge_scan_pairwise,)),
+        PENTAGON_EDGE_CASES, pentagon_edge_reach, (pentagon_edge_scan_pairwise,)),
     Differential("triangle-pairs", "census",
                  lambda mod, g: outcome(mod.disjoint_triangle_pair_census, g),
-                 triangle_pair_census_pairwise, triangle_pair_cases, triangle_pair_reach),
+                 triangle_pair_census_pairwise, TRIANGLE_PAIR_CASES, triangle_pair_reach),
     Differential(
         "side-apexes", "census",
         lambda mod, rows, quad: with_loop(mod, "_side_apexes", "_side_apexes_one_by_one",
                                           rows, *quad),
-        lambda rows, quad: loop_outcome("_side_apexes_one_by_one", rows, quad), side_apex_cases,
+        lambda rows, quad: loop_outcome("_side_apexes_one_by_one", rows, quad), SIDE_APEX_CASES,
         loop_guards("triangle apexes", "collide", "not type n2"),
         (census._side_apexes_one_by_one,)),
     corner_completions("corner-completions", ["neither a prism"]),
@@ -543,56 +648,68 @@ DIFFERENTIALS = [
         lambda mod, rows, u, v, quads: outcome(mod._quad_pairs_through_edge, rows, u, v,
                                                len(quads) + 2),
         lambda rows, u, v, quads: outcome(census._quad_pairs_at_edge, rows, u, v, quads),
-        quad_pair_edge_cases, quad_pair_reach, (census._quad_pairs_at_edge,)),
+        QUAD_PAIR_CASES, quad_pair_reach, (census._quad_pairs_at_edge,)),
     Differential("qpe-incidences", "census",
                  lambda mod, g: mod._qpe_scan(g.rows, g.order, range(g.order))[:3],
-                 quad_edge_type_incidences, qpe_cases, qpe_reach),
+                 quad_edge_type_incidences, QPE_CASES, qpe_reach),
     Differential("walks", "census",
                  lambda mod, g, s: outcome(mod._walk_scan, g.rows, g.order, [s]),
-                 walk_outcome, walk_cases, walk_reach, (coded_walks_from,)),
+                 walk_outcome, WALK_CASES, walk_reach, (coded_walks_from,)),
     Differential("edge-triples", "census", lambda mod, g: outcome(mod.edge_triple_census, g),
-                 brute_edge_triples, edge_triple_cases, edge_triple_reach),
+                 brute_edge_triples, EDGE_TRIPLE_CASES, edge_triple_reach),
     # verify_srg stops after the first row that gives both witnesses
     Differential("verify", "graph",
                  lambda mod, g, params: as_report(mod.verify_srg(g, params)),
-                 verify_srg_pairwise, verify_cases, verify_reach),
+                 verify_srg_pairwise, {"seeded": verify_cases}, verify_reach),
     Differential("orbit", "graph",
                  lambda mod, code, n: (mod.code_orbit(code, n), mod.canonical_code(code, n)),
-                 orbit_by_maps, orbit_cases, references=(_perm_bit_maps,)),
+                 orbit_by_maps, ORBIT_CASES, references=(_perm_bit_maps,)),
     Differential("six-census", "census",
                  lambda mod, g: {c.certificate: stats.count
                                  for c, stats in mod.exhaustive_six_census(g).items()},
-                 oracle_six_census, six_census_cases),
+                 oracle_six_census, SIX_CENSUS_CASES),
     Differential("transpose", "_bits",
                  lambda mod, rows: (mod.transpose(rows), mod.transpose(tuple(rows))),
-                 lambda rows: (transpose_loop(rows),) * 2, transpose_cases,
+                 lambda rows: (transpose_loop(rows),) * 2, TRANSPOSE_CASES,
                  references=(transpose_loop,)),
     Differential("is-symmetric", "_bits",
                  lambda mod, rows: (mod.is_symmetric(rows), mod.is_symmetric(tuple(rows))),
-                 lambda rows: (transpose_loop(rows) == rows,) * 2, symmetry_cases,
+                 lambda rows: (transpose_loop(rows) == rows,) * 2, SYMMETRY_CASES,
                  symmetry_reach, (transpose_loop,)),
     # on asymmetric rows Graph names the pair that the per-edge loop names
     Differential("graph-symmetry", "graph",
                  lambda mod, n, rows: error_outcome(lambda: mod.Graph(n, rows).rows),
                  lambda n, rows: error_outcome(symmetry_loop, rows) or rows,
-                 graph_symmetry_cases, references=(symmetry_loop,)),
+                 GRAPH_SYMMETRY_CASES, references=(symmetry_loop,)),
     # equal bytes, an equal Graph, or the same error type, message and offset
     Differential(
         "graph6-loops", "graph6",
         lambda mod, g, lines: (mod.encode(g), [error_outcome(mod.decode, d) for d in lines]),
         lambda g, lines: (graph6_encode_loop(g),
                           [error_outcome(graph6_decode_loop, d) for d in lines]),
-        graph6_cases, graph6_reach, (graph6_encode_loop, graph6_decode_loop)),
+        GRAPH6_CASES, graph6_reach, (graph6_encode_loop, graph6_decode_loop)),
 ]
 
 ROW = {row.name: row for row in DIFFERENTIALS}
 
 
-@pytest.mark.parametrize("row", DIFFERENTIALS, ids=[row.name for row in DIFFERENTIALS])
-def test_fast_kernel_equals_its_reference(row):
-    assert first_difference(row, importlib.import_module(f"srg12.{row.module}")) is None
-    if row.reach:
-        row.reach(cases_of(row), list(expected(row)))
+GROUPS = [(row, label) for row in DIFFERENTIALS for label in row.cases]
+
+
+@pytest.mark.parametrize("row, label", GROUPS,
+                         ids=[f"{row.name}-{label}" for row, label in GROUPS])
+def test_fast_kernel_equals_its_reference(row, label):
+    module = importlib.import_module(f"srg12.{row.module}")
+    assert first_difference(row, module, [label]) is None
+
+
+REACHING = [row for row in DIFFERENTIALS if row.reach]
+
+
+@pytest.mark.parametrize("row", REACHING, ids=[row.name for row in REACHING])
+def test_cases_reach_what_the_row_needs(row):
+    row.reach([case for label in row.cases for case in cases_of(row, label)],
+              [want for label in row.cases for want in expected(row, label)])
 
 
 def test_every_reference_has_a_row():
@@ -602,4 +719,5 @@ def test_every_reference_has_a_row():
              if inspect.isfunction(f) and f.__module__ == module.__name__ and name.endswith(ends)]
     assert [f.__name__ for f in named if f not in references] == []
     assert len(ROW) == len(DIFFERENTIALS), "row names repeat"
-    assert [row.name for row in DIFFERENTIALS if not cases_of(row)] == []
+    assert [row.name for row in DIFFERENTIALS if not row.cases] == []
+    assert [f"{row.name}-{label}" for row, label in GROUPS if not cases_of(row, label)] == []
