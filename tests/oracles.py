@@ -351,6 +351,18 @@ def pentagon_edge_scan_pairwise(rows, edges):
     return n4, counts
 
 
+def pentagon_side_route(g: Graph, u: int, v: int):
+    """(n4 sides, pentagons through edge (u, v)) pentagon by pentagon, from
+    ``pentagons_through`` and ``pentagon_side_is_n4``; an edge without
+    exactly one triangle apex raises as the census kernel does, whether or
+    not a pentagon runs through it."""
+    apexes = g.common_neighbors(u, v)
+    if apexes != 1:
+        raise FamilyViolationError(f"side ({u},{v}) has {apexes} triangle apexes")
+    pents = pentagons_through(g, u, v)
+    return sum(pentagon_side_is_n4(g.rows, pent, 0) for pent in pents), [len(pents)]
+
+
 def pentagon_side_census(g: Graph):
     """(n4, n8, p5) by classifying the five sides of each induced pentagon."""
     n4 = p5 = 0
@@ -371,6 +383,30 @@ def edges_clear_of(g: Graph, closed: int) -> int:
             left ^= 1 << u
             count += (g.rows[u] & left).bit_count()
     return count
+
+
+def triangle_table_loop(g: Graph):
+    """``census._triangle_ids`` and ``_triangle_table`` of g by a scan of
+    every vertex triple: the triangles in lexicographic order, tri_of[v]
+    masking the ids of those through v, True for the one listing the table
+    shares, and one_in[x] masking the ids with exactly one vertex in N(x)."""
+    tris = [t for t in combinations(range(g.order), 3)
+            if all(g.has_edge(a, b) for a, b in combinations(t, 2))]
+    tri_of = [sum(1 << i for i, t in enumerate(tris) if v in t) for v in range(g.order)]
+    one_in = [sum(1 << i for i, t in enumerate(tris) if sum(g.has_edge(x, v) for v in t) == 1)
+              for x in range(g.order)]
+    return tuple(tris), tuple(tri_of), True, tuple(one_in)
+
+
+def neighbour_counts_loop(rows, sources, within, mask):
+    """``_bits.neighbour_count_digits(rows, sources, within)`` and its
+    ``digit_total`` over ``mask``, vertex by vertex: digit i holds bit i of
+    each count |N(x) & sources| for x in ``within``."""
+    counts = [sum(rows[v] >> x & 1 for v in iter_bits(sources)) if within >> x & 1 else 0
+              for x in range(len(rows))]
+    digits = [sum((c >> i & 1) << x for x, c in enumerate(counts))
+              for i in range(max(counts, default=0).bit_length())]
+    return digits, sum(c for x, c in enumerate(counts) if mask >> x & 1)
 
 
 def double_edge_switched(g: Graph, rng, count: int) -> Graph:

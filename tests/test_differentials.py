@@ -14,19 +14,24 @@ first use, and reused.  Where a kernel falls back to a one-by-one
 loop of its module, its outcome says whether the loop ran, and the
 reference's whether the loop raised: a mask test fails exactly where the
 loop raises.  A ``_pairwise`` or ``_loop`` function of ``oracles.py`` and
-a ``_one_by_one`` function of ``census.py`` each need a row.
+a ``_one_by_one`` function of ``census.py`` each need a row.  A row also
+lists the ``srg12`` functions its kernel calls: the rows that list a
+function are the battery a mutant of it must fail.  Every function of
+``_bits.py`` and every ``_``-prefixed function of ``census.py`` needs such
+a row, and a traced run checks that each row calls what it lists.
 """
 
 import importlib
 import inspect
 import random
+import sys
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import fields
 from functools import lru_cache, partial
 from itertools import combinations, product
 from math import comb
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Union
 
 import pytest
 
@@ -36,31 +41,44 @@ from oracles import (
     _perm_bit_maps,
     brute_edge_triples,
     c4s_through_edge,
+    certificate_type,
     coded_walks_from,
     double_edge_switched,
+    early_break_canonical_code,
     graph6_decode_loop,
     graph6_encode_loop,
     hexagon_scan_pairwise,
+    induced,
     mask_test_graphs,
+    neighbour_counts_loop,
     one_apex_per_edge_graph,
     oracle_six_census,
     outcome,
     pentagon_edge_scan_pairwise,
     pentagon_scan_pairwise,
+    pentagon_side_census,
+    pentagon_side_route,
+    pentagons_through,
     quad_edge_type_incidences,
     quad_pair_cases,
     random_graph,
     symmetry_loop,
     transpose_loop,
     triangle_pair_census_pairwise,
+    triangle_table_loop,
     triangles,
     trusting_completion_type,
     verify_cases,
     verify_srg_pairwise,
 )
-from srg12 import census
+from srg12 import _bits, census, graph, graph6
 from srg12._bits import iter_bits
-from srg12.census import NAMED_TYPE_EDGES, iter_quadrilaterals
+from srg12.census import (
+    NAMED_TYPE_EDGES,
+    QUAD_PAIR_TYPES,
+    TRIANGLE_PAIR_TYPES,
+    iter_quadrilaterals,
+)
 from srg12.constructions import build_bvls243, build_paley9
 from srg12.errors import CountingInconsistencyError
 from srg12.graph import Graph, SrgReport
@@ -72,9 +90,12 @@ class Differential(NamedTuple):
     fast: Callable  # fast(module, *case): the kernel's outcome
     reference: Callable  # reference(*case): the reference's outcome
     cases: dict  # label -> (): the seeded cases of that group
-    reach: Optional[Callable] = None  # reach(cases, outcomes) asserts what the cases reach
+    # reach(cases, outcomes) asserts what the row's cases reach; a dict
+    # holds such checks per group label, None for the whole row
+    reach: Union[Callable, dict, None] = None
     references: tuple = ()  # the functions behind ``reference``, if not itself
     patch: tuple = ()  # (name, value) pairs set in the module on both sides
+    exercises: tuple = ()  # the srg12 functions ``fast`` calls: a sweep's battery
 
     def __hash__(self):  # the cases dict has none; row names are unique
         return hash(self.name)
@@ -222,7 +243,7 @@ def hexagon_reach(cases, outcomes):
 
 
 def every_edge(graphs):
-    return [(g.rows, e) for g in graphs for e in g.edges()]
+    return [(g, e) for g in graphs for e in g.edges()]
 
 
 def one_apex_graphs(rng, count, sizes, tries):
@@ -234,7 +255,7 @@ def one_apex_then_random(rng):
     return graphs + random_graphs(rng, 30, (6, 16), (0.1, 0.4))
 
 
-# (rows, edge): every edge of seeded graphs with one apex per edge, which
+# (graph, edge): every edge of seeded graphs with one apex per edge, which
 # reach the counting paths, and of seeded random graphs, which also reach
 # the slow path, where the apex meets a w or y candidate
 PENTAGON_EDGE_CASES = {
@@ -383,14 +404,31 @@ def switched_bvls_starts(rng):
     return [(g, s) for s in rng.sample(range(g.order), 30)]
 
 
+WALK = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+
 # (graph, start): every start of seeded graphs on 6-11 and on 6-12
 # vertices, then 30 starts of BvLS 243 after one switch, which breaks
-# mu = 2 near the switched edges only
+# mu = 2 near the switched edges only; then start 0 of the walk
+# 0-1-2-3-4-0 with the chords 14 and 24, with 13, 14 and 24, and with 14
+# and 24 and a vertex 5 joined to 0 and 3, so that both vertices at
+# distance 2 from 0 have two neighbours in N(0), as in a family graph
 WALK_CASES = {
     "random-6-11": lambda: walk_starts(random_graphs(random.Random(5), 20, (6, 11), (0.2, 0.5))),
     "random-6-12": lambda: walk_starts(random_graphs(random.Random(5), 40, (6, 12), (0.2, 0.5))),
     "switched-bvls243": lambda: switched_bvls_starts(random.Random(4276800)),
+    "chords": lambda: [(Graph.from_edges(5, WALK + [(1, 4), (2, 4)]), 0),
+                       (Graph.from_edges(5, WALK + [(1, 3), (1, 4), (2, 4)]), 0),
+                       (Graph.from_edges(6, WALK + [(1, 4), (2, 4), (0, 5), (3, 5)]), 0)],
 }
+
+
+def chords_reach(cases, outcomes):
+    # each walk is refused by its chord count, the last where mu = 2 holds
+    # on the vertices at distance 2 from the start
+    rows = cases[-1][0].rows
+    assert [(rows[x] & rows[0]).bit_count() for x in (2, 3)] == [2, 2]
+    assert outcomes == [(CountingInconsistencyError.__name__, f"walk (0,1,2,3,4) has {c} chords")
+                        for c in (2, 3, 2)]
 
 
 def walk_reach(cases, outcomes):
@@ -406,11 +444,18 @@ def walk_reach(cases, outcomes):
 EDGE_TRIPLE_CASES = {
     "random-4-9": lambda: each_graph(random_graphs(random.Random(3), 20, (4, 9), (0.2, 0.6))),
     "random-6-16": lambda: each_graph(random_graphs(random.Random(23), 20, (6, 16), (0.15, 0.6))),
+    "seed29-6-16": lambda: each_graph(random_graphs(random.Random(29), 20, (6, 16), (0.15, 0.6))),
+    "seed66-0-11": lambda: each_graph(random_graphs(random.Random(66), 200, (0, 11), (0.0, 1.0))),
 }
 
 
 def edge_triple_reach(cases, outcomes):
     assert all(sum(counts) == comb(g.num_edges, 3) for (g,), counts in zip(cases, outcomes))
+
+
+def matchings_reach(cases, outcomes):
+    # 3-matchings in more than a quarter of the graphs
+    assert sum(counts[2] > 0 for counts in outcomes) > 50
 
 
 def verify_reach(cases, reports):
@@ -606,6 +651,264 @@ def graph6_reach(cases, outcomes):
     assert all(g in decoded for (g, _), (_, decoded) in zip(cases, outcomes))
 
 
+def settings(order, fixed, free):
+    """Every graph on ``order`` vertices with the ``fixed`` edges plus a
+    subset of the ``free`` pairs."""
+    for bits in range(1 << len(free)):
+        extra = [pair for t, pair in enumerate(free) if bits >> t & 1]
+        yield Graph.from_edges(order, fixed + extra)
+
+
+def holds(test):
+    """A reach check that ``test(outcomes)`` holds."""
+    def check(cases, outcomes):
+        assert test(outcomes)
+    return check
+
+
+# Type rules: each kernel fixes most pairs of a 6-vertex structure and
+# decides its type from the few pairs left free.  Every setting of those
+# pairs is a case, as is a seeded sample of BvLS 243 structures, and the
+# reference is the canonical certificate (``certificate_type``).
+
+PAIR_COUNTS = (*TRIANGLE_PAIR_TYPES, "excluded")
+
+
+def pair_counts(tp) -> dict:
+    return {name: getattr(tp, name) for name in PAIR_COUNTS}
+
+
+def triangle_pair_types(g: Graph) -> dict:
+    """The counts of a 6-vertex graph, whose disjoint triangle pairs all
+    span it: each of the certificate's type, or excluded."""
+    pairs = sum(1 for s, t in combinations(triangles(g), 2) if not set(s) & set(t))
+    want = certificate_type(g, range(6))
+    want = want if want in TRIANGLE_PAIR_TYPES else "excluded"
+    return {name: pairs if name == want else 0 for name in PAIR_COUNTS}
+
+
+def bvls_triangle_pairs():
+    rng = random.Random(243)
+    tris = triangles(bvls243())
+    cases = []
+    while len(cases) < 150:
+        s, t = rng.sample(tris, 2)
+        if not set(s) & set(t):
+            cases.append((induced(bvls243(), s + t),))
+    return cases
+
+
+def nonzero(outcomes):
+    return {name for counts in outcomes for name, count in counts.items() if count}
+
+
+# (graph,): triangles 0-1-2 and 3-4-5 with each of the 512 settings of
+# the nine pairs between them, then 150 disjoint pairs of BvLS 243
+TRIANGLE_TYPE_CASES = {
+    "settings": lambda: each_graph(settings(
+        6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)],
+        [(a, b) for a in range(3) for b in range(3, 6)])),
+    "bvls243": bvls_triangle_pairs,
+}
+
+
+def quad_pair_type(g: Graph, u: int, v: int, q1, q2):
+    """The kernel's counts of the pair, by certificate: one pair of its
+    type, or the error for a type no pair has."""
+    want = certificate_type(g, (u, v) + q1 + q2)
+    if want in QUAD_PAIR_TYPES:
+        return [int(want == name) for name in QUAD_PAIR_TYPES]
+    return (CountingInconsistencyError.__name__,
+            f"C4 pair through ({u},{v}) induced an unexpected class")
+
+
+def bvls_quad_pairs():
+    rng = random.Random(22)
+    cases = []
+    for u, v in rng.sample(list(bvls243().edges()), 30):
+        quads = c4s_through_edge(bvls243(), u, v)
+        cases += [(bvls243(), u, v, *rng.sample(quads, 2)) for _ in range(5)]
+    return cases
+
+
+def quad_type_of(want):
+    return QUAD_PAIR_TYPES[want.index(1)] if isinstance(want, list) else None
+
+
+# (graph, u, v, quad, quad): quadrilaterals 0-1-2-3-0 and 0-1-4-5-0 with
+# each of the 16 settings of 24, 35, 25 and 34, then 150 pairs of BvLS 243
+QUAD_TYPE_CASES = {
+    "settings": lambda: [(g, 0, 1, (2, 3), (4, 5)) for g in settings(
+        6, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 5), (5, 0)],
+        [(2, 4), (3, 5), (2, 5), (3, 4)])],
+    "bvls243": bvls_quad_pairs,
+}
+
+
+@lru_cache(maxsize=1)
+def bvls_completions_and_n2():
+    """20 triangles of BvLS 243 with 3 pendants each, as (x, y, z, p, q, r),
+    then 40 quadrilaterals a-b-c-d with the apexes e, f of sides ab, bc."""
+    rng = random.Random(3)
+    g = bvls243()
+    rows = g.rows
+    completions = []
+    for x, y, z in rng.sample(triangles(g), 20):
+        tmask = (1 << x) | (1 << y) | (1 << z)
+        pendants = [p for p in g.neighbors(x) if not tmask >> p & 1]
+        for p in rng.sample(pendants, 3):
+            q = (rows[p] & rows[y] & ~(1 << x)).bit_length() - 1
+            r = (rows[p] & rows[z] & ~(1 << x)).bit_length() - 1
+            completions.append((g, (x, y, z, p, q, r)))
+    n2 = []
+    for a, b, c, d in rng.sample(list(iter_quadrilaterals(g)), 40):
+        e = (rows[a] & rows[b]).bit_length() - 1
+        f = (rows[b] & rows[c]).bit_length() - 1
+        n2.append((g, (a, b, c, d, e, f)))
+    return completions, n2
+
+
+# (graph, (a, b, c, d, e, f)): quadrilateral 0-1-2-3-0 with apex 4 on side
+# 01 and apex 5 on side 12, each of the 32 settings of 42, 43, 45, 50 and
+# 53, then the BvLS 243 sample
+N2_CASES = {
+    "settings": lambda: [(g, tuple(range(6))) for g in settings(
+        6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (5, 1), (5, 2)],
+        [(4, 2), (4, 3), (4, 5), (5, 0), (5, 3)])],
+    "bvls243": lambda: bvls_completions_and_n2()[1],
+}
+
+
+def completion_type(g: Graph, verts):
+    want = certificate_type(g, verts)
+    return want if want in ("n1", "n4") else None
+
+
+# (graph, (x, y, z, p, q, r)): triangle 0-1-2, pendant 3 at 0, q = 4 joined
+# to 3 and 1, r = 5 joined to 3 and 2, each of the 32 settings of 45, 40,
+# 42, 50 and 51, then the BvLS 243 sample
+COMPLETION_TYPE_CASES = {
+    "settings": lambda: [(g, tuple(range(6))) for g in settings(
+        6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (4, 1), (3, 5), (5, 2)],
+        [(4, 5), (4, 0), (4, 2), (5, 0), (5, 1)])],
+    "bvls243": lambda: bvls_completions_and_n2()[0],
+}
+
+# pentagon 0..4 with apexes 5..9 on its sides 01, 12, 23, 34, 40; the pairs
+# joining apex 5 to 2, 3 and 4 are left free
+PENTAGON_FIXED = [(i, (i + 1) % 5) for i in range(5)] + [(5, 0), (5, 1)]
+PENTAGON_FIXED += [(6, 1), (6, 2), (7, 2), (7, 3), (8, 3), (8, 4), (9, 4), (9, 0)]
+PENTAGON_FREE = [(5, 2), (5, 3), (5, 4)]
+
+
+def pentagon_side_type(g: Graph):
+    """The kernel's outcome on side 01 of the pentagon 0..4, by
+    certificate: one pentagon and one n4 side or none, or the error that
+    names the pattern of apex 5 on 2, 3 and 4."""
+    want = certificate_type(g, range(6))
+    if want in ("n4", "n8"):
+        return int(want == "n4"), [1]
+    hits = sum((g.rows[5] >> w & 1) << i for i, w in enumerate((2, 3, 4)))
+    return (CountingInconsistencyError.__name__,
+            f"apex of side (0,1) has adjacency pattern {hits:03b} on pentagon (0, 1, 2, 3, 4)")
+
+
+def side_type_of(want):
+    return ("n8", "n4")[want[0]] if isinstance(want[0], int) else None
+
+
+def pentagon_side_reach(cases, outcomes):
+    # all three outcomes occur; where the side has a type, the pentagon is
+    # the graph's only one, and its four other sides are type n8
+    assert set(map(side_type_of, outcomes)) == {"n4", "n8", None}
+    for (g,), want in zip(cases, outcomes):
+        if isinstance(want[0], int):
+            assert pentagon_side_census(g) == (want[0], 5 - want[0], 1)
+
+
+def bvls_pentagon_edges():
+    return [(bvls243(), e) for e in random.Random(2673).sample(list(bvls243().edges()), 25)]
+
+
+# (graph, edge): every edge of Paley 9 and of the eight pentagon apex
+# settings; side 01 of the pentagons 0-1-2-3-4 and 0-1-2-10-4, which share
+# w = 2 and y = 4 and whose side apex 5 is joined to 3 alone; 25 edges of
+# BvLS 243
+PENTAGON_ROUTE_CASES = {
+    "paley9": lambda: every_edge([build_paley9()]),
+    "apex-settings": lambda: every_edge(settings(10, PENTAGON_FIXED, PENTAGON_FREE)),
+    "two-pentagons": lambda: [(Graph.from_edges(11, PENTAGON_FIXED + [(5, 3), (10, 2), (10, 4)]),
+                               (0, 1))],
+    "bvls243": bvls_pentagon_edges,
+}
+
+
+def apex_settings_reach(cases, outcomes):
+    compared = sum(isinstance(want[0][0], int) for want in outcomes)
+    assert (compared, len(outcomes) - compared) == (96, 36)
+
+
+def seeded_counter_inputs():
+    rng = random.Random(8)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(1, 70)
+        density = rng.random()
+        rows = [sum(1 << x for x in range(n) if rng.random() < density) for _ in range(n)]
+        sources, within = rng.getrandbits(n), rng.getrandbits(n)
+        cases.append((rows, sources, within, rng.getrandbits(n)))
+    return cases
+
+
+# (rows, sources, within, mask): seeded square bit matrices on 1-70
+# vertices, then the triangle with no sources and with no vertex counted
+COUNTER_CASES = {
+    "seeded": seeded_counter_inputs,
+    "empty": lambda: [([0b110, 0b101, 0b011], 0, 0b111, 0b111),
+                      ([0b110, 0b101, 0b011], 0b111, 0, 0b111)],
+}
+
+
+def counter_reach(cases, outcomes):
+    # some count needs four digits
+    assert max(len(digits) for digits, _ in outcomes) >= 4
+
+
+# (graph,): seeded graphs on 0-16 vertices
+TRIANGLE_TABLE_CASES = {
+    "random-0-16": lambda: each_graph(random_graphs(random.Random(891), 60, (0, 16), (0.1, 0.8))),
+}
+
+
+def triangle_table_outcome(mod, g):
+    """The triangle listing of g, its tri_of masks, whether the table
+    shares them, and the table's one_in masks."""
+    ids, tri_of = mod._triangle_ids(g.rows)
+    shared, one_in = mod._triangle_table(g.rows)
+    return ids, tri_of, shared is tri_of, one_in
+
+
+def triangle_table_reach(cases, outcomes):
+    # graphs with no triangle, one, and several
+    assert {min(len(ids), 2) for ids, *_ in outcomes} == {0, 1, 2}
+
+
+def canonical_code_cases():
+    rng = random.Random(2024)
+    cases = [(rng.getrandbits(15), 6) for _ in range(3000)]
+    for n, samples in ((7, 12), (8, 3)):
+        cases += [(rng.getrandbits(n * (n - 1) // 2), n) for _ in range(samples)]
+    return cases
+
+
+# the srg12 functions behind the kernels, shared by several rows
+TRIANGLE_IDS = (census._triangle_ids, census._above, _bits.iter_bits)
+TRIANGLE_TABLE = (*TRIANGLE_IDS, census._triangle_table, _bits.neighbour_count_digits)
+COUNTERS = (_bits.neighbour_count_digits, _bits.digit_total, _bits.iter_bits)
+PENTAGON_SCAN = (census._pentagon_edge_scan, census._apex_pattern_check, *TRIANGLE_TABLE,
+                 _bits.digit_total)
+
+
 def corner_completions(name, reach, patch=()):
     # per (triangle, corner); the trusting type rule leaves every other
     # guard to hold alone
@@ -615,7 +918,9 @@ def corner_completions(name, reach, patch=()):
                                      "_corner_completions_one_by_one", *case),
         lambda *case: loop_outcome("_corner_completions_one_by_one", *case), CORNER_CASES,
         loop_guards("several corners", "common neighbours", "collapsed", *reach),
-        (census._corner_completions_one_by_one,), patch)
+        (census._corner_completions_one_by_one,), patch,
+        (census._corner_completions, census._corner_completions_one_by_one, _bits.iter_bits)
+        + (() if patch else (census._completion_type,)))
 
 
 DIFFERENTIALS = [
@@ -624,22 +929,71 @@ DIFFERENTIALS = [
         lambda mod, rows, n, starts: mod._hexagon_scan(rows, n, starts, mod._triangle_table(rows)),
         lambda rows, n, starts: (pentagon_scan_pairwise(rows, n, starts),
                                  hexagon_scan_pairwise(rows, n, starts)),
-        HEXAGON_CASES, hexagon_reach, (pentagon_scan_pairwise, hexagon_scan_pairwise)),
+        HEXAGON_CASES, hexagon_reach, (pentagon_scan_pairwise, hexagon_scan_pairwise),
+        exercises=(census._hexagon_scan, *TRIANGLE_TABLE, _bits.digit_total)),
     Differential(
         "pentagon-edges", "census",
-        lambda mod, rows, edge: outcome(mod._pentagon_edge_scan, rows, [edge]),
-        lambda rows, edge: outcome(pentagon_edge_scan_pairwise, rows, [edge]),
-        PENTAGON_EDGE_CASES, pentagon_edge_reach, (pentagon_edge_scan_pairwise,)),
+        lambda mod, g, edge: outcome(mod._pentagon_edge_scan, g.rows, [edge]),
+        lambda g, edge: outcome(pentagon_edge_scan_pairwise, g.rows, [edge]),
+        {**PENTAGON_EDGE_CASES, **PENTAGON_ROUTE_CASES}, pentagon_edge_reach,
+        (pentagon_edge_scan_pairwise,), exercises=PENTAGON_SCAN),
+    # the per-pentagon route, and the count of pentagons_through_edge
+    Differential(
+        "pentagon-route", "census",
+        lambda mod, g, edge: (outcome(mod._pentagon_edge_scan, g.rows, [edge]),
+                              mod.pentagons_through_edge(g, edge)),
+        lambda g, edge: (outcome(pentagon_side_route, g, *edge),
+                         len(pentagons_through(g, *edge))),
+        PENTAGON_ROUTE_CASES,
+        {"two-pentagons": holds(lambda outcomes: outcomes == [((1, [2]), 2)]),
+         "apex-settings": apex_settings_reach,
+         "bvls243": holds(lambda outcomes: all(n4 == 0 for (n4, _), _ in outcomes))},
+        (pentagon_side_route, pentagons_through),
+        exercises=(*PENTAGON_SCAN, census.pentagons_through_edge)),
+    Differential("pentagon-side-type", "census",
+                 lambda mod, g: outcome(mod._pentagon_edge_scan, g.rows, [(0, 1)]),
+                 pentagon_side_type,
+                 {"settings": lambda: each_graph(settings(10, PENTAGON_FIXED, PENTAGON_FREE))},
+                 pentagon_side_reach, (certificate_type,), exercises=PENTAGON_SCAN),
     Differential("triangle-pairs", "census",
                  lambda mod, g: outcome(mod.disjoint_triangle_pair_census, g),
-                 triangle_pair_census_pairwise, TRIANGLE_PAIR_CASES, triangle_pair_reach),
+                 triangle_pair_census_pairwise, TRIANGLE_PAIR_CASES, triangle_pair_reach,
+                 exercises=(census.disjoint_triangle_pair_census, *TRIANGLE_IDS)),
+    Differential("triangle-pair-types", "census",
+                 lambda mod, g: pair_counts(mod.disjoint_triangle_pair_census(g)),
+                 triangle_pair_types, TRIANGLE_TYPE_CASES,
+                 {"settings": holds(lambda outcomes: nonzero(outcomes) == set(PAIR_COUNTS)),
+                  "bvls243": holds(lambda outcomes: {"n1", "n5", "n14"} <= nonzero(outcomes))},
+                 (certificate_type,),
+                 exercises=(census.disjoint_triangle_pair_census, *TRIANGLE_IDS)),
+    Differential("quad-pair-types", "census",
+                 lambda mod, g, u, v, q1, q2: outcome(mod._quad_pairs_at_edge, g.rows, u, v,
+                                                      [q1, q2]),
+                 quad_pair_type, QUAD_TYPE_CASES,
+                 {"settings": holds(lambda outcomes: set(map(quad_type_of, outcomes))
+                                    == {"n9", "n4", "n1", None}),
+                  "bvls243": holds(lambda outcomes: set(map(quad_type_of, outcomes))
+                                   == {"n1", "n9"})},
+                 (certificate_type,), exercises=(census._quad_pairs_at_edge,)),
+    Differential("n2-type", "census", lambda mod, g, verts: mod._is_n2(g.rows, *verts),
+                 lambda g, verts: certificate_type(g, verts) == "n2", N2_CASES,
+                 {"settings": holds(lambda outcomes: sum(outcomes) == 1),
+                  "bvls243": holds(all)},
+                 (certificate_type,), exercises=(census._is_n2,)),
+    Differential("completion-type", "census",
+                 lambda mod, g, verts: mod._completion_type(g.rows, *verts[:3], *verts[4:]),
+                 completion_type, COMPLETION_TYPE_CASES,
+                 {"settings": holds(lambda outcomes: set(outcomes) == {"n1", "n4", None}),
+                  "bvls243": holds(lambda outcomes: set(outcomes) == {"n1"})},
+                 (certificate_type,), exercises=(census._completion_type,)),
     Differential(
         "side-apexes", "census",
         lambda mod, rows, quad: with_loop(mod, "_side_apexes", "_side_apexes_one_by_one",
                                           rows, *quad),
         lambda rows, quad: loop_outcome("_side_apexes_one_by_one", rows, quad), SIDE_APEX_CASES,
         loop_guards("triangle apexes", "collide", "not type n2"),
-        (census._side_apexes_one_by_one,)),
+        (census._side_apexes_one_by_one,),
+        exercises=(census._side_apexes, census._side_apexes_one_by_one, census._is_n2)),
     corner_completions("corner-completions", ["neither a prism"]),
     corner_completions("corner-completions-trusting", [],
                        (("_completion_type", trusting_completion_type),)),
@@ -648,46 +1002,75 @@ DIFFERENTIALS = [
         lambda mod, rows, u, v, quads: outcome(mod._quad_pairs_through_edge, rows, u, v,
                                                len(quads) + 2),
         lambda rows, u, v, quads: outcome(census._quad_pairs_at_edge, rows, u, v, quads),
-        QUAD_PAIR_CASES, quad_pair_reach, (census._quad_pairs_at_edge,)),
+        QUAD_PAIR_CASES, quad_pair_reach, (census._quad_pairs_at_edge,),
+        exercises=(census._quad_pairs_through_edge, census._quad_pairs_at_edge,
+                   _bits.iter_bits)),
     Differential("qpe-incidences", "census",
                  lambda mod, g: mod._qpe_scan(g.rows, g.order, range(g.order))[:3],
-                 quad_edge_type_incidences, QPE_CASES, qpe_reach),
+                 quad_edge_type_incidences, QPE_CASES, qpe_reach,
+                 exercises=(census._qpe_scan, census._quad_list, census._side_apexes,
+                            census._above, _bits.iter_bits)),
     Differential("walks", "census",
                  lambda mod, g, s: outcome(mod._walk_scan, g.rows, g.order, [s]),
-                 walk_outcome, WALK_CASES, walk_reach, (coded_walks_from,)),
+                 walk_outcome, WALK_CASES, {None: walk_reach, "chords": chords_reach},
+                 (coded_walks_from,),
+                 exercises=(census._walk_scan, census._first_bad_walk,
+                            _bits.neighbour_count_digits, _bits.iter_bits)),
     Differential("edge-triples", "census", lambda mod, g: outcome(mod.edge_triple_census, g),
-                 brute_edge_triples, EDGE_TRIPLE_CASES, edge_triple_reach),
+                 brute_edge_triples, EDGE_TRIPLE_CASES,
+                 {None: edge_triple_reach, "seed66-0-11": matchings_reach},
+                 exercises=(census.edge_triple_census, census._count_span4_triples,
+                            census._count_span5_triples, census._count_span6_triples,
+                            _bits.iter_bits)),
+    Differential("triangle-table", "census", triangle_table_outcome, triangle_table_loop,
+                 TRIANGLE_TABLE_CASES, triangle_table_reach, exercises=TRIANGLE_TABLE),
+    Differential("neighbour-counter", "_bits",
+                 lambda mod, rows, sources, within, mask: (
+                     digits := mod.neighbour_count_digits(rows, sources, within),
+                     mod.digit_total(digits, mask)),
+                 neighbour_counts_loop, COUNTER_CASES, {"seeded": counter_reach},
+                 exercises=COUNTERS),
     # verify_srg stops after the first row that gives both witnesses
     Differential("verify", "graph",
                  lambda mod, g, params: as_report(mod.verify_srg(g, params)),
-                 verify_srg_pairwise, {"seeded": verify_cases}, verify_reach),
+                 verify_srg_pairwise, {"seeded": verify_cases}, verify_reach,
+                 exercises=(graph.verify_srg,)),
     Differential("orbit", "graph",
                  lambda mod, code, n: (mod.code_orbit(code, n), mod.canonical_code(code, n)),
-                 orbit_by_maps, ORBIT_CASES, references=(_perm_bit_maps,)),
+                 orbit_by_maps, ORBIT_CASES, references=(_perm_bit_maps,),
+                 exercises=(graph.code_orbit, graph.canonical_code)),
+    Differential("canonical-code", "graph", lambda mod, code, n: mod.canonical_code(code, n),
+                 early_break_canonical_code, {"seed2024": canonical_code_cases},
+                 exercises=(graph.canonical_code, graph.code_orbit)),
     Differential("six-census", "census",
                  lambda mod, g: {c.certificate: stats.count
                                  for c, stats in mod.exhaustive_six_census(g).items()},
-                 oracle_six_census, SIX_CENSUS_CASES),
+                 oracle_six_census, SIX_CENSUS_CASES,
+                 exercises=(census.exhaustive_six_census, census._six_subset_tally,
+                            _bits.pair_index_table, _bits.iter_bits)),
     Differential("transpose", "_bits",
                  lambda mod, rows: (mod.transpose(rows), mod.transpose(tuple(rows))),
                  lambda rows: (transpose_loop(rows),) * 2, TRANSPOSE_CASES,
-                 references=(transpose_loop,)),
+                 references=(transpose_loop,), exercises=(_bits.transpose, _bits._cells)),
     Differential("is-symmetric", "_bits",
                  lambda mod, rows: (mod.is_symmetric(rows), mod.is_symmetric(tuple(rows))),
                  lambda rows: (transpose_loop(rows) == rows,) * 2, SYMMETRY_CASES,
-                 symmetry_reach, (transpose_loop,)),
+                 symmetry_reach, (transpose_loop,), exercises=(_bits.is_symmetric, _bits._cells)),
     # on asymmetric rows Graph names the pair that the per-edge loop names
     Differential("graph-symmetry", "graph",
                  lambda mod, n, rows: error_outcome(lambda: mod.Graph(n, rows).rows),
                  lambda n, rows: error_outcome(symmetry_loop, rows) or rows,
-                 GRAPH_SYMMETRY_CASES, references=(symmetry_loop,)),
+                 GRAPH_SYMMETRY_CASES, references=(symmetry_loop,),
+                 exercises=(Graph.__post_init__, _bits.is_symmetric, _bits.iter_bits)),
     # equal bytes, an equal Graph, or the same error type, message and offset
     Differential(
         "graph6-loops", "graph6",
         lambda mod, g, lines: (mod.encode(g), [error_outcome(mod.decode, d) for d in lines]),
         lambda g, lines: (graph6_encode_loop(g),
                           [error_outcome(graph6_decode_loop, d) for d in lines]),
-        GRAPH6_CASES, graph6_reach, (graph6_encode_loop, graph6_decode_loop)),
+        GRAPH6_CASES, graph6_reach, (graph6_encode_loop, graph6_decode_loop),
+        exercises=(graph6.encode, graph6.decode, graph6._encode_order, graph6._decode_order,
+                   _bits.transpose, _bits.is_symmetric)),
 ]
 
 ROW = {row.name: row for row in DIFFERENTIALS}
@@ -708,16 +1091,66 @@ REACHING = [row for row in DIFFERENTIALS if row.reach]
 
 @pytest.mark.parametrize("row", REACHING, ids=[row.name for row in REACHING])
 def test_cases_reach_what_the_row_needs(row):
-    row.reach([case for label in row.cases for case in cases_of(row, label)],
-              [want for label in row.cases for want in expected(row, label)])
+    checks = row.reach if isinstance(row.reach, dict) else {None: row.reach}
+    for label, check in checks.items():
+        labels = [label] if label else row.cases
+        check([case for label in labels for case in cases_of(row, label)],
+              [want for label in labels for want in expected(row, label)])
+
+
+def functions_of(module, prefix=""):
+    """The functions defined in ``module`` whose names start with
+    ``prefix``, unwrapped from their caches."""
+    found = (inspect.unwrap(value) for name, value in vars(module).items()
+             if name.startswith(prefix))
+    return [f for f in found if inspect.isfunction(f) and f.__module__ == module.__name__]
 
 
 def test_every_reference_has_a_row():
     references = {f for row in DIFFERENTIALS for f in row.references or (row.reference,)}
     named = [f for module, ends in ((oracles, ("_pairwise", "_loop")), (census, ("_one_by_one",)))
-             for name, f in vars(module).items()
-             if inspect.isfunction(f) and f.__module__ == module.__name__ and name.endswith(ends)]
+             for f in functions_of(module) if f.__name__.endswith(ends)]
     assert [f.__name__ for f in named if f not in references] == []
     assert len(ROW) == len(DIFFERENTIALS), "row names repeat"
     assert [row.name for row in DIFFERENTIALS if not row.cases] == []
     assert [f"{row.name}-{label}" for row, label in GROUPS if not cases_of(row, label)] == []
+
+
+def test_every_kernel_function_has_a_battery():
+    # a sweep of one of these functions runs the rows that list it
+    listed = {inspect.unwrap(f) for row in DIFFERENTIALS for f in row.exercises}
+    kernels = functions_of(_bits) + functions_of(census, "_")
+    assert [f.__name__ for f in kernels if f not in listed] == []
+    assert [row.name for row in DIFFERENTIALS if not row.exercises] == []
+
+
+def uncalled(row) -> list[str]:
+    """The functions that ``row`` lists as exercised and that its fast side
+    does not call, traced over its cases in order until each has run."""
+    module = importlib.import_module(f"srg12.{row.module}")
+    wanted = {inspect.unwrap(f).__code__: f for f in row.exercises}
+    for f in row.exercises:
+        if hasattr(f, "cache_clear"):  # a cached call runs no code
+            f.cache_clear()
+    seen = set()
+
+    def trace(frame, event, arg):  # called on each new frame; no line events
+        seen.add(frame.f_code)
+
+    outer = sys.gettrace()
+    with patched(module, row.patch):
+        for label in row.cases:
+            for case in cases_of(row, label):
+                sys.settrace(trace)
+                try:
+                    row.fast(module, *case)
+                finally:
+                    sys.settrace(outer)
+                if wanted.keys() <= seen:
+                    return []
+    return sorted(f.__qualname__ for code, f in wanted.items() if code not in seen)
+
+
+@pytest.mark.parametrize("row", DIFFERENTIALS, ids=[row.name for row in DIFFERENTIALS])
+def test_row_calls_what_it_lists(row):
+    assert uncalled(row) == []

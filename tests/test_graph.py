@@ -5,7 +5,6 @@ import pytest
 
 from oracles import (
     complement,
-    early_break_canonical_code,
     graph_from_code,
     induced,
     laplace_determinant,
@@ -53,14 +52,6 @@ TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4,
 
 
 class TestGraphBasics:
-    def test_validation_rejects_asymmetric_rows(self):
-        with pytest.raises(ValueError):
-            Graph(2, (0b10, 0b00))
-
-    def test_validation_rejects_loops(self):
-        with pytest.raises(ValueError):
-            Graph.from_edges(2, [(0, 0)])
-
     def test_edges_and_degrees(self, paley9):
         assert paley9.num_edges == 18
         assert all(paley9.degree(v) == 4 for v in range(9))
@@ -203,16 +194,6 @@ class TestCanonicalClass:
 
 
 class TestCodeOrbit:
-    def test_canonical_code_matches_early_break_oracle(self):
-        rng = random.Random(2024)
-        for _ in range(3000):
-            code = rng.getrandbits(15)
-            assert canonical_code(code, 6) == early_break_canonical_code(code, 6)
-        for n, samples in ((7, 12), (8, 3)):
-            for _ in range(samples):
-                code = rng.getrandbits(n * (n - 1) // 2)
-                assert canonical_code(code, n) == early_break_canonical_code(code, n)
-
     def test_orbits_are_refused_above_eight_vertices(self):
         # the packed table covers n <= 8; n = 9 is refused before it is built
         for orbit_function in (code_orbit, canonical_code):

@@ -692,6 +692,24 @@ class TestEnumerationBudget:
         assert run_all_checks(bvls).passed
         assert calls == []
 
+    def test_ledger_and_pair_censuses_make_no_canonical_calls(self, monkeypatch, bvls):
+        calls = []
+        real = graph.canonical_code
+
+        def counted(code, n):
+            calls.append(n)
+            return real(code, n)
+
+        monkeypatch.setattr(graph, "canonical_code", counted)
+        graph.classify_code.cache_clear()
+        census.named_type_certificates.cache_clear()
+        assert run_all_checks(build_paley9()).passed
+        census.disjoint_triangle_pair_census(bvls)
+        census.quad_pair_census(bvls)
+        assert calls == []
+        census.named_type_certificates()  # the counter does see certificate labelling
+        assert calls
+
     def test_ledger_names_no_walk_one_by_one(self, monkeypatch, paley9):
         # in a family graph no coded walk has two chords, so the walk-by-walk
         # error path never runs
