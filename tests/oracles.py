@@ -351,16 +351,20 @@ def pentagon_edge_scan_pairwise(rows, edges):
     return n4, counts
 
 
-def pentagon_side_route(g: Graph, u: int, v: int):
-    """(n4 sides, pentagons through edge (u, v)) pentagon by pentagon, from
-    ``pentagons_through`` and ``pentagon_side_is_n4``; an edge without
-    exactly one triangle apex raises as the census kernel does, whether or
-    not a pentagon runs through it."""
-    apexes = g.common_neighbors(u, v)
-    if apexes != 1:
-        raise FamilyViolationError(f"side ({u},{v}) has {apexes} triangle apexes")
-    pents = pentagons_through(g, u, v)
-    return sum(pentagon_side_is_n4(g.rows, pent, 0) for pent in pents), [len(pents)]
+def pentagon_side_route(g: Graph, edges):
+    """(n4 sides, pentagons through each edge) over ``edges``, pentagon by
+    pentagon, from ``pentagons_through`` and ``pentagon_side_is_n4``; an
+    edge without exactly one triangle apex raises as the census kernel
+    does, whether or not a pentagon runs through it."""
+    n4, counts = 0, []
+    for u, v in edges:
+        apexes = g.common_neighbors(u, v)
+        if apexes != 1:
+            raise FamilyViolationError(f"side ({u},{v}) has {apexes} triangle apexes")
+        pents = pentagons_through(g, u, v)
+        n4 += sum(pentagon_side_is_n4(g.rows, pent, 0) for pent in pents)
+        counts.append(len(pents))
+    return n4, counts
 
 
 def pentagon_side_census(g: Graph):

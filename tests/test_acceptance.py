@@ -36,7 +36,6 @@ from srg12.census import (
 from srg12.constructions import feasible_parameters
 from srg12.graph import SrgParams, verify_srg
 from srg12.identities import (
-    hexagon_bound,
     makhnev_condition,
     run_all_checks,
     verify_polynomial_chain,

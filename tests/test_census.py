@@ -152,6 +152,16 @@ class TestPentagonsThroughEdge:
         for e in paley9.edges():
             assert pentagons_through_edge(paley9, e) == 0
 
+    def test_non_edge_rejected(self, paley9):
+        u, v = next(
+            (u, v)
+            for u in range(9)
+            for v in range(u + 1, 9)
+            if not paley9.has_edge(u, v)
+        )
+        with pytest.raises(ValueError):
+            pentagons_through_edge(paley9, (u, v))
+
     def test_against_subset_scan(self):
         for g in random_cases(7, 8, nmin=6, nmax=10):
             for e in list(g.edges())[:6]:
@@ -211,6 +221,10 @@ class TestExhaustiveCensus:
         k6 = Graph.from_edges(6, list(combinations(range(6), 2)))
         ((cls, st),) = exhaustive_six_census(k6).items()
         assert st.count == 1 and st.cover_count == 15
+
+    def test_size_guard(self):
+        with pytest.raises(SizeLimitError):
+            exhaustive_six_census(Graph(17, (0,) * 17))
 
     def test_e6_equals_cover_sum(self):
         for g in random_cases(99, 10):
@@ -333,10 +347,8 @@ class TestQuadPairs:
 
 def line_graph(h: Graph) -> Graph:
     edges = list(h.edges())
-    return Graph.from_edges(len(edges), [
-        (i, j) for i, j in combinations(range(len(edges)), 2)
-        if set(edges[i]) & set(edges[j])
-    ])
+    pairs = combinations(range(len(edges)), 2)
+    return Graph.from_edges(len(edges), [(i, j) for i, j in pairs if set(edges[i]) & set(edges[j])])
 
 
 def generalized_petersen(n: int, k: int) -> Graph:

@@ -31,7 +31,7 @@ from dataclasses import fields
 from functools import lru_cache, partial
 from itertools import combinations, product
 from math import comb
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -73,12 +73,7 @@ from oracles import (
 )
 from srg12 import _bits, census, graph, graph6
 from srg12._bits import iter_bits
-from srg12.census import (
-    NAMED_TYPE_EDGES,
-    QUAD_PAIR_TYPES,
-    TRIANGLE_PAIR_TYPES,
-    iter_quadrilaterals,
-)
+from srg12.census import NAMED_TYPE_EDGES, QUAD_PAIR_TYPES, TRIANGLE_PAIR_TYPES, iter_quadrilaterals
 from srg12.constructions import build_bvls243, build_paley9
 from srg12.errors import CountingInconsistencyError
 from srg12.graph import Graph, SrgReport
@@ -90,9 +85,9 @@ class Differential(NamedTuple):
     fast: Callable  # fast(module, *case): the kernel's outcome
     reference: Callable  # reference(*case): the reference's outcome
     cases: dict  # label -> (): the seeded cases of that group
-    # reach(cases, outcomes) asserts what the row's cases reach; a dict
-    # holds such checks per group label, None for the whole row
-    reach: Union[Callable, dict, None] = None
+    # group label -> reach(cases, outcomes), which asserts what the cases
+    # of that group reach; the label None stands for the whole row
+    reach: dict = {}
     references: tuple = ()  # the functions behind ``reference``, if not itself
     patch: tuple = ()  # (name, value) pairs set in the module on both sides
     exercises: tuple = ()  # the srg12 functions ``fast`` calls: a sweep's battery
@@ -243,7 +238,7 @@ def hexagon_reach(cases, outcomes):
 
 
 def every_edge(graphs):
-    return [(g, e) for g in graphs for e in g.edges()]
+    return [(g, [e]) for g in graphs for e in g.edges()]
 
 
 def one_apex_graphs(rng, count, sizes, tries):
@@ -255,9 +250,9 @@ def one_apex_then_random(rng):
     return graphs + random_graphs(rng, 30, (6, 16), (0.1, 0.4))
 
 
-# (graph, edge): every edge of seeded graphs with one apex per edge, which
-# reach the counting paths, and of seeded random graphs, which also reach
-# the slow path, where the apex meets a w or y candidate
+# (graph, edges): each edge alone of seeded graphs with one apex per edge,
+# which reach the counting paths, and of seeded random graphs, which also
+# reach the slow path, where the apex meets a w or y candidate
 PENTAGON_EDGE_CASES = {
     "one-apex-16-24-random-6-16": lambda: every_edge(one_apex_then_random(random.Random(45))),
     "one-apex-16-30": lambda: every_edge(one_apex_graphs(random.Random(45), 20, (16, 30), 120)),
@@ -561,28 +556,25 @@ def symmetry_reach(cases, outcomes):
                                  (False, False): len(cases) - 5 - len(SIZES)}
 
 
-def one_flip():
-    rng = random.Random(29)
-    cases = []
-    for n in (2, 3, 9, 40, 99):
-        rows = list(random_graph(rng, n, 0.3).rows)
+def flipped(rng, n, density, flips=None):
+    """(n, rows) of a seeded graph with ``flips`` arcs flipped; by default
+    one to three, drawn after the graph."""
+    rows = list(random_graph(rng, n, density).rows)
+    for _ in range(flips or rng.randint(1, 3)):
         u, v = rng.sample(range(n), 2)
         rows[v] ^= 1 << u
-        cases.append((n, tuple(rows)))
-    return cases
+    return n, tuple(rows)
+
+
+def one_flip():
+    rng = random.Random(29)
+    return [flipped(rng, n, 0.3, 1) for n in (2, 3, 9, 40, 99)]
 
 
 def up_to_three_flips():
     rng = random.Random(1711)
-    cases = []
-    for n in [2, 3, 8, 9, 64, 65, 99, 243, 256, 257, 300] + [rng.randint(2, 300)
-                                                            for _ in range(30)]:
-        rows = list(random_graph(rng, n, rng.random() * 0.3).rows)
-        for _ in range(rng.randint(1, 3)):
-            u, v = rng.sample(range(n), 2)
-            rows[v] ^= 1 << u
-        cases.append((n, tuple(rows)))
-    return cases
+    sizes = [2, 3, 8, 9, 64, 65, 99, 243, 256, 257, 300] + [rng.randint(2, 300) for _ in range(30)]
+    return [flipped(rng, n, rng.random() * 0.3) for n in sizes]
 
 
 # (n, rows): seeded symmetric rows with one arc flipped, then with one to
@@ -826,20 +818,16 @@ def pentagon_side_reach(cases, outcomes):
             assert pentagon_side_census(g) == (want[0], 5 - want[0], 1)
 
 
-def bvls_pentagon_edges():
-    return [(bvls243(), e) for e in random.Random(2673).sample(list(bvls243().edges()), 25)]
-
-
-# (graph, edge): every edge of Paley 9 and of the eight pentagon apex
-# settings; side 01 of the pentagons 0-1-2-3-4 and 0-1-2-10-4, which share
-# w = 2 and y = 4 and whose side apex 5 is joined to 3 alone; 25 edges of
-# BvLS 243
+# (graph, edges): the edges of Paley 9 in one call; each edge alone of the
+# eight pentagon apex settings; side 01 of the pentagons 0-1-2-3-4 and
+# 0-1-2-10-4, which share w = 2 and y = 4 and whose side apex 5 is joined
+# to 3 alone; 25 edges of BvLS 243 in one call
 PENTAGON_ROUTE_CASES = {
-    "paley9": lambda: every_edge([build_paley9()]),
+    "paley9": lambda: [(build_paley9(), list(build_paley9().edges()))],
     "apex-settings": lambda: every_edge(settings(10, PENTAGON_FIXED, PENTAGON_FREE)),
     "two-pentagons": lambda: [(Graph.from_edges(11, PENTAGON_FIXED + [(5, 3), (10, 2), (10, 4)]),
-                               (0, 1))],
-    "bvls243": bvls_pentagon_edges,
+                               [(0, 1)])],
+    "bvls243": lambda: [(bvls243(), random.Random(2673).sample(list(bvls243().edges()), 25))],
 }
 
 
@@ -852,11 +840,9 @@ def seeded_counter_inputs():
     rng = random.Random(8)
     cases = []
     for _ in range(200):
-        n = rng.randint(1, 70)
-        density = rng.random()
+        n, density = rng.randint(1, 70), rng.random()
         rows = [sum(1 << x for x in range(n) if rng.random() < density) for _ in range(n)]
-        sources, within = rng.getrandbits(n), rng.getrandbits(n)
-        cases.append((rows, sources, within, rng.getrandbits(n)))
+        cases.append((rows, rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(n)))
     return cases
 
 
@@ -895,10 +881,8 @@ def triangle_table_reach(cases, outcomes):
 
 def canonical_code_cases():
     rng = random.Random(2024)
-    cases = [(rng.getrandbits(15), 6) for _ in range(3000)]
-    for n, samples in ((7, 12), (8, 3)):
-        cases += [(rng.getrandbits(n * (n - 1) // 2), n) for _ in range(samples)]
-    return cases
+    return [(rng.getrandbits(n * (n - 1) // 2), n)
+            for n, samples in ((6, 3000), (7, 12), (8, 3)) for _ in range(samples)]
 
 
 # the srg12 functions behind the kernels, shared by several rows
@@ -917,7 +901,7 @@ def corner_completions(name, reach, patch=()):
         lambda mod, *case: with_loop(mod, "_corner_completions",
                                      "_corner_completions_one_by_one", *case),
         lambda *case: loop_outcome("_corner_completions_one_by_one", *case), CORNER_CASES,
-        loop_guards("several corners", "common neighbours", "collapsed", *reach),
+        {None: loop_guards("several corners", "common neighbours", "collapsed", *reach)},
         (census._corner_completions_one_by_one,), patch,
         (census._corner_completions, census._corner_completions_one_by_one, _bits.iter_bits)
         + (() if patch else (census._completion_type,)))
@@ -929,23 +913,23 @@ DIFFERENTIALS = [
         lambda mod, rows, n, starts: mod._hexagon_scan(rows, n, starts, mod._triangle_table(rows)),
         lambda rows, n, starts: (pentagon_scan_pairwise(rows, n, starts),
                                  hexagon_scan_pairwise(rows, n, starts)),
-        HEXAGON_CASES, hexagon_reach, (pentagon_scan_pairwise, hexagon_scan_pairwise),
+        HEXAGON_CASES, {None: hexagon_reach}, (pentagon_scan_pairwise, hexagon_scan_pairwise),
         exercises=(census._hexagon_scan, *TRIANGLE_TABLE, _bits.digit_total)),
     Differential(
         "pentagon-edges", "census",
-        lambda mod, g, edge: outcome(mod._pentagon_edge_scan, g.rows, [edge]),
-        lambda g, edge: outcome(pentagon_edge_scan_pairwise, g.rows, [edge]),
-        {**PENTAGON_EDGE_CASES, **PENTAGON_ROUTE_CASES}, pentagon_edge_reach,
+        lambda mod, g, edges: outcome(mod._pentagon_edge_scan, g.rows, edges),
+        lambda g, edges: outcome(pentagon_edge_scan_pairwise, g.rows, edges),
+        {**PENTAGON_EDGE_CASES, **PENTAGON_ROUTE_CASES}, {None: pentagon_edge_reach},
         (pentagon_edge_scan_pairwise,), exercises=PENTAGON_SCAN),
     # the per-pentagon route, and the count of pentagons_through_edge
     Differential(
         "pentagon-route", "census",
-        lambda mod, g, edge: (outcome(mod._pentagon_edge_scan, g.rows, [edge]),
-                              mod.pentagons_through_edge(g, edge)),
-        lambda g, edge: (outcome(pentagon_side_route, g, *edge),
-                         len(pentagons_through(g, *edge))),
+        lambda mod, g, edges: (outcome(mod._pentagon_edge_scan, g.rows, edges),
+                               [mod.pentagons_through_edge(g, e) for e in edges]),
+        lambda g, edges: (outcome(pentagon_side_route, g, edges),
+                          [len(pentagons_through(g, *e)) for e in edges]),
         PENTAGON_ROUTE_CASES,
-        {"two-pentagons": holds(lambda outcomes: outcomes == [((1, [2]), 2)]),
+        {"two-pentagons": holds(lambda outcomes: outcomes == [((1, [2]), [2])]),
          "apex-settings": apex_settings_reach,
          "bvls243": holds(lambda outcomes: all(n4 == 0 for (n4, _), _ in outcomes))},
         (pentagon_side_route, pentagons_through),
@@ -954,10 +938,10 @@ DIFFERENTIALS = [
                  lambda mod, g: outcome(mod._pentagon_edge_scan, g.rows, [(0, 1)]),
                  pentagon_side_type,
                  {"settings": lambda: each_graph(settings(10, PENTAGON_FIXED, PENTAGON_FREE))},
-                 pentagon_side_reach, (certificate_type,), exercises=PENTAGON_SCAN),
+                 {None: pentagon_side_reach}, (certificate_type,), exercises=PENTAGON_SCAN),
     Differential("triangle-pairs", "census",
                  lambda mod, g: outcome(mod.disjoint_triangle_pair_census, g),
-                 triangle_pair_census_pairwise, TRIANGLE_PAIR_CASES, triangle_pair_reach,
+                 triangle_pair_census_pairwise, TRIANGLE_PAIR_CASES, {None: triangle_pair_reach},
                  exercises=(census.disjoint_triangle_pair_census, *TRIANGLE_IDS)),
     Differential("triangle-pair-types", "census",
                  lambda mod, g: pair_counts(mod.disjoint_triangle_pair_census(g)),
@@ -991,7 +975,7 @@ DIFFERENTIALS = [
         lambda mod, rows, quad: with_loop(mod, "_side_apexes", "_side_apexes_one_by_one",
                                           rows, *quad),
         lambda rows, quad: loop_outcome("_side_apexes_one_by_one", rows, quad), SIDE_APEX_CASES,
-        loop_guards("triangle apexes", "collide", "not type n2"),
+        {None: loop_guards("triangle apexes", "collide", "not type n2")},
         (census._side_apexes_one_by_one,),
         exercises=(census._side_apexes, census._side_apexes_one_by_one, census._is_n2)),
     corner_completions("corner-completions", ["neither a prism"]),
@@ -1002,12 +986,12 @@ DIFFERENTIALS = [
         lambda mod, rows, u, v, quads: outcome(mod._quad_pairs_through_edge, rows, u, v,
                                                len(quads) + 2),
         lambda rows, u, v, quads: outcome(census._quad_pairs_at_edge, rows, u, v, quads),
-        QUAD_PAIR_CASES, quad_pair_reach, (census._quad_pairs_at_edge,),
+        QUAD_PAIR_CASES, {None: quad_pair_reach}, (census._quad_pairs_at_edge,),
         exercises=(census._quad_pairs_through_edge, census._quad_pairs_at_edge,
                    _bits.iter_bits)),
     Differential("qpe-incidences", "census",
                  lambda mod, g: mod._qpe_scan(g.rows, g.order, range(g.order))[:3],
-                 quad_edge_type_incidences, QPE_CASES, qpe_reach,
+                 quad_edge_type_incidences, QPE_CASES, {None: qpe_reach},
                  exercises=(census._qpe_scan, census._quad_list, census._side_apexes,
                             census._above, _bits.iter_bits)),
     Differential("walks", "census",
@@ -1023,7 +1007,7 @@ DIFFERENTIALS = [
                             census._count_span5_triples, census._count_span6_triples,
                             _bits.iter_bits)),
     Differential("triangle-table", "census", triangle_table_outcome, triangle_table_loop,
-                 TRIANGLE_TABLE_CASES, triangle_table_reach, exercises=TRIANGLE_TABLE),
+                 TRIANGLE_TABLE_CASES, {None: triangle_table_reach}, exercises=TRIANGLE_TABLE),
     Differential("neighbour-counter", "_bits",
                  lambda mod, rows, sources, within, mask: (
                      digits := mod.neighbour_count_digits(rows, sources, within),
@@ -1033,7 +1017,7 @@ DIFFERENTIALS = [
     # verify_srg stops after the first row that gives both witnesses
     Differential("verify", "graph",
                  lambda mod, g, params: as_report(mod.verify_srg(g, params)),
-                 verify_srg_pairwise, {"seeded": verify_cases}, verify_reach,
+                 verify_srg_pairwise, {"seeded": verify_cases}, {None: verify_reach},
                  exercises=(graph.verify_srg,)),
     Differential("orbit", "graph",
                  lambda mod, code, n: (mod.code_orbit(code, n), mod.canonical_code(code, n)),
@@ -1055,7 +1039,8 @@ DIFFERENTIALS = [
     Differential("is-symmetric", "_bits",
                  lambda mod, rows: (mod.is_symmetric(rows), mod.is_symmetric(tuple(rows))),
                  lambda rows: (transpose_loop(rows) == rows,) * 2, SYMMETRY_CASES,
-                 symmetry_reach, (transpose_loop,), exercises=(_bits.is_symmetric, _bits._cells)),
+                 {None: symmetry_reach}, (transpose_loop,),
+                 exercises=(_bits.is_symmetric, _bits._cells)),
     # on asymmetric rows Graph names the pair that the per-edge loop names
     Differential("graph-symmetry", "graph",
                  lambda mod, n, rows: error_outcome(lambda: mod.Graph(n, rows).rows),
@@ -1068,7 +1053,7 @@ DIFFERENTIALS = [
         lambda mod, g, lines: (mod.encode(g), [error_outcome(mod.decode, d) for d in lines]),
         lambda g, lines: (graph6_encode_loop(g),
                           [error_outcome(graph6_decode_loop, d) for d in lines]),
-        GRAPH6_CASES, graph6_reach, (graph6_encode_loop, graph6_decode_loop),
+        GRAPH6_CASES, {None: graph6_reach}, (graph6_encode_loop, graph6_decode_loop),
         exercises=(graph6.encode, graph6.decode, graph6._encode_order, graph6._decode_order,
                    _bits.transpose, _bits.is_symmetric)),
 ]
@@ -1091,8 +1076,7 @@ REACHING = [row for row in DIFFERENTIALS if row.reach]
 
 @pytest.mark.parametrize("row", REACHING, ids=[row.name for row in REACHING])
 def test_cases_reach_what_the_row_needs(row):
-    checks = row.reach if isinstance(row.reach, dict) else {None: row.reach}
-    for label, check in checks.items():
+    for label, check in row.reach.items():
         labels = [label] if label else row.cases
         check([case for label in labels for case in cases_of(row, label)],
               [want for label in labels for want in expected(row, label)])

@@ -52,6 +52,14 @@ TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4,
 
 
 class TestGraphBasics:
+    def test_validation_rejects_asymmetric_rows(self):
+        with pytest.raises(ValueError):
+            Graph(2, (0b10, 0b00))
+
+    def test_validation_rejects_loops(self):
+        with pytest.raises(ValueError):
+            Graph.from_edges(2, [(0, 0)])
+
     def test_edges_and_degrees(self, paley9):
         assert paley9.num_edges == 18
         assert all(paley9.degree(v) == 4 for v in range(9))
