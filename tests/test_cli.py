@@ -6,11 +6,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import command_outcome, double_edge_switched, exit_code
+from oracles import circulant, command_outcome, double_edge_switched, exit_code
 from test_identities import FAULT_TYPES
-from srg12 import cli, graph6
+from srg12 import census, cli, graph, graph6
+from srg12.census import type_census
 from srg12.cli import main
-from srg12.errors import FamilyViolationError
+from srg12.errors import CountingInconsistencyError, FamilyViolationError
 from srg12.graph import Graph
 
 
@@ -53,8 +54,6 @@ class TestVerify:
         assert code == 0
 
     def test_failing_graph_exits_1(self, tmp_path, capsys):
-        from srg12.graph import Graph
-
         path = tmp_path / "c4.g6"
         c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         graph6.save_file(path, c4)
@@ -77,8 +76,6 @@ class TestCheck:
         assert all(e["pass"] is not False for e in payload["entries"])
 
     def test_non_family_graph_exits_1(self, tmp_path, capsys):
-        from srg12.graph import Graph
-
         path = tmp_path / "path.g6"
         graph6.save_file(path, Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
         code, _, _ = run(capsys, "check", "--graph", str(path), "--workers", "1")
@@ -101,8 +98,6 @@ class TestGoldenReports:
     def test_check_json_matches_golden(self, capsys, tmp_path, name, workers):
         graph, expected_code = name, 0
         if name == "cycle5":
-            from srg12.graph import Graph
-
             graph, expected_code = tmp_path / "cycle5.g6", 1
             graph6.save_file(graph, Graph.from_edges(5, [(i, (i + 1) % 5)
                                                          for i in range(5)]))
@@ -125,12 +120,8 @@ class TestGoldenReports:
     def test_exhaustive_census_json_matches_golden(self, capsys, tmp_path):
         # the seeded switched circulant C16(1, 2, 3) of the orbit-expansion
         # budget test: outside the family, over a hundred 6-vertex classes
-        from srg12.graph import Graph
-
-        circulant = Graph.from_edges(16, [(i, (i + d) % 16) for i in range(16)
-                                          for d in (1, 2, 3)])
         path = tmp_path / "switched16.g6"
-        graph6.save_file(path, double_edge_switched(circulant, random.Random(1603), 12))
+        graph6.save_file(path, double_edge_switched(circulant(16, 6), random.Random(1603), 12))
         out_json = tmp_path / "census.json"
         code, _, _ = run(capsys, "census", "--graph", str(path), "--exhaustive",
                          "--json", str(out_json))
@@ -157,8 +148,6 @@ class TestCensusCommand:
         assert payload["types"]["n1"] == 6
 
     def test_all_on_non_family_graph_degrades(self, tmp_path, capsys):
-        from srg12.graph import Graph
-
         path = tmp_path / "c4.g6"
         graph6.save_file(path, Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
         code, out, _ = run(capsys, "census", "--graph", str(path),
@@ -171,8 +160,6 @@ class TestCensusCommand:
 
     def test_all_verifies_once_and_counts_each_cycle_length_once(
             self, capsys, monkeypatch):
-        from srg12 import census, cli, graph
-
         calls = {"verify_srg": 0, "count_hexagons": 0,
                  "count_pentagons_and_hexagons": 0, "edge_triple_census": 0}
 
@@ -201,8 +188,6 @@ class TestCensusCommand:
                          "count_pentagons_and_hexagons": 1, "edge_triple_census": 1}
 
     def test_types_on_non_family_graph_fails(self, tmp_path, capsys):
-        from srg12.graph import Graph
-
         path = tmp_path / "c4.g6"
         graph6.save_file(path, Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
         code, _, err = run(capsys, "census", "--graph", str(path),
@@ -233,8 +218,6 @@ class TestCensusModes:
 
     @pytest.mark.parametrize("what", ["cycles", "triples"])
     def test_non_family_mode_has_no_residuals(self, tmp_path, capsys, what):
-        from srg12.graph import Graph
-
         path = tmp_path / "c4.g6"
         graph6.save_file(path, Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
         code, out, _ = run(capsys, "census", "--graph", str(path), "--what", what)
@@ -244,8 +227,6 @@ class TestCensusModes:
         assert set(payload) == {"graph_meta", CENSUS_MODES[what][0], "residuals"}
 
     def test_empty_graph_is_not_a_family_member(self, tmp_path, capsys):
-        from srg12.graph import Graph
-
         path = tmp_path / "empty.g6"
         graph6.save_file(path, Graph(0, ()))
         message = "empty graph is not a family member"
@@ -303,8 +284,6 @@ class TestCensusFailures:
 
     @pytest.mark.parametrize("what", ["types", "all"])
     def test_route_agreement_failure(self, monkeypatch, capsys, what):
-        from srg12 import census
-
         real = census.quad_pair_census
 
         def more_n9(g):
@@ -328,9 +307,6 @@ class TestCensusFailures:
     @pytest.mark.parametrize("error", FAULT_TYPES, ids=lambda error: error.__name__)
     @pytest.mark.parametrize("stage", TYPE_STAGES_IN_LEDGER_ORDER)
     def test_type_census_stops_at_a_failed_stage(self, monkeypatch, paley9, stage, error):
-        from srg12.census import type_census
-        from srg12.errors import CountingInconsistencyError
-
         calls, injected = stop_at(monkeypatch, stage, error)
         with pytest.raises(CountingInconsistencyError) as raised:
             type_census(paley9)
@@ -409,8 +385,6 @@ class TestParamsCommand:
 
 class TestProgress:
     def test_gated_to_one_second(self, monkeypatch, capsys):
-        from srg12 import cli
-
         monkeypatch.setenv("SRG12_PROGRESS", "1")
         clock = iter([0.0, 0.3, 1.5, 1.6, 3.0])
         monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
@@ -422,8 +396,6 @@ class TestProgress:
         assert capsys.readouterr().err == "demo: finished b\ndemo: finished d\n"
 
     def test_silent_without_tty_or_env(self, monkeypatch, capsys):
-        from srg12 import cli
-
         monkeypatch.delenv("SRG12_PROGRESS", raising=False)
         prog = cli._Progress("demo")
         prog.stage("a")
@@ -432,8 +404,6 @@ class TestProgress:
     def test_census_reports_stages_only(self, monkeypatch, capsys):
         # every line passes the time gate; the cycle census is one stage,
         # and the ledger runs the hexagon bound its residual needs
-        from srg12 import cli
-
         monkeypatch.setenv("SRG12_PROGRESS", "1")
         clock = iter(range(0, 1000, 2))
         monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
@@ -654,8 +624,6 @@ class TestInputErrors:
     def test_unwritable_output_refused_before_any_work(
             self, monkeypatch, capsys, tmp_path, argv, where, error):
         # refused on the path's shape, so also when os.access says yes
-        from srg12 import census, cli
-
         (tmp_path / "directory").mkdir()
         before = sorted(tmp_path.rglob("*"))
         calls = []
@@ -691,18 +659,12 @@ class TestInputValidation:
             2, "", "error: --workers must be at least 1, got 0\n")
 
     def test_worker_count_resolution(self):
-        from types import SimpleNamespace
-
-        from srg12 import cli
-
         # valid counts are accepted and ignored
         assert cli._resolve_workers(SimpleNamespace(workers=None)) is None
         assert cli._resolve_workers(SimpleNamespace(workers=3)) is None
 
     @staticmethod
     def _census_of_cycle(capsys, tmp_path, n):
-        from srg12.graph import Graph
-
         path = tmp_path / f"c{n}.g6"
         graph6.save_file(path, Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
         return run(capsys, "census", "--graph", str(path), "--exhaustive")
@@ -718,8 +680,6 @@ class TestInputValidation:
         )
 
     def test_exhaustive_refuses_before_other_censuses(self, monkeypatch, capsys):
-        from srg12 import census
-
         calls = []
         for name in ("require_family", "cycle_census", "edge_triple_census",
                      "disjoint_triangle_pair_census", "quad_pair_census",

@@ -8,13 +8,14 @@ labelled groups and, where equal outcomes would not show that the cases
 reach both sides of the kernel's shortcuts, what they must reach.  Here
 each group of a row runs on the imported module as a test of its own, and
 each row's reach check as another; a whole row, group after group, is the
-kill check of each of its mutants in ``tests/test_mutants.py``.  Each
-group's cases are built, and each reference outcome computed, once, on
-first use, and reused.  Where a kernel falls back to a one-by-one
-loop of its module, its outcome says whether the loop ran, and the
-reference's whether the loop raised: a mask test fails exactly where the
-loop raises.  A ``_pairwise`` or ``_loop`` function of ``oracles.py`` and
-a ``_one_by_one`` function of ``census.py`` each need a row.  A row also
+kill check of each of its mutants in ``tests/test_mutants.py``, and the
+only one for a mutant of ``census``, ``_bits``, ``graph`` or ``graph6``.
+Each group's cases are built, and each reference outcome computed, once,
+on first use, and reused.  Where a kernel falls back to a one-by-one loop
+of its module, its outcome says whether the loop ran, and the reference's
+whether the loop raised: a mask test fails exactly where the loop raises.
+A ``_pairwise`` or ``_loop`` function of ``oracles.py`` and a
+``_one_by_one`` function of ``census.py`` each need a row.  A row also
 lists the ``srg12`` functions its kernel calls: the rows that list a
 function are the battery a mutant of it must fail.  Every function of
 ``_bits.py`` and every ``_``-prefixed function of ``census.py`` needs such
@@ -42,6 +43,7 @@ from oracles import (
     brute_edge_triples,
     c4s_through_edge,
     certificate_type,
+    circulant,
     coded_walks_from,
     double_edge_switched,
     early_break_canonical_code,
@@ -62,10 +64,12 @@ from oracles import (
     quad_edge_type_incidences,
     quad_pair_cases,
     random_graph,
+    relabeled,
     symmetry_loop,
     transpose_loop,
     triangle_pair_census_pairwise,
     triangle_table_loop,
+    triangle_with_pendants,
     triangles,
     trusting_completion_type,
     verify_cases,
@@ -75,8 +79,8 @@ from srg12 import _bits, census, graph, graph6
 from srg12._bits import iter_bits
 from srg12.census import NAMED_TYPE_EDGES, QUAD_PAIR_TYPES, TRIANGLE_PAIR_TYPES, iter_quadrilaterals
 from srg12.constructions import build_bvls243, build_paley9
-from srg12.errors import CountingInconsistencyError
-from srg12.graph import Graph, SrgReport
+from srg12.errors import CountingInconsistencyError, FamilyViolationError
+from srg12.graph import Graph, SrgParams, SrgReport
 
 
 class Differential(NamedTuple):
@@ -188,6 +192,13 @@ def random_graphs(rng, count, sizes, densities):
     (low_n, high_n), (low_p, spread) = sizes, densities
     return [random_graph(rng, rng.randint(low_n, high_n), rng.random() * spread + low_p)
             for _ in range(count)]
+
+
+def holds(test):
+    """A reach check that ``test(outcomes)`` holds."""
+    def check(cases, outcomes):
+        assert test(outcomes)
+    return check
 
 
 bvls243 = lru_cache(maxsize=1)(build_bvls243)
@@ -351,11 +362,26 @@ def loop_guards(*reached):
     return reach
 
 
-# (rows, u, v, quadrilaterals through uv) per case of ``quad_pair_cases``
-QUAD_PAIR_CASES = {
-    "random-6-14-switched-bvls243":
-        lambda: [(g.rows, u, v, c4s_through_edge(g, u, v)) for g, (u, v) in quad_pair_cases()],
-}
+def quad_pair_inputs(*miscounts):
+    """(rows, u, v, quadrilaterals through uv, k) per case of
+    ``quad_pair_cases`` and per miscount: k - 2 is their number plus the
+    miscount."""
+    return [(g.rows, u, v, quads, len(quads) + 2 + miscount)
+            for g, (u, v) in quad_pair_cases() for quads in [c4s_through_edge(g, u, v)]
+            for miscount in miscounts]
+
+
+QUAD_PAIR_CASES = {"random-6-14-switched-bvls243": partial(quad_pair_inputs, 0),
+                   "miscounted": partial(quad_pair_inputs, 1, -1)}
+
+
+def quad_pairs_at_count(rows, u, v, quads, k):
+    """The pair-by-pair counts of ``quads``, once the kernel's check that
+    the edge lies on k - 2 quadrilaterals has passed, else its error."""
+    if len(quads) != k - 2:
+        return (FamilyViolationError.__name__,
+                f"edge ({u},{v}) lies on {len(quads)} quadrilaterals, expected {k - 2}")
+    return outcome(census._quad_pairs_at_edge, rows, u, v, quads)
 
 
 def quad_pair_reach(cases, outcomes):
@@ -363,7 +389,7 @@ def quad_pair_reach(cases, outcomes):
     # quadrilaterals through the edge (a w1x2 edge is such a further
     # quadrilateral through w1); both errors and counts occur
     guards = {len({w for w, _ in quads}) < len(quads) or len({x for _, x in quads}) < len(quads)
-              for _, _, _, quads in cases}
+              for _, _, _, quads, _ in cases}
     assert guards == {True, False}
     assert {want[0] if isinstance(want[0], str) else "counts" for want in outcomes} == {
         "counts", "FamilyViolationError", "CountingInconsistencyError"}
@@ -466,6 +492,55 @@ def verify_reach(cases, reports):
                and max(r.lambda_witness[0], r.mu_witness[0]) < r.expected.n - 2 for r in full)
 
 
+def family_params(g: Graph) -> SrgParams:
+    return SrgParams(max(g.order, 1), g.degree(0) if g.order else 0, 1, 2)
+
+
+def witnesses(report):
+    return (report.lambda_ok, report.lambda_witness), (report.mu_ok, report.mu_witness)
+
+
+def conditions(mod, g):
+    """The lambda and mu (ok, witness) pairs of ``verify_srg`` at the
+    family's parameters, then those of the two condition scans."""
+    one, two = mod.check_condition_one(g), mod.check_condition_two(g)
+    return (*witnesses(mod.verify_srg(g, family_params(g))), (one.ok, one.violation),
+            (two.ok, two.violation))
+
+
+@lru_cache(maxsize=1)
+def condition_graphs():
+    rng = random.Random(30)
+    graphs = [random_graph(rng, rng.randint(1, 30), rng.random()) for _ in range(150)]
+    return graphs, [one_apex_per_edge_graph(rng, rng.randint(6, 30)) for _ in range(30)]
+
+
+def switched_copies(base, seeds):
+    return each_graph([base] + [double_edge_switched(base, random.Random(seed), 1 + seed % 3)
+                                for seed in seeds])
+
+
+def held(outcomes):
+    return [(lam[0], mu[0]) for lam, mu, *_ in outcomes]
+
+
+# the family graph holds both conditions, each switched copy neither
+FAMILY_THEN_SWITCHED = holds(lambda outcomes: held(outcomes) == [(True, True)] + [
+    (False, False)] * (len(outcomes) - 1))
+
+# (graph,): seeded graphs on 1-30 vertices, C4, C5 and K5; seeded graphs
+# with one apex per edge; Paley 9 and BvLS 243, each followed by copies
+# after one to three switches; the graphs on 0 and 1 vertices
+CONDITION_CASES = {
+    "seeded": lambda: each_graph(condition_graphs()[0] + [circulant(4, 2), circulant(5, 2),
+                                                          circulant(5, 4)]),
+    "one-apex": lambda: each_graph(condition_graphs()[1]),
+    "switched-paley9": lambda: switched_copies(build_paley9(), range(12)),
+    "switched-bvls243": lambda: switched_copies(bvls243(), range(3)),
+    "orders-0-1": lambda: [(Graph(0, ()),), (Graph(1, (0,)),)],
+}
+
+
 def orbit_codes_2_to_7():
     rng = random.Random(11)
     cases = []
@@ -497,6 +572,21 @@ SIX_CENSUS_CASES = {
     "random-7-8": lambda: each_graph(random_graphs(random.Random(16), 6, (7, 8), (0.2, 0.6))),
     "random-10": lambda: [(random_graph(random.Random(1010), 10, 0.5),)],
 }
+
+
+def six_tally_graphs():
+    rng = random.Random(1717)
+    graphs = [Graph.from_edges(6, combinations(range(6), 2)), random_graph(rng, 7, 0.5),
+              build_paley9()]
+    return each_graph(graphs + [random_graph(rng, n, p) for n in range(8, 17) for p in (0.3, 0.6)])
+
+
+def six_tally_in_subset_order(g: Graph):
+    """The tally of ``Graph.subgraph_code`` over the 6-subsets in
+    combinations order, and the certificates of the classes in the order
+    that their first subsets come."""
+    tally = Counter(g.subgraph_code(subset) for subset in combinations(range(g.order), 6))
+    return list(tally.items()), list(dict.fromkeys(graph.classify_code(code, 6) for code in tally))
 
 
 # both sides of every power of two up to 512, and above
@@ -651,13 +741,6 @@ def settings(order, fixed, free):
         yield Graph.from_edges(order, fixed + extra)
 
 
-def holds(test):
-    """A reach check that ``test(outcomes)`` holds."""
-    def check(cases, outcomes):
-        assert test(outcomes)
-    return check
-
-
 # Type rules: each kernel fixes most pairs of a 6-vertex structure and
 # decides its type from the few pairs left free.  Every setting of those
 # pairs is a case, as is a seeded sample of BvLS 243 structures, and the
@@ -784,6 +867,41 @@ COMPLETION_TYPE_CASES = {
         6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (4, 1), (3, 5), (5, 2)],
         [(4, 5), (4, 0), (4, 2), (5, 0), (5, 1)])],
     "bvls243": lambda: bvls_completions_and_n2()[0],
+}
+
+
+def completion_census(mod, g, unverified=False):
+    family = mod.VerifiedFamily(g, g.order, g.degree(0), g.num_edges) if unverified else g
+    return tuple(mod.triangle_edge_completion_census(family))
+
+
+def completions_by_certificate(g: Graph, unverified=False):
+    """(n1, n4) from the type of each (triangle, pendant) completion: the
+    pendant p at corner x of triangle xyz, and the second common
+    neighbours q of p and y and r of p and z, by certificate.  Only the
+    census side reads ``unverified``."""
+    rows, kinds = g.rows, Counter()
+    for tri in triangles(g):
+        for x, y, z in (tri, tri[1:] + tri[:1], tri[2:] + tri[:2]):
+            for p in g.neighbors(x):
+                if p not in tri:
+                    q, r = ((rows[p] & rows[w] & ~(1 << x)).bit_length() - 1 for w in (y, z))
+                    kinds[certificate_type(g, (x, y, z, p, q, r))] += 1
+    return kinds["n1"] // 6, kinds["n4"]
+
+
+# (graph[, unverified]): Paley 9; given to the census unverified, the
+# triangle 0-1-2 whose pendants form the hexagon 3-5-8-4-6-7-3, each
+# completion type n4, which no family graph built reaches, and whose
+# pendants form the triangles 3-5-7 and 4-6-8, two prisms; a seeded
+# relabelling of BvLS 243, whose 53,460 completions are prisms
+COMPLETION_CENSUS_CASES = {
+    "paley9": lambda: [(build_paley9(),)],
+    "crafted-pendants": lambda: [
+        (triangle_with_pendants([(3, 5), (5, 8), (8, 4), (4, 6), (6, 7), (7, 3)]), True),
+        (triangle_with_pendants([(3, 5), (5, 7), (3, 7), (4, 6), (6, 8), (4, 8)]), True)],
+    "relabelled-bvls243": lambda: [(relabeled(bvls243(), random.Random(243).sample(range(243),
+                                                                                  243)),)],
 }
 
 # pentagon 0..4 with apexes 5..9 on its sides 01, 12, 23, 34, 40; the pairs
@@ -978,15 +1096,21 @@ DIFFERENTIALS = [
         {None: loop_guards("triangle apexes", "collide", "not type n2")},
         (census._side_apexes_one_by_one,),
         exercises=(census._side_apexes, census._side_apexes_one_by_one, census._is_n2)),
+    # per (triangle, pendant) completion, against its certificate
+    Differential("completion-census", "census", completion_census, completions_by_certificate,
+                 COMPLETION_CENSUS_CASES,
+                 {"crafted-pendants": holds(lambda outcomes: outcomes == [(0, 6), (2, 0)])},
+                 (certificate_type,),
+                 exercises=(census.triangle_edge_completion_census, census._corner_completions,
+                            census._completion_type, *TRIANGLE_IDS)),
     corner_completions("corner-completions", ["neither a prism"]),
     corner_completions("corner-completions-trusting", [],
                        (("_completion_type", trusting_completion_type),)),
     Differential(
         "quad-pairs", "census",
-        lambda mod, rows, u, v, quads: outcome(mod._quad_pairs_through_edge, rows, u, v,
-                                               len(quads) + 2),
-        lambda rows, u, v, quads: outcome(census._quad_pairs_at_edge, rows, u, v, quads),
-        QUAD_PAIR_CASES, {None: quad_pair_reach}, (census._quad_pairs_at_edge,),
+        lambda mod, rows, u, v, quads, k: outcome(mod._quad_pairs_through_edge, rows, u, v, k),
+        quad_pairs_at_count, QUAD_PAIR_CASES, {"random-6-14-switched-bvls243": quad_pair_reach},
+        (census._quad_pairs_at_edge,),
         exercises=(census._quad_pairs_through_edge, census._quad_pairs_at_edge,
                    _bits.iter_bits)),
     Differential("qpe-incidences", "census",
@@ -1019,6 +1143,17 @@ DIFFERENTIALS = [
                  lambda mod, g, params: as_report(mod.verify_srg(g, params)),
                  verify_srg_pairwise, {"seeded": verify_cases}, {None: verify_reach},
                  exercises=(graph.verify_srg,)),
+    # the ledger's condition entries read the witnesses of verify_srg
+    Differential("conditions", "graph", conditions,
+                 lambda g: witnesses(verify_srg_pairwise(g, family_params(g))) * 2,
+                 CONDITION_CASES,
+                 {"seeded": holds(lambda outcomes: set(held(outcomes))
+                                  == set(product((True, False), repeat=2))),
+                  "switched-paley9": FAMILY_THEN_SWITCHED,
+                  "switched-bvls243": FAMILY_THEN_SWITCHED},
+                 (verify_srg_pairwise,),
+                 exercises=(graph.verify_srg, graph.check_condition_one,
+                            graph.check_condition_two)),
     Differential("orbit", "graph",
                  lambda mod, code, n: (mod.code_orbit(code, n), mod.canonical_code(code, n)),
                  orbit_by_maps, ORBIT_CASES, references=(_perm_bit_maps,),
@@ -1032,6 +1167,13 @@ DIFFERENTIALS = [
                  oracle_six_census, SIX_CENSUS_CASES,
                  exercises=(census.exhaustive_six_census, census._six_subset_tally,
                             _bits.pair_index_table, _bits.iter_bits)),
+    # the tally in first-subset order, and the classes in first-met order
+    Differential("six-tally", "census",
+                 lambda mod, g: (list(mod._six_subset_tally(g.rows, g.order).items()),
+                                 [c.certificate for c in mod.exhaustive_six_census(g)]),
+                 six_tally_in_subset_order, {"k6-paley9-random-7-16": six_tally_graphs},
+                 exercises=(census._six_subset_tally, census.exhaustive_six_census,
+                            _bits.pair_index_table)),
     Differential("transpose", "_bits",
                  lambda mod, rows: (mod.transpose(rows), mod.transpose(tuple(rows))),
                  lambda rows: (transpose_loop(rows),) * 2, TRANSPOSE_CASES,

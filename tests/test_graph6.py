@@ -16,6 +16,7 @@ def test_known_small_encodings():
     assert graph6.encode(c5) == b"Dhc"
     k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert graph6.encode(k4) == b"C~"
+    assert (graph6.decode(b"Dhc"), graph6.decode(b"C~")) == (c5, k4)
     empty = Graph(0, ())
     assert graph6.encode(empty) == b"?"
 
@@ -149,6 +150,27 @@ def test_networkx_agrees_on_random_graphs():
         back = nx.from_graph6_bytes(line)
         assert list(back) == list(range(n))
         assert graph6.decode(line) == Graph.from_edges(n, back.edges())
+    # networkx's lines of seeded graphs on 3 to 63 vertices with the last
+    # byte set to each of 0x3c..0x81: read as networkx reads them where
+    # networkx writes the same line back, else refused
+    rng = random.Random(63)
+    for n in (3, 4, 5, 8, 63):
+        theirs = nx.Graph()
+        theirs.add_nodes_from(range(n))
+        theirs.add_edges_from(random_graph(rng, n, 0.5).edges())
+        written = nx.to_graph6_bytes(theirs, header=False)[:-1]
+        for last in range(0x3c, 0x82):
+            line = written[:-1] + bytes([last])
+            try:
+                back = nx.from_graph6_bytes(line)
+            except ValueError:  # a byte above 126
+                back = None
+            if back is not None and nx.to_graph6_bytes(back, header=False) == line + b"\n":
+                ours = graph6.decode(line)
+                assert (ours, graph6.encode(ours)) == (Graph.from_edges(n, back.edges()), line)
+            else:
+                with pytest.raises(Graph6Error):
+                    graph6.decode(line)
 
 
 # one row per ``raise Graph6Error`` in graph6.py, in source order: the call,

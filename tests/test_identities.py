@@ -1,26 +1,22 @@
-import ast
 import inspect
 import json
 import random
 import re
 import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 from oracles import (
     double_edge_switched,
-    one_apex_per_edge_graph,
     quadratic_hexagon_bound,
-    random_graph,
     report_entry,
 )
 from srg12 import census, cli, graph, identities, spectral
 from srg12.census import NAMED_TYPE_EDGES
 from srg12.constructions import build_paley9
 from srg12.errors import CountingInconsistencyError
-from srg12.graph import Graph, SrgParams, check_condition_one, check_condition_two
+from srg12.graph import Graph
 from srg12.identities import (
     ChainFailure,
     expected_e4,
@@ -742,43 +738,6 @@ class TestEnumerationBudget:
             "_pentagon_edge_scan"}
 
 
-def row_names_spelt(module) -> dict[str, set]:
-    """The ledger row names that string constants of ``module`` spell,
-    docstrings left out, by the top-level name assigned around them (""
-    for any other place)."""
-    tree = ast.parse(Path(module.__file__).read_text())
-    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
-                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
-                  and node.body and isinstance(node.body[0], ast.Expr)}
-    rows = {row.name for row in identities.LEDGER}
-    spelt: dict[str, set] = {}
-    for top in tree.body:
-        owner = top.targets[0].id if isinstance(top, ast.Assign) and len(
-            top.targets) == 1 and isinstance(top.targets[0], ast.Name) else ""
-        for node in ast.walk(top):
-            if (isinstance(node, ast.Constant) and node.value in rows
-                    and id(node) not in docstrings):
-                spelt.setdefault(owner, set()).add(node.value)
-    return spelt
-
-
-class TestRowNamesInOneModule:
-    """identities spells every ledger row name and states the master
-    identity; census spells none, and cli only in its JSON contract."""
-
-    def test_census_spells_no_row_name(self):
-        assert row_names_spelt(census) == {}
-        assert not [name for name in vars(census) if "MASTER" in name or "master" in name]
-
-    def test_cli_spells_row_names_only_in_its_residuals(self):
-        assert row_names_spelt(cli) == {"CENSUS_RESIDUALS": {
-            entry for rows in cli.CENSUS_RESIDUALS.values() for entry in rows.values()}}
-
-    def test_the_scan_sees_identities_spell_them(self):
-        spelt = row_names_spelt(identities)
-        assert set().union(*spelt.values()) == {row.name for row in identities.LEDGER}
-
-
 class TestRouteAgreements:
     def test_type_census_and_ledger_read_one_table(self, monkeypatch, paley9):
         real = census.quad_pair_census
@@ -874,41 +833,12 @@ class TestVerifyOnce:
 
 
 class TestConditionWitnesses:
-    """The ledger's condition entries take the first lambda and mu
-    witnesses of ``verify_srg``; they must be the pairs that
-    ``check_condition_one`` and ``check_condition_two`` name."""
-
-    @staticmethod
-    def assert_same_witnesses(g):
-        n = g.order
-        srg = graph.verify_srg(g, SrgParams(max(n, 1), g.degree(0) if n else 0, 1, 2))
-        one, two = check_condition_one(g), check_condition_two(g)
-        assert (srg.lambda_ok, srg.lambda_witness) == (one.ok, one.violation)
-        assert (srg.mu_ok, srg.mu_witness) == (two.ok, two.violation)
-        return one.ok, two.ok
-
-    def test_seeded_graphs_up_to_30_vertices(self):
-        rng = random.Random(30)
-        graphs = [random_graph(rng, rng.randint(1, 30), rng.random()) for _ in range(150)]
-        graphs += [one_apex_per_edge_graph(rng, rng.randint(6, 30)) for _ in range(30)]
-        graphs += [cycle(4), cycle(5), Graph.from_edges(5, [(i, j) for i in range(5)
-                                                            for j in range(i + 1, 5)])]
-        outcomes = {self.assert_same_witnesses(g) for g in graphs}
-        assert outcomes == {(False, False), (True, False), (False, True), (True, True)}
-
-    @pytest.mark.parametrize("name, seeds", [("paley9", range(12)), ("bvls", range(3))])
-    def test_switched_family_graphs(self, request, name, seeds):
-        base = request.getfixturevalue(name)
-        assert self.assert_same_witnesses(base) == (True, True)
-        for seed in seeds:
-            g = double_edge_switched(base, random.Random(seed), 1 + seed % 3)
-            assert self.assert_same_witnesses(g) == (False, False)
+    """The ledger's condition entries take the witnesses of ``verify_srg``,
+    which the ``conditions`` row compares with the condition scans'."""
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_orders_zero_and_one_keep_both_condition_entries(self, order):
-        g = Graph(order, (0,) * order)
-        self.assert_same_witnesses(g)
-        report = run_all_checks(g)
+        report = run_all_checks(Graph(order, (0,) * order))
         for name in ("condition_one_edge_triangles",
                      "condition_two_nonedge_quadrilaterals"):
             assert report_entry(report, name).status == "pass"

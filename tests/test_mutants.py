@@ -9,40 +9,31 @@ source, a replacement and a kill check.  The snippet must occur exactly
 once, so a refactor that moves it fails here by name and the row must be
 re-expressed.  The mutated source is executed as a fresh module inside the
 ``srg12`` package (relative imports resolve to the real modules; nothing is
-registered in ``sys.modules``), and the kill check, a row of
-``DIFFERENTIALS`` (``tests/test_differentials.py``) or a function below
-that reads a report, the ledger, a command, spectral values or networkx,
-must report a difference.  Every check also runs on the unmutated module,
-where it must report none.  No subprocess runs.
+registered in ``sys.modules``), and the kill check must report a
+difference.  For a mutant of ``census``, ``_bits``, ``graph`` or ``graph6``
+the check is a row of ``DIFFERENTIALS`` (``tests/test_differentials.py``);
+the modules without rows (``identities``, ``cli`` and ``spectral``) have
+a function below that reads a report, the ledger, a command or spectral
+values.  Every check also runs on the unmutated module, where it must
+report none.  No subprocess runs.
 """
 
 import io
 import json
-import random
 import types
 from contextlib import redirect_stderr, redirect_stdout
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple, Union
 
 import pytest
 
-from oracles import (
-    c4s_through_edge,
-    outcome,
-    quad_pair_cases,
-    random_graph,
-    report_entry,
-    triangle_pair_census_pairwise,
-    triangle_with_pendants,
-    triangles,
-)
+from oracles import report_entry
 from test_differentials import ROW, Differential, first_difference
 from test_identities import LEDGER_STAGES, STAGE_FAIL_ENTRY, failures, inject_fault, not_passed
 import srg12
 from srg12 import census
 from srg12.constructions import build_paley9
-from srg12.errors import FamilyViolationError, Graph6Error, InfeasibleParametersError
+from srg12.errors import InfeasibleParametersError
 from srg12.graph import Graph, SrgParams
 from srg12.spectral import charpoly_prefix
 
@@ -51,31 +42,6 @@ DATA = Path(__file__).parent / "data"
 
 
 # -- kill checks: True when the module differs from the independent route --
-
-
-def completions_differ(mod) -> bool:
-    # 6 n1 + n4 = 3(k - 2) p3 on Paley 9 (k = 4), with the triangles listed
-    # and the prisms counted pair by pair; Paley 9 has n4 = 0, so the
-    # triangle with its pendants joined as a hexagon, given to the census as
-    # the mutant's own unverified family value, gives n4 = 6
-    g = build_paley9()
-    n1 = triangle_pair_census_pairwise(g).n1
-    h = triangle_with_pendants([(3, 5), (5, 8), (8, 4), (4, 6), (6, 7), (7, 3)])
-    hexagon = mod.VerifiedFamily(h, h.order, h.degree(0), h.num_edges)
-    return (tuple(mod.triangle_edge_completion_census(g)) != (n1, 6 * len(triangles(g)) - 6 * n1)
-            or tuple(mod.triangle_edge_completion_census(hexagon)) != (0, 6))
-
-
-def quad_count_differs(mod) -> bool:
-    # told to expect one quadrilateral more than the edge lies on, the
-    # kernel must refuse before it pairs any
-    for g, (u, v) in quad_pair_cases():
-        found = len(c4s_through_edge(g, u, v))
-        if outcome(mod._quad_pairs_through_edge, g.rows, u, v, found + 3) != (
-                FamilyViolationError.__name__,
-                f"edge ({u},{v}) lies on {found} quadrilaterals, expected {found + 1}"):
-            return True
-    return False
 
 
 def cycle5_report_differs(mod) -> bool:
@@ -158,54 +124,6 @@ def c6_closed_form_differs(mod) -> bool:
         return True
 
 
-@lru_cache(maxsize=1)
-def networkx_lines():
-    """(line, reading) for seeded graphs on 3 to 63 vertices, both order
-    forms: ``line`` is networkx's graph6 line of the graph with its last
-    byte replaced by each of 0x3c..0x81, and ``reading`` is the graph
-    networkx reads from it if networkx writes it back unchanged, else
-    Graph6Error."""
-    nx = pytest.importorskip("networkx")
-    rng = random.Random(63)
-    rows = []
-    for n in (3, 4, 5, 8, 63):
-        g = random_graph(rng, n, 0.5)
-        theirs = nx.Graph()
-        theirs.add_nodes_from(range(n))
-        theirs.add_edges_from(g.edges())
-        written = nx.to_graph6_bytes(theirs, header=False)[:-1]
-        for last in range(0x3c, 0x82):
-            line = written[:-1] + bytes([last])
-            try:
-                read = nx.from_graph6_bytes(line)
-            except ValueError:  # a byte above 126
-                reading = Graph6Error
-            else:
-                reading = (Graph.from_edges(n, read.edges())
-                           if nx.to_graph6_bytes(read, header=False) == line + b"\n"
-                           else Graph6Error)
-            rows.append((line, reading))
-    return rows
-
-
-def graph6_differs(mod) -> bool:
-    # the known lines of the 5-cycle and K4 and the long-form order of 243,
-    # then networkx's lines: each is read as networkx reads it, or rejected
-    def read(line):
-        try:
-            return mod.decode(line)
-        except Exception as exc:  # a mutant may raise anything
-            return type(exc)
-
-    c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    k4 = Graph.from_edges(4, [(i, j) for j in range(4) for i in range(j)])
-    if ((mod.encode(c5), mod.encode(k4), mod.encode(Graph(243, (0,) * 243))[:4])
-            != (b"Dhc", b"C~", b"~?Br") or (read(b"Dhc"), read(b"C~")) != (c5, k4)):
-        return True
-    return any(read(line) != reading or reading != Graph6Error and mod.encode(reading) != line
-               for line, reading in networkx_lines())
-
-
 class Mutant(NamedTuple):
     name: str
     module: str
@@ -268,7 +186,7 @@ MUTANTS = [
            "n4_inc += (rows[t_ab] & (only_c | only_a)).bit_count()", ROW["qpe-incidences"]),
     Mutant("an n4 completion counted twice", "census",
            "n4_inc += len(kinds) - prisms", "n4_inc += 2 * (len(kinds) - prisms)",
-           completions_differ),
+           ROW["completion-census"]),
     Mutant("the d term of the n2 mask dropped", "census",
            "rows[t_bc] & ((1 << d) | cd)", "rows[t_bc] & cd", ROW["side-apexes"]),
     Mutant("the q != r test dropped", "census",
@@ -277,7 +195,7 @@ MUTANTS = [
            "if not pendants & (ry | rz):", "if not pendants & ry:", ROW["corner-completions-trusting"]),
     Mutant("completion census skips a triangle", "census",
            "for tri in _triangle_ids(rows)[0]:", "for tri in _triangle_ids(rows)[0][1:]:",
-           completions_differ),
+           ROW["completion-census"]),
     Mutant("unmatched quadrilateral list drops one (w, x)", "census",
            "for w, xs in partner.items() for x in iter_bits(xs)]",
            "for w, xs in partner.items() for x in iter_bits(xs)][1:]", ROW["quad-pairs"]),
@@ -318,7 +236,7 @@ MUTANTS = [
            "                if common:\n",
            "                if common:\n                    common &= -common\n", ROW["hexagon"]),
     Mutant("the quadrilateral guard off", "census", "if found != k - 2:", "if False:",
-           quad_count_differs),
+           ROW["quad-pairs"]),
     Mutant("two-chord test ignoring c14 & c24", "census",
            "if hit & chord3 or hit and c14 & c24 & low:", "if hit & chord3:", ROW["walks"]),
     Mutant("two-chord test ignoring chord3", "census",
@@ -367,15 +285,15 @@ MUTANTS = [
            "num = -k - (n - 1) * lam2", "num = k + (n - 1) * lam2", feasible_valencies_differ),
     Mutant("c6 numerator without its (k - 2) factor", "spectral",
            "num = n * k * (k - 2) * poly", "num = n * k * poly", c6_closed_form_differs),
-    # the graph6 codec, read against the known lines and networkx
+    # the graph6 codec, read against the per-byte loops
     Mutant("column bits not reversed", "graph6",
            'int.from_bytes(raw.translate(_REVERSED), "little")', 'int.from_bytes(raw, "little")',
-           graph6_differs),
+           ROW["graph6-loops"]),
     Mutant("padding test dropped, so B~ decodes", "graph6",
-           "if bits >> need_bits:", "if False:", graph6_differs),
+           "if bits >> need_bits:", "if False:", ROW["graph6-loops"]),
     Mutant("byte 127 read as a body byte", "graph6",
            "rest = body.lstrip(_BODY_BYTES)", 'rest = body.lstrip(_BODY_BYTES + b"\\x7f")',
-           graph6_differs),
+           ROW["graph6-loops"]),
     # the bit-matrix transpose and the symmetry test, read against the
     # per-bit loop, and the symmetry check of Graph that calls the test
     Mutant("columns read in the wrong order", "_bits",
@@ -440,3 +358,10 @@ def test_surviving_mutant_fails_by_name():
     with pytest.raises(pytest.fail.Exception,
                        match="mutant survived: pentagon-side triangles through u excluded twice"):
         require_killed(EQUIVALENT)
+
+
+def test_kernel_mutants_are_killed_by_rows():
+    # the kernels of these modules each have rows, the only kill checks
+    # their mutants have
+    assert [m.name for m in MUTANTS if m.module in ("census", "_bits", "graph", "graph6")
+            and not isinstance(m.check, Differential)] == []

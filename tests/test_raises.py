@@ -20,7 +20,7 @@ import pytest
 
 import srg12
 from oracles import command_outcome, raise_error, raised
-from srg12 import graph6
+from srg12 import census, cli, graph6, identities
 from srg12.graph import Graph
 from test_census import CENSUS_IDS, CENSUS_RAISES
 from test_cli import CLI_IDS, CLI_RAISES
@@ -204,3 +204,40 @@ def test_unreached_definition_is_found():
     # a reader's names count, its own definitions do not
     reader = ast.parse("def dead():\n    pass\nexported()\n")
     assert unreached_definitions([source], (), readers=[reader]) == ["dead"]
+
+
+def row_names_spelt(name) -> dict[str, set]:
+    """The ledger row names that string constants of the source file
+    ``name`` spell, docstrings left out, by the top-level name assigned
+    around them ("" for any other place)."""
+    tree = TREES[name]
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    rows = {row.name for row in identities.LEDGER}
+    spelt: dict[str, set] = {}
+    for top in tree.body:
+        owner = top.targets[0].id if isinstance(top, ast.Assign) and len(
+            top.targets) == 1 and isinstance(top.targets[0], ast.Name) else ""
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Constant) and node.value in rows
+                    and id(node) not in docstrings):
+                spelt.setdefault(owner, set()).add(node.value)
+    return spelt
+
+
+class TestRowNamesInOneModule:
+    """identities spells every ledger row name and states the master
+    identity; census spells none, and cli only in its JSON contract."""
+
+    def test_census_spells_no_row_name(self):
+        assert row_names_spelt("census.py") == {}
+        assert not [name for name in vars(census) if "MASTER" in name or "master" in name]
+
+    def test_cli_spells_row_names_only_in_its_residuals(self):
+        assert row_names_spelt("cli.py") == {"CENSUS_RESIDUALS": {
+            entry for rows in cli.CENSUS_RESIDUALS.values() for entry in rows.values()}}
+
+    def test_the_scan_sees_identities_spell_them(self):
+        spelt = row_names_spelt("identities.py")
+        assert set().union(*spelt.values()) == {row.name for row in identities.LEDGER}
